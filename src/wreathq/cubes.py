@@ -18,10 +18,9 @@ from typing import Optional, Sequence
 
 from .cyclotomic import Scalar
 from .errors import FormatError
-from .linalg import BlockBuilder, Mat, kernel_basis, rank
-from .modules import WreathModule
-from .reflection import SinkCalculus, sink_flips
-from .modules import reorient_module
+from .linalg import BlockBuilder, Mat, kernel_basis
+from .modules import WreathModule, reorient_module
+from .reflection import SinkCalculus, candidate_tuples, sink_flips
 from .symmetric import Perm, partitions
 
 
@@ -168,7 +167,10 @@ class CohomologyData:
 
 
 def cohomology(cx: ChainComplex) -> CohomologyData:
-    """dim H^r = dim ker d_r - rank d_{r-1}; representatives kept in degree 0."""
+    """dim H^r = dim ker d_r - rank d_{r-1}; representatives kept in degree 0.
+
+    One elimination per differential: rank d_r = cols - dim ker d_r.
+    """
     dims = []
     n = len(cx.terms)
     prev_rank = 0
@@ -179,7 +181,7 @@ def cohomology(cx: ChainComplex) -> CohomologyData:
         dims.append(ker.cols - prev_rank)
         if r == 0:
             h0 = ker
-        prev_rank = rank(d)
+        prev_rank = d.cols - ker.cols
     return CohomologyData(tuple(dims), h0 if h0 is not None else Mat.zeros(0, 0, cx.order))
 
 
@@ -200,13 +202,11 @@ class ModuleCubes:
 
 def module_cube(module: WreathModule, vertex: str) -> ModuleCubes:
     """Z_j(J) = V(j, Delta(j) - J) with the pi maps as structure maps."""
-    from .reflection import _candidate_tuples  # shared candidate enumeration
-
     flips = sink_flips(module.params.quiver, vertex)
     sink = reorient_module(module, flips)
     calc = SinkCalculus(sink, vertex)
     cubes = {}
-    for j in _candidate_tuples(calc, include_interior=True):
+    for j in candidate_tuples(calc, include_interior=True):
         delta = calc.delta(j)
         spaces = {}
         maps = {}

@@ -104,7 +104,7 @@ def parse_matrix(doc: Any, rows: int, cols: int, order: int, where: str) -> Mat:
                  f"{where}: expected rows of length {cols}")
         for entry in row:
             data.append(parse_scalar(str(entry), order))
-    return Mat(rows, cols, data, order, _copy=False)
+    return Mat(rows, cols, data, order)
 
 
 def dump_matrix(m: Mat) -> list:

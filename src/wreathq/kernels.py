@@ -1,25 +1,10 @@
-"""Select the compiled linear-algebra kernel, falling back to pure Python.
+"""Name of the linear-algebra implementation, for environment stamps.
 
-Set ``WREATHQ_PURE=1`` in the environment to force the fallback (useful
-for benchmarking and for debugging the extension).
+``wreathq.linalg`` is the only implementation: sparse rows of exact
+``Scalar`` entries, in pure Python.  This module survives only so that
+benchmark result files keep recording the implementation they measured,
+and results stay comparable with those recorded before it was the only
+one.
 """
 
-import os
-
-from . import _kernel_py
-
-if os.environ.get("WREATHQ_PURE"):
-    _impl = _kernel_py
-else:
-    try:
-        from . import _kernel as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = _kernel_py
-
-IMPLEMENTATION = _impl.IMPLEMENTATION
-mat_mul = _impl.mat_mul
-rref = _impl.rref
-
-# specialised rational kernels exist only in the compiled extension
-mat_mul_q = getattr(_impl, "mat_mul_q", None)
-rref_q = getattr(_impl, "rref_q", None)
+IMPLEMENTATION = "python"

@@ -1,4 +1,11 @@
-"""Dense exact matrices over Q(zeta_m) and the kernel/solve primitives.
+"""Sparse exact matrices over Q(zeta_m) and the kernel/solve primitives.
+
+A matrix stores one dict per row, mapping a column index to a nonzero
+``Scalar``; zeros are never stored.  The block maps of the reflection
+functor and of the cube complexes are under a tenth nonzero, so every
+operation here works on the nonzero entries only.  Row dicts are never
+mutated once a matrix is built, which lets results share unchanged rows
+with their operands.
 
 Matrices with zero rows or zero columns are first-class citizens: they
 represent maps to or from the zero space and show up constantly in
@@ -7,49 +14,87 @@ graded modules.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import heapq
 
 from .cyclotomic import Scalar
 from .errors import NotInSpanError, OrderMismatchError
-from . import kernels
+
+_new = object.__new__
+_set = object.__setattr__
 
 
-def _unwrap_rationals(data: list) -> tuple[list, list]:
-    nums, dens = [], []
-    for x in data:
-        f = x.coeffs[0]
-        nums.append(f.numerator)
-        dens.append(f.denominator)
-    return nums, dens
+def _mat(rows: int, cols: int, srows: list, order: int) -> "Mat":
+    """Wrap row dicts (already free of zeros, and not shared with a builder)."""
+    m = _new(Mat)
+    _set(m, "rows", rows)
+    _set(m, "cols", cols)
+    _set(m, "order", order)
+    _set(m, "_rows", srows)
+    return m
 
 
-def _wrap_rationals(nums: list, dens: list) -> list:
-    out = []
-    append = out.append
-    mk = Scalar._mk
-    new = Fraction.__new__
-    for n, d in zip(nums, dens):
-        f = new(Fraction)
-        f._numerator = n
-        f._denominator = d
-        append(mk((f,), 1))
+def _add_into(dst: dict, src: dict, offset: int = 0) -> None:
+    """dst += src shifted by ``offset`` columns, deleting entries that cancel."""
+    for c, x in src.items():
+        c += offset
+        y = dst.get(c)
+        if y is None:
+            dst[c] = x
+        else:
+            s = y + x
+            if s:
+                dst[c] = s
+            else:
+                del dst[c]
+
+
+def _sub_multiple(dst: dict, f: Scalar, src: dict, skip: int) -> None:
+    """dst -= f * src outside column ``skip``, deleting entries that cancel."""
+    for j, x in src.items():
+        if j == skip:
+            continue
+        y = dst.get(j)
+        if y is None:
+            dst[j] = -(f * x)
+        else:
+            s = y - f * x
+            if s:
+                dst[j] = s
+            else:
+                del dst[j]
+
+
+def _sum_rows(a: dict, b: dict) -> dict:
+    if not b:
+        return a
+    if not a:
+        return b
+    if len(a) < len(b):
+        a, b = b, a
+    out = dict(a)
+    _add_into(out, b)
     return out
 
 
 class Mat:
-    """Immutable dense matrix, row-major, entries in Q(zeta_order)."""
+    """Immutable sparse matrix with entries in Q(zeta_order).
 
-    __slots__ = ("rows", "cols", "order", "data")
+    ``Mat(rows, cols, data, order)`` takes the entries densely, row-major;
+    ``data`` gives them back the same way, as a fresh list.
+    """
 
-    def __init__(self, rows: int, cols: int, data: list, order: int = 1, _copy: bool = True):
+    __slots__ = ("rows", "cols", "order", "_rows")
+
+    def __init__(self, rows: int, cols: int, data: list, order: int = 1):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
         if len(data) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "data", list(data) if _copy else data)
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "order", order)
+        _set(self, "_rows", [{c: x for c, x in enumerate(data[r * cols:(r + 1) * cols]) if x}
+                             for r in range(rows)])
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Mat is immutable")
@@ -57,51 +102,68 @@ class Mat:
     # -- constructors ---------------------------------------------------
     @staticmethod
     def zeros(rows: int, cols: int, order: int = 1) -> "Mat":
-        z = Scalar.zero(order)
-        return Mat(rows, cols, [z] * (rows * cols), order, _copy=False)
+        return _mat(rows, cols, [{} for _ in range(rows)], order)
 
     @staticmethod
     def identity(n: int, order: int = 1) -> "Mat":
-        z, o = Scalar.zero(order), Scalar.one(order)
-        data = [z] * (n * n)
-        for t in range(n):
-            data[t * n + t] = o
-        return Mat(n, n, data, order, _copy=False)
+        o = Scalar.one(order)
+        return _mat(n, n, [{t: o} for t in range(n)], order)
 
     @staticmethod
     def from_rows(rows_list, order: int = 1) -> "Mat":
         """Build from a list of rows whose entries are Scalars or rationals."""
         r = len(rows_list)
         c = len(rows_list[0]) if r else 0
-        data = []
+        srows = []
         for row in rows_list:
             if len(row) != c:
                 raise ValueError("ragged rows")
-            for x in row:
-                data.append(x if isinstance(x, Scalar) else Scalar.rational(x, order))
-        return Mat(r, c, data, order, _copy=False)
+            out = {}
+            for k, x in enumerate(row):
+                if not isinstance(x, Scalar):
+                    x = Scalar.rational(x, order)
+                if x:
+                    out[k] = x
+            srows.append(out)
+        return _mat(r, c, srows, order)
 
     @staticmethod
     def column(entries, order: int = 1) -> "Mat":
         return Mat.from_rows([[x] for x in entries], order)
 
     def scaled(self, s: Scalar) -> "Mat":
-        return Mat(self.rows, self.cols, [s * x for x in self.data], self.order, _copy=False)
+        if not s:
+            return Mat.zeros(self.rows, self.cols, self.order)
+        # a field has no zero divisors, so no product of nonzeros cancels
+        return _mat(self.rows, self.cols,
+                    [{c: s * x for c, x in row.items()} for row in self._rows], self.order)
 
     # -- access ----------------------------------------------------------
+    @property
+    def data(self) -> list:
+        """The entries, dense and row-major: a fresh list on every access."""
+        cols = self.cols
+        out = [Scalar.zero(self.order)] * (self.rows * cols)
+        for r, row in enumerate(self._rows):
+            base = r * cols
+            for c, x in row.items():
+                out[base + c] = x
+        return out
+
     def __getitem__(self, rc):
         r, c = rc
-        return self.data[r * self.cols + c]
+        if not (0 <= r < self.rows and 0 <= c < self.cols):
+            raise IndexError(f"entry {rc} outside a {self.rows}x{self.cols} matrix")
+        x = self._rows[r].get(c)
+        return Scalar.zero(self.order) if x is None else x
 
     def row(self, r: int) -> list:
-        return self.data[r * self.cols:(r + 1) * self.cols]
-
-    def col(self, c: int) -> "Mat":
-        return Mat(self.rows, 1, [self.data[r * self.cols + c] for r in range(self.rows)],
-                   self.order, _copy=False)
+        z = Scalar.zero(self.order)
+        row = self._rows[r]
+        return [row.get(c, z) for c in range(self.cols)]
 
     def is_zero(self) -> bool:
-        return not any(self.data)
+        return not any(self._rows)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -110,10 +172,11 @@ class Mat:
         if not isinstance(other, Mat):
             return NotImplemented
         return (self.rows, self.cols, self.order) == (other.rows, other.cols, other.order) \
-            and self.data == other.data
+            and self._rows == other._rows
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.order, tuple(self.data)))
+        return hash((self.rows, self.cols, self.order,
+                     tuple(tuple(sorted(row.items())) for row in self._rows)))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in self.row(r)) for r in range(self.rows))
@@ -128,52 +191,61 @@ class Mat:
         self._check_order(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        return Mat(self.rows, self.cols,
-                   [a + b for a, b in zip(self.data, other.data)], self.order, _copy=False)
+        return _mat(self.rows, self.cols,
+                    [_sum_rows(a, b) for a, b in zip(self._rows, other._rows)], self.order)
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._check_order(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in subtraction")
-        return Mat(self.rows, self.cols,
-                   [a - b for a, b in zip(self.data, other.data)], self.order, _copy=False)
+        return _mat(self.rows, self.cols,
+                    [_sum_rows(a, {c: -y for c, y in b.items()})
+                     for a, b in zip(self._rows, other._rows)], self.order)
 
     def __neg__(self) -> "Mat":
-        return Mat(self.rows, self.cols, [-a for a in self.data], self.order, _copy=False)
+        return _mat(self.rows, self.cols,
+                    [{c: -x for c, x in row.items()} for row in self._rows], self.order)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         self._check_order(other)
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        if self.rows == 0 or other.cols == 0 or self.cols == 0:
-            return Mat.zeros(self.rows, other.cols, self.order)
-        if self.order == 1 and kernels.mat_mul_q is not None:
-            a_n, a_d = _unwrap_rationals(self.data)
-            b_n, b_d = _unwrap_rationals(other.data)
-            o_n, o_d = kernels.mat_mul_q(a_n, a_d, b_n, b_d,
-                                         self.rows, self.cols, other.cols)
-            return Mat(self.rows, other.cols, _wrap_rationals(o_n, o_d), 1, _copy=False)
-        data = kernels.mat_mul(self.data, other.data, self.rows, self.cols,
-                               other.cols, Scalar.zero(self.order))
-        return Mat(self.rows, other.cols, data, self.order, _copy=False)
+        brows = other._rows
+        srows = []
+        for arow in self._rows:
+            acc: dict = {}
+            for t, x in arow.items():
+                for j, y in brows[t].items():
+                    v = acc.get(j)
+                    acc[j] = x * y if v is None else v + x * y
+            if len(arow) > 1:
+                acc = {j: v for j, v in acc.items() if v}
+            srows.append(acc)
+        return _mat(self.rows, other.cols, srows, self.order)
 
     def transpose(self) -> "Mat":
-        data = [self.data[r * self.cols + c] for c in range(self.cols) for r in range(self.rows)]
-        return Mat(self.cols, self.rows, data, self.order, _copy=False)
+        srows = [{} for _ in range(self.cols)]
+        for r, row in enumerate(self._rows):
+            for c, x in row.items():
+                srows[c][r] = x
+        return _mat(self.cols, self.rows, srows, self.order)
 
     def trace(self) -> Scalar:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
         t = Scalar.zero(self.order)
-        for r in range(self.rows):
-            t = t + self.data[r * self.cols + r]
+        for r, row in enumerate(self._rows):
+            x = row.get(r)
+            if x is not None:
+                t = t + x
         return t
 
     def with_order(self, order: int) -> "Mat":
         """Explicitly embed a rational matrix into Q(zeta_order)."""
         if order == self.order:
             return self
-        return Mat(self.rows, self.cols, [x.embed(order) for x in self.data], order, _copy=False)
+        return _mat(self.rows, self.cols,
+                    [{c: x.embed(order) for c, x in row.items()} for row in self._rows], order)
 
 
 def hstack(mats: list[Mat]) -> Mat:
@@ -181,11 +253,14 @@ def hstack(mats: list[Mat]) -> Mat:
     order = mats[0].order
     if any(m.rows != rows for m in mats):
         raise ValueError("hstack row mismatch")
-    data = []
-    for r in range(rows):
-        for m in mats:
-            data.extend(m.row(r))
-    return Mat(rows, sum(m.cols for m in mats), data, order, _copy=False)
+    srows = [{} for _ in range(rows)]
+    offset = 0
+    for m in mats:
+        for dst, src in zip(srows, m._rows):
+            for c, x in src.items():
+                dst[c + offset] = x
+        offset += m.cols
+    return _mat(rows, offset, srows, order)
 
 
 def vstack(mats: list[Mat]) -> Mat:
@@ -193,66 +268,115 @@ def vstack(mats: list[Mat]) -> Mat:
     order = mats[0].order
     if any(m.cols != cols for m in mats):
         raise ValueError("vstack column mismatch")
-    data = []
+    srows = []
     for m in mats:
-        data.extend(m.data)
-    return Mat(sum(m.rows for m in mats), cols, data, order, _copy=False)
+        srows.extend(m._rows)
+    return _mat(len(srows), cols, srows, order)
 
 
 def kron(a: Mat, b: Mat) -> Mat:
     """Kronecker product; index (i1*b.rows+i2, j1*b.cols+j2) = a[i1,j1]*b[i2,j2]."""
     a._check_order(b)
-    rows, cols = a.rows * b.rows, a.cols * b.cols
-    z = Scalar.zero(a.order)
-    data = [z] * (rows * cols)
-    for i1 in range(a.rows):
-        for j1 in range(a.cols):
-            x = a[i1, j1]
-            if not x:
-                continue
-            for i2 in range(b.rows):
-                base = (i1 * b.rows + i2) * cols + j1 * b.cols
-                brow = i2 * b.cols
-                for j2 in range(b.cols):
-                    y = b.data[brow + j2]
-                    if y:
-                        data[base + j2] = x * y
-    return Mat(rows, cols, data, a.order, _copy=False)
+    bc = b.cols
+    srows = []
+    for arow in a._rows:
+        for brow in b._rows:
+            srows.append({j1 * bc + j2: x * y for j1, x in arow.items()
+                          for j2, y in brow.items()})
+    return _mat(a.rows * b.rows, a.cols * bc, srows, a.order)
 
 
 class BlockBuilder:
-    """Mutable scratch matrix used to assemble block maps, then frozen."""
+    """Mutable scratch matrix used to assemble block maps, then frozen.
 
-    __slots__ = ("rows", "cols", "order", "data")
+    Blocks and entries added to the same place are summed.  ``build``
+    hands the rows over to the result, so the builder is spent after it.
+    """
+
+    __slots__ = ("rows", "cols", "order", "_rows")
 
     def __init__(self, rows: int, cols: int, order: int = 1):
         self.rows = rows
         self.cols = cols
         self.order = order
-        self.data = [Scalar.zero(order)] * (rows * cols)
+        self._rows = [{} for _ in range(rows)]
 
     def add_block(self, r0: int, c0: int, m: Mat):
-        for r in range(m.rows):
-            src = r * m.cols
-            dst = (r0 + r) * self.cols + c0
-            for c in range(m.cols):
-                x = m.data[src + c]
-                if x:
-                    self.data[dst + c] = self.data[dst + c] + x
+        dst = self._rows
+        for r, row in enumerate(m._rows, r0):
+            if row:
+                _add_into(dst[r], row, c0)
+
+    def add_entry(self, r: int, c: int, x: Scalar):
+        row = self._rows[r]
+        y = row.get(c)
+        s = x if y is None else y + x
+        if s:
+            row[c] = s
+        elif y is not None:
+            del row[c]
 
     def build(self) -> Mat:
-        return Mat(self.rows, self.cols, self.data, self.order, _copy=False)
+        out = _mat(self.rows, self.cols, self._rows, self.order)
+        self._rows = None
+        return out
 
 
 def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Unique reduced row-echelon form and its strictly increasing pivot columns."""
-    if a.order == 1 and kernels.rref_q is not None:
-        nums, dens = _unwrap_rationals(a.data)
-        f_n, f_d, piv = kernels.rref_q(nums, dens, a.rows, a.cols)
-        return Mat(a.rows, a.cols, _wrap_rationals(f_n, f_d), 1, _copy=False), tuple(piv)
-    flat, piv = kernels.rref(a.data, a.rows, a.cols,
-                             Scalar.zero(a.order), Scalar.one(a.order))
-    return Mat(a.rows, a.cols, flat, a.order, _copy=False), tuple(piv)
+    """Unique reduced row-echelon form and its strictly increasing pivot columns.
+
+    Sparse Gauss-Jordan elimination.  Rows wait in buckets keyed by their
+    leading column.  The bucket of the leftmost leading column holds every
+    remaining row with an entry there; the shortest of them becomes the
+    pivot row, which limits fill, and is cleared out of the others.  Once
+    every pivot is found, back-substitution from the last pivot clears
+    each pivot column above its pivot.
+    """
+    one = Scalar.one(a.order)
+    buckets: dict[int, list] = {}
+    for row in a._rows:
+        if row:
+            lead = min(row)
+            got = buckets.get(lead)
+            if got is None:
+                buckets[lead] = [dict(row)]
+            else:
+                got.append(dict(row))
+    leads = list(buckets)
+    heapq.heapify(leads)
+    piv: list[int] = []
+    prow: list[dict] = []
+    while leads:
+        c = heapq.heappop(leads)
+        bucket = buckets.pop(c)
+        k = min(range(len(bucket)), key=lambda t: len(bucket[t]))
+        p = bucket.pop(k)
+        pv = p[c]
+        if pv != one:
+            inv = pv.inverse()
+            p = {j: x * inv for j, x in p.items()}
+            p[c] = one
+        for row in bucket:
+            _sub_multiple(row, row.pop(c), p, c)
+            if row:
+                lead = min(row)
+                got = buckets.get(lead)
+                if got is None:
+                    buckets[lead] = [row]
+                    heapq.heappush(leads, lead)
+                else:
+                    got.append(row)
+        piv.append(c)
+        prow.append(p)
+    pivpos = {c: k for k, c in enumerate(piv)}
+    for k in range(len(piv) - 2, -1, -1):
+        p, c = prow[k], piv[k]
+        for cl in [j for j in p if j in pivpos and j != c]:
+            # the later pivot rows are reduced already: beyond their pivot
+            # they hold only free columns, so no pivot column comes back
+            _sub_multiple(p, p.pop(cl), prow[pivpos[cl]], cl)
+    prow.extend({} for _ in range(a.rows - len(piv)))
+    return _mat(a.rows, a.cols, prow, a.order), tuple(piv)
 
 
 def rank(a: Mat) -> int:
@@ -267,17 +391,12 @@ def kernel_basis(a: Mat) -> Mat:
     """
     red, piv = rref(a)
     pivset = set(piv)
-    free = [c for c in range(a.cols) if c not in pivset]
-    z, o = Scalar.zero(a.order), Scalar.one(a.order)
-    data = [z] * (a.cols * len(free))
-    width = len(free)
-    for k, f in enumerate(free):
-        data[f * width + k] = o
-        for r, c in enumerate(piv):
-            x = red[r, f]
-            if x:
-                data[c * width + k] = -x
-    return Mat(a.cols, width, data, a.order, _copy=False)
+    free = {f: k for k, f in enumerate(c for c in range(a.cols) if c not in pivset)}
+    o = Scalar.one(a.order)
+    srows = [{free[f]: o} if f in free else None for f in range(a.cols)]
+    for c, row in zip(piv, red._rows):
+        srows[c] = {free[f]: -x for f, x in row.items() if f != c}
+    return _mat(a.cols, len(free), srows, a.order)
 
 
 def solve_in_span(basis: Mat, target: Mat) -> Mat:
@@ -293,15 +412,13 @@ def solve_in_span(basis: Mat, target: Mat) -> Mat:
     if target.cols == 0 or basis.rows == 0 and target.is_zero():
         return Mat.zeros(basis.cols, target.cols, basis.order)
     red, piv = rref(hstack([basis, target]))
-    for c in piv:
-        if c >= basis.cols:
-            raise NotInSpanError("target is outside the span of the basis")
-    z = Scalar.zero(basis.order)
-    data = [z] * (basis.cols * target.cols)
-    for r, c in enumerate(piv):
-        for t in range(target.cols):
-            data[c * target.cols + t] = red[r, basis.cols + t]
-    return Mat(basis.cols, target.cols, data, basis.order, _copy=False)
+    width = basis.cols
+    if piv and piv[-1] >= width:
+        raise NotInSpanError("target is outside the span of the basis")
+    srows = [{} for _ in range(width)]
+    for c, row in zip(piv, red._rows):
+        srows[c] = {j - width: x for j, x in row.items() if j >= width}
+    return _mat(width, target.cols, srows, basis.order)
 
 
 def intersect_kernels(maps: list[Mat], ambient_dim: int, order: int = 1) -> Mat:

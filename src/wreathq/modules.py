@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from .cyclotomic import Scalar
 from .errors import FormatError, StructureError
-from .linalg import Mat, kron, rank
+from .linalg import BlockBuilder, Mat, kron, rank
 from .quiver import Edge, Quiver, Weight, star_name
 from .symmetric import Perm, RepMatrices, YoungCosetAction, YoungDiagram, seminormal_rep
 
@@ -42,9 +42,6 @@ class Params:
     @property
     def order(self) -> int:
         return self.nu.order
-
-    def with_weight(self, weight: Weight) -> "Params":
-        return Params(self.quiver, self.n, weight, self.nu)
 
 
 def swap_tuple(j: tuple, m: int) -> tuple:
@@ -88,9 +85,6 @@ class WreathModule:
 
     def dim(self, j: tuple) -> int:
         return self.support.get(tuple(j), 0)
-
-    def total_dim(self) -> int:
-        return sum(self.support.values())
 
     def tuples(self) -> list[tuple]:
         return sorted(self.support)
@@ -158,10 +152,9 @@ class WreathModule:
 
     def canonical_key(self):
         edges = tuple(sorted(
-            (name, pos, j, mat.rows, mat.cols, tuple(mat.data))
-            for (name, pos, j), mat in self.edge_actions.items()))
+            (name, pos, j, mat) for (name, pos, j), mat in self.edge_actions.items()))
         sns = tuple(sorted(
-            (m, j, mat.rows, mat.cols, tuple(mat.data))
+            (m, j, mat)
             for (m, j), mat in self.sn_actions.items()))
         return (tuple(sorted(self.support.items())), edges, sns)
 
@@ -404,7 +397,7 @@ def _tensor_place_matrix(h: Perm, src_dims: Sequence[int], order: int) -> Mat:
     nslots = len(src_dims)
     dst_dims = [src_dims[hinv(s) - 1] for s in range(1, nslots + 1)]
     total = _prod(src_dims)
-    data = [Scalar.zero(order)] * (total * total)
+    bb = BlockBuilder(total, total, order)
     one = Scalar.one(order)
     for src in itertools.product(*[range(d) for d in src_dims]):
         dst = tuple(src[hinv(s) - 1] for s in range(1, nslots + 1))
@@ -414,8 +407,8 @@ def _tensor_place_matrix(h: Perm, src_dims: Sequence[int], order: int) -> Mat:
         col = 0
         for s in range(nslots):
             col = col * src_dims[s] + src[s]
-        data[row * total + col] = one
-    return Mat(total, total, data, order, _copy=False)
+        bb.add_entry(row, col, one)
+    return bb.build()
 
 
 class _InducedLayout:
@@ -532,16 +525,10 @@ def induced_module(params: Params,
                     block = kron(block, Mat.identity(lay.dim_x, order))
                     blockmats.append((offs_tgt[c], offs_src[c], block))
                 if blockmats:
-                    data = [Scalar.zero(order)] * (total_r * total_c)
+                    bb = BlockBuilder(total_r, total_c, order)
                     for r0, c0, blk in blockmats:
-                        for rr in range(blk.rows):
-                            base = (r0 + rr) * total_c + c0
-                            brow = rr * blk.cols
-                            for cc in range(blk.cols):
-                                x = blk.data[brow + cc]
-                                if x:
-                                    data[base + cc] = x
-                    edge_actions[(e.name, pos, j)] = Mat(total_r, total_c, data, order, _copy=False)
+                        bb.add_block(r0, c0, blk)
+                    edge_actions[(e.name, pos, j)] = bb.build()
 
     sn_actions = {}
     for j in support:
@@ -553,23 +540,15 @@ def induced_module(params: Params,
             if total_r == 0:
                 continue
             g = Perm.adjacent(m, n)
-            data = [Scalar.zero(order)] * (total_r * total_c)
+            bb = BlockBuilder(total_r, total_c, order)
             for c in range(ncos):
                 src_dims = lay.slot_dims(c, j)
                 if _prod(src_dims) == 0:
                     continue
                 c2, _, parts = lay.action.factor(g, c)
                 place = _tensor_place_matrix(_young_embed(parts, lay), src_dims, order)
-                block = kron(place, lay.rho_x(parts))
-                r0, c0 = offs_tgt[c2], offs_src[c]
-                for rr in range(block.rows):
-                    base = (r0 + rr) * total_c + c0
-                    brow = rr * block.cols
-                    for cc in range(block.cols):
-                        x = block.data[brow + cc]
-                        if x:
-                            data[base + cc] = x
-            sn_actions[(m, j)] = Mat(total_r, total_c, data, order, _copy=False)
+                bb.add_block(offs_tgt[c2], offs_src[c], kron(place, lay.rho_x(parts)))
+            sn_actions[(m, j)] = bb.build()
 
     return WreathModule(params, support, edge_actions, sn_actions)
 
@@ -711,14 +690,10 @@ def direct_sum(a: WreathModule, b: WreathModule) -> WreathModule:
         support[j] = support.get(j, 0) + d
 
     def blockdiag(m1: Mat, m2: Mat) -> Mat:
-        rows, cols = m1.rows + m2.rows, m1.cols + m2.cols
-        data = [Scalar.zero(order)] * (rows * cols)
-        for rr in range(m1.rows):
-            data[rr * cols:rr * cols + m1.cols] = m1.row(rr)
-        for rr in range(m2.rows):
-            base = (m1.rows + rr) * cols + m1.cols
-            data[base:base + m2.cols] = m2.row(rr)
-        return Mat(rows, cols, data, order, _copy=False)
+        bb = BlockBuilder(m1.rows + m2.rows, m1.cols + m2.cols, order)
+        bb.add_block(0, 0, m1)
+        bb.add_block(m1.rows, m1.cols, m2)
+        return bb.build()
 
     edge_actions = {}
     keys = set(a.edge_actions) | set(b.edge_actions)

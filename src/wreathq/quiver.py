@@ -6,7 +6,7 @@ order, so all outputs are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
@@ -66,12 +66,6 @@ class Quiver:
     def has_vertex(self, v: str) -> bool:
         return v in self._vindex
 
-    def vertex_index(self, v: str) -> int:
-        try:
-            return self._vindex[v]
-        except KeyError:
-            raise FormatError(f"unknown vertex {v!r}") from None
-
     def has_loop_at(self, v: str) -> bool:
         return any(e.tail == e.head == v for e in self.edges)
 
@@ -129,6 +123,10 @@ class DimVector:
     """An element of Z^I, stored sparsely."""
 
     coords: tuple[tuple[str, int], ...]
+    _map: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_map", dict(self.coords))
 
     @staticmethod
     def make(mapping: dict[str, int]) -> "DimVector":
@@ -146,7 +144,7 @@ class DimVector:
         return dict(self.coords)
 
     def __getitem__(self, v: str) -> int:
-        return dict(self.coords).get(v, 0)
+        return self._map.get(v, 0)
 
     def __add__(self, other: "DimVector") -> "DimVector":
         d = self.as_dict()
@@ -173,7 +171,7 @@ class DimVector:
 class Weight:
     """An element of B = sum of one copy of the base field per vertex."""
 
-    __slots__ = ("order", "coords")
+    __slots__ = ("order", "coords", "_map")
 
     def __init__(self, mapping: dict[str, Scalar], order: int = 1):
         coords = {}
@@ -185,19 +183,20 @@ class Weight:
                 coords[v] = s
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coords", tuple(sorted(coords.items())))
+        object.__setattr__(self, "_map", dict(self.coords))
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Weight is immutable")
 
     def __getitem__(self, v: str) -> Scalar:
-        return dict(self.coords).get(v, Scalar.zero(self.order))
+        return self._map.get(v, Scalar.zero(self.order))
 
     def as_dict(self) -> dict[str, Scalar]:
         return dict(self.coords)
 
     def dot(self, alpha: DimVector) -> Scalar:
         total = Scalar.zero(self.order)
-        d = dict(self.coords)
+        d = self._map
         for v, c in alpha.coords:
             if v in d:
                 total = total + d[v] * c

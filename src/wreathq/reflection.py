@@ -363,7 +363,7 @@ def sink_flips(q: Quiver, vertex: str) -> tuple[str, ...]:
     return tuple(e.name for e in q.edges if e.tail == vertex)
 
 
-def _candidate_tuples(calc: SinkCalculus, include_interior: bool = False) -> list[tuple]:
+def candidate_tuples(calc: SinkCalculus, include_interior: bool = False) -> list[tuple]:
     """Tuples j whose top space V(j, Delta(j)) can be nonzero.
 
     With ``include_interior`` the enumeration also keeps tuples whose
@@ -404,7 +404,7 @@ def reflection_functor(module: WreathModule, vertex: str) -> ReflectionOutput:
 
     embeddings: dict = {}
     support: dict = {}
-    for j in _candidate_tuples(calc):
+    for j in candidate_tuples(calc):
         delta = calc.delta(j)
         top = calc.space(j, delta)
         if top.total == 0:

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 from .cyclotomic import Scalar
 from .errors import FormatError, ResourceLimitError
-from .linalg import Mat, kron, rank
+from .linalg import BlockBuilder, Mat, kron, rank
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +402,13 @@ def regular_representation(element: dict[Perm, Scalar], r: int, order: int = 1) 
     perms = all_perms(r)
     idx = {p.img: k for k, p in enumerate(perms)}
     size = len(perms)
-    data = [Scalar.zero(order)] * (size * size)
+    bb = BlockBuilder(size, size, order)
     for g, coeff in element.items():
         if not coeff:
             continue
         for col, h in enumerate(perms):
-            row = idx[g.compose(h).img]
-            data[row * size + col] = data[row * size + col] + coeff
-    return Mat(size, size, data, order, _copy=False)
+            bb.add_entry(idx[g.compose(h).img], col, coeff)
+    return bb.build()
 
 
 def central_sum_invertible(x, nu, r: int) -> bool:
@@ -547,19 +546,13 @@ def induce_rep(n: int, blocks: Sequence[tuple[int, RepMatrices]]) -> InducedRep:
     gens = []
     for m in range(1, n):
         g = Perm.adjacent(m, n)
-        data = [Scalar.zero(order)] * (total * total)
+        bb = BlockBuilder(total, total, order)
         for c in range(ncos):
             c2, _, parts = action.factor(g, c)
             block = Mat.identity(1, order)
             for rep, hpart in zip(reps, parts):
                 block = kron(block, rep.matrix_of(hpart))
-            for rr in range(inner):
-                base = (c2 * inner + rr) * total + c * inner
-                brow = rr * inner
-                for cc in range(inner):
-                    x = block.data[brow + cc]
-                    if x:
-                        data[base + cc] = x
-        gens.append(Mat(total, total, data, order, _copy=False))
+            bb.add_block(c2 * inner, c * inner, block)
+        gens.append(bb.build())
     rep = RepMatrices(n, gens, order)
     return InducedRep(rep, tuple(action.cosets), tuple(sizes), tuple(r.dim for r in reps))

@@ -212,14 +212,14 @@ def test_criterion_5_block_map_identities(corpus):
            ("a1.s1", "a1.f0s1", "a1.ind-triv", "a1.ind-sign", "a1.outer-sq",
             "a1.ind-n3", "a2.ind-triv", "a2.f0s1")]
     counts = {"exchange": 0, "away": 0, "incoming": 0, "outgoing": 0, "partition": 0}
-    from wreathq.reflection import _candidate_tuples
+    from wreathq.reflection import candidate_tuples
 
     for name, module in sub:
         q = module.params.quiver
         for vertex in q.vertices:
             calc = _sink_calc(module, vertex)
             nu, lam_i, n = calc.nu, calc.lam_i, calc.n
-            for j in _candidate_tuples(calc, include_interior=True):
+            for j in candidate_tuples(calc, include_interior=True):
                 delta = calc.delta(j)
                 for d in _subsets(delta):
                     # equivariance of pi and mu under adjacent transpositions
