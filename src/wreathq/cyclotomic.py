@@ -1,10 +1,16 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
-A scalar is a polynomial in zeta_m with rational coefficients, reduced
-modulo the m-th cyclotomic polynomial.  For m = 1 (and m = 2, where
-phi(m) = 1 as well) the representation degenerates to a single rational,
-so plain rational arithmetic is a special case.  No floating point is
-used anywhere.
+A scalar is a polynomial in zeta_m of degree below phi(m), reduced modulo
+the m-th cyclotomic polynomial Phi_m, and stored as a tuple of integer
+numerators over one positive common denominator, in lowest terms (the
+standard representation of number-field elements; Cohen, GTM 138,
+section 4.2.2).  Phi_m is monic with integer coefficients, so products
+reduce without leaving the integers and only the denominators multiply.
+For m = 1 and m = 2, phi(m) = 1 and a scalar is a single rational.  No
+floating point is used anywhere.
+
+Orders above ``MAX_CYCLOTOMIC_ORDER`` are refused with
+:class:`ResourceLimitError` before Phi_m is built.
 """
 
 from __future__ import annotations
@@ -12,26 +18,38 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
-from .errors import FormatError, OrderMismatchError
+from .errors import FormatError, OrderMismatchError, ResourceLimitError
 
-_ZERO = Fraction(0)
+# Desk-scale cap.  Phi_m itself is cheap (Phi_120 builds in ~2 ms on a
+# Xeon VM under Python 3.11), but a product costs phi(m)^2 integer
+# multiplications and Phi_m grows with m; the fields the paper's wreath
+# products need are far smaller than this.
+MAX_CYCLOTOMIC_ORDER = 120
+
 _ONE = Fraction(1)
 
 
-def _poly_trim(c: list[Fraction]) -> list[Fraction]:
+def _poly_trim(c: list) -> list:
     while c and c[-1] == 0:
         c.pop()
     return c
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    """Quotient and remainder of polynomials, coefficients low-degree first."""
+def _poly_divmod(num: list, den: list):
+    """Quotient and remainder of polynomials, coefficients low-degree first.
+
+    A monic ``den`` keeps integer coefficients integral; otherwise the
+    coefficients must be Fractions.
+    """
     num = list(num)
-    q = [_ZERO] * max(0, len(num) - len(den) + 1)
+    q = [0] * max(0, len(num) - len(den) + 1)
     lead = den[-1]
     for k in range(len(num) - len(den), -1, -1):
-        coeff = num[k + len(den) - 1] / lead
+        coeff = num[k + len(den) - 1]
+        if lead != 1:
+            coeff = coeff / lead
         if coeff:
             q[k] = coeff
             for t, d in enumerate(den):
@@ -40,11 +58,14 @@ def _poly_divmod(num: list[Fraction], den: list[Fraction]):
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
-    """Coefficients (low-degree first, monic) of the m-th cyclotomic polynomial."""
+def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
+    """Integer coefficients (low-degree first, monic) of the m-th cyclotomic polynomial."""
     if m < 1:
         raise ValueError("cyclotomic order must be a positive integer")
-    num = [Fraction(-1)] + [_ZERO] * (m - 1) + [_ONE]
+    if m > MAX_CYCLOTOMIC_ORDER:
+        raise ResourceLimitError(
+            f"cyclotomic order {m} exceeds the limit of {MAX_CYCLOTOMIC_ORDER}")
+    num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
             q, r = _poly_divmod(num, list(cyclotomic_polynomial(d)))
@@ -59,57 +80,84 @@ def euler_phi(m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _high_power_table(m: int) -> tuple[tuple[Fraction, ...], ...]:
-    """zeta^k reduced mod Phi_m, for k = phi(m) .. 2*phi(m) - 2."""
+def _high_power_table(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """zeta^k reduced mod Phi_m for k = phi(m) .. 2*phi(m) - 2, each row
+    as its nonzero (index, integer coefficient) pairs."""
     phi = euler_phi(m)
-    mod = list(cyclotomic_polynomial(m))
-    rows = []
-    cur = [_ZERO] * phi
-    # cur starts as zeta^phi = -(low part of Phi_m)
-    for t in range(phi):
-        cur[t] = -mod[t]
-    rows.append(tuple(cur))
+    # zeta^phi = -(the low part of Phi_m)
+    cur = [-c for c in cyclotomic_polynomial(m)[:phi]]
+    first = cur
+    rows = [cur]
     for _ in range(phi - 2):
-        nxt = [_ZERO] + cur[:-1]
         top = cur[-1]
+        cur = [0] + cur[:-1]
         if top:
-            for t in range(phi):
-                nxt[t] += top * rows[0][t]
-        rows.append(tuple(nxt))
-        cur = nxt
-    return tuple(rows)
+            cur = [x + top * y for x, y in zip(cur, first)]
+        rows.append(cur)
+    return tuple(tuple((t, c) for t, c in enumerate(row) if c) for row in rows)
+
+
+_new = object.__new__
+
+
+def _mk(num: tuple, den: int, order: int) -> "Scalar":
+    """Wrap numerators and a denominator that are already in lowest terms."""
+    s = _new(Scalar)
+    s.num = num
+    s.den = den
+    s.order = order
+    return s
+
+
+def _reduced(num, den: int, order: int) -> "Scalar":
+    """Scale ``num / den`` (den > 0) to lowest terms and wrap it."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+    return _mk(tuple(num), den, order)
+
+
+def _mismatch(a: int, b: int) -> OrderMismatchError:
+    return OrderMismatchError(f"cannot mix cyclotomic orders {a} and {b}")
 
 
 class Scalar:
     """An element of Q(zeta_m), reduced mod the m-th cyclotomic polynomial.
 
-    Immutable.  Arithmetic with plain ``int``/``Fraction`` coerces them into
-    the same field; combining scalars of different orders raises
+    ``num`` holds phi(m) integer numerators and ``den`` their positive
+    common denominator, with ``gcd(den, *num) == 1``; zero is
+    ``(0, ..., 0) / 1``.  That form is unique, so ``==`` and ``hash``
+    compare it directly.  Scalars are immutable by convention: nothing
+    assigns to them after construction.
+
+    Arithmetic with plain ``int``/``Fraction`` coerces them into the same
+    field; combining scalars of different orders raises
     :class:`OrderMismatchError` (no implicit field embeddings).
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("num", "den", "order")
 
     def __init__(self, coeffs, order: int = 1):
         phi = euler_phi(order)
-        c = tuple(Fraction(x) for x in coeffs)
+        c = [Fraction(x) for x in coeffs]
         if len(c) != phi:
             raise ValueError(f"need {phi} coefficients for order {order}, got {len(c)}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", c)
+        den = lcm(*(x.denominator for x in c))
+        # each Fraction is in lowest terms, so over the lcm of their
+        # denominators the numerators already share no factor with it
+        self.num = tuple(x.numerator * (den // x.denominator) for x in c)
+        self.den = den
+        self.order = order
 
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("Scalar is immutable")
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients of 1, zeta, ..., zeta^(phi-1) as Fractions."""
+        d = self.den
+        return tuple(Fraction(x, d) for x in self.num)
 
     # -- constructors ------------------------------------------------
-    @staticmethod
-    def _mk(coeffs: tuple, order: int) -> "Scalar":
-        """Internal fast constructor: coeffs already reduced Fractions."""
-        s = Scalar.__new__(Scalar)
-        object.__setattr__(s, "order", order)
-        object.__setattr__(s, "coeffs", coeffs)
-        return s
-
     @staticmethod
     def zero(order: int = 1) -> "Scalar":
         return _cached_const(order, 0)
@@ -120,30 +168,26 @@ class Scalar:
 
     @staticmethod
     def rational(value, order: int = 1) -> "Scalar":
-        q = Fraction(value)
-        phi = euler_phi(order)
-        return Scalar((q,) + (_ZERO,) * (phi - 1), order)
+        if type(value) is int:
+            num, den = value, 1
+        else:
+            q = Fraction(value)
+            num, den = q.numerator, q.denominator
+        return _mk((num,) + (0,) * (euler_phi(order) - 1), den, order)
 
     @staticmethod
     def zeta(order: int, power: int = 1) -> "Scalar":
         """zeta_m^power as a reduced scalar."""
         power %= order
-        poly = [_ZERO] * power + [_ONE]
         phi = euler_phi(order)
-        if power < phi:
-            poly += [_ZERO] * (phi - 1 - power)
-            return Scalar(poly, order)
-        _, rem = _poly_divmod(poly, list(cyclotomic_polynomial(order)))
-        rem += [_ZERO] * (phi - len(rem))
-        return Scalar(rem, order)
+        _, rem = _poly_divmod([0] * power + [1], list(cyclotomic_polynomial(order)))
+        return _mk(tuple(rem) + (0,) * (phi - len(rem)), 1, order)
 
     # -- coercion ----------------------------------------------------
     def _coerce(self, other):
         if isinstance(other, Scalar):
             if other.order != self.order:
-                raise OrderMismatchError(
-                    f"cannot mix cyclotomic orders {self.order} and {other.order}"
-                )
+                raise _mismatch(self.order, other.order)
             return other
         if isinstance(other, (int, Fraction)):
             return Scalar.rational(other, self.order)
@@ -158,15 +202,15 @@ class Scalar:
 
     # -- predicates --------------------------------------------------
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic --------------------------------------------------
     def __add__(self, other):
@@ -174,23 +218,43 @@ class Scalar:
         if o is None:
             return NotImplemented
         if o.order != self.order:
-            raise OrderMismatchError(
-                f"cannot mix cyclotomic orders {self.order} and {o.order}")
-        return Scalar._mk(tuple(a + b for a, b in zip(self.coeffs, o.coeffs)), self.order)
+            raise _mismatch(self.order, o.order)
+        da, db = self.den, o.den
+        if da == db:
+            return _reduced([x + y for x, y in zip(self.num, o.num)], da, self.order)
+        # over the lcm only the primes of gcd(da, db) can cancel (Knuth,
+        # TAOCP 4.5.1), so the lowest-terms factor divides g
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        num = [x * fa + y * fb for x, y in zip(self.num, o.num)]
+        if g != 1:
+            g = gcd(g, *num)
+            if g != 1:
+                return _mk(tuple(x // g for x in num), da * fa // g, self.order)
+        return _mk(tuple(num), da * fa, self.order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar._mk(tuple(-a for a in self.coeffs), self.order)
+        return _mk(tuple(-x for x in self.num), self.den, self.order)
 
     def __sub__(self, other):
         o = other if type(other) is Scalar else self._coerce(other)
         if o is None:
             return NotImplemented
         if o.order != self.order:
-            raise OrderMismatchError(
-                f"cannot mix cyclotomic orders {self.order} and {o.order}")
-        return Scalar._mk(tuple(a - b for a, b in zip(self.coeffs, o.coeffs)), self.order)
+            raise _mismatch(self.order, o.order)
+        da, db = self.den, o.den
+        if da == db:
+            return _reduced([x - y for x, y in zip(self.num, o.num)], da, self.order)
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        num = [x * fa - y * fb for x, y in zip(self.num, o.num)]
+        if g != 1:
+            g = gcd(g, *num)
+            if g != 1:
+                return _mk(tuple(x // g for x in num), da * fa // g, self.order)
+        return _mk(tuple(num), da * fa, self.order)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -203,49 +267,61 @@ class Scalar:
         if o is None:
             return NotImplemented
         if o.order != self.order:
-            raise OrderMismatchError(
-                f"cannot mix cyclotomic orders {self.order} and {o.order}")
-        a, b = self.coeffs, o.coeffs
+            raise _mismatch(self.order, o.order)
+        a, b = self.num, o.num
+        den = self.den * o.den
         phi = len(a)
         if phi == 1:
-            return Scalar._mk((a[0] * b[0],), self.order)
-        prod = [_ZERO] * (2 * phi - 1)
-        for s, x in enumerate(a):
-            if x:
-                for t, y in enumerate(b):
-                    if y:
-                        prod[s + t] += x * y
-        out = prod[:phi]
-        table = _high_power_table(self.order)
-        for k in range(phi, 2 * phi - 1):
-            top = prod[k]
-            if top:
-                row = table[k - phi]
-                for t in range(phi):
-                    if row[t]:
-                        out[t] += top * row[t]
-        return Scalar._mk(tuple(out), self.order)
+            n = a[0] * b[0]
+            if den != 1:
+                g = gcd(n, den)
+                if g != 1:
+                    return _mk((n // g,), den // g, self.order)
+            return _mk((n,), den, self.order)
+        # most factors in the pipeline are rational even over Q(zeta_m)
+        if not any(b[1:]):
+            y = b[0]
+            out = [x * y for x in a]
+        elif not any(a[1:]):
+            x = a[0]
+            out = [x * y for y in b]
+        else:
+            prod = [0] * (2 * phi - 1)
+            for s, x in enumerate(a):
+                if x:
+                    for t, y in enumerate(b, s):
+                        prod[t] += x * y
+            out = prod[:phi]
+            for top, row in zip(prod[phi:], _high_power_table(self.order)):
+                if top:
+                    for t, c in row:
+                        out[t] += top * c
+        return _reduced(out, den, self.order)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
         if not self:
             raise ZeroDivisionError("scalar is zero")
+        num, den = self.num, self.den
         if self.is_rational():
-            return Scalar.rational(1 / self.coeffs[0], self.order)
-        # extended gcd of self against Phi_m; the gcd is a nonzero constant
-        r0 = list(cyclotomic_polynomial(self.order))
-        r1 = _poly_trim(list(self.coeffs))
+            n = num[0]
+            if n < 0:
+                n, den = -n, -den
+            return _mk((den,) + num[1:], n, self.order)
+        # extended gcd of num against Phi_m over Q; the gcd is a nonzero
+        # constant.  (num / den)^-1 = den * num^-1.
+        phi_m = cyclotomic_polynomial(self.order)
+        r0 = [Fraction(c) for c in phi_m]
+        r1 = _poly_trim([Fraction(c) for c in num])
         s0, s1 = [], [_ONE]
         while len(r1) > 1:
             q, r = _poly_divmod(r0, r1)
             s = _poly_sub(s0, _poly_mul(q, s1))
             r0, r1, s0, s1 = r1, r, s1, s
-        const = r1[0]
-        inv = [c / const for c in s1]
-        _, rem = _poly_divmod(inv, list(cyclotomic_polynomial(self.order)))
-        rem += [_ZERO] * (euler_phi(self.order) - len(rem))
-        return Scalar(tuple(rem), self.order)
+        scale = den / r1[0]
+        _, rem = _poly_divmod([c * scale for c in s1], list(phi_m))
+        return Scalar(rem + [0] * (len(num) - len(rem)), self.order)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -273,14 +349,14 @@ class Scalar:
 
     # -- comparisons / hashing ----------------------------------------
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Scalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Scalar.rational(other, self.order)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.num == other.num and self.den == other.den and self.order == other.order
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.num, self.den))
 
     # -- text form ----------------------------------------------------
     def __str__(self) -> str:
@@ -298,7 +374,7 @@ def _cached_const(order: int, value: int) -> Scalar:
 def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     if not a or not b:
         return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for s, x in enumerate(a):
         if x:
             for t, y in enumerate(b):
@@ -308,10 +384,10 @@ def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     n = max(len(a), len(b))
-    out = [_ZERO] * n
+    out = [0] * n
     for t in range(n):
-        x = a[t] if t < len(a) else _ZERO
-        y = b[t] if t < len(b) else _ZERO
+        x = a[t] if t < len(a) else 0
+        y = b[t] if t < len(b) else 0
         out[t] = x - y
     return _poly_trim(out)
 

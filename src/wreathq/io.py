@@ -8,11 +8,10 @@ trips are byte-stable.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any
 
-from .cyclotomic import Scalar, format_scalar, parse_scalar
-from .errors import FormatError
+from .cyclotomic import MAX_CYCLOTOMIC_ORDER, format_scalar, parse_scalar
+from .errors import FormatError, ResourceLimitError
 from .linalg import Mat
 from .modules import Params, WreathModule
 from .quiver import DimVector, Quiver, Weight
@@ -23,6 +22,28 @@ from .symmetric import YoungDiagram
 def _require(cond: bool, message: str):
     if not cond:
         raise FormatError(message)
+
+
+def _int(value: Any, what: str) -> int:
+    """An integer field: a JSON integer, not a boolean, a float or a string."""
+    _require(type(value) is int, f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _cyclotomic_order(value: Any, what: str = "cyclotomic_order") -> int:
+    """A cyclotomic order, refused before Phi_m is built when it is too large."""
+    order = _int(value, what)
+    _require(order >= 1, f"{what} must be at least 1, got {order}")
+    if order > MAX_CYCLOTOMIC_ORDER:
+        raise ResourceLimitError(
+            f"{what} {order} exceeds the limit of {MAX_CYCLOTOMIC_ORDER}")
+    return order
+
+
+def _vertex_tuple(value: Any, what: str) -> tuple[str, ...]:
+    _require(isinstance(value, list) and all(isinstance(v, str) for v in value),
+             f"{what} must be a list of vertex names, got {value!r}")
+    return tuple(value)
 
 
 def load_json(path: str) -> Any:
@@ -78,10 +99,11 @@ def dump_weight(w: Weight, quiver: Quiver) -> dict:
 def parse_params(doc: Any, quiver: Quiver) -> Params:
     _require(isinstance(doc, dict), "params must be an object")
     _require("n" in doc and "lambda" in doc and "nu" in doc, "params needs n, lambda, nu")
-    order = int(doc.get("cyclotomic_order", 1))
+    order = _cyclotomic_order(doc.get("cyclotomic_order", 1))
+    n = _int(doc["n"], "n")
     weight = parse_weight(doc["lambda"], quiver, order)
     nu = parse_scalar(str(doc["nu"]), order)
-    return Params(quiver, int(doc["n"]), weight, nu)
+    return Params(quiver, n, weight, nu)
 
 
 def dump_params(p: Params) -> dict:
@@ -122,11 +144,11 @@ def parse_module(doc: Any, quiver: Quiver) -> WreathModule:
     for item in doc["support"]:
         _require(isinstance(item, dict) and "tuple" in item and "dim" in item,
                  "support entries need tuple and dim")
-        j = tuple(str(v) for v in item["tuple"])
+        j = _vertex_tuple(item["tuple"], "support tuple")
         _require(len(j) == params.n, f"support tuple {j} has length != n")
         for v in j:
             _require(quiver.has_vertex(v), f"support tuple uses unknown vertex {v!r}")
-        support[j] = int(item["dim"])
+        support[j] = _int(item["dim"], "dim")
 
     def dim(j):
         return support.get(j, 0)
@@ -136,8 +158,8 @@ def parse_module(doc: Any, quiver: Quiver) -> WreathModule:
         _require({"edge", "position", "source_tuple", "matrix"} <= set(item),
                  "edge actions need edge/position/source_tuple/matrix")
         name = str(item["edge"])
-        pos = int(item["position"])
-        j = tuple(str(v) for v in item["source_tuple"])
+        pos = _int(item["position"], "position")
+        j = _vertex_tuple(item["source_tuple"], "source_tuple")
         e = quiver.edge(name)
         _require(1 <= pos <= params.n, f"bad position {pos}")
         _require(len(j) == params.n and j[pos - 1] == e.tail,
@@ -152,8 +174,8 @@ def parse_module(doc: Any, quiver: Quiver) -> WreathModule:
     for item in doc.get("sn_actions", []):
         _require({"adjacent", "source_tuple", "matrix"} <= set(item),
                  "sn actions need adjacent/source_tuple/matrix")
-        m = int(item["adjacent"])
-        j = tuple(str(v) for v in item["source_tuple"])
+        m = _int(item["adjacent"], "adjacent")
+        j = _vertex_tuple(item["source_tuple"], "source_tuple")
         _require(1 <= m <= params.n - 1, f"bad adjacent transposition index {m}")
         tgt = list(j)
         tgt[m - 1], tgt[m] = tgt[m], tgt[m - 1]
@@ -190,13 +212,13 @@ def parse_gamma(doc: Any) -> GammaData:
     _require(isinstance(doc, dict) and "type" in doc, "gamma needs a 'type'")
     if doc["type"] == "cyclic":
         _require("m" in doc, "cyclic gamma needs m")
-        return GammaData.cyclic(int(doc["m"]))
+        return GammaData.cyclic(_cyclotomic_order(doc["m"], "m"))
     _require(doc["type"] == "table", f"unknown gamma type {doc['type']!r}")
-    order = int(doc["order"])
-    scalar_order = int(doc.get("cyclotomic_order", 1))
+    order = _int(doc["order"], "order")
+    scalar_order = _cyclotomic_order(doc.get("cyclotomic_order", 1))
     elements = tuple(str(e) for e in doc["elements"])
     vertices = tuple(str(v) for v in doc["vertices"])
-    dims = {str(v): int(d) for v, d in doc["dims"].items()}
+    dims = {str(v): _int(d, "dims value") for v, d in doc["dims"].items()}
     table = {}
     for v in vertices:
         _require(v in doc["table"], f"missing table row for vertex {v!r}")
@@ -223,17 +245,23 @@ def parse_sra(doc: Any, gamma: GammaData) -> SRAParams:
 
 def parse_conditions_request(doc: Any, quiver: Quiver):
     _require(isinstance(doc, dict), "conditions request must be an object")
-    order = int(doc.get("cyclotomic_order", 1))
+    _require({"lambda0", "lambda", "nu", "blocks"} <= set(doc),
+             "conditions request needs lambda0, lambda, nu and blocks")
+    order = _cyclotomic_order(doc.get("cyclotomic_order", 1))
     lam0 = parse_weight(doc["lambda0"], quiver, order)
     lam = parse_weight(doc["lambda"], quiver, order)
     nu = parse_scalar(str(doc["nu"]), order)
     word = [str(x) for x in doc.get("word", [])]
     blocks = []
     for item in doc["blocks"]:
+        _require(isinstance(item, dict) and {"diagram", "alpha"} <= set(item)
+                 and isinstance(item["alpha"], dict),
+                 "each conditions block needs a diagram and an alpha object")
         diagram = YoungDiagram(item["diagram"])
-        alpha = DimVector.make({str(v): int(c) for v, c in item["alpha"].items()})
+        alpha = DimVector.make({str(v): _int(c, "alpha value")
+                                for v, c in item["alpha"].items()})
         blocks.append((diagram, alpha))
-    n = int(doc["n"]) if "n" in doc else None
+    n = _int(doc["n"], "n") if "n" in doc else None
     return lam0, lam, nu, word, blocks, n
 
 

@@ -64,6 +64,24 @@ def _sub_multiple(dst: dict, f: Scalar, src: dict, skip: int) -> None:
                 del dst[j]
 
 
+def _diff_rows(a: dict, b: dict) -> dict:
+    """a - b in one pass, deleting entries that cancel."""
+    if not b:
+        return a
+    out = dict(a)
+    for c, y in b.items():
+        x = out.get(c)
+        if x is None:
+            out[c] = -y
+        else:
+            s = x - y
+            if s:
+                out[c] = s
+            else:
+                del out[c]
+    return out
+
+
 def _sum_rows(a: dict, b: dict) -> dict:
     if not b:
         return a
@@ -199,8 +217,7 @@ class Mat:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in subtraction")
         return _mat(self.rows, self.cols,
-                    [_sum_rows(a, {c: -y for c, y in b.items()})
-                     for a, b in zip(self._rows, other._rows)], self.order)
+                    [_diff_rows(a, b) for a, b in zip(self._rows, other._rows)], self.order)
 
     def __neg__(self) -> "Mat":
         return _mat(self.rows, self.cols,

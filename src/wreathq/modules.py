@@ -348,9 +348,9 @@ def verify_relations(mod: WreathModule) -> VerifyReport:
                 if m != ell and j[m - 1] == v:
                     rhs = rhs + mod.perm_matrix(
                         Perm.transposition(ell, m, n), j)
-            residual = lhs - rhs.scaled(nu)
-            if residual:
-                failures.append(RelationFailure("i", j, ell, None, None, None, residual))
+            rhs = rhs.scaled(nu)
+            if lhs != rhs:
+                failures.append(RelationFailure("i", j, ell, None, None, None, lhs - rhs))
 
         for ell in range(1, n + 1):
             for m in range(ell + 1, n + 1):
@@ -366,10 +366,9 @@ def verify_relations(mod: WreathModule) -> VerifyReport:
                             rhs = mod.perm_matrix(Perm.transposition(ell, m, n), j).scaled(-nu)
                         else:
                             rhs = Mat.zeros(lhs.rows, lhs.cols, mod.order)
-                        residual = lhs - rhs
-                        if residual:
+                        if lhs != rhs:
                             failures.append(RelationFailure(
-                                "ii", j, ell, m, a.name, b.name, residual))
+                                "ii", j, ell, m, a.name, b.name, lhs - rhs))
     return VerifyReport((), tuple(failures))
 
 

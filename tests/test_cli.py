@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -299,3 +300,105 @@ def test_verify_sn_shape_error(files, capsys, tmp_path):
     bp.write_text(json.dumps(doc))
     code, _, err = run(capsys, "verify", "--quiver", qp, "--module", str(bp))
     assert code == 2 and "error" in err
+
+
+# -- malformed input: one "error:" line on stderr, never a traceback ----------
+
+PARAMS = {"n": 2, "lambda": {"0": "1", "1": "-1/2"}, "nu": "1/2", "cyclotomic_order": 1}
+REQUEST = {"lambda0": {"0": "1", "1": "0"}, "lambda": {"0": "1", "1": "-1/2"}, "nu": "1/2",
+           "word": [], "blocks": [{"diagram": [2], "alpha": {"1": 1}}], "n": 2}
+SN_MODULE = {
+    "params": {**PARAMS, "lambda": {"0": "0", "1": "0"}, "nu": "0"},
+    "support": [{"tuple": ["1", "1"], "dim": 1}],
+    "edge_actions": [{"edge": "a*", "position": 1, "source_tuple": ["1", "1"],
+                      "matrix": []}],
+    "sn_actions": [{"adjacent": 1, "source_tuple": ["1", "1"], "matrix": [["1"]]}],
+}
+
+
+def _with(doc, path, value):
+    """A deep copy of ``doc`` with the field at ``path`` set to ``value``."""
+    out = json.loads(json.dumps(doc))
+    *head, last = path
+    node = out
+    for key in head:
+        node = node[key]
+    node[last] = value
+    return out
+
+
+MALFORMED = [
+    ("generic", _with(PARAMS, ["cyclotomic_order"], 0), 2),
+    ("generic", _with(PARAMS, ["cyclotomic_order"], "x"), 2),
+    ("generic", _with(PARAMS, ["cyclotomic_order"], True), 2),
+    ("generic", _with(PARAMS, ["cyclotomic_order"], 3.0), 2),
+    ("generic", _with(PARAMS, ["cyclotomic_order"], 10 ** 6), 1),
+    ("generic", _with(PARAMS, ["cyclotomic_order"], 121), 1),
+    ("generic", _with(PARAMS, ["n"], "x"), 2),
+    ("generic", _with(PARAMS, ["n"], 1.7), 2),
+    ("generic", _with(PARAMS, ["n"], True), 2),
+    ("verify", _with(S1_MODULE, ["support", 0, "dim"], "x"), 2),
+    ("verify", _with(S1_MODULE, ["support", 0, "dim"], True), 2),
+    ("verify", _with(S1_MODULE, ["support", 0, "tuple"], "1"), 2),
+    ("verify", _with(S1_MODULE, ["support", 0, "tuple"], [1]), 2),
+    ("verify", _with(S1_MODULE, ["params", "n"], "x"), 2),
+    ("verify", _with(S1_MODULE, ["params", "cyclotomic_order"], 10 ** 6), 1),
+    ("verify", _with(SN_MODULE, ["edge_actions", 0, "position"], "1"), 2),
+    ("verify", _with(SN_MODULE, ["edge_actions", 0, "source_tuple"], "11"), 2),
+    ("verify", _with(SN_MODULE, ["sn_actions", 0, "adjacent"], 1.0), 2),
+    ("translate", {"type": "cyclic", "m": "2"}, 2),
+    ("translate", {"type": "cyclic", "m": 0}, 2),
+    ("translate", {"type": "cyclic", "m": 10 ** 6}, 1),
+    ("translate", {"type": "table", "order": "1", "elements": ["e"], "vertices": ["0"],
+                   "dims": {"0": 1}, "table": {"0": {"e": "1"}}}, 2),
+    ("translate", {"type": "table", "order": 1, "elements": ["e"], "vertices": ["0"],
+                   "dims": {"0": True}, "table": {"0": {"e": "1"}}}, 2),
+    ("conditions", _with(REQUEST, ["cyclotomic_order"], 0), 2),
+    ("conditions", _with(REQUEST, ["cyclotomic_order"], 10 ** 6), 1),
+    ("conditions", _with(REQUEST, ["n"], 2.0), 2),
+    ("conditions", _with(REQUEST, ["blocks", 0, "alpha", "1"], "1"), 2),
+    ("conditions", _with(REQUEST, ["blocks"], [{"diagram": [2]}]), 2),
+]
+
+
+@pytest.mark.parametrize("command,doc,code", MALFORMED,
+                         ids=[f"{c}-{k}" for k, (c, _, _) in enumerate(MALFORMED)])
+def test_malformed_input_exits_with_one_error_line(files, capsys, tmp_path, command, doc, code):
+    _, qp, _ = files
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    sra = tmp_path / "sra.json"
+    sra.write_text(json.dumps({"t": "1", "k": "1/2", "c": {}}))
+    argv = {
+        "generic": ["--quiver", qp, "--params", str(path), "--vertex", "0"],
+        "verify": ["--quiver", qp, "--module", str(path)],
+        "translate": ["--gamma", str(path), "--sra", str(sra)],
+        "conditions": ["--quiver", qp, "--request", str(path)],
+    }[command]
+    got, out, err = run(capsys, command, *argv)
+    assert got == code
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+def test_huge_cyclotomic_order_is_refused_at_once(files, capsys, tmp_path):
+    _, qp, _ = files
+    pp = tmp_path / "params.json"
+    pp.write_text(json.dumps(_with(PARAMS, ["cyclotomic_order"], 10 ** 6)))
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "generic", "--quiver", qp, "--params", str(pp), "--vertex", "0")
+    assert time.perf_counter() - t0 < 0.1
+    assert code == 1 and err.startswith("error:") and "limit" in err
+
+
+def test_malformed_order_has_no_traceback_in_a_fresh_process(files, tmp_path):
+    import subprocess
+    import sys
+    _, qp, _ = files
+    pp = tmp_path / "params.json"
+    pp.write_text(json.dumps(_with(PARAMS, ["cyclotomic_order"], "x")))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wreathq.cli", "generic", "--quiver", qp,
+         "--params", str(pp), "--vertex", "0"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: cyclotomic_order must be an integer, got 'x'"]

@@ -1,12 +1,16 @@
 import random
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wreathq.cyclotomic import (
-    Scalar, cyclotomic_polynomial, euler_phi, format_scalar, parse_scalar,
+    MAX_CYCLOTOMIC_ORDER, Scalar, cyclotomic_polynomial, euler_phi, format_scalar,
+    parse_scalar,
 )
-from wreathq.errors import FormatError, OrderMismatchError
+from wreathq.errors import FormatError, OrderMismatchError, ResourceLimitError
 
 
 KNOWN_PHI = {
@@ -22,6 +26,18 @@ KNOWN_PHI = {
 @pytest.mark.parametrize("m,coeffs", sorted(KNOWN_PHI.items()))
 def test_cyclotomic_polynomials(m, coeffs):
     assert cyclotomic_polynomial(m) == tuple(Fraction(c) for c in coeffs)
+    assert all(type(c) is int for c in cyclotomic_polynomial(m))
+
+
+def test_cyclotomic_order_is_capped():
+    t0 = time.perf_counter()
+    for m in (MAX_CYCLOTOMIC_ORDER + 1, 10 ** 6):
+        with pytest.raises(ResourceLimitError):
+            cyclotomic_polynomial(m)
+        with pytest.raises(ResourceLimitError):
+            Scalar.one(m)
+    assert time.perf_counter() - t0 < 0.1
+    assert euler_phi(MAX_CYCLOTOMIC_ORDER) == 32
 
 
 def test_euler_phi():
@@ -107,3 +123,178 @@ def test_parse_errors():
 def test_high_zeta_power_in_text():
     # z^5 at order 4 wraps to z
     assert parse_scalar("z^5", 4) == Scalar.zeta(4)
+
+
+# ---------------------------------------------------------------------------
+# Property tests against a reference: Fraction polynomials reduced mod Phi_m
+# ---------------------------------------------------------------------------
+
+REF_PHI = {**KNOWN_PHI, 5: (1, 1, 1, 1, 1), 8: (1, 0, 0, 0, 1)}
+ORDERS = (1, 2, 3, 4, 5, 8, 12)
+
+
+def ref_reduce(poly, m):
+    """Remainder of a Fraction polynomial (low degree first) mod Phi_m."""
+    mod = REF_PHI[m]
+    phi = len(mod) - 1
+    out = list(poly) + [Fraction(0)] * max(0, phi - len(poly))
+    for k in range(len(out) - 1, phi - 1, -1):
+        top = out[k]
+        for t, c in enumerate(mod):
+            out[k - phi + t] -= top * c
+    return tuple(out[:phi])
+
+
+def ref_mul(a, b, m):
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for s, x in enumerate(a):
+        for t, y in enumerate(b):
+            prod[s + t] += x * y
+    return ref_reduce(prod, m)
+
+
+def ref_one(m):
+    return (Fraction(1),) + (Fraction(0),) * (len(REF_PHI[m]) - 2)
+
+
+def ref_inverse(a, m):
+    """Solve a * v = 1 with the multiplication-by-a matrix (Gauss-Jordan)."""
+    phi = len(a)
+    cols = [ref_mul(a, tuple(Fraction(int(i == k)) for i in range(phi)), m)
+            for k in range(phi)]
+    rows = [[cols[k][i] for k in range(phi)] + [ref_one(m)[i]] for i in range(phi)]
+    for c in range(phi):
+        p = next(r for r in range(c, phi) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(phi):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return tuple(row[-1] for row in rows)
+
+
+def ref_pow(a, k, m):
+    if k < 0:
+        a, k = ref_inverse(a, m), -k
+    out = ref_one(m)
+    for _ in range(k):
+        out = ref_mul(out, a, m)
+    return out
+
+
+def assert_canonical(x):
+    assert type(x.den) is int and x.den > 0
+    assert all(type(c) is int for c in x.num)
+    assert len(x.num) == euler_phi(x.order)
+    assert gcd(x.den, *x.num) == 1
+    if not any(x.num):
+        assert x.den == 1
+
+
+def agrees(x, ref):
+    assert_canonical(x)
+    return x.coeffs == ref
+
+
+coefficient = (st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+               | st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 20)))
+
+
+@st.composite
+def elements(draw, count):
+    """An order from ORDERS and ``count`` coefficient tuples at that order."""
+    m = draw(st.sampled_from(ORDERS))
+    phi = euler_phi(m)
+    return (m,) + tuple(tuple(draw(coefficient) for _ in range(phi)) for _ in range(count))
+
+
+PROPS = settings(max_examples=60, deadline=None)
+
+
+@PROPS
+@given(elements(2))
+def test_ring_operations_agree_with_reference(case):
+    m, a, b = case
+    x, y = Scalar(a, m), Scalar(b, m)
+    assert agrees(x, a) and agrees(y, b)
+    assert agrees(x + y, tuple(p + q for p, q in zip(a, b)))
+    assert agrees(x - y, tuple(p - q for p, q in zip(a, b)))
+    assert agrees(-x, tuple(-p for p in a))
+    assert agrees(x * y, ref_mul(a, b, m))
+
+
+@PROPS
+@given(elements(2), st.integers(-3, 4))
+def test_division_and_powers_agree_with_reference(case, k):
+    m, a, b = case
+    x, y = Scalar(a, m), Scalar(b, m)
+    if y:
+        assert agrees(y.inverse(), ref_inverse(b, m))
+        assert agrees(x / y, ref_mul(a, ref_inverse(b, m), m))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            y.inverse()
+    if x or k >= 0:
+        assert agrees(x ** k, ref_pow(a, k, m))
+
+
+@PROPS
+@given(elements(3))
+def test_equal_values_are_equal_and_hash_alike(case):
+    m, a, b, c = case
+    x, y, z = (Scalar(t, m) for t in (a, b, c))
+    routes = [
+        ((x + y) - y, x),
+        (x * y, y * x),
+        ((x * y) * z, x * (y * z)),
+        (x * (y + z), x * y + x * z),
+        (x - x, Scalar.zero(m)),
+        (x * 0, Scalar.zero(m)),
+        (Scalar([str(q) for q in a], m), x),
+        (Scalar(x.coeffs, m), x),
+        (-(-x), x),
+    ]
+    if x:
+        routes.append((x * x.inverse(), Scalar.one(m)))
+        routes.append(((y / x) * x, y))
+    for u, v in routes:
+        assert_canonical(u)
+        assert u == v and hash(u) == hash(v)
+
+
+@PROPS
+@given(elements(1), st.integers(-50, 50),
+       st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)))
+def test_mixing_with_int_and_fraction(case, k, q):
+    m, a = case
+    x = Scalar(a, m)
+    sk, sq = Scalar.rational(k, m), Scalar.rational(q, m)
+    assert sk == k and sq == q
+    for u, v in [(x + k, x + sk), (k + x, sk + x), (x - k, x - sk), (k - x, sk - x),
+                 (x * q, x * sq), (q * x, sq * x), (x + q, x + sq), (q - x, sq - x)]:
+        assert_canonical(u)
+        assert u == v
+    if q:
+        assert x / q == x * sq.inverse()
+    if x:
+        assert k / x == sk * x.inverse()
+    other = 4 if m == 3 else 3
+    for op in (lambda s, t: s + t, lambda s, t: s - t, lambda s, t: s * t,
+               lambda s, t: s / t):
+        with pytest.raises(OrderMismatchError):
+            op(x, Scalar.one(other))
+
+
+@PROPS
+@given(elements(1))
+def test_text_round_trip(case):
+    m, a = case
+    x = Scalar(a, m)
+    assert parse_scalar(format_scalar(x), m) == x
+
+
+def test_rational_inverse_keeps_the_denominator_positive():
+    x = Scalar.rational(Fraction(-6, 35), 3).inverse()
+    assert (x.num, x.den) == ((-35, 0), 6)
+    assert (Scalar.zero(4).num, Scalar.zero(4).den) == ((0, 0), 1)

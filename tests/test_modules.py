@@ -29,6 +29,8 @@ def test_s1_fails_with_wrong_weight(ahat1):
     assert not report.passed
     assert report.failures[0].relation == "i"
     assert report.failures[0].j == ("1",)
+    # residual = lhs - rhs = -lambda_1 * id - 0
+    assert report.failures[0].residual == mat([[-1]])
 
 
 def test_relation_i_forces_lambda_minus_nu(ahat1):
@@ -38,7 +40,11 @@ def test_relation_i_forces_lambda_minus_nu(ahat1):
         params = make_params(ahat1, 2, {"0": 0, "1": lam1}, nu)
         m = WreathModule(params, {("1", "1"): 1},
                          {}, {(1, ("1", "1")): mat([[1]])})
-        assert verify_relations(m).passed == expect, (lam1, nu)
+        report = verify_relations(m)
+        assert report.passed == expect, (lam1, nu)
+        if not expect:
+            assert [f.residual for f in report.failures] == \
+                [mat([[-lam1 - nu]])] * 2
 
 
 def test_structural_shape_error(ahat1):
