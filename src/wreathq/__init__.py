@@ -23,7 +23,7 @@ from .modules import (
 )
 from .reflection import (
     apply_functor_word, involution_witness, is_generic, is_generic_oracle,
-    mu_map, pi_map, reflect_morphism, reflection_functor,
+    reflect_morphism, reflection_functor,
 )
 from .cubes import (
     Cube, cohomology, complex_from_cube, euler_characteristic, module_cube,

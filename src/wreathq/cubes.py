@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 from .cyclotomic import Scalar
 from .errors import FormatError
 from .linalg import BlockBuilder, Mat, kernel_basis
-from .modules import WreathModule, reorient_module
-from .reflection import SinkCalculus, candidate_tuples, sink_flips
+from .modules import WreathModule
+from .reflection import SinkCalculus, candidate_tuples
 from .symmetric import Perm, partitions
 
 
@@ -202,9 +202,7 @@ class ModuleCubes:
 
 def module_cube(module: WreathModule, vertex: str) -> ModuleCubes:
     """Z_j(J) = V(j, Delta(j) - J) with the pi maps as structure maps."""
-    flips = sink_flips(module.params.quiver, vertex)
-    sink = reorient_module(module, flips)
-    calc = SinkCalculus(sink, vertex)
+    calc = SinkCalculus(module, vertex)
     cubes = {}
     for j in candidate_tuples(calc, include_interior=True):
         delta = calc.delta(j)
@@ -274,17 +272,8 @@ def euler_characteristic(module: WreathModule, vertex: str) -> EulerReport:
                 if tuple(sorted(sigma(p) for p in subset)) != subset:
                     continue
                 level = tuple(p for p in delta if p not in subset)
-                space = calc.space(j, level)
-                tr = Scalar.zero(module.order)
-                for k, xi in enumerate(space.xis):
-                    assignment = dict(zip(level, xi))
-                    moved = {sigma(p): r for p, r in assignment.items()}
-                    if moved != assignment:
-                        continue
-                    t = space.t_tuples[k]
-                    if sigma.act_tuple(t) != t:
-                        continue
-                    tr = tr + calc.module.perm_matrix(sigma, t).trace()
+                # sigma fixes j and the level, so it acts on V(j, level) itself
+                tr = calc.sigma_perm(j, level, sigma).trace()
                 det_sign = _restricted_sign(sigma, subset)
                 coeff = (-1) ** len(subset) * det_sign
                 value = value + tr * coeff

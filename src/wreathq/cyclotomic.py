@@ -356,6 +356,9 @@ class Scalar:
         return self.num == other.num and self.den == other.den and self.order == other.order
 
     def __hash__(self):
+        # a rational value equals an int or Fraction, so it must hash like one
+        if self.is_rational():
+            return hash(Fraction(self.num[0], self.den))
         return hash((self.order, self.num, self.den))
 
     # -- text form ----------------------------------------------------

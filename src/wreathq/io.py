@@ -40,6 +40,20 @@ def _cyclotomic_order(value: Any, what: str = "cyclotomic_order") -> int:
     return order
 
 
+def _objects(doc: dict, key: str) -> list:
+    """The list of JSON objects under ``key``; an absent key is an empty list."""
+    items = doc.get(key, [])
+    _require(isinstance(items, list) and all(isinstance(item, dict) for item in items),
+             f"{key} must be a list of objects")
+    return items
+
+
+def _diagram(value: Any) -> YoungDiagram:
+    _require(isinstance(value, list) and value,
+             f"diagram must be a non-empty list of integers, got {value!r}")
+    return YoungDiagram([_int(part, "diagram part") for part in value])
+
+
 def _vertex_tuple(value: Any, what: str) -> tuple[str, ...]:
     _require(isinstance(value, list) and all(isinstance(v, str) for v in value),
              f"{what} must be a list of vertex names, got {value!r}")
@@ -141,9 +155,8 @@ def parse_module(doc: Any, quiver: Quiver) -> WreathModule:
     params = parse_params(doc["params"], quiver)
     order = params.order
     support = {}
-    for item in doc["support"]:
-        _require(isinstance(item, dict) and "tuple" in item and "dim" in item,
-                 "support entries need tuple and dim")
+    for item in _objects(doc, "support"):
+        _require("tuple" in item and "dim" in item, "support entries need tuple and dim")
         j = _vertex_tuple(item["tuple"], "support tuple")
         _require(len(j) == params.n, f"support tuple {j} has length != n")
         for v in j:
@@ -154,7 +167,7 @@ def parse_module(doc: Any, quiver: Quiver) -> WreathModule:
         return support.get(j, 0)
 
     edge_actions = {}
-    for item in doc.get("edge_actions", []):
+    for item in _objects(doc, "edge_actions"):
         _require({"edge", "position", "source_tuple", "matrix"} <= set(item),
                  "edge actions need edge/position/source_tuple/matrix")
         name = str(item["edge"])
@@ -171,7 +184,7 @@ def parse_module(doc: Any, quiver: Quiver) -> WreathModule:
         edge_actions[(name, pos, j)] = mat
 
     sn_actions = {}
-    for item in doc.get("sn_actions", []):
+    for item in _objects(doc, "sn_actions"):
         _require({"adjacent", "source_tuple", "matrix"} <= set(item),
                  "sn actions need adjacent/source_tuple/matrix")
         m = _int(item["adjacent"], "adjacent")
@@ -257,7 +270,7 @@ def parse_conditions_request(doc: Any, quiver: Quiver):
         _require(isinstance(item, dict) and {"diagram", "alpha"} <= set(item)
                  and isinstance(item["alpha"], dict),
                  "each conditions block needs a diagram and an alpha object")
-        diagram = YoungDiagram(item["diagram"])
+        diagram = _diagram(item["diagram"])
         alpha = DimVector.make({str(v): _int(c, "alpha value")
                                 for v, c in item["alpha"].items()})
         blocks.append((diagram, alpha))
@@ -271,5 +284,5 @@ def parse_induce_request(doc: Any, quiver: Quiver):
     for item in doc:
         _require(isinstance(item, dict) and {"diagram", "vertex"} <= set(item),
                  "each induce block needs diagram and vertex")
-        blocks.append((YoungDiagram(item["diagram"]), str(item["vertex"])))
+        blocks.append((_diagram(item["diagram"]), str(item["vertex"])))
     return blocks

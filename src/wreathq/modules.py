@@ -124,16 +124,9 @@ class WreathModule:
         """Matrix of an arbitrary permutation, composed from stored generators."""
         j = tuple(j)
         key = (p.img, j)
-        cached = self._perm_cache.get(key)
-        if cached is not None:
-            return cached
-        cur = j
-        out = Mat.identity(self.dim(j), self.order)
-        word = p.adjacent_word()
-        for k in reversed(word):  # rightmost factor acts first
-            out = self.sn_matrix(k, cur) @ out
-            cur = swap_tuple(cur, k)
-        self._perm_cache[key] = out
+        out = self._perm_cache.get(key)
+        if out is None:
+            out = self._perm_cache[key] = _chase(self, j, p.adjacent_word())
         return out
 
     def extended_support(self) -> list[tuple]:
@@ -300,12 +293,11 @@ def structural_report(mod: WreathModule) -> list[StructuralIssue]:
     return issues
 
 
-def _chase(mod: WreathModule, j: tuple, word: Iterable[int]) -> Mat:
+def _chase(mod: WreathModule, j: tuple, word: Sequence[int]) -> Mat:
     """Compose adjacent generators along tuples: rightmost letter acts first."""
-    letters = list(word)
     out = Mat.identity(mod.dim(j), mod.order)
     cur = j
-    for k in reversed(letters):
+    for k in reversed(word):
         out = mod.sn_matrix(k, cur) @ out
         cur = swap_tuple(cur, k)
     return out

@@ -1,24 +1,25 @@
 """The reflection functor at a loop-free vertex, and its certificates.
 
 The construction works in the sink form of the quiver: for a chosen
-vertex i, every edge incident to i points into i (modules are carried
-across the reorientation isomorphism internally, and carried back in the
-results).  For a tuple j, the positions carrying i form Delta(j); for
-D inside Delta(j) the auxiliary space V(j, D) is the direct sum of
-graded pieces of V indexed by all assignments of an incoming edge to
-each position in D.  The projection/inclusion block maps pi and mu, the
-reindexing maps tau, and the case-III map theta are assembled here as
-explicit matrices; the functor's value at j is the intersection of the
-kernels of the pi maps out of the top space V(j, Delta(j)).
+vertex i, every edge incident to i points into i.  :class:`SinkCalculus`
+carries any module across the reorientation isomorphism itself, and
+``reflection_functor`` carries the result back.  For a tuple j, the
+positions carrying i form Delta(j); for D inside Delta(j) the auxiliary
+space V(j, D) is the direct sum of graded pieces of V indexed by all
+assignments of an incoming edge to each position in D.  The
+projection/inclusion block maps pi and mu, the reindexing maps tau, the
+case-III map theta and the S_n action are all assembled here, through
+one placement loop, as explicit matrices; the functor's value at j is
+the intersection of the kernels of the pi maps out of the top space
+V(j, Delta(j)).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .cyclotomic import Scalar
 from .errors import EdgeLoopError, FormatError, NotGenericError, NotInSpanError
 from .linalg import BlockBuilder, Mat, intersect_kernels, rank, solve_in_span
 from .modules import Params, WreathModule, check_intertwiner, reorient_module, swap_tuple
@@ -45,24 +46,42 @@ class BigSpace:
         object.__setattr__(self, "_index", {xi: k for k, xi in enumerate(self.xis)})
 
 
-class SinkCalculus:
-    """All the block maps between the spaces V(j, D) for a sink vertex.
+def _assemble(tgt: BigSpace, src: BigSpace, blocks: Iterable[tuple[int, int, Mat]],
+              order: int) -> Mat:
+    """The map src -> tgt with each (target index, source index, block) placed.
 
-    The module must already be in sink form: no base edge leaves the
-    vertex.  R is the list of incoming base edges in declaration order;
-    assignments are enumerated in lexicographic order over R-indices with
-    the positions of D ascending.
+    Indices are assignment indices of the two spaces; zero blocks are skipped.
+    """
+    bb = BlockBuilder(tgt.total, src.total, order)
+    for k2, k, block in blocks:
+        if block:
+            bb.add_block(tgt.offsets[k2], src.offsets[k], block)
+    return bb.build()
+
+
+def sink_flips(q: Quiver, vertex: str) -> tuple[str, ...]:
+    """The base edges to reverse so that every edge at ``vertex`` points into it."""
+    if q.has_loop_at(vertex):
+        raise EdgeLoopError(f"vertex {vertex!r} carries an edge-loop")
+    return tuple(e.name for e in q.edges if e.tail == vertex)
+
+
+class SinkCalculus:
+    """All the block maps between the spaces V(j, D) for one vertex.
+
+    The module may have any orientation: ``flips`` are the base edges
+    reversed to put it in sink form at the vertex, and ``module`` is the
+    reoriented module every map is built from.  R is the list of
+    incoming base edges in declaration order; assignments are enumerated
+    in lexicographic order over R-indices with the positions of D
+    ascending.
     """
 
     def __init__(self, module: WreathModule, vertex: str):
-        q = module.params.quiver
-        if q.has_loop_at(vertex):
-            raise EdgeLoopError(f"vertex {vertex!r} carries an edge-loop")
-        if any(e.tail == vertex for e in q.edges):
-            raise FormatError(f"module is not in sink form at {vertex!r}")
-        self.module = module
+        self.flips = sink_flips(module.params.quiver, vertex)
+        self.module = reorient_module(module, self.flips)
         self.vertex = vertex
-        self.quiver = q
+        self.quiver = q = self.module.params.quiver
         self.n = module.n
         self.order = module.order
         self.R = [e for e in q.edges if e.head == vertex]
@@ -118,17 +137,11 @@ class SinkCalculus:
         src = self.space(j, d)
         tgt = self.space(j, tuple(x for x in d if x != p))
         slot = d.index(p)
-        bb = BlockBuilder(tgt.total, src.total, self.order)
-        for k, xi in enumerate(src.xis):
-            if src.dims[k] == 0:
-                continue
-            edge = self.R[xi[slot]]
-            block = self.module.edge_matrix(edge.name, p, src.t_tuples[k])
-            if not block:
-                continue
-            k2 = tgt.index_of(xi[:slot] + xi[slot + 1:])
-            bb.add_block(tgt.offsets[k2], src.offsets[k], block)
-        out = bb.build()
+        edge_matrix = self.module.edge_matrix
+        out = _assemble(tgt, src, (
+            (tgt.index_of(xi[:slot] + xi[slot + 1:]), k,
+             edge_matrix(self.R[xi[slot]].name, p, src.t_tuples[k]))
+            for k, xi in enumerate(src.xis) if src.dims[k]), self.order)
         self._pis[key] = out
         return out
 
@@ -145,56 +158,35 @@ class SinkCalculus:
         src = self.space(j, tuple(x for x in d if x != p))
         tgt = self.space(j, d)
         slot = d.index(p)
-        bb = BlockBuilder(tgt.total, src.total, self.order)
-        for k, xi in enumerate(tgt.xis):
-            if tgt.dims[k] == 0:
-                continue
-            edge = self.R[xi[slot]]
-            eta = xi[:slot] + xi[slot + 1:]
-            k2 = src.index_of(eta)
-            if src.dims[k2] == 0:
-                continue
-            block = self.module.edge_matrix(star_name(edge.name), p, src.t_tuples[k2])
-            if not block:
-                continue
-            bb.add_block(tgt.offsets[k], src.offsets[k2], block)
-        out = bb.build()
+        def blocks():
+            for k, xi in enumerate(tgt.xis):
+                k2 = src.index_of(xi[:slot] + xi[slot + 1:])
+                if tgt.dims[k] and src.dims[k2]:
+                    yield k, k2, self.module.edge_matrix(
+                        star_name(self.R[xi[slot]].name), p, src.t_tuples[k2])
+        out = _assemble(tgt, src, blocks(), self.order)
         self._mus[key] = out
         return out
 
     def sigma_adjacent(self, j: tuple, d_positions: Sequence[int], m: int) -> Mat:
         """The big-space action of the adjacent transposition (m, m+1)."""
-        j = tuple(j)
-        d = tuple(sorted(d_positions))
-        src = self.space(j, d)
-        g = Perm.adjacent(m, self.n)
-        j2 = g.act_tuple(j)
-        d2 = tuple(sorted(g(p) for p in d))
-        tgt = self.space(j2, d2)
-        bb = BlockBuilder(tgt.total, src.total, self.order)
-        for k, xi in enumerate(src.xis):
-            if src.dims[k] == 0:
-                continue
-            block = self.module.sn_matrix(m, src.t_tuples[k])
-            if not block:
-                continue
-            assignment = {g(pos): ridx for pos, ridx in zip(d, xi)}
-            xi2 = tuple(assignment[pos] for pos in d2)
-            bb.add_block(tgt.offsets[tgt.index_of(xi2)], src.offsets[k], block)
-        return bb.build()
+        return self.sigma_perm(j, d_positions, Perm.adjacent(m, self.n))
 
     def sigma_perm(self, j: tuple, d_positions: Sequence[int], perm: Perm) -> Mat:
-        """Big-space action of an arbitrary permutation, via adjacent factors."""
-        j = tuple(j)
+        """The big-space action of a permutation.
+
+        The summand of an assignment xi goes to the summand of the moved
+        assignment (perm(p) carries the edge of p) by the module's own
+        action of ``perm`` on the graded piece t(j, xi).
+        """
         d = tuple(sorted(d_positions))
-        out = Mat.identity(self.space(j, d).total, self.order)
-        cur_j, cur_d = j, d
-        for k in reversed(perm.adjacent_word()):
-            out = self.sigma_adjacent(cur_j, cur_d, k) @ out
-            g = Perm.adjacent(k, self.n)
-            cur_j = g.act_tuple(cur_j)
-            cur_d = tuple(sorted(g(p) for p in cur_d))
-        return out
+        src = self.space(j, d)
+        tgt = self.space(perm.act_tuple(tuple(j)), tuple(sorted(perm(p) for p in d)))
+        slots = sorted(range(len(d)), key=lambda s: perm(d[s]))
+        perm_matrix = self.module.perm_matrix
+        return _assemble(tgt, src, (
+            (tgt.index_of(tuple(xi[s] for s in slots)), k, perm_matrix(perm, src.t_tuples[k]))
+            for k, xi in enumerate(src.xis) if src.dims[k]), self.order)
 
     def tau_project(self, r_index: int, ell: int, j: tuple, d_positions: Sequence[int]) -> Mat:
         """tau^!: V(j, D) -> V(r*_ell(j), D minus ell); picks the xi(ell) = r part."""
@@ -203,44 +195,17 @@ class SinkCalculus:
         if ell not in d:
             raise FormatError(f"position {ell} is not in D = {d}")
         src = self.space(j, d)
-        edge = self.R[r_index]
-        j2 = list(j)
-        j2[ell - 1] = edge.tail
-        j2 = tuple(j2)
+        j2 = self.module.edge_target(star_name(self.R[r_index].name), ell, j)
         tgt = self.space(j2, tuple(x for x in d if x != ell))
         slot = d.index(ell)
-        bb = BlockBuilder(tgt.total, src.total, self.order)
-        for k2, eta in enumerate(tgt.xis):
-            dim = tgt.dims[k2]
-            if dim == 0:
-                continue
-            xi = eta[:slot] + (r_index,) + eta[slot:]
-            k = src.index_of(xi)
-            bb.add_block(tgt.offsets[k2], src.offsets[k], Mat.identity(dim, self.order))
-        return bb.build()
+        return _assemble(tgt, src, (
+            (k2, src.index_of(eta[:slot] + (r_index,) + eta[slot:]),
+             Mat.identity(tgt.dims[k2], self.order))
+            for k2, eta in enumerate(tgt.xis) if tgt.dims[k2]), self.order)
 
     def tau_include(self, r_index: int, ell: int, j: tuple, d_positions: Sequence[int]) -> Mat:
         """tau_!: V(r*_ell(j), D minus ell) -> V(j, D); the section of tau^!."""
-        j = tuple(j)
-        d = tuple(sorted(d_positions))
-        if ell not in d:
-            raise FormatError(f"position {ell} is not in D = {d}")
-        tgt = self.space(j, d)
-        edge = self.R[r_index]
-        j2 = list(j)
-        j2[ell - 1] = edge.tail
-        j2 = tuple(j2)
-        src = self.space(j2, tuple(x for x in d if x != ell))
-        slot = d.index(ell)
-        bb = BlockBuilder(tgt.total, src.total, self.order)
-        for k2, eta in enumerate(src.xis):
-            dim = src.dims[k2]
-            if dim == 0:
-                continue
-            xi = eta[:slot] + (r_index,) + eta[slot:]
-            k = tgt.index_of(xi)
-            bb.add_block(tgt.offsets[k], src.offsets[k2], Mat.identity(dim, self.order))
-        return bb.build()
+        return self.tau_project(r_index, ell, j, d_positions).transpose()
 
     def away_edge_action(self, name: str, ell: int, j: tuple, d_positions: Sequence[int]) -> Mat:
         """An edge not touching the sink acts diagonally across assignments."""
@@ -250,19 +215,11 @@ class SinkCalculus:
         if self.vertex in (edge.tail, edge.head):
             raise FormatError("away_edge_action needs an edge avoiding the sink vertex")
         src = self.space(j, d)
-        j2 = list(j)
-        j2[ell - 1] = edge.head
-        j2 = tuple(j2)
-        tgt = self.space(j2, d)
-        bb = BlockBuilder(tgt.total, src.total, self.order)
-        for k, xi in enumerate(src.xis):
-            if src.dims[k] == 0:
-                continue
-            block = self.module.edge_matrix(name, ell, src.t_tuples[k])
-            if not block:
-                continue
-            bb.add_block(tgt.offsets[k], src.offsets[k], block)
-        return bb.build()
+        tgt = self.space(self.module.edge_target(name, ell, j), d)
+        edge_matrix = self.module.edge_matrix
+        return _assemble(tgt, src, (
+            (k, k, edge_matrix(name, ell, t))
+            for k, t in enumerate(src.t_tuples) if src.dims[k]), self.order)
 
     def theta(self, r_index: int, ell: int, j: tuple, d_positions: Sequence[int]) -> Mat:
         """An incoming edge acts by the compensated inclusion into V(r_ell(j), D + ell)."""
@@ -285,26 +242,6 @@ class SinkCalculus:
                 s_sum = s_sum + self.sigma_perm(j2, d_ell, Perm.transposition(m, ell, self.n))
             core = core + s_sum.scaled(self.nu)
         return core @ incl
-
-
-def pi_map(module: WreathModule, vertex: str, j: tuple,
-           d_positions: Sequence[int], p: int) -> Mat:
-    """The projection block map out of V(j, D) for a module and vertex.
-
-    Convenience wrapper: reorients to sink form internally.  For many
-    maps on one module, build a :class:`SinkCalculus` once instead.
-    """
-    calc = SinkCalculus(reorient_module(module, sink_flips(module.params.quiver, vertex)),
-                        vertex)
-    return calc.pi(j, d_positions, p)
-
-
-def mu_map(module: WreathModule, vertex: str, j: tuple,
-           d_positions: Sequence[int], p: int) -> Mat:
-    """The inclusion block map into V(j, D); see :func:`pi_map`."""
-    calc = SinkCalculus(reorient_module(module, sink_flips(module.params.quiver, vertex)),
-                        vertex)
-    return calc.mu(j, d_positions, p)
 
 
 @dataclass(frozen=True)
@@ -345,7 +282,8 @@ class ReflectionOutput:
 
     ``embeddings[j]`` is the basis of the new graded piece inside the top
     space V(j, Delta(j)) of the sink form; ``calculus`` exposes the
-    underlying block maps (sink form throughout).
+    underlying block maps (sink form throughout), and ``flips`` are the
+    edges it reversed.
     """
 
     module: WreathModule
@@ -355,12 +293,6 @@ class ReflectionOutput:
 
     def dims(self) -> dict:
         return dict(self.module.support)
-
-
-def sink_flips(q: Quiver, vertex: str) -> tuple[str, ...]:
-    if q.has_loop_at(vertex):
-        raise EdgeLoopError(f"vertex {vertex!r} carries an edge-loop")
-    return tuple(e.name for e in q.edges if e.tail == vertex)
 
 
 def candidate_tuples(calc: SinkCalculus, include_interior: bool = False) -> list[tuple]:
@@ -396,10 +328,7 @@ def reflection_functor(module: WreathModule, vertex: str) -> ReflectionOutput:
     bases.  A NotInSpanError here would indicate a genuine bug, since the
     case maps provably preserve the kernels.
     """
-    q = module.params.quiver
-    flips = sink_flips(q, vertex)
-    sink = reorient_module(module, flips)
-    calc = SinkCalculus(sink, vertex)
+    calc = SinkCalculus(module, vertex)
     n, order = module.n, module.order
 
     embeddings: dict = {}
@@ -414,8 +343,8 @@ def reflection_functor(module: WreathModule, vertex: str) -> ReflectionOutput:
             embeddings[j] = basis
             support[j] = basis.cols
 
-    new_weight = dual_reflection(q, vertex, module.params.weight)
-    sink_params = Params(sink.params.quiver, n, new_weight, module.params.nu)
+    new_weight = dual_reflection(module.params.quiver, vertex, module.params.weight)
+    sink_params = Params(calc.quiver, n, new_weight, module.params.nu)
 
     def restricted(big: Mat, src: tuple, tgt: tuple) -> Optional[Mat]:
         e_src = embeddings.get(src)
@@ -435,9 +364,7 @@ def reflection_functor(module: WreathModule, vertex: str) -> ReflectionOutput:
         for ell in range(1, n + 1):
             v = j[ell - 1]
             for e in calc.quiver.out_edges(v):
-                j2 = list(j)
-                j2[ell - 1] = e.head
-                j2 = tuple(j2)
+                j2 = calc.module.edge_target(e.name, ell, j)
                 if e.head == vertex:
                     big = calc.theta(r_names[e.name], ell, j, delta)
                 elif e.tail == vertex:
@@ -456,8 +383,8 @@ def reflection_functor(module: WreathModule, vertex: str) -> ReflectionOutput:
                 sn_actions[(m, j)] = small
 
     sink_result = WreathModule(sink_params, support, edge_actions, sn_actions)
-    result = reorient_module(sink_result, flips, inverse=True)
-    return ReflectionOutput(result, embeddings, calc, flips)
+    result = reorient_module(sink_result, calc.flips, inverse=True)
+    return ReflectionOutput(result, embeddings, calc, calc.flips)
 
 
 def reflect_morphism(src: WreathModule, dst: WreathModule, maps: dict, vertex: str,
@@ -476,23 +403,13 @@ def reflect_morphism(src: WreathModule, dst: WreathModule, maps: dict, vertex: s
     calc_s, calc_d = out_src.calculus, out_dst.calculus
     order = src.order
 
-    def f(j):
-        got = maps.get(tuple(j))
-        if got is None:
-            return Mat.zeros(dst.dim(j), src.dim(j), order)
-        return got
-
     result = {}
     for j in sorted(set(out_src.embeddings) | set(out_dst.embeddings)):
         delta = calc_s.delta(j)
         s_space = calc_s.space(j, delta)
         d_space = calc_d.space(j, delta)
-        bb = BlockBuilder(d_space.total, s_space.total, order)
-        for k, xi in enumerate(s_space.xis):
-            block = f(s_space.t_tuples[k])
-            if block:
-                bb.add_block(d_space.offsets[k], s_space.offsets[k], block)
-        big = bb.build()
+        big = _assemble(d_space, s_space, ((k, k, maps[t]) for k, t in
+                                           enumerate(s_space.t_tuples) if t in maps), order)
         e_src = out_src.embeddings.get(j, Mat.zeros(s_space.total, 0, order))
         e_dst = out_dst.embeddings.get(j, Mat.zeros(d_space.total, 0, order))
         small = solve_in_span(e_dst, big @ e_src)

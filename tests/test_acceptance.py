@@ -11,98 +11,31 @@ import json
 import time
 from fractions import Fraction
 
-import pytest
-
 from wreathq.cli import main as cli_main
 from wreathq.cubes import euler_characteristic, module_cohomology
 from wreathq.cyclotomic import Scalar
 from wreathq.linalg import Mat
 from wreathq.modules import (
     Params, WreathModule, build_induced_zero_e, build_outer_tensor,
-    module_character, point_module, reorient_module, verify_relations,
+    module_character, point_module, verify_relations,
 )
 from wreathq import io as wio
 from wreathq.quiver import (
-    DimVector, Quiver, Weight, dual_reflection, simple_reflection,
+    DimVector, Weight, dual_reflection, simple_reflection,
 )
 from wreathq.reflection import (
-    SinkCalculus, involution_witness, is_generic, reflection_functor, sink_flips,
+    SinkCalculus, involution_witness, is_generic, reflection_functor,
 )
 from wreathq.symmetric import (
     Perm, YoungDiagram, central_sum_invertible, contents, partitions,
     seminormal_rep,
 )
 
-from conftest import make_params, simple_at
-
-
-AHAT1 = Quiver(["0", "1"], [("a", "0", "1"), ("b", "0", "1")])
-AHAT2 = Quiver(["0", "1", "2"], [("a0", "0", "1"), ("a1", "1", "2"), ("a2", "2", "0")])
-
-HALF = Fraction(1, 2)
-THIRD = Fraction(1, 3)
+from conftest import AHAT1, AHAT2, BLOCK_MAP_CORPUS, HALF, THIRD, make_params, simple_at
 
 
 def _stamp(number, started, note):
     print(f"PASS criterion-{number} ({time.perf_counter() - started:.2f}s): {note}")
-
-
-@pytest.fixture(scope="session")
-def corpus():
-    """At least ten relation-verified modules over the two test quivers."""
-    items = []
-
-    def add(name, module):
-        report = verify_relations(module)
-        assert report.passed, f"corpus module {name} must verify: {report.summary()}"
-        items.append((name, module))
-
-    # --- affine A1 ---------------------------------------------------------
-    add("a1.s1", simple_at(AHAT1, "1", {"0": 1, "1": 0}))
-    add("a1.s0", simple_at(AHAT1, "0", {"0": 0, "1": Fraction(3, 2)}))
-    f0s1 = reflection_functor(simple_at(AHAT1, "1", {"0": 1, "1": 0}), "0").module
-    add("a1.f0s1", f0s1)
-
-    p_ind = make_params(AHAT1, 2, {"0": 1, "1": -HALF}, HALF)
-    ind_triv = build_induced_zero_e(p_ind, [(YoungDiagram([2]), "1")])
-    add("a1.ind-triv", ind_triv)
-    add("a1.ind-triv-reflected", reflection_functor(ind_triv, "0").module)
-
-    p_sign = make_params(AHAT1, 2, {"0": 1, "1": HALF}, HALF)
-    add("a1.ind-sign", build_induced_zero_e(p_sign, [(YoungDiagram([1, 1]), "1")]))
-
-    p_pair = make_params(AHAT1, 2, {"0": 0, "1": 0}, 0)
-    add("a1.ind-pair", build_induced_zero_e(
-        p_pair, [(YoungDiagram([1]), "0"), (YoungDiagram([1]), "1")]))
-
-    p_outer = make_params(AHAT1, 2, {"0": 1, "1": 0}, 0)
-    y1 = simple_at(AHAT1, "1", {"0": 1, "1": 0})
-    add("a1.outer-sq", build_outer_tensor(p_outer, [(2, y1, YoungDiagram([2]))]))
-
-    p_n3 = make_params(AHAT1, 3, {"0": 1, "1": -1}, HALF)
-    add("a1.ind-n3", build_induced_zero_e(p_n3, [(YoungDiagram([3]), "1")]))
-
-    p_outer3 = make_params(AHAT1, 3, {"0": 1, "1": 0}, 0)
-    add("a1.outer-cube", build_outer_tensor(p_outer3, [(3, y1, YoungDiagram([3]))]))
-
-    # --- affine A2 ---------------------------------------------------------
-    add("a2.s1", simple_at(AHAT2, "1", {"0": 1, "1": 0, "2": 1}))
-    f0 = reflection_functor(simple_at(AHAT2, "1", {"0": 1, "1": 0, "2": 1}), "0").module
-    add("a2.f0s1", f0)
-
-    p2_ind = make_params(AHAT2, 2, {"0": 1, "1": -THIRD, "2": 1}, THIRD)
-    add("a2.ind-triv", build_induced_zero_e(p2_ind, [(YoungDiagram([2]), "1")]))
-
-    p2_sign = make_params(AHAT2, 2, {"0": 1, "1": 1, "2": THIRD}, THIRD)
-    add("a2.ind-sign", build_induced_zero_e(p2_sign, [(YoungDiagram([1, 1]), "2")]))
-
-    p2_n3 = make_params(AHAT2, 3, {"0": 0, "1": Fraction(2, 3), "2": 0}, THIRD)
-    add("a2.ind-n3", build_induced_zero_e(p2_n3, [(YoungDiagram([1, 1, 1]), "1")]))
-
-    assert len(items) >= 10
-    assert any(m.params.nu for _, m in items)
-    assert all(d <= 6 for _, m in items for d in m.support.values())
-    return items
 
 
 def test_criterion_1_functor_soundness(corpus):
@@ -196,11 +129,6 @@ def test_criterion_4_vanishing_and_euler(corpus):
                        "outer tensors follow the n=1 prediction")
 
 
-def _sink_calc(module, vertex):
-    flips = sink_flips(module.params.quiver, vertex)
-    return SinkCalculus(reorient_module(module, flips), vertex)
-
-
 def _subsets(delta):
     for k in range(len(delta) + 1):
         yield from itertools.combinations(delta, k)
@@ -208,16 +136,14 @@ def _subsets(delta):
 
 def test_criterion_5_block_map_identities(corpus):
     started = time.perf_counter()
-    sub = [item for item in corpus if item[0] in
-           ("a1.s1", "a1.f0s1", "a1.ind-triv", "a1.ind-sign", "a1.outer-sq",
-            "a1.ind-n3", "a2.ind-triv", "a2.f0s1")]
+    sub = [item for item in corpus if item[0] in BLOCK_MAP_CORPUS]
     counts = {"exchange": 0, "away": 0, "incoming": 0, "outgoing": 0, "partition": 0}
     from wreathq.reflection import candidate_tuples
 
     for name, module in sub:
         q = module.params.quiver
         for vertex in q.vertices:
-            calc = _sink_calc(module, vertex)
+            calc = SinkCalculus(module, vertex)
             nu, lam_i, n = calc.nu, calc.lam_i, calc.n
             for j in candidate_tuples(calc, include_interior=True):
                 delta = calc.delta(j)

@@ -1,4 +1,8 @@
+import hashlib
+import importlib.util
 import json
+import pathlib
+import sys
 import time
 
 import pytest
@@ -272,7 +276,6 @@ def test_cyclotomic_module_round_trip(tmp_path, capsys):
 
 def test_cross_process_determinism(files, tmp_path):
     import subprocess
-    import sys
     _, qp, mp = files
     results = []
     out = str(tmp_path / "det.json")
@@ -358,6 +361,16 @@ MALFORMED = [
     ("conditions", _with(REQUEST, ["n"], 2.0), 2),
     ("conditions", _with(REQUEST, ["blocks", 0, "alpha", "1"], "1"), 2),
     ("conditions", _with(REQUEST, ["blocks"], [{"diagram": [2]}]), 2),
+    # shapes: lists of objects in modules, non-empty lists of JSON integers as diagrams
+    ("verify", _with(S1_MODULE, ["support"], 5), 2),
+    ("verify", _with(SN_MODULE, ["edge_actions"], [5]), 2),
+    ("verify", _with(SN_MODULE, ["sn_actions"], 5), 2),
+    ("conditions", _with(REQUEST, ["blocks", 0, "diagram"], ["x"]), 2),
+    ("conditions", _with(REQUEST, ["blocks", 0, "diagram"], 2), 2),
+    ("conditions", _with(REQUEST, ["blocks", 0, "diagram"], ["2"]), 2),
+    ("conditions", _with(REQUEST, ["blocks", 0, "diagram"], [2.7]), 2),
+    ("induce", [{"diagram": ["2"], "vertex": "1"}], 2),
+    ("induce", [{"diagram": [], "vertex": "1"}], 2),
 ]
 
 
@@ -369,11 +382,14 @@ def test_malformed_input_exits_with_one_error_line(files, capsys, tmp_path, comm
     path.write_text(json.dumps(doc))
     sra = tmp_path / "sra.json"
     sra.write_text(json.dumps({"t": "1", "k": "1/2", "c": {}}))
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(PARAMS))
     argv = {
         "generic": ["--quiver", qp, "--params", str(path), "--vertex", "0"],
         "verify": ["--quiver", qp, "--module", str(path)],
         "translate": ["--gamma", str(path), "--sra", str(sra)],
         "conditions": ["--quiver", qp, "--request", str(path)],
+        "induce": ["--quiver", qp, "--params", str(params), "--blocks", f"@{path}"],
     }[command]
     got, out, err = run(capsys, command, *argv)
     assert got == code
@@ -402,3 +418,33 @@ def test_malformed_order_has_no_traceback_in_a_fresh_process(files, tmp_path):
          "--params", str(pp), "--vertex", "0"], capture_output=True, text=True)
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == ["error: cyclotomic_order must be an integer, got 'x'"]
+
+
+# -- golden output: the benchmark's CLI sample commands, in-process -----------
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _load_cli_samples(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_cli_samples", REPO / "perfbench" / "cli_samples.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)   # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cli_samples_match_recorded_digests(capsys, tmp_path, monkeypatch):
+    samples = _load_cli_samples(monkeypatch)
+    expected = json.loads((REPO / "perfbench" / "expected_cli.json").read_text(encoding="utf-8"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / samples.WORK).mkdir(parents=True)
+    assert sorted(expected) == sorted(name for name, _, _, _ in samples.COMMANDS)
+    for name, _, args, writes in samples.COMMANDS:
+        argv = [str(REPO / a) if a.startswith("samples/") else a for a in args]
+        code = main(argv)
+        out = capsys.readouterr().out.encode("utf-8")
+        got = {"exit": code, "stdout_sha256": hashlib.sha256(out).hexdigest(),
+               "writes": {pathlib.Path(p).name: hashlib.sha256(pathlib.Path(p).read_bytes())
+                          .hexdigest() for p in writes}}
+        assert got == expected[name], name

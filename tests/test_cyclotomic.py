@@ -264,6 +264,20 @@ def test_equal_values_are_equal_and_hash_alike(case):
 
 
 @PROPS
+@given(st.sampled_from((1, 3, 4)), st.builds(Fraction, st.integers(-40, 40), st.integers(1, 6)),
+       st.sampled_from(("scalar", "int", "fraction")), st.sampled_from(("scalar", "int", "fraction")))
+def test_equal_values_hash_alike_across_types(m, q, kind_u, kind_v):
+    def as_kind(kind):
+        if kind == "scalar":
+            return Scalar.rational(q, m)
+        return q if kind == "fraction" or q.denominator != 1 else int(q)
+    u, v = as_kind(kind_u), as_kind(kind_v)
+    assert u == v and hash(u) == hash(v)
+    assert {u} & {v} and {u: 1}.get(v) == 1
+    assert hash(Scalar.one(m)) == hash(1) and {1} & {Scalar.one(m)}
+
+
+@PROPS
 @given(elements(1), st.integers(-50, 50),
        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)))
 def test_mixing_with_int_and_fraction(case, k, q):

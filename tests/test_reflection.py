@@ -1,10 +1,11 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from wreathq.cyclotomic import Scalar
 from wreathq.errors import EdgeLoopError, NotGenericError
-from wreathq.linalg import Mat, rank
+from wreathq.linalg import BlockBuilder, Mat, rank
 from wreathq.modules import (
     Params, WreathModule, build_induced_zero_e, build_outer_tensor,
     check_intertwiner, direct_sum, graph_automorphism_transport,
@@ -12,12 +13,12 @@ from wreathq.modules import (
 )
 from wreathq.quiver import Quiver, Weight, dual_reflection, simple_reflection, DimVector
 from wreathq.reflection import (
-    SinkCalculus, apply_functor_word, involution_witness, is_generic,
+    SinkCalculus, apply_functor_word, candidate_tuples, involution_witness, is_generic,
     is_generic_oracle, reflect_morphism, reflection_functor, sink_flips,
 )
 from wreathq.symmetric import Perm, YoungDiagram
 
-from conftest import make_params, mat, simple_at
+from conftest import BLOCK_MAP_CORPUS, make_params, mat, simple_at
 
 
 def sink_module(ahat1, dims=(1, 1), entries=None):
@@ -286,13 +287,93 @@ def test_reflection_over_cyclotomic_field(ahat1):
     assert wit.verified
 
 
-def test_pi_mu_wrappers_match_calculus(ahat1):
-    v = simple_at(ahat1, "1", {"0": 1, "1": 0})
-    from wreathq.reflection import mu_map, pi_map
-    out = reflection_functor(v, "0")
-    calc = out.calculus
-    assert pi_map(v, "0", ("0",), (1,), 1) == calc.pi(("0",), (1,), 1)
-    assert mu_map(v, "0", ("0",), (1,), 1) == calc.mu(("0",), (1,), 1)
+def test_calculus_reorients_any_module(ahat1):
+    # ahat1 has both edges leaving 0, so the calculus must flip them itself
+    params = make_params(ahat1, 2, {"0": 1, "1": Fraction(-1, 2)}, Fraction(1, 2))
+    v = build_induced_zero_e(params, [(YoungDiagram([2]), "1")])
+    calc = SinkCalculus(v, "0")
+    ref = reflection_functor(v, "0").calculus
+    assert calc.flips == ref.flips == sink_flips(ahat1, "0") == ("a", "b")
+    assert all(e.head == "0" for e in calc.quiver.edges)
+    checked = 0
+    for j in candidate_tuples(calc, include_interior=True):
+        delta = calc.delta(j)
+        for d in _subsets(delta):
+            for p in d:
+                assert calc.pi(j, d, p) == ref.pi(j, d, p)
+                assert calc.mu(j, d, p) == ref.mu(j, d, p)
+                checked += 1
+    assert checked
+
+
+def _subsets(delta):
+    for k in range(len(delta) + 1):
+        yield from itertools.combinations(delta, k)
+
+
+def _sigma_adjacent_reference(calc, j, d, m):
+    """(m, m+1) on V(j, D) placed block by block from the stored generators."""
+    g = Perm.adjacent(m, calc.n)
+    src = calc.space(j, d)
+    d2 = tuple(sorted(g(p) for p in d))
+    tgt = calc.space(g.act_tuple(j), d2)
+    bb = BlockBuilder(tgt.total, src.total, calc.order)
+    for k, xi in enumerate(src.xis):
+        moved = {g(p): r for p, r in zip(d, xi)}
+        k2 = tgt.index_of(tuple(moved[p] for p in d2))
+        bb.add_block(tgt.offsets[k2], src.offsets[k],
+                     calc.module.sn_matrix(m, src.t_tuples[k]))
+    return bb.build()
+
+
+def _sigma_chain_reference(calc, j, d, perm):
+    """A permutation on V(j, D) as the product of adjacent factors along its word."""
+    out = Mat.identity(calc.space(j, d).total, calc.order)
+    for k in reversed(perm.adjacent_word()):
+        out = _sigma_adjacent_reference(calc, j, d, k) @ out
+        g = Perm.adjacent(k, calc.n)
+        j = g.act_tuple(j)
+        d = tuple(sorted(g(p) for p in d))
+    return out
+
+
+def test_sigma_perm_matches_adjacent_chain(corpus):
+    checked = 0
+    for name, module in corpus:
+        if name not in BLOCK_MAP_CORPUS:
+            continue
+        for vertex in module.params.quiver.vertices:
+            calc = SinkCalculus(module, vertex)
+            perms = [Perm(img) for img in itertools.permutations(range(1, calc.n + 1))]
+            for j in candidate_tuples(calc, include_interior=True):
+                for d in _subsets(calc.delta(j)):
+                    for m in range(1, calc.n):
+                        assert calc.sigma_adjacent(j, d, m) == \
+                            _sigma_adjacent_reference(calc, j, d, m), (name, vertex, j, d, m)
+                    for perm in perms:
+                        assert calc.sigma_perm(j, d, perm) == \
+                            _sigma_chain_reference(calc, j, d, perm), (name, vertex, j, d, perm)
+                        checked += 1
+    assert checked > 100
+
+
+def test_tau_include_is_a_section_of_tau_project(corpus):
+    checked = 0
+    for name, module in corpus:
+        if name not in BLOCK_MAP_CORPUS:
+            continue
+        for vertex in module.params.quiver.vertices:
+            calc = SinkCalculus(module, vertex)
+            for j in candidate_tuples(calc, include_interior=True):
+                for d in _subsets(calc.delta(j)):
+                    for ell in d:
+                        for r_idx in range(len(calc.R)):
+                            proj = calc.tau_project(r_idx, ell, j, d)
+                            incl = calc.tau_include(r_idx, ell, j, d)
+                            assert proj @ incl == Mat.identity(proj.rows, calc.order), \
+                                (name, vertex, j, d, ell, r_idx)
+                            checked += 1
+    assert checked > 10
 
 
 def test_word_weyl_orbit_on_three_cycle(ahat2):
