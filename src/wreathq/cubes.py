@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .cyclotomic import Scalar
 from .errors import FormatError
-from .linalg import BlockBuilder, Mat, kernel_basis
+from .linalg import BlockBuilder, Mat, rank, rank_mod_p
 from .modules import WreathModule
 from .reflection import SinkCalculus, candidate_tuples
 from .symmetric import Perm, partitions
@@ -100,9 +100,22 @@ class ComplexTerm:
 
 
 class ChainComplex:
-    """Terms C^0 .. C^len(delta) with differentials checked to square to zero."""
+    """Terms C^0 .. C^len(delta) with differentials checked to square to zero.
+
+    The checks are exact and are made on construction: every differential
+    fits its terms and d_{r+1} d_r = 0, the certificate that
+    ``cohomology`` relies on.
+    """
 
     def __init__(self, terms: list[ComplexTerm], diffs: list[Mat], order: int):
+        if len(diffs) != len(terms) - 1:
+            raise FormatError(f"{len(terms)} terms need {len(terms) - 1} differentials")
+        for r, d in enumerate(diffs):
+            if (d.rows, d.cols) != (terms[r + 1].total, terms[r].total):
+                raise FormatError(f"differential d_{r} has the wrong shape")
+        for r in range(len(diffs) - 1):
+            if diffs[r + 1] @ diffs[r]:
+                raise FormatError(f"d_{r + 1} d_{r} is not zero")
         self.terms = terms
         self.diffs = diffs
         self.order = order
@@ -110,17 +123,15 @@ class ChainComplex:
     def dims(self) -> list[int]:
         return [t.total for t in self.terms]
 
-    def differential(self, r: int) -> Mat:
-        if 0 <= r < len(self.diffs):
-            return self.diffs[r]
-        rows = self.terms[r + 1].total if r + 1 < len(self.terms) else 0
-        cols = self.terms[r].total if 0 <= r < len(self.terms) else 0
-        return Mat.zeros(rows, cols, self.order)
-
 
 def complex_from_cube(cube: Cube) -> ChainComplex:
-    """The signed total complex of a commutative cube; d*d = 0 is verified."""
-    cube.validate()
+    """The signed total complex of a commutative cube.
+
+    The block of d_{r+1} d_r from J to J + p + q is the difference of
+    the two paths round the square at J, up to sign, so d^2 = 0 (checked
+    by ``ChainComplex``) holds exactly when every square commutes; only
+    a failed check walks the squares to name the one at fault.
+    """
     order = cube.order
     n = len(cube.delta)
     terms = []
@@ -151,38 +162,48 @@ def complex_from_cube(cube: Cube) -> ChainComplex:
                     block = -block
                 bb.add_block(tgt.offsets[tgt_index[bigger]], src.offsets[k], block)
         diffs.append(bb.build())
-    for r in range(n - 1):
-        if diffs[r + 1] @ diffs[r]:
-            raise AssertionError("differential does not square to zero")
-    return ChainComplex(terms, diffs, order)
+    try:
+        return ChainComplex(terms, diffs, order)
+    except FormatError:
+        cube.validate()
+        raise
 
 
 @dataclass(frozen=True)
 class CohomologyData:
     dims: tuple[int, ...]
-    h0_basis: Mat
 
     def __getitem__(self, r: int) -> int:
         return self.dims[r] if 0 <= r < len(self.dims) else 0
 
 
 def cohomology(cx: ChainComplex) -> CohomologyData:
-    """dim H^r = dim ker d_r - rank d_{r-1}; representatives kept in degree 0.
+    """dim H^r = dim C^r - rank d_r - rank d_{r-1}, with certified ranks.
 
-    One elimination per differential: rank d_r = cols - dim ker d_r.
+    The ranks come from ``rank_mod_p`` where they can be certified,
+    without exact elimination.  Write rho_r for the rank of d_r mod p
+    and R_r for its exact rank, so rho_r <= R_r.  Because d^2 = 0 (the
+    ``ChainComplex`` certificate), im d_{r-1} lies in ker d_r and
+    R_{r-1} + R_r <= dim C^r.  If the complex is exact mod p in degree
+    r >= 1, that is dim C^r = rho_{r-1} + rho_r, then
+    rho_{r-1} + rho_r <= R_{r-1} + R_r <= rho_{r-1} + rho_r, and with
+    rho <= R termwise both ranks are exact.  Going down from the top
+    degree, exactness mod p in every degree r >= 1 certifies every
+    rank; then H^r = 0 for r >= 1.  Otherwise (higher cohomology, an
+    unlucky p, or p dividing a denominator) every rank is computed by
+    exact elimination.
     """
-    dims = []
-    n = len(cx.terms)
-    prev_rank = 0
-    h0 = None
-    for r in range(n):
-        d = cx.differential(r)
-        ker = kernel_basis(d)
-        dims.append(ker.cols - prev_rank)
-        if r == 0:
-            h0 = ker
-        prev_rank = d.cols - ker.cols
-    return CohomologyData(tuple(dims), h0 if h0 is not None else Mat.zeros(0, 0, cx.order))
+    dims = cx.dims()
+    diffs = cx.diffs
+    ranks = [0] * len(dims)     # ranks[r] = rank d_r; the map out of the top is 0
+    for r in range(len(diffs) - 1, -1, -1):
+        got = rank_mod_p(diffs[r])
+        if got is None or got + ranks[r + 1] != dims[r + 1]:
+            ranks = [rank(d) for d in diffs] + [0]
+            break
+        ranks[r] = got
+    return CohomologyData(tuple(dims[r] - ranks[r] - (ranks[r - 1] if r else 0)
+                                for r in range(len(dims))))
 
 
 # ---------------------------------------------------------------------------

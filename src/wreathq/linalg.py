@@ -10,13 +10,19 @@ with their operands.
 Matrices with zero rows or zero columns are first-class citizens: they
 represent maps to or from the zero space and show up constantly in
 graded modules.
+
+``rank_mod_p`` gives a lower bound for the rank from the image of a
+matrix over a word-size prime field; callers that can bound the rank
+from above certify it without exact elimination.
 """
 
 from __future__ import annotations
 
 import heapq
+from functools import lru_cache
+from operator import mul
 
-from .cyclotomic import Scalar
+from .cyclotomic import Scalar, euler_phi
 from .errors import NotInSpanError, OrderMismatchError
 
 _new = object.__new__
@@ -398,6 +404,109 @@ def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
 
 def rank(a: Mat) -> int:
     return len(rref(a)[1])
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the bases 2, 3, 5, 7: deterministic below 3,215,031,751."""
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in (2, 3, 5, 7):
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _modulus(order: int) -> tuple[int, int]:
+    """The largest prime p < 2^31 with p = 1 (mod order), and a primitive
+    order-th root of unity g mod p (a root of Phi_order mod p)."""
+    p = (2 ** 31 - 2) // order * order + 1
+    while not _is_prime(p):
+        p -= order
+    factors = [q for q in range(2, order + 1) if order % q == 0 and _is_prime(q)]
+    h = 2
+    while True:
+        g = pow(h, (p - 1) // order, p)
+        if all(pow(g, order // q, p) != 1 for q in factors):
+            return p, g
+        h += 1
+
+
+def rank_mod_p(a: Mat) -> int | None:
+    """Rank of the image of ``a`` over F_p: never more than ``rank(a)``.
+
+    p and the image g of zeta come from ``_modulus``.  An entry
+    sum(num_i zeta^i) / den maps to sum(num_i g^i) * den^-1 mod p; this
+    is a ring homomorphism from Z[zeta][1/den] to F_p, so a minor that is
+    nonzero mod p is nonzero exactly.  Returns None if p divides a
+    denominator.  Forward elimination only, with the shortest-row pivot
+    of ``rref``, on rows of ``{col: int}``.
+    """
+    p, g = _modulus(a.order)
+    powers = [pow(g, i, p) for i in range(euler_phi(a.order))]
+    inverses = {1: 1}
+    buckets: dict[int, list] = {}
+    for row in a._rows:
+        out = {}
+        for c, x in row.items():
+            s = inverses.get(x.den)
+            if s is None:
+                if x.den % p == 0:
+                    return None
+                s = inverses[x.den] = pow(x.den, -1, p)
+            num = x.num
+            v = (num[0] if len(num) == 1 else sum(map(mul, num, powers))) * s % p
+            if v:
+                out[c] = v
+        if out:
+            buckets.setdefault(min(out), []).append(out)
+    leads = list(buckets)
+    heapq.heapify(leads)
+    found = 0
+    while leads:
+        c = heapq.heappop(leads)
+        bucket = buckets.pop(c)
+        found += 1
+        if len(bucket) == 1:
+            continue
+        k = min(range(len(bucket)), key=lambda t: len(bucket[t]))
+        piv = bucket.pop(k)
+        neg_inv = p - pow(piv.pop(c), -1, p)
+        for row in bucket:
+            f = row.pop(c) * neg_inv % p
+            for j, x in piv.items():
+                y = row.get(j)
+                if y is None:
+                    row[j] = f * x % p
+                else:
+                    y = (y + f * x) % p
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+            if row:
+                lead = min(row)
+                got = buckets.get(lead)
+                if got is None:
+                    buckets[lead] = [row]
+                    heapq.heappush(leads, lead)
+                else:
+                    got.append(row)
+    return found
 
 
 def kernel_basis(a: Mat) -> Mat:

@@ -294,10 +294,15 @@ def structural_report(mod: WreathModule) -> list[StructuralIssue]:
 
 
 def _chase(mod: WreathModule, j: tuple, word: Sequence[int]) -> Mat:
-    """Compose adjacent generators along tuples: rightmost letter acts first."""
-    out = Mat.identity(mod.dim(j), mod.order)
-    cur = j
-    for k in reversed(word):
+    """Compose adjacent generators along tuples: rightmost letter acts first.
+
+    The empty word gives the identity.
+    """
+    if not word:
+        return Mat.identity(mod.dim(j), mod.order)
+    out = mod.sn_matrix(word[-1], j)
+    cur = swap_tuple(j, word[-1])
+    for k in reversed(word[:-1]):
         out = mod.sn_matrix(k, cur) @ out
         cur = swap_tuple(cur, k)
     return out

@@ -235,7 +235,8 @@ def symmetrized_form(q: Quiver, alpha: DimVector, beta: DimVector) -> int:
     return ringel_form(q, alpha, beta) + ringel_form(q, beta, alpha)
 
 
-def _require_loop_free(q: Quiver, i: str):
+def require_loop_free(q: Quiver, i: str):
+    """Refuse an unknown vertex (FormatError) or one with an edge-loop (EdgeLoopError)."""
     if not q.has_vertex(i):
         raise FormatError(f"unknown vertex {i!r}")
     if q.has_loop_at(i):
@@ -244,14 +245,14 @@ def _require_loop_free(q: Quiver, i: str):
 
 def simple_reflection(q: Quiver, i: str, alpha: DimVector) -> DimVector:
     """s_i(alpha) = alpha - (alpha, eps_i) eps_i; defined at loop-free vertices."""
-    _require_loop_free(q, i)
+    require_loop_free(q, i)
     pairing = symmetrized_form(q, alpha, DimVector.unit(i))
     return alpha - DimVector.unit(i).scale(pairing)
 
 
 def dual_reflection(q: Quiver, i: str, lam: Weight) -> Weight:
     """(r_i lam)_j = lam_j - (eps_i, eps_j) lam_i; dual to s_i under the pairing."""
-    _require_loop_free(q, i)
+    require_loop_free(q, i)
     lam_i = lam[i]
     out = {}
     for j in q.vertices:
@@ -365,7 +366,7 @@ def validate_word(q: Quiver, lam: Weight, word: list[str]) -> WordValidation:
     cur = lam
     passed = True
     for letter in word:
-        _require_loop_free(q, letter)
+        require_loop_free(q, letter)
         pivot = cur[letter]
         ok = bool(pivot)
         passed = passed and ok

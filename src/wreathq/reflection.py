@@ -20,10 +20,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import EdgeLoopError, FormatError, NotGenericError, NotInSpanError
+from .errors import FormatError, NotGenericError, NotInSpanError
 from .linalg import BlockBuilder, Mat, intersect_kernels, rank, solve_in_span
 from .modules import Params, WreathModule, check_intertwiner, reorient_module, swap_tuple
-from .quiver import Quiver, dual_reflection, star_name
+from .quiver import Quiver, dual_reflection, require_loop_free, star_name
 from .symmetric import Perm, central_sum_invertible
 
 
@@ -61,8 +61,7 @@ def _assemble(tgt: BigSpace, src: BigSpace, blocks: Iterable[tuple[int, int, Mat
 
 def sink_flips(q: Quiver, vertex: str) -> tuple[str, ...]:
     """The base edges to reverse so that every edge at ``vertex`` points into it."""
-    if q.has_loop_at(vertex):
-        raise EdgeLoopError(f"vertex {vertex!r} carries an edge-loop")
+    require_loop_free(q, vertex)
     return tuple(e.name for e in q.edges if e.tail == vertex)
 
 
@@ -232,16 +231,18 @@ class SinkCalculus:
         j2[ell - 1] = self.vertex
         j2 = tuple(j2)
         d_ell = tuple(sorted(d + (ell,)))
+        # (mu pi - lambda_i + nu sum_m s_{m,ell}) tau_!, each term applied to
+        # tau_! alone: its image is the xi(ell) = r part of the top space
         incl = self.tau_include(r_index, ell, j2, d_ell)
-        top = self.space(j2, d_ell)
-        core = self.mu(j2, d_ell, ell) @ self.pi(j2, d_ell, ell)
-        core = core - Mat.identity(top.total, self.order).scaled(self.lam_i)
+        out = self.mu(j2, d_ell, ell) @ (self.pi(j2, d_ell, ell) @ incl)
+        out = out - incl.scaled(self.lam_i)
         if self.nu and d:
-            s_sum = Mat.zeros(top.total, top.total, self.order)
+            s_sum = Mat.zeros(incl.rows, incl.cols, self.order)
             for m in d:
-                s_sum = s_sum + self.sigma_perm(j2, d_ell, Perm.transposition(m, ell, self.n))
-            core = core + s_sum.scaled(self.nu)
-        return core @ incl
+                swap = self.sigma_perm(j2, d_ell, Perm.transposition(m, ell, self.n))
+                s_sum = s_sum + swap @ incl
+            out = out + s_sum.scaled(self.nu)
+        return out
 
 
 @dataclass(frozen=True)
@@ -256,8 +257,7 @@ class GenericityResult:
 
 def is_generic(params: Params, vertex: str) -> GenericityResult:
     """Closed form for the genericity locus: lambda_i +- p nu != 0, p < n."""
-    if params.quiver.has_loop_at(vertex):
-        raise EdgeLoopError(f"vertex {vertex!r} carries an edge-loop")
+    require_loop_free(params.quiver, vertex)
     lam_i = params.weight[vertex]
     for p in range(params.n):
         if not lam_i + params.nu * p:
@@ -269,8 +269,7 @@ def is_generic(params: Params, vertex: str) -> GenericityResult:
 
 def is_generic_oracle(params: Params, vertex: str) -> bool:
     """Group-algebra invertibility oracle for the same locus (r capped at 6)."""
-    if params.quiver.has_loop_at(vertex):
-        raise EdgeLoopError(f"vertex {vertex!r} carries an edge-loop")
+    require_loop_free(params.quiver, vertex)
     lam_i = params.weight[vertex]
     return all(central_sum_invertible(lam_i, params.nu, r)
                for r in range(1, min(params.n, 6) + 1))

@@ -371,13 +371,19 @@ MALFORMED = [
     ("conditions", _with(REQUEST, ["blocks", 0, "diagram"], [2.7]), 2),
     ("induce", [{"diagram": ["2"], "vertex": "1"}], 2),
     ("induce", [{"diagram": [], "vertex": "1"}], 2),
+    # a vertex the quiver does not have (the default is --vertex 0)
+    ("cohomology --vertex 9", S1_MODULE, 2),
+    ("euler --vertex 9", S1_MODULE, 2),
+    ("generic --vertex 9", PARAMS, 2),
 ]
 
 
 @pytest.mark.parametrize("command,doc,code", MALFORMED,
-                         ids=[f"{c}-{k}" for k, (c, _, _) in enumerate(MALFORMED)])
+                         ids=[f"{c.split()[0]}-{k}" for k, (c, _, _) in enumerate(MALFORMED)])
 def test_malformed_input_exits_with_one_error_line(files, capsys, tmp_path, command, doc, code):
     _, qp, _ = files
+    command, *vertex = command.split(" --vertex ")
+    vertex = vertex[0] if vertex else "0"
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     sra = tmp_path / "sra.json"
@@ -385,8 +391,10 @@ def test_malformed_input_exits_with_one_error_line(files, capsys, tmp_path, comm
     params = tmp_path / "params.json"
     params.write_text(json.dumps(PARAMS))
     argv = {
-        "generic": ["--quiver", qp, "--params", str(path), "--vertex", "0"],
+        "generic": ["--quiver", qp, "--params", str(path), "--vertex", vertex],
         "verify": ["--quiver", qp, "--module", str(path)],
+        "cohomology": ["--quiver", qp, "--module", str(path), "--vertex", vertex],
+        "euler": ["--quiver", qp, "--module", str(path), "--vertex", vertex],
         "translate": ["--gamma", str(path), "--sra", str(sra)],
         "conditions": ["--quiver", qp, "--request", str(path)],
         "induce": ["--quiver", qp, "--params", str(params), "--blocks", f"@{path}"],
@@ -395,6 +403,8 @@ def test_malformed_input_exits_with_one_error_line(files, capsys, tmp_path, comm
     assert got == code
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
+    if vertex != "0":
+        assert lines == [f"error: unknown vertex {vertex!r}"]
 
 
 def test_huge_cyclotomic_order_is_refused_at_once(files, capsys, tmp_path):

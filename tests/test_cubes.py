@@ -3,15 +3,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wreathq.cyclotomic import Scalar
+from wreathq import cubes
+from wreathq.cyclotomic import Scalar, euler_phi
 from wreathq.errors import FormatError
-from wreathq.linalg import Mat, hstack, rank, rref, solve_in_span
-from wreathq.modules import WreathModule, build_outer_tensor, module_character
-from wreathq.cubes import (
-    Cube, cohomology, complex_from_cube, cone_faces, euler_characteristic,
-    module_cohomology, module_cube,
+from wreathq.linalg import Mat, _modulus, hstack, rank, rref, solve_in_span
+from wreathq.modules import (
+    WreathModule, build_induced_zero_e, build_outer_tensor, module_character,
 )
+from wreathq.cubes import (
+    ChainComplex, ComplexTerm, Cube, cohomology, complex_from_cube, cone_faces,
+    euler_characteristic, module_cohomology, module_cube,
+)
+from wreathq.quiver import Quiver
 from wreathq.reflection import reflection_functor
 from wreathq.symmetric import Perm, YoungDiagram
 
@@ -47,33 +52,35 @@ def test_non_commuting_cube_rejected():
         complex_from_cube(Cube((1, 2), spaces, maps))
 
 
-def _random_invertible(rng, dim):
+def _random_invertible(rng, dim, order=1):
+    phi = euler_phi(order)
     while True:
-        p = Mat(dim, dim, [Scalar.rational(rng.randint(-2, 2)) for _ in range(dim * dim)])
+        p = Mat(dim, dim, [Scalar([rng.randint(-2, 2) for _ in range(phi)], order)
+                           for _ in range(dim * dim)], order)
         if rank(p) == dim:
             return p
 
 
 def _inverse(p):
-    red, piv = rref(hstack([p, Mat.identity(p.rows)]))
+    red, piv = rref(hstack([p, Mat.identity(p.rows, p.order)]))
     return Mat(p.rows, p.rows,
-               [red[r, p.rows + c] for r in range(p.rows) for c in range(p.rows)])
+               [red[r, p.rows + c] for r in range(p.rows) for c in range(p.rows)], p.order)
 
 
 def _column_space_basis(m):
     red, piv = rref(m.transpose())
     rows = [red.row(k) for k in range(len(piv))]
-    return Mat.from_rows(rows).transpose() if rows else Mat.zeros(m.rows, 0)
+    return Mat.from_rows(rows, m.order).transpose() if rows else Mat.zeros(m.rows, 0, m.order)
 
 
-def _idempotent_cube(rng, m, dim):
+def _idempotent_cube(rng, m, dim, order=1):
     """Random commuting idempotents (conjugated 0/1 diagonals), as an image cube."""
-    p = _random_invertible(rng, dim)
+    p = _random_invertible(rng, dim, order)
     pinv = _inverse(p)
     psis = []
     for _ in range(m):
         diag = Mat.from_rows([[1 if (r == c and rng.random() < 0.6) else 0
-                               for c in range(dim)] for r in range(dim)])
+                               for c in range(dim)] for r in range(dim)], order)
         psis.append(p @ diag @ pinv)
     for a in psis:
         assert a @ a == a
@@ -83,7 +90,7 @@ def _idempotent_cube(rng, m, dim):
     bases = {}
     for k in range(m + 1):
         for subset in itertools.combinations(delta, k):
-            cur = Mat.identity(dim)
+            cur = Mat.identity(dim, order)
             for q in subset:
                 cur = psis[q - 1] @ cur
             bases[subset] = _column_space_basis(cur)
@@ -96,7 +103,7 @@ def _idempotent_cube(rng, m, dim):
             bigger = tuple(sorted(subset + (q,)))
             image = psis[q - 1] @ bases[subset]
             maps[(subset, q)] = solve_in_span(bases[bigger], image)
-    return Cube(delta, spaces, maps)
+    return Cube(delta, spaces, maps, order)
 
 
 @pytest.mark.parametrize("m,dim,seed", [(1, 3, 1), (2, 3, 2), (2, 4, 3), (3, 4, 4)])
@@ -205,3 +212,99 @@ def test_euler_equals_alternating_cohomology_at_nonzero_nu(ahat1):
     for j, value in per.items():
         dims = coh.get(j, (0,))
         assert value == sum((-1) ** r * d for r, d in enumerate(dims)), j
+
+
+# -- certified modular ranks ----------------------------------------------------
+
+def _exact_dims(cx):
+    """dim C^r - rank d_r - rank d_{r-1} with every rank by exact elimination."""
+    ranks = [rank(d) for d in cx.diffs] + [0]
+    return tuple(t - ranks[r] - (ranks[r - 1] if r else 0) for r, t in enumerate(cx.dims()))
+
+
+def _counting_rank(monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append((a.rows, a.cols))
+        return rank(a)
+    monkeypatch.setattr(cubes, "rank", counted)
+    return calls
+
+
+def test_cohomology_matches_exact_ranks_on_the_corpus(corpus):
+    checked = 0
+    for name, module in corpus:
+        for vertex in module.params.quiver.vertices:
+            for j, cube in module_cube(module, vertex).cubes.items():
+                cx = complex_from_cube(cube)
+                assert cohomology(cx).dims == _exact_dims(cx), (name, vertex, j)
+                checked += 1
+    assert checked > 50
+
+
+CUBE_PROPS = settings(max_examples=25, deadline=None)
+
+
+@CUBE_PROPS
+@given(st.sampled_from((1, 3, 4)), st.integers(1, 3), st.integers(1, 4), st.integers(0, 10 ** 6))
+def test_cohomology_matches_exact_ranks_on_idempotent_cubes(order, m, dim, seed):
+    cx = complex_from_cube(_idempotent_cube(random.Random(seed), m, dim, order))
+    dims = cohomology(cx).dims
+    assert dims == _exact_dims(cx)
+    assert not any(dims[1:])
+
+
+@CUBE_PROPS
+@given(st.sampled_from((1, 3, 4)),
+       st.integers(0, 3).flatmap(lambda k: st.lists(st.integers(0, 3), min_size=2 ** k,
+                                                    max_size=2 ** k)))
+def test_cohomology_matches_exact_ranks_on_zero_map_cubes(order, sizes):
+    delta = tuple(range(1, len(sizes).bit_length()))
+    subsets = [s for k in range(len(delta) + 1) for s in itertools.combinations(delta, k)]
+    cx = complex_from_cube(Cube(delta, dict(zip(subsets, sizes)), {}, order))
+    assert cohomology(cx).dims == _exact_dims(cx) == tuple(cx.dims())
+
+
+@pytest.mark.parametrize("order", (1, 3))
+def test_unlucky_prime_falls_back_to_exact_ranks(order, monkeypatch):
+    calls = _counting_rank(monkeypatch)
+    p = _modulus(order)[0]
+    # an entry that vanishes mod p, and one with no image mod p
+    for entry in (p, Fraction(1, p)):
+        cube = Cube((1,), {(): 1, (1,): 1}, {((), 1): Mat.from_rows([[entry]], order)}, order)
+        assert cohomology(complex_from_cube(cube)).dims == (0, 0)
+    zero = Cube((1, 2), {(): 2, (1,): 2, (2,): 2, (1, 2): 2}, {}, order)
+    assert cohomology(complex_from_cube(zero)).dims == (2, 4, 2)
+    assert calls == [(1, 1), (1, 1), (4, 2), (2, 4)]
+
+
+def test_chain_complex_refuses_a_nonzero_square():
+    terms = [ComplexTerm(((),), (1,), (0,), 1)] * 3
+    one = Mat.identity(1)
+    ChainComplex(terms, [one, Mat.zeros(1, 1)], 1)
+    with pytest.raises(FormatError, match="not zero"):
+        ChainComplex(terms, [one, one], 1)
+    with pytest.raises(FormatError, match="wrong shape"):
+        ChainComplex(terms, [one, Mat.zeros(2, 1)], 1)
+    with pytest.raises(FormatError, match="differentials"):
+        ChainComplex(terms, [one], 1)
+    # a cube whose square does not commute is refused by name
+    spaces = {(): 1, (1,): 1, (2,): 1, (1, 2): 1}
+    maps = {((), 1): one, ((), 2): one, ((1,), 2): one, ((2,), 1): -one}
+    with pytest.raises(FormatError, match="does not commute"):
+        complex_from_cube(Cube((1, 2), spaces, maps))
+
+
+def test_kronecker_z3_cubes_need_no_exact_rank(monkeypatch):
+    kronecker = Quiver(["0", "1"], [("a", "0", "1"), ("b", "0", "1")])
+    params = make_params(kronecker, 4, {"0": Scalar.one(3) + Scalar.zeta(3), "1": 0},
+                         Fraction(1, 2), order=3)
+    v = build_induced_zero_e(params, [(YoungDiagram([2, 2]), "1")])
+    f = reflection_functor(v, "0").module
+    assert sum(f.support.values()) == 162
+    calls = _counting_rank(monkeypatch)
+    coh = module_cohomology(f, "0")
+    assert calls == []
+    assert sum(d[0] for d in coh.values()) == sum(v.support.values())
+    assert all(not any(dims[1:]) for dims in coh.values())

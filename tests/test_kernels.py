@@ -12,9 +12,11 @@ from fractions import Fraction
 import pytest
 
 from wreathq import kernels
-from wreathq.cyclotomic import Scalar, euler_phi
+from wreathq.cyclotomic import MAX_CYCLOTOMIC_ORDER, Scalar, cyclotomic_polynomial, euler_phi
 from wreathq.errors import NotInSpanError
-from wreathq.linalg import BlockBuilder, Mat, kernel_basis, kron, rref, solve_in_span
+from wreathq.linalg import (
+    BlockBuilder, Mat, _modulus, kernel_basis, kron, rank_mod_p, rref, solve_in_span,
+)
 
 ORDERS = [1, 3, 4, 5]
 
@@ -225,3 +227,44 @@ def test_partial_cancellation_keeps_no_zero(order):
     assert prod == expect and hash(prod) == hash(expect)
     assert prod.data == expect.data
     assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+
+
+# -- ranks mod p ---------------------------------------------------------------------
+
+def _small_primes(bound: int) -> list:
+    sieve = bytearray([1]) * (bound + 1)
+    sieve[:2] = b"\0\0"
+    for k in range(2, int(bound ** 0.5) + 1):
+        if sieve[k]:
+            sieve[k * k::k] = bytearray(len(sieve[k * k::k]))
+    return [k for k in range(bound + 1) if sieve[k]]
+
+
+def test_modulus_is_the_largest_prime_with_a_root_of_phi():
+    primes = _small_primes(46341)          # 46341^2 > 2^31
+
+    def is_prime(n):
+        return all(n % q for q in primes if q * q <= n)
+
+    for m in range(1, MAX_CYCLOTOMIC_ORDER + 1):
+        p, g = _modulus(m)
+        assert p < 2 ** 31 and p % m == 1 % m and is_prime(p), m
+        assert not any(is_prime(q) for q in range(p + m, 2 ** 31, m)), m
+        assert sum(c * pow(g, k, p) for k, c in enumerate(cyclotomic_polynomial(m))) % p == 0, m
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_rank_mod_p_matches_dense_reference(order):
+    rng = random.Random(500 + order)
+    for rows, cols in shapes(rng):
+        for a in (random_mat(rng, rows, cols, order), low_rank(rng, rows, cols, order)):
+            assert rank_mod_p(a) == len(ref_rref(dense(a), cols, order)[1])
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_rank_mod_p_sees_the_image_over_f_p(order):
+    p = _modulus(order)[0]
+    # p maps to 0, 1/p has no image; a rank-2 matrix that drops to rank 1 mod p
+    assert rank_mod_p(Mat.from_rows([[p]], order)) == 0
+    assert rank_mod_p(Mat.from_rows([[Fraction(1, p)]], order)) is None
+    assert rank_mod_p(Mat.from_rows([[1, 1], [1, 1 + p]], order)) == 1

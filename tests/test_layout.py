@@ -1,6 +1,8 @@
 """Source-layout rules that no other test exercises."""
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "wreathq"
@@ -31,3 +33,45 @@ def test_the_guard_sees_a_private_import(tmp_path):
     probe.write_text("from .linalg import Mat, _mat\nfrom wreathq.io import _int\n"
                      "from .errors import FormatError\n")
     assert _private_imports(probe) == ["probe.py:1: _mat", "probe.py:2: _int"]
+
+
+# -- the benchmark tracer's hooks ------------------------------------------------
+
+REPO = PACKAGE.parents[1]
+
+# the attributes perfbench/spans.py wraps besides SPANS and SCALAR_OPS
+TRACER_HOOKS = (("linalg", "Mat.data"), ("linalg", "Mat.zeros"), ("linalg", "Mat.identity"),
+                ("linalg", "BlockBuilder.__init__"), ("reflection", "BigSpace.__post_init__"))
+
+
+def _spans_module():
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  REPO / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _resolves(modname: str, attr: str) -> bool:
+    """The tracer takes methods from the class ``__dict__``, so inherited ones do not count."""
+    mod = importlib.import_module("wreathq." + modname)
+    owner, _, name = attr.rpartition(".")
+    if owner:
+        cls = getattr(mod, owner, None)
+        return cls is not None and name in vars(cls)
+    return callable(getattr(mod, name, None))
+
+
+def test_every_traced_name_resolves():
+    spans = _spans_module()
+    wanted = [(mod, attr) for mod, attr, _ in spans.SPANS] + list(TRACER_HOOKS)
+    wanted += [("cyclotomic", f"Scalar.{a}") for attrs in spans.SCALAR_OPS.values() for a in attrs]
+    missing = [f"{mod}.{attr}" for mod, attr in wanted if not _resolves(mod, attr)]
+    assert missing == []
+
+
+def test_the_hook_check_sees_a_missing_name():
+    assert not _resolves("cubes", "kernel_basis")
+    assert not _resolves("linalg", "Mat.no_such_method")
+    assert not _resolves("linalg", "NoSuchClass.__init__")
+    assert _resolves("linalg", "Mat.__matmul__") and _resolves("cubes", "cohomology")

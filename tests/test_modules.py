@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from wreathq.modules import (
     structural_report, swap_tuple, verify_relations,
 )
 from wreathq.quiver import Weight
+from wreathq.reflection import reflection_functor
 from wreathq.symmetric import Perm, YoungDiagram
 
 from conftest import make_params, mat, simple_at
@@ -288,3 +290,21 @@ def test_outer_tensor_with_sign_block(ahat1):
     assert sorted(m.support) == [("0", "0", "1"), ("0", "1", "0"), ("1", "0", "0")]
     assert m.sn_matrix(1, ("0", "0", "1")) == -Mat.identity(1)
     assert verify_relations(m).passed
+
+
+def test_perm_matrix_is_a_homomorphism(corpus):
+    # the reflected n = 3 module mixes vertices within a tuple, so words of
+    # two or more letters pass through different tuples
+    mixed = reflection_functor(dict(corpus)["a1.ind-n3"], "0").module
+    checked = 0
+    for name, module in corpus + [("F0 a1.ind-n3", mixed)]:
+        perms = [Perm(img) for img in itertools.permutations(range(1, module.n + 1))]
+        for j in module.support:
+            assert module.perm_matrix(perms[0], j) == Mat.identity(module.dim(j), module.order)
+            for sigma in perms:
+                for tau in perms:
+                    assert module.perm_matrix(sigma.compose(tau), j) == \
+                        module.perm_matrix(sigma, tau.act_tuple(j)) @ module.perm_matrix(tau, j), \
+                        (name, j, sigma, tau)
+                    checked += 1
+    assert checked > 100

@@ -401,3 +401,36 @@ def test_reflection_commutes_with_partial_reorientation(ahat1):
     assert out_direct.module.support == out_flipped.module.support
     assert out_direct.module.params.weight == out_flipped.module.params.weight
     assert verify_relations(out_flipped.module).passed
+
+
+def _theta_reference(calc, r_idx, ell, j, d):
+    """theta as (mu pi - lambda_i 1 + nu sum_m s_{m,ell}) on the whole top space, then tau_!."""
+    j2 = j[:ell - 1] + (calc.vertex,) + j[ell:]
+    d_ell = tuple(sorted(d + (ell,)))
+    top = calc.space(j2, d_ell).total
+    core = calc.mu(j2, d_ell, ell) @ calc.pi(j2, d_ell, ell)
+    core = core - Mat.identity(top, calc.order).scaled(calc.lam_i)
+    for m in d:
+        core = core + calc.sigma_perm(j2, d_ell, Perm.transposition(m, ell, calc.n)) \
+            .scaled(calc.nu)
+    return core @ calc.tau_include(r_idx, ell, j2, d_ell)
+
+
+def test_theta_matches_the_top_space_formula(corpus):
+    checked = 0
+    for name, module in corpus:
+        if name not in BLOCK_MAP_CORPUS:
+            continue
+        for vertex in module.params.quiver.vertices:
+            calc = SinkCalculus(module, vertex)
+            for j in candidate_tuples(calc, include_interior=True):
+                for d in _subsets(calc.delta(j)):
+                    for ell in range(1, calc.n + 1):
+                        for r_idx, edge in enumerate(calc.R):
+                            if ell in d or j[ell - 1] != edge.tail:
+                                continue
+                            assert calc.theta(r_idx, ell, j, d) == \
+                                _theta_reference(calc, r_idx, ell, j, d), \
+                                (name, vertex, j, d, ell, r_idx)
+                            checked += 1
+    assert checked > 50
