@@ -21,7 +21,7 @@ from . import io
 from .cubes import euler_characteristic, module_cohomology
 from .modules import build_induced_zero_e, verify_relations
 from .quiver import validate_word
-from .reflection import apply_functor_word, is_generic, reflection_functor
+from .reflection import apply_functor_word, is_generic
 from .sra import deformability_report, recover_sra, translate_params
 
 EXIT_OK = 0

@@ -217,25 +217,32 @@ class ModuleCubes:
     calculus: SinkCalculus
     cubes: dict          # tuple -> Cube
 
-    def tuples(self):
-        return sorted(self.cubes)
+
+def _levels(delta: tuple):
+    """(J, Delta - J) for every subset J of Delta, in cube order."""
+    for subset in _subsets(delta):
+        yield subset, tuple(p for p in delta if p not in subset)
+
+
+def _complex_tuples(calc: SinkCalculus) -> list[tuple]:
+    """The candidate tuples j at which some level V(j, D) is nonzero, sorted."""
+    return [j for j in candidate_tuples(calc, include_interior=True)
+            if any(calc.space(j, level).total for _, level in _levels(calc.delta(j)))]
 
 
 def module_cube(module: WreathModule, vertex: str) -> ModuleCubes:
     """Z_j(J) = V(j, Delta(j) - J) with the pi maps as structure maps."""
     calc = SinkCalculus(module, vertex)
     cubes = {}
-    for j in candidate_tuples(calc, include_interior=True):
+    for j in _complex_tuples(calc):
         delta = calc.delta(j)
         spaces = {}
         maps = {}
-        for subset in _subsets(delta):
-            level = tuple(p for p in delta if p not in subset)
+        for subset, level in _levels(delta):
             spaces[subset] = calc.space(j, level).total
             for p in level:
                 maps[(subset, p)] = calc.pi(j, level, p)
-        if spaces[()] or any(spaces.values()):
-            cubes[j] = Cube(delta, spaces, maps, module.order)
+        cubes[j] = Cube(delta, spaces, maps, module.order)
     return ModuleCubes(calc, cubes)
 
 
@@ -269,15 +276,13 @@ def euler_characteristic(module: WreathModule, vertex: str) -> EulerReport:
     determinant index; at nu = 0 with invertible weight at the vertex
     this reproduces the dimensions and character of the reflected module.
     """
-    mc = module_cube(module, vertex)
-    calc = mc.calculus
+    calc = SinkCalculus(module, vertex)
+    tuples = _complex_tuples(calc)
     n = module.n
     per_tuple = []
-    for j in mc.tuples():
-        delta = calc.delta(j)
+    for j in tuples:
         total = 0
-        for subset in _subsets(delta):
-            level = tuple(p for p in delta if p not in subset)
+        for subset, level in _levels(calc.delta(j)):
             total += (-1) ** len(subset) * calc.space(j, level).total
         per_tuple.append((j, total))
 
@@ -285,14 +290,12 @@ def euler_characteristic(module: WreathModule, vertex: str) -> EulerReport:
     for parts in partitions(n):
         sigma = Perm.from_cycle_type(parts, n)
         value = Scalar.zero(module.order)
-        for j in mc.tuples():
+        for j in tuples:
             if sigma.act_tuple(j) != j:
                 continue
-            delta = calc.delta(j)
-            for subset in _subsets(delta):
+            for subset, level in _levels(calc.delta(j)):
                 if tuple(sorted(sigma(p) for p in subset)) != subset:
                     continue
-                level = tuple(p for p in delta if p not in subset)
                 # sigma fixes j and the level, so it acts on V(j, level) itself
                 tr = calc.sigma_perm(j, level, sigma).trace()
                 det_sign = _restricted_sign(sigma, subset)

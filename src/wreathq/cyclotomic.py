@@ -193,13 +193,6 @@ class Scalar:
             return Scalar.rational(other, self.order)
         return None
 
-    def embed(self, order: int) -> "Scalar":
-        """Explicitly view a rational scalar inside Q(zeta_order)."""
-        if order == self.order:
-            return self
-        q = self.as_fraction()
-        return Scalar.rational(q, order)
-
     # -- predicates --------------------------------------------------
     def __bool__(self) -> bool:
         return any(self.num)

@@ -161,7 +161,9 @@ def parse_module(doc: Any, quiver: Quiver) -> WreathModule:
         _require(len(j) == params.n, f"support tuple {j} has length != n")
         for v in j:
             _require(quiver.has_vertex(v), f"support tuple uses unknown vertex {v!r}")
-        support[j] = _int(item["dim"], "dim")
+        d = _int(item["dim"], "dim")
+        _require(d >= 0, f"dim must be non-negative, got {d}")
+        support[j] = d
 
     def dim(j):
         return support.get(j, 0)

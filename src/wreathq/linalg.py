@@ -263,13 +263,6 @@ class Mat:
                 t = t + x
         return t
 
-    def with_order(self, order: int) -> "Mat":
-        """Explicitly embed a rational matrix into Q(zeta_order)."""
-        if order == self.order:
-            return self
-        return _mat(self.rows, self.cols,
-                    [{c: x.embed(order) for c, x in row.items()} for row in self._rows], order)
-
 
 def hstack(mats: list[Mat]) -> Mat:
     rows = mats[0].rows

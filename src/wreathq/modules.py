@@ -11,14 +11,15 @@ tensors of one-particle modules at nu = 0).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .cyclotomic import Scalar
-from .errors import FormatError, StructureError
+from .errors import FormatError
 from .linalg import BlockBuilder, Mat, kron, rank
 from .quiver import Edge, Quiver, Weight, star_name
-from .symmetric import Perm, RepMatrices, YoungCosetAction, YoungDiagram, seminormal_rep
+from .symmetric import Perm, YoungCosetAction, YoungDiagram, seminormal_rep
 
 
 @dataclass(frozen=True)
@@ -128,20 +129,6 @@ class WreathModule:
         if out is None:
             out = self._perm_cache[key] = _chase(self, j, p.adjacent_word())
         return out
-
-    def extended_support(self) -> list[tuple]:
-        """Support plus every tuple one edge step or one swap away."""
-        q = self.params.quiver
-        seen = set(self.support)
-        for j in list(self.support):
-            for pos in range(1, self.n + 1):
-                for e in q.out_edges(j[pos - 1]):
-                    out = list(j)
-                    out[pos - 1] = e.head
-                    seen.add(tuple(out))
-            for m in range(1, self.n):
-                seen.add(swap_tuple(j, m))
-        return sorted(seen)
 
     def canonical_key(self):
         edges = tuple(sorted(
@@ -311,10 +298,11 @@ def _chase(mod: WreathModule, j: tuple, word: Sequence[int]) -> Mat:
 def verify_relations(mod: WreathModule) -> VerifyReport:
     """Check the two defining relation families as exact matrix identities.
 
-    Relations are evaluated on the extended support; on tuples of
-    dimension zero they hold vacuously (empty matrices), so omitting
-    tuples can never hide a failure.  Structural problems short-circuit
-    the relation checks.
+    Every relation instance at a tuple j is an identity of maps out of
+    V_j, so at a tuple of dimension zero it holds vacuously (its matrices
+    have no columns).  Relations are therefore evaluated on the support
+    alone, and omitting the other tuples can never hide a failure.
+    Structural problems short-circuit the relation checks.
     """
     structural = structural_report(mod)
     if structural:
@@ -326,7 +314,7 @@ def verify_relations(mod: WreathModule) -> VerifyReport:
     n = mod.n
     failures: list[RelationFailure] = []
 
-    for j in mod.extended_support():
+    for j in mod.tuples():
         d = mod.dim(j)
         for ell in range(1, n + 1):
             v = j[ell - 1]
@@ -380,71 +368,19 @@ def point_module(params: Params, vertex: str) -> WreathModule:
     return WreathModule(params, {(vertex,): 1}, {}, {})
 
 
-def _prod(xs: Iterable[int]) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
-
-
 def _tensor_place_matrix(h: Perm, src_dims: Sequence[int], order: int) -> Mat:
     """Plain (sign-free) permutation of tensor factors: slot s receives slot h^{-1}(s)."""
     hinv = h.inverse()
-    nslots = len(src_dims)
-    dst_dims = [src_dims[hinv(s) - 1] for s in range(1, nslots + 1)]
-    total = _prod(src_dims)
+    moved = [hinv(s) - 1 for s in range(1, len(src_dims) + 1)]
+    total = math.prod(src_dims)
     bb = BlockBuilder(total, total, order)
     one = Scalar.one(order)
-    for src in itertools.product(*[range(d) for d in src_dims]):
-        dst = tuple(src[hinv(s) - 1] for s in range(1, nslots + 1))
+    for col, src in enumerate(itertools.product(*map(range, src_dims))):
         row = 0
-        for s in range(nslots):
-            row = row * dst_dims[s] + dst[s]
-        col = 0
-        for s in range(nslots):
-            col = col * src_dims[s] + src[s]
+        for k in moved:
+            row = row * src_dims[k] + src[k]
         bb.add_entry(row, col, one)
     return bb.build()
-
-
-class _InducedLayout:
-    """Basis bookkeeping for modules induced from a Young subgroup.
-
-    Basis order at a tuple j: coset-major; inside a coset, the slot
-    tensor factors row-major (slot 1 slowest) and the S_{n-bar}
-    representation factor fastest.
-    """
-
-    def __init__(self, params: Params, sizes, modules, reps):
-        self.params = params
-        self.sizes = tuple(sizes)
-        self.modules = tuple(modules)
-        self.reps = tuple(reps)
-        self.action = YoungCosetAction(params.n, self.sizes)
-        self.block_of = []
-        for bi, s in enumerate(self.sizes):
-            self.block_of += [bi] * s
-        self.dim_x = _prod(r.dim for r in self.reps)
-
-    def slot_dims(self, coset: int, j: tuple) -> list[int]:
-        sigma = self.action.cosets[coset]
-        return [self.modules[self.block_of[s - 1]].dim((j[sigma(s) - 1],))
-                for s in range(1, self.params.n + 1)]
-
-    def coset_dim(self, coset: int, j: tuple) -> int:
-        return _prod(self.slot_dims(coset, j)) * self.dim_x
-
-    def offsets(self, j: tuple) -> list[int]:
-        offs = [0]
-        for c in range(len(self.action.cosets)):
-            offs.append(offs[-1] + self.coset_dim(c, j))
-        return offs
-
-    def rho_x(self, parts: list[Perm]) -> Mat:
-        out = Mat.identity(1, self.params.order)
-        for rep, hpart in zip(self.reps, parts):
-            out = kron(out, rep.matrix_of(hpart))
-        return out
 
 
 def induced_module(params: Params,
@@ -455,108 +391,92 @@ def induced_module(params: Params,
     X_l of S_{n_l}).  The S_n action permutes tensor slots plainly (no
     Koszul signs) twisted by the seminormal representations of the X_l;
     edge actions act in a single slot.  No relations are verified here.
+
+    Basis order at a tuple j: coset-major; inside a coset sigma, the slot
+    tensor factors row-major (slot 1 slowest, slot s graded by the vertex
+    j_{sigma(s)}) and the X factor fastest.
     """
     n, order = params.n, params.order
     sizes = [b[0] for b in blocks]
     if sum(sizes) != n:
         raise FormatError(f"block multiplicities {sizes} do not sum to n = {n}")
-    modules = [b[1] for b in blocks]
-    for y in modules:
+    for size, y, diagram in blocks:
         if y.params.n != 1:
             raise FormatError("block modules must have n = 1")
         if y.params.quiver != params.quiver:
             raise FormatError("block modules must live over the same quiver")
         if y.order != order:
             raise FormatError("block modules must share the cyclotomic order")
-    reps = [seminormal_rep(b[2], order) for b in blocks]
-    for size, rep, b in zip(sizes, reps, blocks):
-        if b[2].size != size:
-            raise FormatError(f"diagram {b[2]} is not a partition of the block size {size}")
-    lay = _InducedLayout(params, sizes, modules, reps)
+        if diagram.size != size:
+            raise FormatError(f"diagram {diagram} is not a partition of the block size {size}")
+    reps = [seminormal_rep(diagram, order) for _, _, diagram in blocks]
+    dim_x = math.prod(r.dim for r in reps)
+    slot_modules = [y for size, y, _ in blocks for _ in range(size)]
+    action = YoungCosetAction(n, sizes)
+    cosets = action.cosets
 
-    # enumerate the support: images of block-graded tuples under the cosets
+    # per tuple of the support, per coset: (offset, slot dims), or None for an empty coset
+    layout: dict[tuple, list] = {}
     support: dict[tuple, int] = {}
-    per_block_vertices = [sorted({j[0] for j in y.support}) for y in modules]
-    for c, sigma in enumerate(lay.action.cosets):
-        slot_choices = [per_block_vertices[lay.block_of[s]] for s in range(n)]
-        for v in itertools.product(*slot_choices):
+    slot_vertices = [sorted(j[0] for j in y.support) for y in slot_modules]
+    for sigma in cosets:
+        for v in itertools.product(*slot_vertices):
             j = sigma.act_tuple(v)
-            d = lay.coset_dim(c, j)
-            if d:
-                support[j] = support.get(j, 0) + 0  # placeholder, recomputed below
-    for j in list(support):
-        support[j] = sum(lay.coset_dim(c, j) for c in range(len(lay.action.cosets)))
+            if j in layout:
+                continue
+            layout[j], offset = [], 0
+            for tau in cosets:
+                dims = [y.dim((j[tau(s) - 1],)) for s, y in enumerate(slot_modules, 1)]
+                size = math.prod(dims) * dim_x
+                layout[j].append((offset, dims) if size else None)
+                offset += size
+            support[j] = offset
+
+    # (c', h, rho_X(h)) with s_m sigma_c = sigma_c' h, per m and coset c
+    moves = {}
+    for m in range(1, n):
+        g = Perm.adjacent(m, n)
+        for c in range(len(cosets)):
+            c2, h, parts = action.factor(g, c)
+            rho = Mat.identity(1, order)
+            for rep, part in zip(reps, parts):
+                rho = kron(rho, rep.matrix_of(part))
+            moves[m, c] = (c2, h, rho)
 
     edge_actions = {}
-    q = params.quiver
-    ncos = len(lay.action.cosets)
-    for j in support:
-        offs_src = lay.offsets(j)
+    slot_of = [sigma.inverse() for sigma in cosets]
+    for j, here in layout.items():
         for pos in range(1, n + 1):
-            for e in q.out_edges(j[pos - 1]):
-                j2 = list(j)
-                j2[pos - 1] = e.head
-                j2 = tuple(j2)
-                if j2 not in support:
-                    # target pieces all vanish; the action is zero
-                    continue
-                offs_tgt = lay.offsets(j2)
-                total_r, total_c = support.get(j2, 0), support[j]
-                blockmats = []
-                for c in range(ncos):
-                    src_dims = lay.slot_dims(c, j)
-                    tgt_dims = lay.slot_dims(c, j2)
-                    if _prod(src_dims) == 0 or _prod(tgt_dims) == 0:
+            for e in params.quiver.out_edges(j[pos - 1]):
+                j2 = j[:pos - 1] + (e.head,) + j[pos:]
+                if j2 not in layout:
+                    continue    # every target coset is empty
+                bb = BlockBuilder(support[j2], support[j], order)
+                for src, tgt, sinv in zip(here, layout[j2], slot_of):
+                    if src is None:
                         continue
-                    sigma = lay.action.cosets[c]
-                    slot = sigma.inverse()(pos)
-                    y = lay.modules[lay.block_of[slot - 1]]
-                    m_slot = y.edge_matrix(e.name, 1, (j[pos - 1],))
-                    if not m_slot:
-                        continue
-                    block = Mat.identity(1, order)
-                    for s in range(1, n + 1):
-                        block = kron(block, m_slot if s == slot
-                                     else Mat.identity(src_dims[s - 1], order))
-                    block = kron(block, Mat.identity(lay.dim_x, order))
-                    blockmats.append((offs_tgt[c], offs_src[c], block))
-                if blockmats:
-                    bb = BlockBuilder(total_r, total_c, order)
-                    for r0, c0, blk in blockmats:
-                        bb.add_block(r0, c0, blk)
-                    edge_actions[(e.name, pos, j)] = bb.build()
+                    slot = sinv(pos)
+                    a = slot_modules[slot - 1].edge_matrix(e.name, 1, (j[pos - 1],))
+                    if a:
+                        offset, dims = src
+                        left = Mat.identity(math.prod(dims[:slot - 1]), order)
+                        right = Mat.identity(math.prod(dims[slot:]) * dim_x, order)
+                        bb.add_block(tgt[0], offset, kron(kron(left, a), right))
+                edge_actions[(e.name, pos, j)] = bb.build()
 
     sn_actions = {}
-    for j in support:
-        offs_src = lay.offsets(j)
+    for j, here in layout.items():
         for m in range(1, n):
             j2 = swap_tuple(j, m)
-            offs_tgt = lay.offsets(j2)
-            total_r, total_c = support.get(j2, 0), support[j]
-            if total_r == 0:
-                continue
-            g = Perm.adjacent(m, n)
-            bb = BlockBuilder(total_r, total_c, order)
-            for c in range(ncos):
-                src_dims = lay.slot_dims(c, j)
-                if _prod(src_dims) == 0:
-                    continue
-                c2, _, parts = lay.action.factor(g, c)
-                place = _tensor_place_matrix(_young_embed(parts, lay), src_dims, order)
-                bb.add_block(offs_tgt[c2], offs_src[c], kron(place, lay.rho_x(parts)))
+            bb = BlockBuilder(support[j2], support[j], order)
+            for c, src in enumerate(here):
+                if src is not None:
+                    c2, h, rho = moves[m, c]
+                    place = _tensor_place_matrix(h, src[1], order)
+                    bb.add_block(layout[j2][c2][0], src[0], kron(place, rho))
             sn_actions[(m, j)] = bb.build()
 
     return WreathModule(params, support, edge_actions, sn_actions)
-
-
-def _young_embed(parts: list[Perm], lay: _InducedLayout) -> Perm:
-    """Assemble block permutations into one permutation of all n positions."""
-    img = []
-    off = 0
-    for size, part in zip(lay.sizes, parts):
-        img.extend(part(t + 1) + off for t in range(size))
-        off += size
-    return Perm(img)
 
 
 def build_induced_zero_e(params: Params,

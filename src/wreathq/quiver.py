@@ -6,6 +6,7 @@ order, so all outputs are deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
@@ -313,26 +314,15 @@ def affine_data(q: Quiver) -> Optional[DimVector]:
     if ker.cols != 1:
         return None
     vals = [ker[r, 0].as_fraction() for r in range(ker.rows)]
-    lcm = 1
-    for v in vals:
-        if v:
-            lcm = lcm * v.denominator // _gcd(lcm, v.denominator)
-    ints = [int(v * lcm) for v in vals]
-    g = 0
-    for x in ints:
-        g = _gcd(g, abs(x))
+    den = math.lcm(*(v.denominator for v in vals))
+    ints = [int(v * den) for v in vals]
+    g = math.gcd(*ints)
     ints = [x // g for x in ints]
     if all(x < 0 for x in ints):
         ints = [-x for x in ints]
     if any(x <= 0 for x in ints):
         return None
     return DimVector.make(dict(zip(q.vertices, ints)))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -281,14 +281,13 @@ class ReflectionOutput:
 
     ``embeddings[j]`` is the basis of the new graded piece inside the top
     space V(j, Delta(j)) of the sink form; ``calculus`` exposes the
-    underlying block maps (sink form throughout), and ``flips`` are the
-    edges it reversed.
+    underlying block maps (sink form throughout; ``calculus.flips`` are
+    the edges it reversed).
     """
 
     module: WreathModule
     embeddings: dict
     calculus: SinkCalculus
-    flips: tuple[str, ...]
 
     def dims(self) -> dict:
         return dict(self.module.support)
@@ -383,12 +382,10 @@ def reflection_functor(module: WreathModule, vertex: str) -> ReflectionOutput:
 
     sink_result = WreathModule(sink_params, support, edge_actions, sn_actions)
     result = reorient_module(sink_result, calc.flips, inverse=True)
-    return ReflectionOutput(result, embeddings, calc, calc.flips)
+    return ReflectionOutput(result, embeddings, calc)
 
 
-def reflect_morphism(src: WreathModule, dst: WreathModule, maps: dict, vertex: str,
-                     out_src: Optional[ReflectionOutput] = None,
-                     out_dst: Optional[ReflectionOutput] = None) -> dict:
+def reflect_morphism(src: WreathModule, dst: WreathModule, maps: dict, vertex: str) -> dict:
     """Apply the functor to a morphism given as per-tuple matrices.
 
     The image maps are the block-diagonal sums of the original maps over
@@ -397,8 +394,8 @@ def reflect_morphism(src: WreathModule, dst: WreathModule, maps: dict, vertex: s
     """
     if not check_intertwiner(src, dst, maps, require_bijective=False):
         raise FormatError("the given maps do not intertwine the module actions")
-    out_src = out_src or reflection_functor(src, vertex)
-    out_dst = out_dst or reflection_functor(dst, vertex)
+    out_src = reflection_functor(src, vertex)
+    out_dst = reflection_functor(dst, vertex)
     calc_s, calc_d = out_src.calculus, out_dst.calculus
     order = src.order
 

@@ -330,11 +330,6 @@ class RepMatrices:
     def character(self, p: Perm) -> Scalar:
         return self.matrix_of(p).trace()
 
-    def with_order(self, order: int) -> "RepMatrices":
-        if order == self.order:
-            return self
-        return RepMatrices(self.n, [g.with_order(order) for g in self.gens], order)
-
 
 def seminormal_rep(mu: YoungDiagram, order: int = 1) -> RepMatrices:
     """Young's seminormal form of the irreducible representation for mu.

@@ -375,6 +375,9 @@ MALFORMED = [
     ("cohomology --vertex 9", S1_MODULE, 2),
     ("euler --vertex 9", S1_MODULE, 2),
     ("generic --vertex 9", PARAMS, 2),
+    # a negative support dimension
+    ("verify", _with(S1_MODULE, ["support", 0, "dim"], -2), 2),
+    ("cohomology", _with(S1_MODULE, ["support", 0, "dim"], -2), 2),
 ]
 
 

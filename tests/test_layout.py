@@ -75,3 +75,51 @@ def test_the_hook_check_sees_a_missing_name():
     assert not _resolves("linalg", "Mat.no_such_method")
     assert not _resolves("linalg", "NoSuchClass.__init__")
     assert _resolves("linalg", "Mat.__matmul__") and _resolves("cubes", "cohomology")
+
+
+# -- unused imports ----------------------------------------------------------------
+
+def _unused_imports(path: pathlib.Path) -> list[str]:
+    """Names an import binds in one file that nothing in the file reads.
+
+    Quoted annotations count as reads; ``from __future__`` imports do not bind.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bound: dict[str, int] = {}
+    used: set[str] = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+    for node in (n for a in annotations if a is not None for n in ast.walk(a)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            quoted = ast.parse(node.value, mode="eval")
+            used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return [f"{path.name}:{line}: {name}" for name, line in sorted(bound.items(), key=lambda kv: kv[1])
+            if name not in used]
+
+
+def test_no_unused_imports():
+    # __init__.py imports only to re-export
+    files = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert files
+    offenders = [line for path in files for line in _unused_imports(path)]
+    assert offenders == []
+
+
+def test_the_guard_sees_an_unused_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from __future__ import annotations\nimport os.path\nimport sys\n"
+                     "from .linalg import Mat, rank\nfrom .errors import FormatError as FE\n"
+                     "def f(x: 'Mat') -> int:\n    return sys.maxsize + len('rank')\n")
+    assert _unused_imports(probe) == ["probe.py:2: os", "probe.py:4: rank", "probe.py:5: FE"]

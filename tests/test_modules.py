@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from wreathq.quiver import Weight
 from wreathq.reflection import reflection_functor
 from wreathq.symmetric import Perm, YoungDiagram
 
-from conftest import make_params, mat, simple_at
+from conftest import AHAT1, AHAT2, make_params, mat, simple_at
 
 
 def test_s1_passes(ahat1):
@@ -308,3 +309,96 @@ def test_perm_matrix_is_a_homomorphism(corpus):
                         (name, j, sigma, tau)
                     checked += 1
     assert checked > 100
+
+
+# -- golden digests of induced modules ---------------------------------------------
+#
+# sha256 of repr(canonical_key()) for induced modules over the Kronecker
+# quiver and affine A2 (orders 1 and 3, n <= 5, one to three blocks, outer
+# tensors of blocks with two or three dimensions under trivial and sign
+# diagrams).  The digests were recorded from the builder as it stood before
+# its one-pass rewrite; any change to the induced basis order or to a matrix
+# entry changes a digest.
+
+def _golden_params(quiver, n, order):
+    lam = {v: Scalar.rational(Fraction(k + 1, 3), order) for k, v in enumerate(quiver.vertices)}
+    return make_params(quiver, n, lam, 0, order)
+
+
+def _golden_simple(quiver, vertex, order):
+    return point_module(_golden_params(quiver, 1, order), vertex)
+
+
+def _golden_reflected(quiver, vertex, order):
+    """F_0 of the simple at ``vertex``: dims (2, 1) on the Kronecker quiver, (1, 1) on A2."""
+    return reflection_functor(_golden_simple(quiver, vertex, order), "0").module
+
+
+def _golden_module(name):
+    """Build the module of a ``GOLDEN_INDUCED`` row.
+
+    A block ``(diagram, vertex)`` induces from the point module at the
+    vertex with zero edge action; ``(diagram, maker, vertex)`` builds the
+    outer tensor of the one-particle module ``maker`` makes at the vertex.
+    """
+    quiver, n, order, blocks, _ = GOLDEN_INDUCED[name]
+    params = _golden_params(quiver, n, order)
+    if len(blocks[0]) == 2:
+        return build_induced_zero_e(params, [(YoungDiagram(d), v) for d, v in blocks])
+    return build_outer_tensor(params, [(sum(d), make(quiver, v, order), YoungDiagram(d))
+                                       for d, make, v in blocks])
+
+
+_S, _F = _golden_simple, _golden_reflected
+
+GOLDEN_INDUCED = {
+    "a1.n2.triv": (
+        AHAT1, 2, 1, [([2], "1")],
+        "b0f620074cf636e8c43436bb7525b865014f8c5308772d0807f156faa908e816"),
+    "a1.n3.hook": (
+        AHAT1, 3, 1, [([2, 1], "1")],
+        "59e8811866a64db3f5d063006b34cf1b9dff4880e2a3447d816cc23d8ebf3f07"),
+    "a1.n4.z3": (
+        AHAT1, 4, 3, [([2, 2], "1")],
+        "959e813f635378d7239c3cc86f182863d6a55745469aa06ceb01862e115314ba"),
+    "a1.n5.two-blocks": (
+        AHAT1, 5, 1, [([2, 1], "0"), ([1, 1], "1")],
+        "41d0a2b6ae6caab1a5b821ce8d34a20398843272877ae13c4d0efd6ab52a50fe"),
+    "a2.n3.sign": (
+        AHAT2, 3, 1, [([1, 1, 1], "1")],
+        "080f56b474a1daecb6594cf07a0f9094e5e4927ff87abb2e72107e0cfad1732b"),
+    "a2.n3.three-blocks.z3": (
+        AHAT2, 3, 3, [([1], "0"), ([1], "1"), ([1], "2")],
+        "7163309e2ed19bea7540b57e4309e1e01f5571aa4de08bf50d2680acd58da96b"),
+    "a2.n4.two-blocks": (
+        AHAT2, 4, 1, [([2, 1], "0"), ([1], "2")],
+        "d9d53fb6545a871589abe9f0c9c77ec3acca08f8150d22302b178ac42cc72a4a"),
+    "a1.outer.n2.sign": (
+        AHAT1, 2, 1, [([1, 1], _F, "1")],
+        "e442f6e6ab666b884a720331eb81f30b37b42ac98e34cf404caae4f3e5c21d75"),
+    "a1.outer.n3.two-blocks": (
+        AHAT1, 3, 1, [([2], _F, "1"), ([1], _S, "0")],
+        "9585a30c2304e9ea1aa2ebddfc12ebd8aacb9b05e7244f509760a29e7386df48"),
+    "a1.outer.n3.z3": (
+        AHAT1, 3, 3, [([1, 1], _F, "1"), ([1], _S, "1")],
+        "0a699db413f913747c7da18d7d641360db20ad8578a88c50dcf04be49c46d52f"),
+    "a2.outer.n3.z3": (
+        AHAT2, 3, 3, [([2], _F, "1"), ([1], _S, "2")],
+        "7122070b870c06bdae9ace4045b286c98502def08c06cb531fdc31625970dead"),
+    "a1.outer.n3.hook": (
+        AHAT1, 3, 1, [([2, 1], _F, "1")],
+        "b197bf017fff786768e3872da14c315d13caba068be554c44af15dddce0192ce"),
+    "a2.outer.n4.hook.z3": (
+        AHAT2, 4, 3, [([2, 1], _F, "1"), ([1], _F, "2")],
+        "a292ef371781f25552aaa26bb3dedcbc43a9a598ec12896b098acf2122c3d28e"),
+    "a2.outer.n4.three-blocks": (
+        AHAT2, 4, 1, [([1, 1], _F, "1"), ([1], _S, "0"), ([1], _F, "2")],
+        "a410fd5258d9264271e77a3dc855ae5692adf23e52ec749b49a515494782aea6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_INDUCED))
+def test_induced_module_matches_recorded_digest(name):
+    module = _golden_module(name)
+    got = hashlib.sha256(repr(module.canonical_key()).encode()).hexdigest()
+    assert got == GOLDEN_INDUCED[name][-1]
