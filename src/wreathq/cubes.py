@@ -72,19 +72,6 @@ class Cube:
                 if lhs != rhs:
                     raise FormatError(f"cube square at {subset} with {p}, {q} does not commute")
 
-    def restricted(self, q, side: int) -> "Cube":
-        """The two faces in direction q: side 0 keeps J, side 1 keeps J + q."""
-        small = tuple(x for x in self.delta if x != q)
-        spaces = {}
-        maps = {}
-        for subset in _subsets(small):
-            big = subset if side == 0 else self._insert(subset, q)
-            spaces[subset] = self.spaces[big]
-            for p in small:
-                if p not in subset:
-                    maps[(subset, p)] = self.map(big, p)
-        return Cube(small, spaces, maps, self.order)
-
 
 def _subsets(delta: tuple):
     for k in range(len(delta) + 1):
@@ -261,12 +248,6 @@ class EulerReport:
     per_tuple: tuple                     # ((tuple, integer), ...)
     character: tuple                     # ((partition, Scalar), ...)
 
-    def per_tuple_dict(self) -> dict:
-        return dict(self.per_tuple)
-
-    def character_dict(self) -> dict:
-        return dict(self.character)
-
 
 def euler_characteristic(module: WreathModule, vertex: str) -> EulerReport:
     """Alternating sums of the complex terms, per tuple and per conjugacy class.
@@ -298,30 +279,10 @@ def euler_characteristic(module: WreathModule, vertex: str) -> EulerReport:
                     continue
                 # sigma fixes j and the level, so it acts on V(j, level) itself
                 tr = calc.sigma_perm(j, level, sigma).trace()
-                det_sign = _restricted_sign(sigma, subset)
+                # the sign of sigma on the ascending subset
+                pos = {p: k for k, p in enumerate(subset, 1)}
+                det_sign = Perm([pos[sigma(p)] for p in subset]).sign()
                 coeff = (-1) ** len(subset) * det_sign
                 value = value + tr * coeff
         character.append((parts, value))
     return EulerReport(tuple(per_tuple), tuple(character))
-
-
-def _restricted_sign(sigma: Perm, subset: tuple) -> int:
-    """Sign of the permutation induced on an invariant ascending subset."""
-    order = {p: k for k, p in enumerate(subset)}
-    images = [order[sigma(p)] for p in subset]
-    sign = 1
-    for a in range(len(images)):
-        for b in range(a + 1, len(images)):
-            if images[a] > images[b]:
-                sign = -sign
-    return sign
-
-
-def cone_faces(cube: Cube, q) -> tuple[Cube, Cube, dict]:
-    """The two faces in direction q and the connecting maps between them."""
-    z0 = cube.restricted(q, 0)
-    z1 = cube.restricted(q, 1)
-    connecting = {}
-    for subset in _subsets(z0.delta):
-        connecting[subset] = cube.map(subset, q)
-    return z0, z1, connecting

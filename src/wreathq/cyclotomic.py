@@ -5,8 +5,14 @@ the m-th cyclotomic polynomial Phi_m, and stored as a tuple of integer
 numerators over one positive common denominator, in lowest terms (the
 standard representation of number-field elements; Cohen, GTM 138,
 section 4.2.2).  Phi_m is monic with integer coefficients, so products
-reduce without leaving the integers and only the denominators multiply.
-For m = 1 and m = 2, phi(m) = 1 and a scalar is a single rational.  No
+reduce without leaving the integers and only the denominators multiply;
+one cached table of the powers zeta^e (e < m), reduced mod Phi_m, serves
+products, ``Scalar.zeta`` and the Galois conjugates.  An irrational x is
+inverted through its Galois norm: with sigma_k(zeta) = zeta^k,
+y = prod sigma_k(x) over the units k != 1 mod m makes N(x) = x * y
+rational, and x^-1 = y / N(x) (Cohen, GTM 138, section 4.3), so inversion
+uses the same integer products and no polynomial arithmetic over Q.  For
+m = 1 and m = 2, phi(m) = 1 and a scalar is a single rational.  No
 floating point is used anywhere.
 
 Orders above ``MAX_CYCLOTOMIC_ORDER`` are refused with
@@ -28,33 +34,19 @@ from .errors import FormatError, OrderMismatchError, ResourceLimitError
 # products need are far smaller than this.
 MAX_CYCLOTOMIC_ORDER = 120
 
-_ONE = Fraction(1)
-
-
-def _poly_trim(c: list) -> list:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
 
 def _poly_divmod(num: list, den: list):
-    """Quotient and remainder of polynomials, coefficients low-degree first.
-
-    A monic ``den`` keeps integer coefficients integral; otherwise the
-    coefficients must be Fractions.
-    """
+    """Quotient and remainder (as long as ``num``) of integer polynomials by
+    a monic ``den``, coefficients low-degree first."""
     num = list(num)
     q = [0] * max(0, len(num) - len(den) + 1)
-    lead = den[-1]
     for k in range(len(num) - len(den), -1, -1):
         coeff = num[k + len(den) - 1]
-        if lead != 1:
-            coeff = coeff / lead
         if coeff:
             q[k] = coeff
             for t, d in enumerate(den):
                 num[k + t] -= coeff * d
-    return q, _poly_trim(num)
+    return q, num
 
 
 @lru_cache(maxsize=None)
@@ -68,8 +60,8 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            q, r = _poly_divmod(num, list(cyclotomic_polynomial(d)))
-            if r:
+            q, r = _poly_divmod(num, cyclotomic_polynomial(d))
+            if any(r):
                 raise AssertionError("cyclotomic division must be exact")
             num = q
     return tuple(num)
@@ -80,21 +72,29 @@ def euler_phi(m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _high_power_table(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """zeta^k reduced mod Phi_m for k = phi(m) .. 2*phi(m) - 2, each row
-    as its nonzero (index, integer coefficient) pairs."""
-    phi = euler_phi(m)
-    # zeta^phi = -(the low part of Phi_m)
-    cur = [-c for c in cyclotomic_polynomial(m)[:phi]]
-    first = cur
-    rows = [cur]
-    for _ in range(phi - 2):
-        top = cur[-1]
-        cur = [0] + cur[:-1]
-        if top:
-            cur = [x + top * y for x, y in zip(cur, first)]
+def _power_table(m: int) -> tuple[tuple[int, ...], ...]:
+    """zeta^e reduced mod Phi_m for e = 0 .. m - 1, as integer rows of length phi(m)."""
+    phi_m = cyclotomic_polynomial(m)
+    cur = (1,) + (0,) * (len(phi_m) - 2)
+    rows = []
+    for _ in range(m):
         rows.append(cur)
-    return tuple(tuple((t, c) for t, c in enumerate(row) if c) for row in rows)
+        # times zeta; zeta^phi = -(the low part of Phi_m)
+        top = cur[-1]
+        cur = (0,) + cur[:-1]
+        if top:
+            cur = tuple(x - top * c for x, c in zip(cur, phi_m))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _high_power_table(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The rows zeta^k of the power table for k = phi(m) .. 2*phi(m) - 2,
+    each as its nonzero (index, integer coefficient) pairs."""
+    rows = _power_table(m)
+    phi = len(rows[0])
+    return tuple(tuple((t, c) for t, c in enumerate(rows[k % m]) if c)
+                 for k in range(phi, 2 * phi - 1))
 
 
 _new = object.__new__
@@ -178,10 +178,7 @@ class Scalar:
     @staticmethod
     def zeta(order: int, power: int = 1) -> "Scalar":
         """zeta_m^power as a reduced scalar."""
-        power %= order
-        phi = euler_phi(order)
-        _, rem = _poly_divmod([0] * power + [1], list(cyclotomic_polynomial(order)))
-        return _mk(tuple(rem) + (0,) * (phi - len(rem)), 1, order)
+        return _mk(_power_table(order)[power % order], 1, order)
 
     # -- coercion ----------------------------------------------------
     def _coerce(self, other):
@@ -302,19 +299,27 @@ class Scalar:
             if n < 0:
                 n, den = -n, -den
             return _mk((den,) + num[1:], n, self.order)
-        # extended gcd of num against Phi_m over Q; the gcd is a nonzero
-        # constant.  (num / den)^-1 = den * num^-1.
-        phi_m = cyclotomic_polynomial(self.order)
-        r0 = [Fraction(c) for c in phi_m]
-        r1 = _poly_trim([Fraction(c) for c in num])
-        s0, s1 = [], [_ONE]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            s = _poly_sub(s0, _poly_mul(q, s1))
-            r0, r1, s0, s1 = r1, r, s1, s
-        scale = den / r1[0]
-        _, rem = _poly_divmod([c * scale for c in s1], list(phi_m))
-        return Scalar(rem + [0] * (len(num) - len(rem)), self.order)
+        # x^-1 = y / N(x) with y = prod_{k != 1} sigma_k(x), N(x) = x * y
+        m = self.order
+        rows = _power_table(m)
+        y = None
+        for k in range(2, m):
+            if gcd(k, m) != 1:
+                continue
+            # sigma_k: zeta^i -> zeta^(k i); it permutes Z[zeta], so the
+            # numerators keep their gcd with den and stay in lowest terms
+            out = [0] * len(num)
+            for i, a in enumerate(num):
+                if a:
+                    for t, c in enumerate(rows[k * i % m]):
+                        if c:
+                            out[t] += a * c
+            conj = _mk(tuple(out), den, m)
+            y = conj if y is None else y * conj
+        norm = self * y
+        if not norm.is_rational():
+            raise AssertionError("the Galois norm of a cyclotomic scalar must be rational")
+        return y * norm.inverse()
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -367,27 +372,6 @@ def _cached_const(order: int, value: int) -> Scalar:
     return Scalar.rational(value, order)
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for s, x in enumerate(a):
-        if x:
-            for t, y in enumerate(b):
-                out[s + t] += x * y
-    return _poly_trim(out)
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for t in range(n):
-        x = a[t] if t < len(a) else 0
-        y = b[t] if t < len(b) else 0
-        out[t] = x - y
-    return _poly_trim(out)
-
-
 # ---------------------------------------------------------------------------
 # The scalar text grammar used by every file format:
 #   term (('+'|'-') term)*
@@ -435,7 +419,7 @@ def parse_scalar(text: str, order: int = 1) -> Scalar:
                 k = "1"
             power = int(k) if k is not None else 0
         else:
-            coef = _ONE
+            coef = 1
             k = m.group("k2")
             power = int(k) if k is not None else 1
         if power and order == 1:

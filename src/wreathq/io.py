@@ -40,6 +40,16 @@ def _cyclotomic_order(value: Any, what: str = "cyclotomic_order") -> int:
     return order
 
 
+def _list(value: Any, what: str) -> list:
+    _require(isinstance(value, list), f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _object(value: Any, what: str) -> dict:
+    _require(isinstance(value, dict), f"{what} must be an object, got {value!r}")
+    return value
+
+
 def _objects(doc: dict, key: str) -> list:
     """The list of JSON objects under ``key``; an absent key is an empty list."""
     items = doc.get(key, [])
@@ -83,16 +93,13 @@ def parse_quiver(doc: Any) -> Quiver:
     _require(isinstance(doc, dict), "quiver document must be an object")
     _require("vertices" in doc and "edges" in doc, "quiver needs 'vertices' and 'edges'")
     edges = []
-    for e in doc["edges"]:
+    for e in _list(doc["edges"], "edges"):
         _require(isinstance(e, dict) and {"name", "tail", "head"} <= set(e),
                  "each edge needs name/tail/head")
+        _require(all(isinstance(e[k], str) for k in ("name", "tail", "head")),
+                 f"edge name, tail and head must be strings, got {e!r}")
         edges.append((e["name"], e["tail"], e["head"]))
-    return Quiver(doc["vertices"], edges)
-
-
-def dump_quiver(q: Quiver) -> dict:
-    return {"vertices": list(q.vertices),
-            "edges": [{"name": e.name, "tail": e.tail, "head": e.head} for e in q.edges]}
+    return Quiver(_list(doc["vertices"], "vertices"), edges)
 
 
 # -- weights and parameters ---------------------------------------------------
@@ -229,18 +236,24 @@ def parse_gamma(doc: Any) -> GammaData:
         _require("m" in doc, "cyclic gamma needs m")
         return GammaData.cyclic(_cyclotomic_order(doc["m"], "m"))
     _require(doc["type"] == "table", f"unknown gamma type {doc['type']!r}")
+    _require({"order", "elements", "vertices", "dims", "table"} <= set(doc),
+             "table gamma needs order, elements, vertices, dims and table")
     order = _int(doc["order"], "order")
     scalar_order = _cyclotomic_order(doc.get("cyclotomic_order", 1))
-    elements = tuple(str(e) for e in doc["elements"])
-    vertices = tuple(str(v) for v in doc["vertices"])
-    dims = {str(v): _int(d, "dims value") for v, d in doc["dims"].items()}
+    elements = tuple(str(e) for e in _list(doc["elements"], "elements"))
+    _require(elements, "elements must not be empty")
+    vertices = tuple(str(v) for v in _list(doc["vertices"], "vertices"))
+    dims = {str(v): _int(d, "dims value") for v, d in _object(doc["dims"], "dims").items()}
+    table_doc = _object(doc["table"], "table")
     table = {}
     for v in vertices:
-        _require(v in doc["table"], f"missing table row for vertex {v!r}")
+        _require(v in dims, f"missing dims entry for vertex {v!r}")
+        _require(v in table_doc, f"missing table row for vertex {v!r}")
+        row_doc = _object(table_doc[v], f"table row {v!r}")
         row = {}
         for e in elements:
-            _require(e in doc["table"][v], f"missing table entry ({v}, {e})")
-            row[e] = parse_scalar(str(doc["table"][v][e]), scalar_order)
+            _require(e in row_doc, f"missing table entry ({v}, {e})")
+            row[e] = parse_scalar(str(row_doc[e]), scalar_order)
         table[v] = row
     return GammaData(order, elements, vertices, table, dims, scalar_order)
 
@@ -250,7 +263,7 @@ def parse_sra(doc: Any, gamma: GammaData) -> SRAParams:
     order = gamma.scalar_order
     t = parse_scalar(str(doc["t"]), order)
     k = parse_scalar(str(doc["k"]), order)
-    c = {str(e): parse_scalar(str(x), order) for e, x in doc.get("c", {}).items()}
+    c = {str(e): parse_scalar(str(x), order) for e, x in _object(doc.get("c", {}), "c").items()}
     sra = SRAParams(t, k, c)
     sra.validate_against(gamma)
     return sra
@@ -266,13 +279,15 @@ def parse_conditions_request(doc: Any, quiver: Quiver):
     lam0 = parse_weight(doc["lambda0"], quiver, order)
     lam = parse_weight(doc["lambda"], quiver, order)
     nu = parse_scalar(str(doc["nu"]), order)
-    word = [str(x) for x in doc.get("word", [])]
+    word = [str(x) for x in _list(doc.get("word", []), "word")]
     blocks = []
-    for item in doc["blocks"]:
+    for item in _list(doc["blocks"], "blocks"):
         _require(isinstance(item, dict) and {"diagram", "alpha"} <= set(item)
                  and isinstance(item["alpha"], dict),
                  "each conditions block needs a diagram and an alpha object")
         diagram = _diagram(item["diagram"])
+        for v in item["alpha"]:
+            _require(quiver.has_vertex(v), f"alpha names unknown vertex {v!r}")
         alpha = DimVector.make({str(v): _int(c, "alpha value")
                                 for v, c in item["alpha"].items()})
         blocks.append((diagram, alpha))

@@ -90,14 +90,6 @@ class WreathModule:
     def tuples(self) -> list[tuple]:
         return sorted(self.support)
 
-    def dimension_vector(self) -> dict[str, int]:
-        """Total dimension collected per vertex over all tuple positions."""
-        out: dict[str, int] = {}
-        for j, d in self.support.items():
-            for v in j:
-                out[v] = out.get(v, 0) + d
-        return out
-
     def edge_target(self, name: str, pos: int, j: tuple) -> tuple:
         e = self.params.quiver.edge(name)
         if j[pos - 1] != e.tail:
@@ -295,6 +287,17 @@ def _chase(mod: WreathModule, j: tuple, word: Sequence[int]) -> Mat:
     return out
 
 
+def _residual(lhs: Mat, rhs: Optional[Mat]) -> Optional[Mat]:
+    """``lhs - rhs``, or None where the two sides agree; a missing ``rhs`` is zero.
+
+    Comparing costs less than subtracting, so the subtraction is left to
+    the failures.
+    """
+    if rhs is None:
+        return lhs if lhs else None
+    return lhs - rhs if lhs != rhs else None
+
+
 def verify_relations(mod: WreathModule) -> VerifyReport:
     """Check the two defining relation families as exact matrix identities.
 
@@ -319,23 +322,18 @@ def verify_relations(mod: WreathModule) -> VerifyReport:
         for ell in range(1, n + 1):
             v = j[ell - 1]
             lhs = Mat.identity(d, mod.order).scaled(-lam[v])
-            for e in q.edges:
-                if e.head == v:
-                    mid = mod.edge_target(star_name(e.name), ell, j)
-                    lhs = lhs + mod.edge_matrix(e.name, ell, mid) \
-                        @ mod.edge_matrix(star_name(e.name), ell, j)
-                if e.tail == v:
-                    mid = mod.edge_target(e.name, ell, j)
-                    lhs = lhs - mod.edge_matrix(star_name(e.name), ell, mid) \
-                        @ mod.edge_matrix(e.name, ell, j)
-            rhs = Mat.zeros(d, d, mod.order)
-            for m in range(1, n + 1):
-                if m != ell and j[m - 1] == v:
-                    rhs = rhs + mod.perm_matrix(
-                        Perm.transposition(ell, m, n), j)
-            rhs = rhs.scaled(nu)
-            if lhs != rhs:
-                failures.append(RelationFailure("i", j, ell, None, None, None, lhs - rhs))
+            # the path x then its reverse, for every edge x of the double out
+            # of v: added for a star edge x, subtracted for a base edge
+            for x in q.out_edges(v):
+                mid = mod.edge_target(x.name, ell, j)
+                path = mod.edge_matrix(star_name(x.name), ell, mid) \
+                    @ mod.edge_matrix(x.name, ell, j)
+                lhs = lhs + path if x.is_star else lhs - path
+            swaps = [mod.perm_matrix(Perm.transposition(ell, m, n), j)
+                     for m in range(1, n + 1) if m != ell and j[m - 1] == v]
+            residual = _residual(lhs, sum(swaps[1:], swaps[0]).scaled(nu) if swaps else None)
+            if residual is not None:
+                failures.append(RelationFailure("i", j, ell, None, None, None, residual))
 
         for ell in range(1, n + 1):
             for m in range(ell + 1, n + 1):
@@ -345,15 +343,14 @@ def verify_relations(mod: WreathModule) -> VerifyReport:
                         ja = mod.edge_target(a.name, ell, j)
                         lhs = mod.edge_matrix(a.name, ell, jb) @ mod.edge_matrix(b.name, m, j) \
                             - mod.edge_matrix(b.name, m, ja) @ mod.edge_matrix(a.name, ell, j)
-                        if not b.is_star and a.name == star_name(b.name):
-                            rhs = mod.perm_matrix(Perm.transposition(ell, m, n), j).scaled(nu)
-                        elif not a.is_star and b.name == star_name(a.name):
-                            rhs = mod.perm_matrix(Perm.transposition(ell, m, n), j).scaled(-nu)
-                        else:
-                            rhs = Mat.zeros(lhs.rows, lhs.cols, mod.order)
-                        if lhs != rhs:
+                        rhs = None
+                        if a.name == star_name(b.name):
+                            swap = mod.perm_matrix(Perm.transposition(ell, m, n), j)
+                            rhs = swap.scaled(nu if a.is_star else -nu)
+                        residual = _residual(lhs, rhs)
+                        if residual is not None:
                             failures.append(RelationFailure(
-                                "ii", j, ell, m, a.name, b.name, lhs - rhs))
+                                "ii", j, ell, m, a.name, b.name, residual))
     return VerifyReport((), tuple(failures))
 
 

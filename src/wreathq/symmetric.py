@@ -84,9 +84,6 @@ class Perm:
             inv[y - 1] = x
         return Perm(inv)
 
-    def is_identity(self) -> bool:
-        return all(self.img[x] == x + 1 for x in range(self.n))
-
     def act_tuple(self, t: tuple) -> tuple:
         """sigma(j) with sigma(j)_{sigma(x)} = j_x, i.e. entries move to their images."""
         out = [None] * self.n
@@ -109,21 +106,6 @@ class Perm:
             if length % 2 == 0:
                 sgn = -sgn
         return sgn
-
-    def cycle_type(self) -> tuple[int, ...]:
-        seen = [False] * self.n
-        parts = []
-        for x in range(1, self.n + 1):
-            if seen[x - 1]:
-                continue
-            length = 0
-            y = x
-            while not seen[y - 1]:
-                seen[y - 1] = True
-                y = self.img[y - 1]
-                length += 1
-            parts.append(length)
-        return tuple(sorted(parts, reverse=True))
 
     def adjacent_word(self) -> tuple[int, ...]:
         """Adjacent transpositions with self = s_{w[0]} o s_{w[1]} o ... o s_{w[-1]}.
@@ -311,10 +293,6 @@ class RepMatrices:
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("RepMatrices is immutable")
 
-    def generator(self, m: int) -> Mat:
-        """Matrix of the adjacent transposition (m, m+1)."""
-        return self.gens[m - 1]
-
     def matrix_of(self, p: Perm) -> Mat:
         if p.n != self.n:
             raise FormatError("permutation degree mismatch")
@@ -326,9 +304,6 @@ class RepMatrices:
             out = out @ self.gens[k - 1]
         self._cache[p.img] = out
         return out
-
-    def character(self, p: Perm) -> Scalar:
-        return self.matrix_of(p).trace()
 
 
 def seminormal_rep(mu: YoungDiagram, order: int = 1) -> RepMatrices:
@@ -378,14 +353,6 @@ def seminormal_rep(mu: YoungDiagram, order: int = 1) -> RepMatrices:
             builder[t_idx][t_idx] = Scalar.rational(rho, order)
         gens.append(Mat.from_rows(builder, order))
     return RepMatrices(n, gens, order)
-
-
-def trivial_rep(n: int, order: int = 1) -> RepMatrices:
-    return seminormal_rep(YoungDiagram([n]), order)
-
-
-def sign_rep(n: int, order: int = 1) -> RepMatrices:
-    return seminormal_rep(YoungDiagram([1] * n), order)
 
 
 # ---------------------------------------------------------------------------
@@ -508,15 +475,7 @@ class YoungCosetAction:
         return c2, h, parts
 
 
-@dataclass(frozen=True)
-class InducedRep:
-    rep: RepMatrices
-    cosets: tuple[Perm, ...]
-    block_sizes: tuple[int, ...]
-    block_dims: tuple[int, ...]
-
-
-def induce_rep(n: int, blocks: Sequence[tuple[int, RepMatrices]]) -> InducedRep:
+def induce_rep(n: int, blocks: Sequence[tuple[int, RepMatrices]]) -> RepMatrices:
     """Induce the outer tensor of the given block representations to S_n.
 
     ``blocks`` lists (n_l, X_l) with sum n_l = n.  The induced space has
@@ -549,5 +508,4 @@ def induce_rep(n: int, blocks: Sequence[tuple[int, RepMatrices]]) -> InducedRep:
                 block = kron(block, rep.matrix_of(hpart))
             bb.add_block(c2 * inner, c * inner, block)
         gens.append(bb.build())
-    rep = RepMatrices(n, gens, order)
-    return InducedRep(rep, tuple(action.cosets), tuple(sizes), tuple(r.dim for r in reps))
+    return RepMatrices(n, gens, order)

@@ -37,6 +37,15 @@ def simple_at(quiver, vertex, lam, nu=0):
     return point_module(make_params(quiver, 1, lam, nu), vertex)
 
 
+def dimension_vector(mod):
+    """Total dimension of a module per vertex, summed over all tuple positions."""
+    out = {}
+    for j, d in mod.support.items():
+        for v in j:
+            out[v] = out.get(v, 0) + d
+    return out
+
+
 def mat(rows, order=1):
     return Mat.from_rows(rows, order)
 

@@ -319,6 +319,12 @@ SN_MODULE = {
 }
 
 
+TABLE_GAMMA = {"type": "table", "order": 1, "elements": ["e"], "vertices": ["0"],
+               "dims": {"0": 1}, "table": {"0": {"e": "1"}}}
+QUIVER = {"vertices": ["0", "1"], "edges": [{"name": "a", "tail": "0", "head": "1"},
+                                            {"name": "b", "tail": "0", "head": "1"}]}
+
+
 def _with(doc, path, value):
     """A deep copy of ``doc`` with the field at ``path`` set to ``value``."""
     out = json.loads(json.dumps(doc))
@@ -378,6 +384,22 @@ MALFORMED = [
     # a negative support dimension
     ("verify", _with(S1_MODULE, ["support", 0, "dim"], -2), 2),
     ("cohomology", _with(S1_MODULE, ["support", 0, "dim"], -2), 2),
+    # JSON shapes the group, SRA, quiver and request parsers used to let through,
+    # and an alpha on a vertex the quiver lacks
+    *[("translate", {k: v for k, v in TABLE_GAMMA.items() if k != key}, 2)
+      for key in ("order", "elements", "vertices", "dims", "table")],
+    ("translate", _with(TABLE_GAMMA, ["dims"], [1]), 2),
+    ("translate", _with(TABLE_GAMMA, ["dims"], {}), 2),
+    ("translate", _with(TABLE_GAMMA, ["elements"], []), 2),
+    ("translate", _with(TABLE_GAMMA, ["table", "0"], "e"), 2),
+    ("sra", {"t": "1", "k": "1/2", "c": 5}, 2),
+    ("quiver", _with(QUIVER, ["edges"], 5), 2),
+    ("quiver", _with(QUIVER, ["vertices"], 5), 2),
+    ("quiver", _with(QUIVER, ["edges", 0, "name"], 1), 2),
+    ("quiver", _with(QUIVER, ["edges", 0, "head"], ["1"]), 2),
+    ("conditions", _with(REQUEST, ["blocks"], 5), 2),
+    ("conditions", _with(REQUEST, ["word"], 5), 2),
+    ("conditions", _with(REQUEST, ["blocks", 0, "alpha"], {"x": 1}), 2),
 ]
 
 
@@ -393,14 +415,20 @@ def test_malformed_input_exits_with_one_error_line(files, capsys, tmp_path, comm
     sra.write_text(json.dumps({"t": "1", "k": "1/2", "c": {}}))
     params = tmp_path / "params.json"
     params.write_text(json.dumps(PARAMS))
-    argv = {
-        "generic": ["--quiver", qp, "--params", str(path), "--vertex", vertex],
-        "verify": ["--quiver", qp, "--module", str(path)],
-        "cohomology": ["--quiver", qp, "--module", str(path), "--vertex", vertex],
-        "euler": ["--quiver", qp, "--module", str(path), "--vertex", vertex],
-        "translate": ["--gamma", str(path), "--sra", str(sra)],
-        "conditions": ["--quiver", qp, "--request", str(path)],
-        "induce": ["--quiver", qp, "--params", str(params), "--blocks", f"@{path}"],
+    gamma = tmp_path / "gamma.json"
+    gamma.write_text(json.dumps({"type": "cyclic", "m": 2}))
+    # the malformed document goes where the command key says; "sra" and
+    # "quiver" name the file, not a subcommand
+    command, *argv = {
+        "generic": ["generic", "--quiver", qp, "--params", str(path), "--vertex", vertex],
+        "verify": ["verify", "--quiver", qp, "--module", str(path)],
+        "cohomology": ["cohomology", "--quiver", qp, "--module", str(path), "--vertex", vertex],
+        "euler": ["euler", "--quiver", qp, "--module", str(path), "--vertex", vertex],
+        "translate": ["translate", "--gamma", str(path), "--sra", str(sra)],
+        "sra": ["translate", "--gamma", str(gamma), "--sra", str(path)],
+        "quiver": ["generic", "--quiver", str(path), "--params", str(params), "--vertex", vertex],
+        "conditions": ["conditions", "--quiver", qp, "--request", str(path)],
+        "induce": ["induce", "--quiver", qp, "--params", str(params), "--blocks", f"@{path}"],
     }[command]
     got, out, err = run(capsys, command, *argv)
     assert got == code

@@ -13,7 +13,7 @@ from wreathq.modules import (
     WreathModule, build_induced_zero_e, build_outer_tensor, module_character,
 )
 from wreathq.cubes import (
-    ChainComplex, ComplexTerm, Cube, cohomology, complex_from_cube, cone_faces,
+    ChainComplex, ComplexTerm, Cube, cohomology, complex_from_cube,
     euler_characteristic, module_cohomology, module_cube,
 )
 from wreathq.quiver import Quiver
@@ -106,6 +106,27 @@ def _idempotent_cube(rng, m, dim, order=1):
     return Cube(delta, spaces, maps, order)
 
 
+def _face(cube, q, side):
+    """The face of ``cube`` in direction q: side 0 keeps J, side 1 keeps J + q."""
+    small = tuple(x for x in cube.delta if x != q)
+    spaces = {}
+    maps = {}
+    for k in range(len(small) + 1):
+        for subset in itertools.combinations(small, k):
+            big = subset if side == 0 else cube._insert(subset, q)
+            spaces[subset] = cube.spaces[big]
+            for p in small:
+                if p not in subset:
+                    maps[(subset, p)] = cube.map(big, p)
+    return Cube(small, spaces, maps, cube.order)
+
+
+def cone_faces(cube, q):
+    """The two faces in direction q and the connecting maps between them."""
+    z0, z1 = _face(cube, q, 0), _face(cube, q, 1)
+    return z0, z1, {subset: cube.map(subset, q) for subset in z0.spaces}
+
+
 @pytest.mark.parametrize("m,dim,seed", [(1, 3, 1), (2, 3, 2), (2, 4, 3), (3, 4, 4)])
 def test_idempotent_cube_has_no_higher_cohomology(m, dim, seed):
     cube = _idempotent_cube(random.Random(seed), m, dim)
@@ -174,13 +195,13 @@ def test_h0_equals_functor(ahat1):
 def test_euler_matches_functor_at_nu_zero(ahat1):
     v = _outer_square(ahat1)
     report = euler_characteristic(v, "0")
-    per = report.per_tuple_dict()
+    per = dict(report.per_tuple)
     out = reflection_functor(v, "0")
     expected = {("1", "1"): 1, ("0", "1"): 2, ("1", "0"): 2, ("0", "0"): 4}
     for j, val in expected.items():
         assert per[j] == val
     assert sum(per.values()) == 9
-    chars = report.character_dict()
+    chars = dict(report.character)
     assert chars[(1, 1)] == Scalar.rational(9)
     for parts, val in chars.items():
         sigma = Perm.from_cycle_type(parts, 2)
@@ -207,7 +228,7 @@ def test_euler_equals_alternating_cohomology_at_nonzero_nu(ahat1):
     from wreathq.modules import build_induced_zero_e
     params = make_params(ahat1, 2, {"0": 1, "1": Fraction(-1, 2)}, Fraction(1, 2))
     v = build_induced_zero_e(params, [(YoungDiagram([2]), "1")])
-    per = euler_characteristic(v, "0").per_tuple_dict()
+    per = dict(euler_characteristic(v, "0").per_tuple)
     coh = module_cohomology(v, "0")
     for j, value in per.items():
         dims = coh.get(j, (0,))

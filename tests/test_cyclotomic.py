@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wreathq.cyclotomic import (
-    MAX_CYCLOTOMIC_ORDER, Scalar, cyclotomic_polynomial, euler_phi, format_scalar,
-    parse_scalar,
+    MAX_CYCLOTOMIC_ORDER, Scalar, _power_table, cyclotomic_polynomial, euler_phi,
+    format_scalar, parse_scalar,
 )
 from wreathq.errors import FormatError, OrderMismatchError, ResourceLimitError
 
@@ -129,20 +129,28 @@ def test_high_zeta_power_in_text():
 # Property tests against a reference: Fraction polynomials reduced mod Phi_m
 # ---------------------------------------------------------------------------
 
-REF_PHI = {**KNOWN_PHI, 5: (1, 1, 1, 1, 1), 8: (1, 0, 0, 0, 1)}
+REF_PHI = {**KNOWN_PHI, 5: (1, 1, 1, 1, 1), 8: (1, 0, 0, 0, 1),
+           7: (1, 1, 1, 1, 1, 1, 1),          # x^6 + ... + x + 1
+           9: (1, 0, 0, 1, 0, 0, 1),          # x^6 + x^3 + 1
+           15: (1, -1, 0, 1, -1, 1, 0, -1, 1)}  # x^8 - x^7 + x^5 - x^4 + x^3 - x + 1
 ORDERS = (1, 2, 3, 4, 5, 8, 12)
+
+
+def ref_remainder(poly, mod):
+    """Remainder of a polynomial (low degree first) by the monic ``mod``, by long division."""
+    phi = len(mod) - 1
+    out = list(poly) + [0] * max(0, phi - len(poly))
+    for k in range(len(out) - 1, phi - 1, -1):
+        top = out[k]
+        if top:
+            for t, c in enumerate(mod):
+                out[k - phi + t] -= top * c
+    return tuple(out[:phi])
 
 
 def ref_reduce(poly, m):
     """Remainder of a Fraction polynomial (low degree first) mod Phi_m."""
-    mod = REF_PHI[m]
-    phi = len(mod) - 1
-    out = list(poly) + [Fraction(0)] * max(0, phi - len(poly))
-    for k in range(len(out) - 1, phi - 1, -1):
-        top = out[k]
-        for t, c in enumerate(mod):
-            out[k - phi + t] -= top * c
-    return tuple(out[:phi])
+    return ref_remainder(poly, REF_PHI[m])
 
 
 def ref_mul(a, b, m):
@@ -306,6 +314,40 @@ def test_text_round_trip(case):
     m, a = case
     x = Scalar(a, m)
     assert parse_scalar(format_scalar(x), m) == x
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from((7, 9, 15)), st.data())
+def test_inverse_agrees_with_reference_at_larger_phi(m, data):
+    # phi(7) = phi(9) = 6 and phi(15) = 8: the Galois norm multiplies 5 or 7 conjugates
+    a = tuple(data.draw(coefficient) for _ in range(euler_phi(m)))
+    x = Scalar(a, m)
+    if x:
+        assert agrees(x.inverse(), ref_inverse(a, m))
+
+
+@pytest.mark.parametrize("m", [60, 120])
+def test_inverse_at_the_largest_orders(m):
+    rng = random.Random(m)
+    phi = euler_phi(m)
+    for _ in range(4):
+        x = Scalar([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(phi)], m)
+        y = x.inverse()
+        assert_canonical(y)
+        assert x * y == Scalar.one(m)
+    z = Scalar.zeta(m, 7) + Scalar.rational(Fraction(10 ** 20, 3), m)
+    assert_canonical(z.inverse())
+    assert z * z.inverse() == Scalar.one(m)
+
+
+def test_power_table_rows_are_reduced_powers_of_zeta():
+    for m in range(1, MAX_CYCLOTOMIC_ORDER + 1):
+        table = _power_table(m)
+        mod = cyclotomic_polynomial(m)
+        assert len(table) == m
+        for e, row in enumerate(table):
+            assert row == ref_remainder([0] * e + [1], mod), (m, e)
+            assert Scalar.zeta(m, e).num == row and Scalar.zeta(m, e + m) == Scalar.zeta(m, e)
 
 
 def test_rational_inverse_keeps_the_denominator_positive():

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import pathlib
+import re
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "wreathq"
 
@@ -123,3 +124,66 @@ def test_the_guard_sees_an_unused_import(tmp_path):
                      "from .linalg import Mat, rank\nfrom .errors import FormatError as FE\n"
                      "def f(x: 'Mat') -> int:\n    return sys.maxsize + len('rank')\n")
     assert _unused_imports(probe) == ["probe.py:2: os", "probe.py:4: rank", "probe.py:5: FE"]
+
+
+# -- public names that nothing reads --------------------------------------------------
+
+_DOTTED = re.compile(r"[A-Za-z_][\w.]*")
+
+
+def _reads(path: pathlib.Path) -> set[str]:
+    """Names one file reads: identifiers, attributes, imported names, and the parts of
+    dotted-name strings (quoted annotations, and the tracer's ``"Mat.__matmul__"``)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and _DOTTED.fullmatch(node.value):
+            names.update(node.value.split("."))
+    return names
+
+
+def _unread_public_names(package: pathlib.Path, readers: list[pathlib.Path]) -> list[str]:
+    """Public top-level functions and classes of a package's modules that the package
+    does not export, their own module does not read again, and no other module of the
+    package and no file of ``readers`` reads."""
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.name for node in init.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    modules = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
+    reads = {p: _reads(p) for p in modules + list(readers)}
+    found = []
+    for path in modules:
+        elsewhere = set().union(*(names for p, names in reads.items() if p != path))
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_") \
+                    and node.name not in exported | reads[path] | elsewhere:
+                found.append(f"{path.name}:{node.lineno}: {node.name}")
+    return found
+
+
+def test_every_public_name_is_read():
+    assert _unread_public_names(PACKAGE, sorted((REPO / "perfbench").glob("*.py"))) == []
+
+
+def test_the_guard_sees_an_unread_name(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("from .a import exported\n")
+    (pkg / "a.py").write_text("def exported():\n    return helper()\n\n"
+                              "def helper():\n    return 1\n\n"
+                              "def shared():\n    return 2\n\n"
+                              "def traced():\n    return 3\n\n"
+                              "class Unread:\n    pass\n\n"
+                              "def unread():\n    return 4\n\n"
+                              "def _private():\n    return 5\n")
+    (pkg / "b.py").write_text("from .a import shared\n")
+    bench = tmp_path / "bench.py"
+    bench.write_text("SPANS = (('a', 'traced', 'a.traced'),)\n")
+    assert _unread_public_names(pkg, [bench]) == ["a.py:13: Unread", "a.py:16: unread"]

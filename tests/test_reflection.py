@@ -18,7 +18,7 @@ from wreathq.reflection import (
 )
 from wreathq.symmetric import Perm, YoungDiagram
 
-from conftest import BLOCK_MAP_CORPUS, make_params, mat, simple_at
+from conftest import BLOCK_MAP_CORPUS, dimension_vector, make_params, mat, simple_at
 
 
 def sink_module(ahat1, dims=(1, 1), entries=None):
@@ -75,7 +75,7 @@ def test_reflect_simple_at_one(ahat1):
     assert verify_relations(w).passed
     # dimension vector matches the simple reflection s_0(eps_1) = (2, 1)
     alpha = simple_reflection(ahat1, "0", DimVector.unit("1"))
-    assert w.dimension_vector() == alpha.as_dict()
+    assert dimension_vector(w) == alpha.as_dict()
 
 
 def test_reflect_zero_module(ahat1):
@@ -183,7 +183,7 @@ def test_word_follows_simple_reflections(ahat1):
     v = simple_at(ahat1, "1", {"0": 1, "1": 0})
     res = apply_functor_word(v, ["0", "1"])
     expected = simple_reflection(ahat1, "1", simple_reflection(ahat1, "0", DimVector.unit("1")))
-    assert res.module.dimension_vector() == expected.as_dict()
+    assert dimension_vector(res.module) == expected.as_dict()
     # trace records the intermediate stage
     assert res.trace[0][2] == {("0",): 2, ("1",): 1}
 
@@ -384,7 +384,7 @@ def test_word_weyl_orbit_on_three_cycle(ahat2):
     expected = DimVector.unit("1")
     for letter in word:
         expected = simple_reflection(ahat2, letter, expected)
-    assert res.module.dimension_vector() == {k: v for k, v in expected.as_dict().items() if v}
+    assert dimension_vector(res.module) == {k: v for k, v in expected.as_dict().items() if v}
     assert verify_relations(res.module).passed
 
 

@@ -9,8 +9,8 @@ from wreathq.errors import FormatError, ResourceLimitError
 from wreathq.linalg import Mat
 from wreathq.symmetric import (
     Perm, RepMatrices, YoungDiagram, all_perms, central_sum_invertible,
-    contents, induce_rep, partitions, seminormal_rep, sign_rep,
-    standard_tableaux, trivial_rep, young_cosets,
+    contents, induce_rep, partitions, seminormal_rep, standard_tableaux,
+    young_cosets,
 )
 
 
@@ -29,11 +29,10 @@ def hook_count(parts):
 def test_perm_basics():
     p = Perm([2, 3, 1])
     assert p(1) == 2 and p.inverse()(2) == 1
-    assert p.compose(p.inverse()).is_identity()
+    assert p.compose(p.inverse()) == Perm.identity(3)
     assert p.sign() == 1
     assert Perm.adjacent(1, 3).sign() == -1
-    assert p.cycle_type() == (3,)
-    assert Perm.transposition(1, 3, 4).cycle_type() == (2, 1, 1)
+    assert Perm.transposition(1, 3, 4).sign() == -1
 
 
 def test_adjacent_word_reconstructs():
@@ -84,9 +83,9 @@ def test_standard_tableaux_order():
 
 
 def test_trivial_and_sign():
-    triv = trivial_rep(3)
+    triv = seminormal_rep(YoungDiagram([3]))
     assert all(g == Mat.identity(1) for g in triv.gens)
-    sgn = sign_rep(3)
+    sgn = seminormal_rep(YoungDiagram([1, 1, 1]))
     assert all(g == Mat.from_rows([[-1]]) for g in sgn.gens)
 
 
@@ -94,7 +93,7 @@ def test_seminormal_two_one():
     rep = seminormal_rep(YoungDiagram([2, 1]))
     assert rep.dim == 2
     for m in (1, 2):
-        assert rep.generator(m).trace() == Scalar.zero()
+        assert rep.gens[m - 1].trace() == Scalar.zero()
     s12 = rep.matrix_of(Perm.transposition(1, 2, 3))
     s13 = rep.matrix_of(Perm.transposition(1, 3, 3))
     c = s12 + s13
@@ -110,13 +109,13 @@ def test_seminormal_relations_and_dimension(n):
         assert rep.dim == hook_count(parts)
         ident = Mat.identity(rep.dim)
         for m in range(1, n):
-            assert rep.generator(m) @ rep.generator(m) == ident
+            assert rep.gens[m - 1] @ rep.gens[m - 1] == ident
         for m in range(1, n - 1):
-            a, b = rep.generator(m), rep.generator(m + 1)
+            a, b = rep.gens[m - 1], rep.gens[m]
             assert a @ b @ a == b @ a @ b
         for m in range(1, n):
             for k in range(m + 2, n):
-                a, b = rep.generator(m), rep.generator(k)
+                a, b = rep.gens[m - 1], rep.gens[k - 1]
                 assert a @ b == b @ a
 
 
@@ -162,17 +161,18 @@ def test_young_cosets_counts():
 
 
 def test_induce_regular_of_s2():
-    ind = induce_rep(2, [(1, trivial_rep(1)), (1, trivial_rep(1))])
-    assert ind.rep.dim == 2
-    g = ind.rep.generator(1)
+    one = seminormal_rep(YoungDiagram([1]))
+    ind = induce_rep(2, [(1, one), (1, one)])
+    assert ind.dim == 2
+    g = ind.gens[0]
     assert g @ g == Mat.identity(2)
     assert g.trace() == Scalar.zero()  # regular representation character
 
 
 def test_induce_identity_block():
-    ind = induce_rep(2, [(2, sign_rep(2))])
-    assert ind.rep.dim == 1
-    assert ind.rep.generator(1) == Mat.from_rows([[-1]])
+    ind = induce_rep(2, [(2, seminormal_rep(YoungDiagram([1, 1])))])
+    assert ind.dim == 1
+    assert ind.gens[0] == Mat.from_rows([[-1]])
 
 
 def brute_induced_character(n, sizes, block_reps, g):
@@ -193,20 +193,21 @@ def brute_induced_character(n, sizes, block_reps, g):
             for block, rep in zip(blocks, block_reps):
                 base = block[0]
                 part = Perm(tuple(y(base + t) - base + 1 for t in range(len(block))))
-                val *= rep.character(part).as_fraction()
+                val *= rep.matrix_of(part).trace().as_fraction()
             total += val
     return total / subgroup_size
 
 
 def test_induce_permutation_rep_of_s3():
-    ind = induce_rep(3, [(2, trivial_rep(2)), (1, trivial_rep(1))])
-    assert ind.rep.dim == 3
-    assert ind.rep.character(Perm.identity(3)) == Scalar.rational(3)
-    assert ind.rep.character(Perm.adjacent(1, 3)) == Scalar.rational(1)
+    blocks = [seminormal_rep(YoungDiagram([2])), seminormal_rep(YoungDiagram([1]))]
+    ind = induce_rep(3, list(zip((2, 1), blocks)))
+    assert ind.dim == 3
+    assert ind.matrix_of(Perm.identity(3)).trace() == Scalar.rational(3)
+    assert ind.matrix_of(Perm.adjacent(1, 3)).trace() == Scalar.rational(1)
     # full brute-force character comparison over S_3
     for g in all_perms(3):
-        expected = brute_induced_character(3, [2, 1], [trivial_rep(2), trivial_rep(1)], g)
-        assert ind.rep.character(g) == Scalar.rational(expected)
+        expected = brute_induced_character(3, [2, 1], blocks, g)
+        assert ind.matrix_of(g).trace() == Scalar.rational(expected)
 
 
 @pytest.mark.parametrize("n,sizes,parts", [
@@ -220,16 +221,16 @@ def test_induced_character_brute_force(n, sizes, parts):
     ind = induce_rep(n, list(zip(sizes, reps)))
     for g in all_perms(n):
         expected = brute_induced_character(n, sizes, reps, g)
-        assert ind.rep.character(g) == Scalar.rational(expected), g
+        assert ind.matrix_of(g).trace() == Scalar.rational(expected), g
 
 
 def test_induced_is_representation():
-    ind = induce_rep(3, [(2, trivial_rep(2)), (1, trivial_rep(1))])
-    rep = ind.rep
+    rep = induce_rep(3, [(2, seminormal_rep(YoungDiagram([2]))),
+                         (1, seminormal_rep(YoungDiagram([1])))])
     ident = Mat.identity(rep.dim)
     for m in (1, 2):
-        assert rep.generator(m) @ rep.generator(m) == ident
-    a, b = rep.generator(1), rep.generator(2)
+        assert rep.gens[m - 1] @ rep.gens[m - 1] == ident
+    a, b = rep.gens[0], rep.gens[1]
     assert a @ b @ a == b @ a @ b
 
 
