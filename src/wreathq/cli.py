@@ -66,11 +66,10 @@ def _print_dims(module, header):
 
 
 def cmd_reflect(args) -> int:
+    if (args.vertex is None) == (args.word is None):
+        raise FormatError("reflect needs exactly one of --vertex or --word")
     quiver = _load_quiver(args)
     module = _load_module(args, quiver)
-    if (args.vertex is None) == (args.word is None):
-        print("reflect needs exactly one of --vertex or --word", file=sys.stderr)
-        return EXIT_FORMAT
     if args.vertex is not None:
         word = [args.vertex]
     else:
@@ -132,7 +131,7 @@ def cmd_induce(args) -> int:
     else:
         try:
             doc = json.loads(args.blocks)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise FormatError(f"bad --blocks JSON: {exc}") from exc
     blocks = io.parse_induce_request(doc, quiver)
     module = build_induced_zero_e(params, blocks)

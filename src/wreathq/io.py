@@ -74,7 +74,8 @@ def load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: the decoder's limit on nesting depth
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 

@@ -182,6 +182,19 @@ class VerifyReport:
 
 
 def structural_report(mod: WreathModule) -> list[StructuralIssue]:
+    """Shape, group-relation and equivariance problems of a module, in walk order.
+
+    The walk skips a check that an earlier passed check implies, so a
+    failing module reports exactly what the full walk reports:
+
+    * the involution check s_m s_m = 1 at s_m j is skipped when the check
+      at j passed and V_j and V_{s_m j} have the same dimension, because a
+      one-sided inverse of a square matrix is two-sided;
+    * once no group-relation issue was found, the s_m-equivariance check
+      of an edge at (s_m pos, s_m j) is skipped when the check at
+      (pos, j) passed: with s_m^2 = 1, multiplying the identity there by
+      s_m on both sides gives the identity here.
+    """
     issues: list[StructuralIssue] = []
     q = mod.params.quiver
     n = mod.n
@@ -231,12 +244,16 @@ def structural_report(mod: WreathModule) -> list[StructuralIssue]:
         return issues
 
     # group relations for the stored S_n generators, chased along tuples
+    involutive = set()      # (m, j) whose involution check passed
     for j in mod.tuples():
         d = mod.dim(j)
-        ident = Mat.identity(d, mod.order)
         for m in range(1, n):
             j2 = swap_tuple(j, m)
-            if mod.sn_matrix(m, j2) @ mod.sn_matrix(m, j) != ident:
+            if (m, j2) in involutive and mod.dim(j2) == d:
+                continue
+            if mod.sn_matrix(m, j2) @ mod.sn_matrix(m, j) == Mat.identity(d, mod.order):
+                involutive.add((m, j))
+            else:
                 issues.append(StructuralIssue(
                     f"tuple ({','.join(j)})", f"s_{m} is not an involution"))
         for m in range(1, n - 1):
@@ -252,6 +269,8 @@ def structural_report(mod: WreathModule) -> list[StructuralIssue]:
                         f"tuple ({','.join(j)})", f"s_{m} and s_{k} do not commute"))
 
     # smash-product equivariance of the edge actions
+    group = not issues
+    equivariant = set()     # (edge, pos, j, m) whose check passed
     for j in mod.tuples():
         for pos in range(1, n + 1):
             for e in q.out_edges(j[pos - 1]):
@@ -263,9 +282,14 @@ def structural_report(mod: WreathModule) -> list[StructuralIssue]:
                         sig_pos = m + 1
                     elif pos == m + 1:
                         sig_pos = m
+                    j2 = swap_tuple(j, m)
+                    if group and (e.name, sig_pos, j2, m) in equivariant:
+                        continue
                     lhs = mod.sn_matrix(m, tgt) @ a_mat
-                    rhs = mod.edge_matrix(e.name, sig_pos, swap_tuple(j, m)) @ mod.sn_matrix(m, j)
-                    if lhs != rhs:
+                    rhs = mod.edge_matrix(e.name, sig_pos, j2) @ mod.sn_matrix(m, j)
+                    if lhs == rhs:
+                        equivariant.add((e.name, pos, j, m))
+                    else:
                         issues.append(StructuralIssue(
                             f"tuple ({','.join(j)})",
                             f"edge {e.name} at position {pos} is not s_{m}-equivariant"))
@@ -306,6 +330,20 @@ def verify_relations(mod: WreathModule) -> VerifyReport:
     have no columns).  Relations are therefore evaluated on the support
     alone, and omitting the other tuples can never hide a failure.
     Structural problems short-circuit the relation checks.
+
+    A clean ``structural_report`` certifies that the stored generators
+    represent S_n, each sigma mapping V_j invertibly onto V_{sigma j}, and
+    that the edge actions are equivariant.  Conjugation by sigma then
+    carries relation (i) at (j, l) to relation (i) at (sigma j, sigma(l)),
+    and relation (ii) at (j, l, m, a, b) to relation (ii) at (sigma j,
+    sigma(l), sigma(m), a, b), negated on both sides when sigma reverses
+    l < m.  So an instance holds exactly when every instance in its
+    S_n-orbit does.  The orbit of (i) is keyed by (sorted j, j_l); the
+    orbit of (ii) by (sorted j, sorted (j_l, j_m)), with every edge pair
+    (a, b) evaluated at the instance.  The walk skips an instance when
+    the first instance of its orbit passed, and evaluates it otherwise,
+    so a failing module reports the failures of the full walk, in the
+    same order and with the same residuals.
     """
     structural = structural_report(mod)
     if structural:
@@ -316,12 +354,20 @@ def verify_relations(mod: WreathModule) -> VerifyReport:
     nu = mod.params.nu
     n = mod.n
     failures: list[RelationFailure] = []
+    first: dict = {}        # orbit key -> whether the orbit's first instance passed
+    minus_lam: dict = {}    # (v, d) -> -lambda_v times the identity of size d
 
     for j in mod.tuples():
         d = mod.dim(j)
+        sorted_j = tuple(sorted(j))
         for ell in range(1, n + 1):
             v = j[ell - 1]
-            lhs = Mat.identity(d, mod.order).scaled(-lam[v])
+            key = ("i", sorted_j, v)
+            if first.get(key):
+                continue
+            lhs = minus_lam.get((v, d))
+            if lhs is None:
+                lhs = minus_lam[v, d] = Mat.identity(d, mod.order).scaled(-lam[v])
             # the path x then its reverse, for every edge x of the double out
             # of v: added for a star edge x, subtracted for a base edge
             for x in q.out_edges(v):
@@ -334,9 +380,14 @@ def verify_relations(mod: WreathModule) -> VerifyReport:
             residual = _residual(lhs, sum(swaps[1:], swaps[0]).scaled(nu) if swaps else None)
             if residual is not None:
                 failures.append(RelationFailure("i", j, ell, None, None, None, residual))
+            first.setdefault(key, residual is None)
 
         for ell in range(1, n + 1):
             for m in range(ell + 1, n + 1):
+                key = ("ii", sorted_j, tuple(sorted((j[ell - 1], j[m - 1]))))
+                if first.get(key):
+                    continue
+                found = len(failures)
                 for a in q.out_edges(j[ell - 1]):
                     for b in q.out_edges(j[m - 1]):
                         jb = mod.edge_target(b.name, m, j)
@@ -351,6 +402,7 @@ def verify_relations(mod: WreathModule) -> VerifyReport:
                         if residual is not None:
                             failures.append(RelationFailure(
                                 "ii", j, ell, m, a.name, b.name, residual))
+                first.setdefault(key, len(failures) == found)
     return VerifyReport((), tuple(failures))
 
 

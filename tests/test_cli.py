@@ -110,8 +110,10 @@ def test_reflect_double_word_restores_dims(files, capsys, tmp_path):
 
 def test_reflect_requires_exactly_one_mode(files, capsys):
     _, qp, mp = files
-    code, _, _ = run(capsys, "reflect", "--quiver", qp, "--module", mp)
-    assert code == 2
+    for mode in ([], ["--vertex", "0", "--word", "0"]):
+        code, out, err = run(capsys, "reflect", "--quiver", qp, "--module", mp, *mode)
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: reflect needs exactly one of --vertex or --word"]
 
 
 def test_cohomology_and_euler(files, capsys, tmp_path):
@@ -400,6 +402,15 @@ MALFORMED = [
     ("conditions", _with(REQUEST, ["blocks"], 5), 2),
     ("conditions", _with(REQUEST, ["word"], 5), 2),
     ("conditions", _with(REQUEST, ["blocks", 0, "alpha"], {"x": 1}), 2),
+    # raw bytes the JSON decoder refuses: not UTF-8, or nested past its depth limit;
+    # "blocks" passes the text inline as induce --blocks
+    ("verify", b"\xff\xfe{}", 2),
+    ("quiver", b"\xff\xfe{}", 2),
+    ("verify", b"[" * 100000, 2),
+    ("conditions", b"[" * 100000, 2),
+    ("induce", b"[" * 100000, 2),
+    ("blocks", "[" * 100000, 2),
+    ("blocks", "[" * 100000 + "]" * 100000, 2),
 ]
 
 
@@ -410,7 +421,10 @@ def test_malformed_input_exits_with_one_error_line(files, capsys, tmp_path, comm
     command, *vertex = command.split(" --vertex ")
     vertex = vertex[0] if vertex else "0"
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(json.dumps(doc))
     sra = tmp_path / "sra.json"
     sra.write_text(json.dumps({"t": "1", "k": "1/2", "c": {}}))
     params = tmp_path / "params.json"
@@ -429,6 +443,7 @@ def test_malformed_input_exits_with_one_error_line(files, capsys, tmp_path, comm
         "quiver": ["generic", "--quiver", str(path), "--params", str(params), "--vertex", vertex],
         "conditions": ["conditions", "--quiver", qp, "--request", str(path)],
         "induce": ["induce", "--quiver", qp, "--params", str(params), "--blocks", f"@{path}"],
+        "blocks": ["induce", "--quiver", qp, "--params", str(params), "--blocks", doc],
     }[command]
     got, out, err = run(capsys, command, *argv)
     assert got == code

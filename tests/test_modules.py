@@ -8,16 +8,16 @@ from wreathq.cyclotomic import Scalar
 from wreathq.errors import FormatError
 from wreathq.linalg import Mat
 from wreathq.modules import (
-    Params, WreathModule, build_induced_zero_e, build_outer_tensor,
-    check_intertwiner, direct_sum, graph_automorphism_transport,
-    induced_module, module_character, point_module, reorient_module,
-    structural_report, swap_tuple, verify_relations,
+    Params, RelationFailure, StructuralIssue, VerifyReport, WreathModule,
+    build_induced_zero_e, build_outer_tensor, check_intertwiner, direct_sum,
+    graph_automorphism_transport, induced_module, module_character, point_module,
+    reorient_module, structural_report, swap_tuple, verify_relations,
 )
-from wreathq.quiver import Weight
+from wreathq.quiver import Weight, star_name
 from wreathq.reflection import reflection_functor
 from wreathq.symmetric import Perm, YoungDiagram
 
-from conftest import AHAT1, AHAT2, make_params, mat, simple_at
+from conftest import AHAT1, AHAT2, frac, make_params, mat, simple_at
 
 
 def test_s1_passes(ahat1):
@@ -402,3 +402,250 @@ def test_induced_module_matches_recorded_digest(name):
     module = _golden_module(name)
     got = hashlib.sha256(repr(module.canonical_key()).encode()).hexdigest()
     assert got == GOLDEN_INDUCED[name][-1]
+
+
+# -- the orbit-reduced walk against the full walk ---------------------------------
+#
+# ``_full_structural`` and ``_full_verify`` copy the verifier as it stood
+# before it skipped checks: every group relation and equivariance check at
+# every tuple, every relation instance at every tuple.  The library walk
+# must report exactly what they report.
+
+def _full_chase(mod, j, word):
+    out, cur = Mat.identity(mod.dim(j), mod.order), j
+    for k in reversed(word):
+        out = mod.sn_matrix(k, cur) @ out
+        cur = swap_tuple(cur, k)
+    return out
+
+
+def _full_structural(mod):
+    issues = []
+    q, n = mod.params.quiver, mod.n
+    for j, d in sorted(mod.support.items()):
+        if len(j) != n:
+            issues.append(StructuralIssue(f"support {j}", f"tuple length != {n}"))
+            continue
+        if any(not q.has_vertex(v) for v in j):
+            issues.append(StructuralIssue(f"support {j}", "unknown vertex"))
+        if d <= 0:
+            issues.append(StructuralIssue(f"support {j}", "dimension must be positive"))
+    if issues:
+        return issues
+    for (name, pos, j), m in sorted(mod.edge_actions.items()):
+        where = f"edge action ({name}, {pos}, {','.join(j)})"
+        try:
+            e = q.edge(name)
+        except FormatError:
+            issues.append(StructuralIssue(where, "unknown edge"))
+            continue
+        if not (1 <= pos <= n) or len(j) != n:
+            issues.append(StructuralIssue(where, "bad position or tuple"))
+            continue
+        if j[pos - 1] != e.tail:
+            issues.append(StructuralIssue(
+                where, f"tuple has {j[pos - 1]} at position {pos}, expected {e.tail}"))
+            continue
+        tgt = mod.edge_target(name, pos, j)
+        if (m.rows, m.cols) != (mod.dim(tgt), mod.dim(j)):
+            issues.append(StructuralIssue(
+                where, f"shape {m.rows}x{m.cols} != {mod.dim(tgt)}x{mod.dim(j)}"))
+        if m.order != mod.order:
+            issues.append(StructuralIssue(where, "wrong cyclotomic order"))
+    for (k, j), m in sorted(mod.sn_actions.items()):
+        where = f"sn action ({k}, {','.join(j)})"
+        if not (1 <= k <= n - 1) or len(j) != n:
+            issues.append(StructuralIssue(where, "bad transposition index or tuple"))
+            continue
+        tgt = swap_tuple(j, k)
+        if (m.rows, m.cols) != (mod.dim(tgt), mod.dim(j)):
+            issues.append(StructuralIssue(
+                where, f"shape {m.rows}x{m.cols} != {mod.dim(tgt)}x{mod.dim(j)}"))
+        if m.order != mod.order:
+            issues.append(StructuralIssue(where, "wrong cyclotomic order"))
+    if issues:
+        return issues
+    for j in mod.tuples():
+        at = f"tuple ({','.join(j)})"
+        for m in range(1, n):
+            if _full_chase(mod, j, [m, m]) != Mat.identity(mod.dim(j), mod.order):
+                issues.append(StructuralIssue(at, f"s_{m} is not an involution"))
+        for m in range(1, n - 1):
+            if _full_chase(mod, j, [m, m + 1, m]) != _full_chase(mod, j, [m + 1, m, m + 1]):
+                issues.append(StructuralIssue(at, f"braid relation fails at s_{m}, s_{m + 1}"))
+        for m in range(1, n):
+            for k in range(m + 2, n):
+                if _full_chase(mod, j, [m, k]) != _full_chase(mod, j, [k, m]):
+                    issues.append(StructuralIssue(at, f"s_{m} and s_{k} do not commute"))
+    for j in mod.tuples():
+        for pos in range(1, n + 1):
+            for e in q.out_edges(j[pos - 1]):
+                tgt = mod.edge_target(e.name, pos, j)
+                for m in range(1, n):
+                    sig_pos = {m: m + 1, m + 1: m}.get(pos, pos)
+                    lhs = mod.sn_matrix(m, tgt) @ mod.edge_matrix(e.name, pos, j)
+                    rhs = mod.edge_matrix(e.name, sig_pos, swap_tuple(j, m)) @ mod.sn_matrix(m, j)
+                    if lhs != rhs:
+                        issues.append(StructuralIssue(
+                            f"tuple ({','.join(j)})",
+                            f"edge {e.name} at position {pos} is not s_{m}-equivariant"))
+    return issues
+
+
+def _full_verify(mod):
+    structural = _full_structural(mod)
+    if structural:
+        return VerifyReport(tuple(structural), ())
+    q, lam, nu, n = mod.params.quiver, mod.params.weight, mod.params.nu, mod.n
+    failures = []
+    for j in mod.tuples():
+        for ell in range(1, n + 1):
+            v = j[ell - 1]
+            lhs = Mat.identity(mod.dim(j), mod.order).scaled(-lam[v])
+            for x in q.out_edges(v):
+                mid = mod.edge_target(x.name, ell, j)
+                path = mod.edge_matrix(star_name(x.name), ell, mid) @ mod.edge_matrix(x.name, ell, j)
+                lhs = lhs + path if x.is_star else lhs - path
+            for m in range(1, n + 1):
+                if m != ell and j[m - 1] == v:
+                    lhs = lhs - mod.perm_matrix(Perm.transposition(ell, m, n), j).scaled(nu)
+            if lhs:
+                failures.append(RelationFailure("i", j, ell, None, None, None, lhs))
+        for ell in range(1, n + 1):
+            for m in range(ell + 1, n + 1):
+                for a in q.out_edges(j[ell - 1]):
+                    for b in q.out_edges(j[m - 1]):
+                        jb = mod.edge_target(b.name, m, j)
+                        ja = mod.edge_target(a.name, ell, j)
+                        lhs = mod.edge_matrix(a.name, ell, jb) @ mod.edge_matrix(b.name, m, j) \
+                            - mod.edge_matrix(b.name, m, ja) @ mod.edge_matrix(a.name, ell, j)
+                        if a.name == star_name(b.name):
+                            swap = mod.perm_matrix(Perm.transposition(ell, m, n), j)
+                            lhs = lhs - swap.scaled(nu if a.is_star else -nu)
+                        if lhs:
+                            failures.append(RelationFailure("ii", j, ell, m, a.name, b.name, lhs))
+    return VerifyReport((), tuple(failures))
+
+
+def _assert_walks_agree(mod):
+    """Same structural list, same failures in the same order, equal residuals."""
+    got = verify_relations(mod)
+    assert structural_report(mod) == _full_structural(mod)
+    assert got == _full_verify(mod)
+    return got
+
+
+def _reparametrised(mod, lam=None, nu=None):
+    p = mod.params
+    weight = p.weight if lam is None else Weight(lam, mod.order)
+    params = Params(p.quiver, p.n, weight, p.nu if nu is None else nu)
+    return WreathModule(params, mod.support, mod.edge_actions, mod.sn_actions)
+
+
+@pytest.fixture(scope="module")
+def kronecker_f0v():
+    """F_0 of the [2, 2] zero-edge module at vertex 1 on the Kronecker quiver, n = 4."""
+    params = make_params(AHAT1, 4, {"0": Fraction(2, 5), "1": 0}, Fraction(1, 2))
+    v = build_induced_zero_e(params, [(YoungDiagram([2, 2]), "1")])
+    return reflection_functor(v, "0").module
+
+
+@pytest.fixture(scope="module")
+def mixed_modules(corpus):
+    """Passing modules with n >= 2, with F_0 of the n = 3 modules for mixed tuples."""
+    found = dict(corpus)
+    mods = [m for m in found.values() if m.n >= 2]
+    mods.append(reflection_functor(found["a1.ind-n3"], "0").module)
+    mods.append(reflection_functor(found["a2.ind-n3"], "2").module)
+    assert any(len(set(j)) > 1 for m in mods for j in m.support if m.n == 3)
+    return mods
+
+
+def test_orbit_walk_matches_full_walk_on_the_corpus(corpus, kronecker_f0v):
+    for name, module in corpus + [("kronecker F0V", kronecker_f0v)]:
+        assert _assert_walks_agree(module).passed, name
+
+
+def test_orbit_walk_matches_full_walk_at_a_wrong_weight(mixed_modules, kronecker_f0v):
+    # relation (i) then fails on whole orbits: at every position holding the vertex
+    for mod in mixed_modules + [kronecker_f0v]:
+        for v in mod.params.quiver.vertices:
+            if not any(v in j for j in mod.support):
+                continue
+            lam = {u: mod.params.weight[u] for u in mod.params.quiver.vertices}
+            lam[v] = lam[v] + Scalar.one(mod.order)
+            report = _assert_walks_agree(_reparametrised(mod, lam=lam))
+            assert len([f for f in report.failures if f.relation == "i"]) == \
+                sum(j.count(v) for j in mod.support)
+
+
+def test_orbit_walk_matches_full_walk_at_a_wrong_nu(mixed_modules, kronecker_f0v):
+    shifted = 0
+    for mod in mixed_modules + [kronecker_f0v]:
+        report = _assert_walks_agree(
+            _reparametrised(mod, nu=mod.params.nu + Scalar.one(mod.order)))
+        shifted += any(f.relation == "ii" for f in report.failures)
+    assert shifted >= 2
+
+
+def test_orbit_walk_matches_full_walk_on_non_rectangular_modules():
+    for quiver, n, diagram in [(AHAT1, 3, [2, 1]), (AHAT2, 3, [2, 1]), (AHAT1, 4, [3, 1])]:
+        lam = {v: Fraction(k, 3) for k, v in enumerate(quiver.vertices)}
+        params = make_params(quiver, n, lam, Fraction(1, 2))
+        module = build_induced_zero_e(params, [(YoungDiagram(diagram), "1")])
+        assert not _assert_walks_agree(module).passed
+
+
+def _bumped(block):
+    """The block with 1 added to its first entry."""
+    unit = [[int((r, c) == (0, 0)) for c in range(block.cols)] for r in range(block.rows)]
+    return block + Mat.from_rows(unit, block.order)
+
+
+def test_orbit_walk_matches_full_walk_on_mutants_at_skipped_tuples(mixed_modules):
+    # the relation instances at a tuple j are skipped unless j is sorted, the
+    # first tuple of its orbit; break one block at an unsorted tuple
+    mutants = 0
+    for mod in mixed_modules:
+        for store in ("edge_actions", "sn_actions"):
+            for key, block in sorted(getattr(mod, store).items()):
+                if key[-1] == tuple(sorted(key[-1])) or not (block.rows and block.cols):
+                    continue
+                actions = dict(getattr(mod, store)) | {key: _bumped(block)}
+                edges = actions if store == "edge_actions" else mod.edge_actions
+                sns = actions if store == "sn_actions" else mod.sn_actions
+                mutant = WreathModule(mod.params, mod.support, edges, sns)
+                assert not _assert_walks_agree(mutant).passed, key
+                mutants += 1
+    assert mutants >= 20
+
+
+def test_one_sided_inverse_is_not_an_involution(ahat1):
+    # s(1,0) s(0,1) = 1 but s(0,1) s(1,0) is a rank-one idempotent of size 2
+    params = make_params(ahat1, 2, {"0": 0, "1": 0})
+    m = WreathModule(params, {("0", "1"): 1, ("1", "0"): 2}, {},
+                     {(1, ("0", "1")): mat([[1], [0]]), (1, ("1", "0")): mat([[1, 0]])})
+    issues = _assert_walks_agree(m).structural
+    assert [str(i) for i in issues] == ["tuple (1,0): s_1 is not an involution"]
+
+
+def test_equivariance_is_checked_in_full_once_a_group_relation_fails(ahat1):
+    # s_1 is not an involution on (0,1), (1,0); a at position 1 of (0,1) passes
+    # the s_1-equivariance check, and a at position 2 of (1,0) fails it
+    params = make_params(ahat1, 2, {"0": 0, "1": 0})
+    m = WreathModule(params, {("0", "1"): 1, ("1", "0"): 1, ("1", "1"): 1},
+                     {("a", 1, ("0", "1")): mat([[1]]), ("a", 2, ("1", "0")): mat([[frac(1, 2)]])},
+                     {(1, ("0", "1")): mat([[2]]), (1, ("1", "0")): mat([[1]]),
+                      (1, ("1", "1")): mat([[1]])})
+    issues = [str(i) for i in _assert_walks_agree(m).structural]
+    assert "tuple (1,0): edge a at position 2 is not s_1-equivariant" in issues
+    assert "tuple (0,1): edge a at position 1 is not s_1-equivariant" not in issues
+
+
+def test_verifier_skips_implied_checks(kronecker_f0v, monkeypatch):
+    # the full walk takes 2,000 products on this module
+    calls = []
+    product = Mat.__matmul__
+    monkeypatch.setattr(Mat, "__matmul__", lambda a, b: calls.append(1) or product(a, b))
+    assert verify_relations(kronecker_f0v).passed
+    assert len(calls) < 1000
