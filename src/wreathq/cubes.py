@@ -7,19 +7,21 @@ line of the subset: inserting p into an ascending basis contributes the
 sign (-1)^(number of larger elements already present).  For a module
 and a reflection vertex, the cube of a tuple j has the auxiliary spaces
 V(j, Delta(j) minus J) with the pi maps as structure maps; degree-zero
-cohomology recovers the reflection functor.
+cohomology recovers the reflection functor.  Its squares commute by
+relation (ii) between edges into the vertex, which ``module_cohomology``
+checks once for all of its cubes.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .cyclotomic import Scalar
 from .errors import FormatError
 from .linalg import BlockBuilder, Mat, rank, rank_mod_p
-from .modules import WreathModule
+from .modules import WreathModule, relation_ii_residual
 from .reflection import SinkCalculus, candidate_tuples
 from .symmetric import Perm, partitions
 
@@ -91,18 +93,32 @@ class ChainComplex:
 
     The checks are exact and are made on construction: every differential
     fits its terms and d_{r+1} d_r = 0, the certificate that
-    ``cohomology`` relies on.
+    ``cohomology`` relies on.  Only ``module_cohomology`` establishes
+    d^2 = 0 otherwise, from a ``_RelationIICertificate`` of its module.
     """
 
     def __init__(self, terms: list[ComplexTerm], diffs: list[Mat], order: int):
+        self._fit(terms, diffs, order)
+        for r in range(len(diffs) - 1):
+            if diffs[r + 1] @ diffs[r]:
+                raise FormatError(f"d_{r + 1} d_{r} is not zero")
+
+    @classmethod
+    def _certified(cls, terms: list[ComplexTerm], diffs: list[Mat], order: int,
+                   certificate: "_RelationIICertificate") -> "ChainComplex":
+        """The total complex of a module cube, d^2 = 0 by ``certificate``."""
+        if not isinstance(certificate, _RelationIICertificate):
+            raise TypeError("a certified complex needs a relation-(ii) certificate")
+        out = cls.__new__(cls)
+        out._fit(terms, diffs, order)
+        return out
+
+    def _fit(self, terms: list[ComplexTerm], diffs: list[Mat], order: int) -> None:
         if len(diffs) != len(terms) - 1:
             raise FormatError(f"{len(terms)} terms need {len(terms) - 1} differentials")
         for r, d in enumerate(diffs):
             if (d.rows, d.cols) != (terms[r + 1].total, terms[r].total):
                 raise FormatError(f"differential d_{r} has the wrong shape")
-        for r in range(len(diffs) - 1):
-            if diffs[r + 1] @ diffs[r]:
-                raise FormatError(f"d_{r + 1} d_{r} is not zero")
         self.terms = terms
         self.diffs = diffs
         self.order = order
@@ -111,14 +127,8 @@ class ChainComplex:
         return [t.total for t in self.terms]
 
 
-def complex_from_cube(cube: Cube) -> ChainComplex:
-    """The signed total complex of a commutative cube.
-
-    The block of d_{r+1} d_r from J to J + p + q is the difference of
-    the two paths round the square at J, up to sign, so d^2 = 0 (checked
-    by ``ChainComplex``) holds exactly when every square commutes; only
-    a failed check walks the squares to name the one at fault.
-    """
+def _total_complex(cube: Cube) -> tuple[list[ComplexTerm], list[Mat]]:
+    """The terms and differentials of the signed total complex, unchecked."""
     order = cube.order
     n = len(cube.delta)
     terms = []
@@ -149,8 +159,21 @@ def complex_from_cube(cube: Cube) -> ChainComplex:
                     block = -block
                 bb.add_block(tgt.offsets[tgt_index[bigger]], src.offsets[k], block)
         diffs.append(bb.build())
+    return terms, diffs
+
+
+def complex_from_cube(cube: Cube) -> ChainComplex:
+    """The signed total complex of a commutative cube.
+
+    The block of d_{r+1} d_r from J to J + p + q is the difference of
+    the two paths round the square at J, up to sign, so d^2 = 0 holds
+    exactly when every square commutes.  ``ChainComplex`` checks it by
+    forming every product d_{r+1} d_r, whatever the cube; only a failed
+    check walks the squares to name the one at fault.
+    """
+    terms, diffs = _total_complex(cube)
     try:
-        return ChainComplex(terms, diffs, order)
+        return ChainComplex(terms, diffs, cube.order)
     except FormatError:
         cube.validate()
         raise
@@ -170,7 +193,9 @@ def cohomology(cx: ChainComplex) -> CohomologyData:
     The ranks come from ``rank_mod_p`` where they can be certified,
     without exact elimination.  Write rho_r for the rank of d_r mod p
     and R_r for its exact rank, so rho_r <= R_r.  Because d^2 = 0 (the
-    ``ChainComplex`` certificate), im d_{r-1} lies in ker d_r and
+    ``ChainComplex`` certificate: the exact products d_{r+1} d_r, or for
+    the cubes of ``module_cohomology`` the relation-(ii) instances
+    between incoming edges), im d_{r-1} lies in ker d_r and
     R_{r-1} + R_r <= dim C^r.  If the complex is exact mod p in degree
     r >= 1, that is dim C^r = rho_{r-1} + rho_r, then
     rho_{r-1} + rho_r <= R_{r-1} + R_r <= rho_{r-1} + rho_r, and with
@@ -233,13 +258,63 @@ def module_cube(module: WreathModule, vertex: str) -> ModuleCubes:
     return ModuleCubes(calc, cubes)
 
 
+@dataclass(frozen=True)
+class _RelationIICertificate:
+    """Relation (ii) holds between the incoming edges of a sink-form module.
+
+    On the summand of an assignment xi, the block of d^2 from level D to
+    D - {p, q} of a module cube is +-(b_q a_p - a_p b_q) on V_t(j, xi),
+    with a = R[xi_p] and b = R[xi_q].  Two edges into the sink are never
+    a star pair, so relation (ii) says exactly that this is zero; and
+    every such instance on the support lies in some module cube.  So the
+    certificate holds exactly when every module cube has d^2 = 0.
+    """
+
+    instances: int          # relation-(ii) instances checked
+
+
+def _relation_ii_certificate(calc: SinkCalculus) -> Optional[_RelationIICertificate]:
+    """The relation-(ii) certificate of the module cubes of ``calc``, or None.
+
+    It checks a_p b_q = b_q a_p on V_t for every support tuple t of the
+    sink-form module, every pair of positions p < q holding tails of
+    incoming edges, and every (a, b) in R x R, and gives None at the
+    first instance that fails.
+    """
+    mod = calc.module
+    into = {}               # tail -> the incoming edges from it
+    for e in calc.R:
+        into.setdefault(e.tail, []).append(e)
+    checked = 0
+    for t in mod.tuples():
+        spots = [(p, into[v]) for p, v in enumerate(t, 1) if v in into]
+        for (p, at_p), (q, at_q) in itertools.combinations(spots, 2):
+            for a in at_p:
+                for b in at_q:
+                    if relation_ii_residual(mod, t, p, q, a, b) is not None:
+                        return None
+                    checked += 1
+    return _RelationIICertificate(checked)
+
+
 def module_cohomology(module: WreathModule, vertex: str) -> dict:
-    """Per-tuple cohomology dimensions of the associated complex."""
+    """Per-tuple cohomology dimensions of the associated complex.
+
+    d^2 = 0 on every cube is certified once, by the relation-(ii)
+    instances between incoming edges of the sink-form module, in place
+    of the products d_{r+1} d_r.  If an instance fails, every cube goes
+    through ``complex_from_cube``, whose ``FormatError`` names the first
+    square that does not commute.
+    """
     mc = module_cube(module, vertex)
+    certificate = _relation_ii_certificate(mc.calculus)
     out = {}
     for j, cube in mc.cubes.items():
-        data = cohomology(complex_from_cube(cube))
-        out[j] = data.dims
+        if certificate is None:
+            cx = complex_from_cube(cube)
+        else:
+            cx = ChainComplex._certified(*_total_complex(cube), cube.order, certificate)
+        out[j] = cohomology(cx).dims
     return out
 
 
@@ -278,7 +353,7 @@ def euler_characteristic(module: WreathModule, vertex: str) -> EulerReport:
                 if tuple(sorted(sigma(p) for p in subset)) != subset:
                     continue
                 # sigma fixes j and the level, so it acts on V(j, level) itself
-                tr = calc.sigma_perm(j, level, sigma).trace()
+                tr = calc.sigma_trace(j, level, sigma)
                 # the sign of sigma on the ascending subset
                 pos = {p: k for k, p in enumerate(subset, 1)}
                 det_sign = Perm([pos[sigma(p)] for p in subset]).sign()

@@ -322,6 +322,41 @@ def _residual(lhs: Mat, rhs: Optional[Mat]) -> Optional[Mat]:
     return lhs - rhs if lhs != rhs else None
 
 
+def _path(second: Optional[Mat], first: Optional[Mat]) -> Optional[Mat]:
+    """``second @ first``, or None (zero) when a factor is not stored."""
+    return None if second is None or first is None else second @ first
+
+
+def relation_ii_residual(mod: WreathModule, j: tuple, ell: int, m: int,
+                         a: Edge, b: Edge) -> Optional[Mat]:
+    """The residual of relation (ii) out of V_j, or None where it holds.
+
+    Edge ``a`` of the double acts in position ``ell`` and ``b`` in
+    position ``m > ell``: a_ell b_m - b_m a_ell = nu s_{ell m} when a is
+    the star of b, -nu s_{ell m} when b is the star of a, and 0
+    otherwise.  Only stored edge actions are multiplied; a path with a
+    missing factor is zero.
+    """
+    acts = mod.edge_actions
+    ja = mod.edge_target(a.name, ell, j)
+    jb = mod.edge_target(b.name, m, j)
+    ab = _path(acts.get((a.name, ell, jb)), acts.get((b.name, m, j)))
+    ba = _path(acts.get((b.name, m, ja)), acts.get((a.name, ell, j)))
+    if a.name != star_name(b.name):
+        if ab is None:
+            return -ba if ba else None
+        if ba is None:
+            return ab if ab else None
+        return ab - ba if ab != ba else None
+    lhs = Mat.zeros(mod.dim(mod.edge_target(a.name, ell, jb)), mod.dim(j), mod.order)
+    if ab is not None:
+        lhs = lhs + ab
+    if ba is not None:
+        lhs = lhs - ba
+    swap = mod.perm_matrix(Perm.transposition(ell, m, mod.n), j)
+    return _residual(lhs, swap.scaled(mod.params.nu if a.is_star else -mod.params.nu))
+
+
 def verify_relations(mod: WreathModule) -> VerifyReport:
     """Check the two defining relation families as exact matrix identities.
 
@@ -390,15 +425,7 @@ def verify_relations(mod: WreathModule) -> VerifyReport:
                 found = len(failures)
                 for a in q.out_edges(j[ell - 1]):
                     for b in q.out_edges(j[m - 1]):
-                        jb = mod.edge_target(b.name, m, j)
-                        ja = mod.edge_target(a.name, ell, j)
-                        lhs = mod.edge_matrix(a.name, ell, jb) @ mod.edge_matrix(b.name, m, j) \
-                            - mod.edge_matrix(b.name, m, ja) @ mod.edge_matrix(a.name, ell, j)
-                        rhs = None
-                        if a.name == star_name(b.name):
-                            swap = mod.perm_matrix(Perm.transposition(ell, m, n), j)
-                            rhs = swap.scaled(nu if a.is_star else -nu)
-                        residual = _residual(lhs, rhs)
+                        residual = relation_ii_residual(mod, j, ell, m, a, b)
                         if residual is not None:
                             failures.append(RelationFailure(
                                 "ii", j, ell, m, a.name, b.name, residual))

@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from .cyclotomic import Scalar
 from .errors import FormatError, NotGenericError, NotInSpanError
 from .linalg import BlockBuilder, Mat, intersect_kernels, rank, solve_in_span
 from .modules import Params, WreathModule, check_intertwiner, reorient_module, swap_tuple
@@ -186,6 +187,25 @@ class SinkCalculus:
         return _assemble(tgt, src, (
             (tgt.index_of(tuple(xi[s] for s in slots)), k, perm_matrix(perm, src.t_tuples[k]))
             for k, xi in enumerate(src.xis) if src.dims[k]), self.order)
+
+    def sigma_trace(self, j: tuple, d_positions: Sequence[int], perm: Perm) -> Scalar:
+        """The trace of ``sigma_perm`` on a level V(j, D) that ``perm`` fixes.
+
+        Only the summands whose assignment ``perm`` fixes lie on the
+        diagonal, so the trace is the sum of the traces of the module's
+        action of ``perm`` on their graded pieces.
+        """
+        d = tuple(sorted(d_positions))
+        if perm.act_tuple(tuple(j)) != tuple(j) or tuple(sorted(perm(p) for p in d)) != d:
+            raise FormatError(f"the permutation does not fix {tuple(j)} and D = {d}")
+        src = self.space(j, d)
+        slots = sorted(range(len(d)), key=lambda s: perm(d[s]))
+        perm_matrix = self.module.perm_matrix
+        out = Scalar.zero(self.order)
+        for k, xi in enumerate(src.xis):
+            if src.dims[k] and tuple(xi[s] for s in slots) == xi:
+                out = out + perm_matrix(perm, src.t_tuples[k]).trace()
+        return out
 
     def tau_project(self, r_index: int, ell: int, j: tuple, d_positions: Sequence[int]) -> Mat:
         """tau^!: V(j, D) -> V(r*_ell(j), D minus ell); picks the xi(ell) = r part."""

@@ -133,6 +133,36 @@ def test_cohomology_and_euler(files, capsys, tmp_path):
     assert "class [1,1]: 9" in out
 
 
+# the two incoming edges at vertex 1 anticommute on V_00, so relation (ii)
+# fails there and the square of the cube at (1, 1) does not commute
+NONCOMMUTING_MODULE = {
+    "params": {"n": 2, "lambda": {"0": "0", "1": "0"}, "nu": "0", "cyclotomic_order": 1},
+    "support": [{"tuple": t, "dim": 1} for t in (["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"])],
+    "edge_actions": [
+        {"edge": "a", "position": 1, "source_tuple": ["0", "0"], "matrix": [["1"]]},
+        {"edge": "a", "position": 2, "source_tuple": ["0", "0"], "matrix": [["-1"]]},
+        {"edge": "a", "position": 2, "source_tuple": ["1", "0"], "matrix": [["1"]]},
+        {"edge": "a", "position": 1, "source_tuple": ["0", "1"], "matrix": [["1"]]},
+    ],
+    "sn_actions": [
+        {"adjacent": 1, "source_tuple": ["0", "0"], "matrix": [["-1"]]},
+        {"adjacent": 1, "source_tuple": ["1", "1"], "matrix": [["1"]]},
+        {"adjacent": 1, "source_tuple": ["0", "1"], "matrix": [["1"]]},
+        {"adjacent": 1, "source_tuple": ["1", "0"], "matrix": [["1"]]},
+    ],
+}
+
+
+def test_cohomology_refuses_a_module_breaking_relation_ii(files, capsys, tmp_path):
+    _, qp, _ = files
+    mp = tmp_path / "noncommuting.json"
+    mp.write_text(json.dumps(NONCOMMUTING_MODULE))
+    code, out, err = run(capsys, "cohomology", "--quiver", qp, "--module", str(mp),
+                         "--vertex", "1")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: cube square at () with 1, 2 does not commute"]
+
+
 def test_generic_failure_message(files, capsys, tmp_path):
     _, qp, _ = files
     pp = tmp_path / "params.json"

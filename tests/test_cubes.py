@@ -11,6 +11,7 @@ from wreathq.errors import FormatError
 from wreathq.linalg import Mat, _modulus, hstack, rank, rref, solve_in_span
 from wreathq.modules import (
     WreathModule, build_induced_zero_e, build_outer_tensor, module_character,
+    verify_relations,
 )
 from wreathq.cubes import (
     ChainComplex, ComplexTerm, Cube, cohomology, complex_from_cube,
@@ -317,6 +318,27 @@ def test_chain_complex_refuses_a_nonzero_square():
         complex_from_cube(Cube((1, 2), spaces, maps))
 
 
+def _noncommuting_module(ahat1):
+    """n = 2 at vertex 1: the incoming edge a anticommutes with itself on V_00."""
+    params = make_params(ahat1, 2, {"0": 0, "1": 0})
+    one = mat([[1]])
+    tuples = [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]
+    edges = {("a", 1, ("0", "0")): one, ("a", 2, ("0", "0")): -one,
+             ("a", 2, ("1", "0")): one, ("a", 1, ("0", "1")): one}
+    sns = {(1, ("0", "0")): -one, (1, ("1", "1")): one,
+           (1, ("0", "1")): one, (1, ("1", "0")): one}
+    return WreathModule(params, dict.fromkeys(tuples, 1), edges, sns)
+
+
+def test_module_cohomology_names_the_square_breaking_relation_ii(ahat1):
+    module = _noncommuting_module(ahat1)
+    failures = verify_relations(module).failures
+    assert [(f.relation, f.j, f.ell, f.m, f.edge_a, f.edge_b) for f in failures] == \
+        [("ii", ("0", "0"), 1, 2, "a", "a")]
+    with pytest.raises(FormatError, match=r"^cube square at \(\) with 1, 2 does not commute$"):
+        module_cohomology(module, "1")
+
+
 def test_kronecker_z3_cubes_need_no_exact_rank(monkeypatch):
     kronecker = Quiver(["0", "1"], [("a", "0", "1"), ("b", "0", "1")])
     params = make_params(kronecker, 4, {"0": Scalar.one(3) + Scalar.zeta(3), "1": 0},
@@ -329,3 +351,120 @@ def test_kronecker_z3_cubes_need_no_exact_rank(monkeypatch):
     assert calls == []
     assert sum(d[0] for d in coh.values()) == sum(v.support.values())
     assert all(not any(dims[1:]) for dims in coh.values())
+
+
+# -- the relation-(ii) certificate of module cubes ----------------------------------
+
+def _certificate_and_products(module, vertex):
+    """(certificate found, every exact d_{r+1} d_r of every module cube is zero)."""
+    mc = module_cube(module, vertex)
+    certified = cubes._relation_ii_certificate(mc.calculus) is not None
+    vanish = all(not d2 @ d1 for cube in mc.cubes.values()
+                 for d1, d2 in itertools.pairwise(cubes._total_complex(cube)[1]))
+    return certified, vanish
+
+
+def test_certificate_holds_on_every_corpus_cube(corpus):
+    for name, module in corpus:
+        for vertex in module.params.quiver.vertices:
+            assert _certificate_and_products(module, vertex) == (True, True), (name, vertex)
+
+
+@pytest.fixture(scope="module")
+def sink_forms(corpus):
+    """(sink-form module, vertex, stored keys of its incoming-edge actions) of the corpus."""
+    out = []
+    for _, module in corpus:
+        for vertex in module.params.quiver.vertices:
+            calc = module_cube(module, vertex).calculus
+            into = {e.name for e in calc.R}
+            keys = sorted(k for k in calc.module.edge_actions if k[0] in into)
+            if keys:
+                out.append((calc.module, vertex, keys))
+    assert any(m.n >= 2 for m, _, _ in out)
+    return out
+
+
+def _perturbed(module, key, row, col, delta):
+    block = module.edge_actions[key]
+    unit = [[delta * ((r, c) == (row % block.rows, col % block.cols)) for c in range(block.cols)]
+            for r in range(block.rows)]
+    actions = dict(module.edge_actions) | {key: block + Mat.from_rows(unit, block.order)}
+    return WreathModule(module.params, module.support, actions, module.sn_actions)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_certificate_holds_exactly_when_every_square_vanishes(sink_forms, data):
+    module, vertex, keys = data.draw(st.sampled_from(sink_forms))
+    key = data.draw(st.sampled_from(keys))
+    row, col = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    delta = data.draw(st.sampled_from((-2, -1, 1, 2)))
+    certified, vanish = _certificate_and_products(_perturbed(module, key, row, col, delta), vertex)
+    assert certified == vanish
+
+
+def test_perturbations_break_the_certificate(sink_forms):
+    # the first entry of every stored incoming-edge block, bumped by 1
+    outcomes = set()
+    for module, vertex, keys in sink_forms:
+        for key in keys:
+            got = _certificate_and_products(_perturbed(module, key, 0, 0, 1), vertex)
+            assert got[0] == got[1], (vertex, key)
+            outcomes.add(got[0])
+    assert outcomes == {True, False}
+
+
+def test_module_cohomology_multiplies_only_stored_edge_actions(kronecker_f0v, monkeypatch):
+    seen = {}
+    build, certify = cubes.module_cube, cubes._relation_ii_certificate
+    monkeypatch.setattr(cubes, "module_cube",
+                        lambda *a: seen.setdefault("cubes", build(*a)))
+    monkeypatch.setattr(cubes, "_relation_ii_certificate",
+                        lambda calc: seen.setdefault("certificate", certify(calc)))
+    calls = []
+    product = Mat.__matmul__
+    monkeypatch.setattr(Mat, "__matmul__", lambda a, b: calls.append((a, b)) or product(a, b))
+    coh = module_cohomology(kronecker_f0v, "0")
+    assert sum(d[0] for d in coh.values()) == 2 and not any(any(d[1:]) for d in coh.values())
+    # no operand is a differential: each is an edge action stored in the
+    # sink-form module, two products per relation-(ii) instance at most
+    stored = {id(m) for m in seen["cubes"].calculus.module.edge_actions.values()}
+    assert calls and all(id(a) in stored and id(b) in stored for a, b in calls)
+    assert len(calls) <= 2 * seen["certificate"].instances
+
+
+def test_a_certified_complex_needs_the_certificate():
+    terms = [ComplexTerm(((),), (1,), (0,), 1)] * 3
+    one = Mat.identity(1)
+    with pytest.raises(TypeError):
+        ChainComplex._certified(terms, [one, one], 1, None)
+
+
+def test_euler_traces_agree_with_the_assembled_action(corpus):
+    checked = 0
+    for name, module in corpus:
+        for vertex in module.params.quiver.vertices:
+            calc = module_cube(module, vertex).calculus
+            for j in cubes._complex_tuples(calc):
+                for subset, level in cubes._levels(calc.delta(j)):
+                    for img in itertools.permutations(range(1, module.n + 1)):
+                        sigma = Perm(list(img))
+                        if sigma.act_tuple(j) != j or \
+                                tuple(sorted(sigma(p) for p in level)) != level:
+                            continue
+                        assert calc.sigma_trace(j, level, sigma) == \
+                            calc.sigma_perm(j, level, sigma).trace(), (name, vertex, j, level)
+                        checked += 1
+    assert checked > 200
+
+
+def test_sigma_trace_refuses_a_moved_level(ahat1):
+    calc = module_cube(_outer_square(ahat1), "0").calculus
+    swap = Perm.transposition(1, 2, 2)
+    assert calc.sigma_trace(("0", "0"), (1, 2), swap) == \
+        calc.sigma_perm(("0", "0"), (1, 2), swap).trace()
+    with pytest.raises(FormatError):
+        calc.sigma_trace(("0", "0"), (1,), swap)
+    with pytest.raises(FormatError):
+        calc.sigma_trace(("0", "1"), (), swap)

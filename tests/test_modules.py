@@ -543,14 +543,6 @@ def _reparametrised(mod, lam=None, nu=None):
 
 
 @pytest.fixture(scope="module")
-def kronecker_f0v():
-    """F_0 of the [2, 2] zero-edge module at vertex 1 on the Kronecker quiver, n = 4."""
-    params = make_params(AHAT1, 4, {"0": Fraction(2, 5), "1": 0}, Fraction(1, 2))
-    v = build_induced_zero_e(params, [(YoungDiagram([2, 2]), "1")])
-    return reflection_functor(v, "0").module
-
-
-@pytest.fixture(scope="module")
 def mixed_modules(corpus):
     """Passing modules with n >= 2, with F_0 of the n = 3 modules for mixed tuples."""
     found = dict(corpus)
