@@ -5,7 +5,7 @@ symplectic-reflection-algebra parameter dictionary."""
 from .cyclotomic import Scalar, cyclotomic_polynomial, format_scalar, parse_scalar
 from .errors import (
     EdgeLoopError, FormatError, NotGenericError, NotInSpanError,
-    OrderMismatchError, ResourceLimitError, StructureError, WreathqError,
+    OrderMismatchError, ResourceLimitError, WreathqError,
 )
 from .linalg import Mat, intersect_kernels, kernel_basis, rank, rref, solve_in_span
 from .quiver import (

@@ -13,10 +13,7 @@ import json
 import sys
 
 from .cyclotomic import format_scalar
-from .errors import (
-    EdgeLoopError, FormatError, NotGenericError, ResourceLimitError,
-    StructureError, WreathqError,
-)
+from .errors import FormatError, WreathqError
 from . import io
 from .cubes import euler_characteristic, module_cohomology
 from .modules import build_induced_zero_e, verify_relations
@@ -229,12 +226,9 @@ def main(argv=None) -> int:
         return EXIT_FORMAT if exc.code else EXIT_OK
     try:
         return args.fn(args)
-    except (FormatError, StructureError) as exc:
+    except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except (EdgeLoopError, NotGenericError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except WreathqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -8,8 +8,9 @@ sign (-1)^(number of larger elements already present).  For a module
 and a reflection vertex, the cube of a tuple j has the auxiliary spaces
 V(j, Delta(j) minus J) with the pi maps as structure maps; degree-zero
 cohomology recovers the reflection functor.  Its squares commute by
-relation (ii) between edges into the vertex, which ``module_cohomology``
-checks once for all of its cubes.
+relation (ii) between edges into the vertex: ``module_cube`` checks that
+once for all of its cubes and stores the certificate on each, and
+``complex_from_cube`` is the one path from any cube to its complex.
 """
 
 from __future__ import annotations
@@ -27,7 +28,14 @@ from .symmetric import Perm, partitions
 
 
 class Cube:
-    """A commutative cube: dims per subset, maps per (subset, new element)."""
+    """A commutative cube: dims per subset, maps per (subset, new element).
+
+    Instances are treated as immutable: a cube from ``module_cube``
+    carries the relation-(ii) certificate of its module, and a changed
+    map would no longer be covered by it.
+    """
+
+    _certificate: Optional[_RelationIICertificate] = None    # set by module_cube
 
     def __init__(self, delta: Sequence, spaces: dict, maps: dict, order: int = 1):
         self.delta = tuple(delta)
@@ -93,8 +101,9 @@ class ChainComplex:
 
     The checks are exact and are made on construction: every differential
     fits its terms and d_{r+1} d_r = 0, the certificate that
-    ``cohomology`` relies on.  Only ``module_cohomology`` establishes
-    d^2 = 0 otherwise, from a ``_RelationIICertificate`` of its module.
+    ``cohomology`` relies on.  Only ``complex_from_cube`` establishes
+    d^2 = 0 otherwise, for a module cube, from the
+    ``_RelationIICertificate`` it carries.
     """
 
     def __init__(self, terms: list[ComplexTerm], diffs: list[Mat], order: int):
@@ -127,13 +136,21 @@ class ChainComplex:
         return [t.total for t in self.terms]
 
 
-def _total_complex(cube: Cube) -> tuple[list[ComplexTerm], list[Mat]]:
-    """The terms and differentials of the signed total complex, unchecked."""
+def complex_from_cube(cube: Cube) -> ChainComplex:
+    """The signed total complex of a commutative cube; the only assembly path.
+
+    The block of d_{r+1} d_r from J to J + p + q is the difference of
+    the two paths round the square at J, up to sign, so d^2 = 0 holds
+    exactly when every square commutes.  A cube from ``module_cube``
+    carries the relation-(ii) certificate of its module, which stands
+    in for the products.  Any other cube goes through ``ChainComplex``,
+    which forms every product d_{r+1} d_r; only a failed check walks
+    the squares to name the one at fault.
+    """
     order = cube.order
-    n = len(cube.delta)
     terms = []
-    for r in range(n + 1):
-        subsets = [s for s in _subsets(cube.delta) if len(s) == r]
+    for r in range(len(cube.delta) + 1):
+        subsets = list(itertools.combinations(cube.delta, r))
         dims = [cube.spaces[s] for s in subsets]
         offsets = []
         total = 0
@@ -142,8 +159,7 @@ def _total_complex(cube: Cube) -> tuple[list[ComplexTerm], list[Mat]]:
             total += d
         terms.append(ComplexTerm(tuple(subsets), tuple(dims), tuple(offsets), total))
     diffs = []
-    for r in range(n):
-        src, tgt = terms[r], terms[r + 1]
+    for src, tgt in itertools.pairwise(terms):
         tgt_index = {s: k for k, s in enumerate(tgt.subsets)}
         bb = BlockBuilder(tgt.total, src.total, order)
         for k, subset in enumerate(src.subsets):
@@ -159,21 +175,10 @@ def _total_complex(cube: Cube) -> tuple[list[ComplexTerm], list[Mat]]:
                     block = -block
                 bb.add_block(tgt.offsets[tgt_index[bigger]], src.offsets[k], block)
         diffs.append(bb.build())
-    return terms, diffs
-
-
-def complex_from_cube(cube: Cube) -> ChainComplex:
-    """The signed total complex of a commutative cube.
-
-    The block of d_{r+1} d_r from J to J + p + q is the difference of
-    the two paths round the square at J, up to sign, so d^2 = 0 holds
-    exactly when every square commutes.  ``ChainComplex`` checks it by
-    forming every product d_{r+1} d_r, whatever the cube; only a failed
-    check walks the squares to name the one at fault.
-    """
-    terms, diffs = _total_complex(cube)
+    if cube._certificate is not None:
+        return ChainComplex._certified(terms, diffs, order, cube._certificate)
     try:
-        return ChainComplex(terms, diffs, cube.order)
+        return ChainComplex(terms, diffs, order)
     except FormatError:
         cube.validate()
         raise
@@ -194,8 +199,8 @@ def cohomology(cx: ChainComplex) -> CohomologyData:
     without exact elimination.  Write rho_r for the rank of d_r mod p
     and R_r for its exact rank, so rho_r <= R_r.  Because d^2 = 0 (the
     ``ChainComplex`` certificate: the exact products d_{r+1} d_r, or for
-    the cubes of ``module_cohomology`` the relation-(ii) instances
-    between incoming edges), im d_{r-1} lies in ker d_r and
+    the cubes of ``module_cube`` the relation-(ii) instances between
+    incoming edges), im d_{r-1} lies in ker d_r and
     R_{r-1} + R_r <= dim C^r.  If the complex is exact mod p in degree
     r >= 1, that is dim C^r = rho_{r-1} + rho_r, then
     rho_{r-1} + rho_r <= R_{r-1} + R_r <= rho_{r-1} + rho_r, and with
@@ -243,8 +248,13 @@ def _complex_tuples(calc: SinkCalculus) -> list[tuple]:
 
 
 def module_cube(module: WreathModule, vertex: str) -> ModuleCubes:
-    """Z_j(J) = V(j, Delta(j) - J) with the pi maps as structure maps."""
+    """Z_j(J) = V(j, Delta(j) - J) with the pi maps as structure maps.
+
+    Each cube carries the relation-(ii) certificate of the sink-form
+    module, or None if an instance fails.
+    """
     calc = SinkCalculus(module, vertex)
+    certificate = _relation_ii_certificate(calc)
     cubes = {}
     for j in _complex_tuples(calc):
         delta = calc.delta(j)
@@ -255,6 +265,7 @@ def module_cube(module: WreathModule, vertex: str) -> ModuleCubes:
             for p in level:
                 maps[(subset, p)] = calc.pi(j, level, p)
         cubes[j] = Cube(delta, spaces, maps, module.order)
+        cubes[j]._certificate = certificate
     return ModuleCubes(calc, cubes)
 
 
@@ -300,22 +311,13 @@ def _relation_ii_certificate(calc: SinkCalculus) -> Optional[_RelationIICertific
 def module_cohomology(module: WreathModule, vertex: str) -> dict:
     """Per-tuple cohomology dimensions of the associated complex.
 
-    d^2 = 0 on every cube is certified once, by the relation-(ii)
-    instances between incoming edges of the sink-form module, in place
-    of the products d_{r+1} d_r.  If an instance fails, every cube goes
-    through ``complex_from_cube``, whose ``FormatError`` names the first
-    square that does not commute.
+    d^2 = 0 on every cube is certified by the relation-(ii) instances
+    that ``module_cube`` checks, in place of the products d_{r+1} d_r.
+    If an instance fails, ``complex_from_cube`` forms the products, and
+    its ``FormatError`` names the first square that does not commute.
     """
-    mc = module_cube(module, vertex)
-    certificate = _relation_ii_certificate(mc.calculus)
-    out = {}
-    for j, cube in mc.cubes.items():
-        if certificate is None:
-            cx = complex_from_cube(cube)
-        else:
-            cx = ChainComplex._certified(*_total_complex(cube), cube.order, certificate)
-        out[j] = cohomology(cx).dims
-    return out
+    return {j: cohomology(complex_from_cube(cube)).dims
+            for j, cube in module_cube(module, vertex).cubes.items()}
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,6 @@ class FormatError(WreathqError):
     """Malformed input: bad scalar syntax, bad JSON layout, bad shapes."""
 
 
-class StructureError(WreathqError):
-    """A module violates a structural invariant (shapes, group relations)."""
-
-
 class OrderMismatchError(WreathqError):
     """Two scalars (or matrices) from different cyclotomic fields were mixed."""
 

@@ -13,7 +13,7 @@ from typing import Any
 from .cyclotomic import MAX_CYCLOTOMIC_ORDER, format_scalar, parse_scalar
 from .errors import FormatError, ResourceLimitError
 from .linalg import Mat
-from .modules import Params, WreathModule
+from .modules import Params, WreathModule, swap_tuple
 from .quiver import DimVector, Quiver, Weight
 from .sra import GammaData, SRAParams
 from .symmetric import YoungDiagram
@@ -162,13 +162,18 @@ def parse_module(doc: Any, quiver: Quiver) -> WreathModule:
     _require("params" in doc and "support" in doc, "module needs params and support")
     params = parse_params(doc["params"], quiver)
     order = params.order
+
+    def module_tuple(value, what):
+        j = _vertex_tuple(value, what)
+        _require(len(j) == params.n, f"{what} {j} has length != n")
+        for v in j:
+            _require(quiver.has_vertex(v), f"{what} uses unknown vertex {v!r}")
+        return j
+
     support = {}
     for item in _objects(doc, "support"):
         _require("tuple" in item and "dim" in item, "support entries need tuple and dim")
-        j = _vertex_tuple(item["tuple"], "support tuple")
-        _require(len(j) == params.n, f"support tuple {j} has length != n")
-        for v in j:
-            _require(quiver.has_vertex(v), f"support tuple uses unknown vertex {v!r}")
+        j = module_tuple(item["tuple"], "support tuple")
         d = _int(item["dim"], "dim")
         _require(d >= 0, f"dim must be non-negative, got {d}")
         support[j] = d
@@ -182,10 +187,10 @@ def parse_module(doc: Any, quiver: Quiver) -> WreathModule:
                  "edge actions need edge/position/source_tuple/matrix")
         name = str(item["edge"])
         pos = _int(item["position"], "position")
-        j = _vertex_tuple(item["source_tuple"], "source_tuple")
+        j = module_tuple(item["source_tuple"], "source_tuple")
         e = quiver.edge(name)
         _require(1 <= pos <= params.n, f"bad position {pos}")
-        _require(len(j) == params.n and j[pos - 1] == e.tail,
+        _require(j[pos - 1] == e.tail,
                  f"edge {name!r} cannot act at position {pos} of {j}")
         tgt = list(j)
         tgt[pos - 1] = e.head
@@ -198,12 +203,10 @@ def parse_module(doc: Any, quiver: Quiver) -> WreathModule:
         _require({"adjacent", "source_tuple", "matrix"} <= set(item),
                  "sn actions need adjacent/source_tuple/matrix")
         m = _int(item["adjacent"], "adjacent")
-        j = _vertex_tuple(item["source_tuple"], "source_tuple")
+        j = module_tuple(item["source_tuple"], "source_tuple")
         _require(1 <= m <= params.n - 1, f"bad adjacent transposition index {m}")
-        tgt = list(j)
-        tgt[m - 1], tgt[m] = tgt[m], tgt[m - 1]
         where = f"sn action ({m}, {j})"
-        mat = parse_matrix(item["matrix"], dim(tuple(tgt)), dim(j), order, where)
+        mat = parse_matrix(item["matrix"], dim(swap_tuple(j, m)), dim(j), order, where)
         sn_actions[(m, j)] = mat
 
     return WreathModule(params, support, edge_actions, sn_actions)
@@ -293,6 +296,7 @@ def parse_conditions_request(doc: Any, quiver: Quiver):
                                 for v, c in item["alpha"].items()})
         blocks.append((diagram, alpha))
     n = _int(doc["n"], "n") if "n" in doc else None
+    _require(n is None or n >= 1, f"n must be at least 1, got {n}")
     return lam0, lam, nu, word, blocks, n
 
 

@@ -174,12 +174,6 @@ class VerifyReport:
     def passed(self) -> bool:
         return not self.structural and not self.failures
 
-    def summary(self) -> str:
-        if self.passed:
-            return "ok: module satisfies the defining relations"
-        lines = [str(s) for s in self.structural] + [str(f) for f in self.failures]
-        return "\n".join(lines)
-
 
 def structural_report(mod: WreathModule) -> list[StructuralIssue]:
     """Shape, group-relation and equivariance problems of a module, in walk order.
@@ -606,18 +600,11 @@ def reorient_module(mod: WreathModule, flips: Iterable[str], inverse: bool = Fal
     params2 = Params(q2, mod.params.n, mod.params.weight, mod.params.nu)
     edge_actions = {}
     for (name, pos, j), mat in mod.edge_actions.items():
-        base = name[:-1] if name.endswith("*") else name
-        if base not in flipset:
+        if name.rstrip("*") not in flipset:
             edge_actions[(name, pos, j)] = mat
             continue
-        is_star = name.endswith("*")
-        if not inverse:
-            # new a acts by old a*, new a* acts by -(old a)
-            newname = base if is_star else base + "*"
-            edge_actions[(newname, pos, j)] = mat if is_star else -mat
-        else:
-            newname = base if is_star else base + "*"
-            edge_actions[(newname, pos, j)] = -mat if is_star else mat
+        # new a acts by old a*, new a* by -(old a); the inverse negates the other one
+        edge_actions[(star_name(name), pos, j)] = -mat if name.endswith("*") == inverse else mat
     return WreathModule(params2, mod.support, edge_actions, mod.sn_actions)
 
 

@@ -74,13 +74,9 @@ class Quiver:
         """Edges of the double with tail v, in declaration order."""
         return [e for e in self.double if e.tail == v]
 
-    def edges_between(self, u: str, v: str) -> int:
-        """Number of base edges joining u and v in either direction."""
-        return sum(1 for e in self.edges if {e.tail, e.head} == {u, v}
-                   or (u == v and e.tail == e.head == u))
-
     def adjacent(self, u: str, v: str) -> bool:
-        return u != v and self.edges_between(u, v) > 0
+        """Whether some base edge joins the distinct vertices u and v."""
+        return u != v and any({e.tail, e.head} == {u, v} for e in self.edges)
 
     def is_connected(self) -> bool:
         if not self.vertices:
@@ -137,10 +133,6 @@ class DimVector:
     def unit(vertex: str) -> "DimVector":
         return DimVector(((vertex, 1),))
 
-    @staticmethod
-    def zero() -> "DimVector":
-        return DimVector(())
-
     def as_dict(self) -> dict[str, int]:
         return dict(self.coords)
 
@@ -154,10 +146,7 @@ class DimVector:
         return DimVector.make(d)
 
     def __sub__(self, other: "DimVector") -> "DimVector":
-        d = self.as_dict()
-        for v, c in other.coords:
-            d[v] = d.get(v, 0) - c
-        return DimVector.make(d)
+        return self + other.scale(-1)
 
     def scale(self, k: int) -> "DimVector":
         return DimVector.make({v: k * c for v, c in self.coords})
@@ -191,9 +180,6 @@ class Weight:
 
     def __getitem__(self, v: str) -> Scalar:
         return self._map.get(v, Scalar.zero(self.order))
-
-    def as_dict(self) -> dict[str, Scalar]:
-        return dict(self.coords)
 
     def dot(self, alpha: DimVector) -> Scalar:
         total = Scalar.zero(self.order)
@@ -272,45 +258,24 @@ def cartan_matrix(q: Quiver) -> Mat:
     return Mat.from_rows(rows, 1) if n else Mat.zeros(0, 0)
 
 
-def _is_positive_semidefinite(rows: list[list[Fraction]]) -> bool:
-    """Exact PSD test by symmetric elimination (Schur complements)."""
-    m = [row[:] for row in rows]
-    n = len(m)
-    for t in range(n):
-        d = m[t][t]
-        if d < 0:
-            return False
-        if d == 0:
-            # PSD with zero diagonal forces the whole row to vanish
-            if any(m[t][j] != 0 for j in range(t, n)):
-                return False
-            continue
-        for r in range(t + 1, n):
-            f = m[r][t] / d
-            if f:
-                for j in range(t, n):
-                    m[r][j] -= f * m[t][j]
-        # the trailing block is now the Schur complement, symmetric again
-    return True
-
-
 def affine_data(q: Quiver) -> Optional[DimVector]:
     """The minimal positive imaginary root delta, when the quiver is affine.
 
-    Returns the primitive positive integer vector spanning the radical of
-    the symmetrized form if that form is positive semidefinite with a
-    one-dimensional radical; otherwise None.  Loops and disconnected
-    quivers yield None.
+    Returns the primitive integer vector spanning the radical of the
+    symmetrized form if that radical is one-dimensional and the vector
+    has all entries positive; otherwise None.  Loops and disconnected
+    quivers yield None.  For a connected loop-free quiver the Cartan
+    matrix is an indecomposable symmetric generalized Cartan matrix, so
+    by Vinberg's trichotomy a positive radical vector forces affine
+    type: positive semidefinite of corank 1 (Kac, Infinite-Dimensional
+    Lie Algebras, Thm 4.3 and Prop 4.7).  No separate test of
+    semidefiniteness is needed.
     """
     if not q.vertices or not q.is_connected():
         return None
     if any(q.has_loop_at(v) for v in q.vertices):
         return None
-    c = cartan_matrix(q)
-    rows = [[x.as_fraction() for x in c.row(r)] for r in range(c.rows)]
-    if not _is_positive_semidefinite(rows):
-        return None
-    ker = kernel_basis(c)
+    ker = kernel_basis(cartan_matrix(q))
     if ker.cols != 1:
         return None
     vals = [ker[r, 0].as_fraction() for r in range(ker.rows)]
@@ -334,7 +299,6 @@ class WordStep:
     letter: str
     pivot: Scalar          # coordinate at the letter before reflecting
     ok: bool
-    weight_after: Weight
 
 
 @dataclass(frozen=True)
@@ -349,8 +313,8 @@ def validate_word(q: Quiver, lam: Weight, word: list[str]) -> WordValidation:
 
     The word lists the first reflection first.  Each step reports the
     current coordinate at the letter (its vanishing is equivalent to the
-    vanishing after reflecting, since r_i negates it) and the running
-    weight.  The whole word passes iff every pivot is nonzero.
+    vanishing after reflecting, since r_i negates it); the result keeps
+    the final weight.  The whole word passes iff every pivot is nonzero.
     """
     steps = []
     cur = lam
@@ -361,7 +325,7 @@ def validate_word(q: Quiver, lam: Weight, word: list[str]) -> WordValidation:
         ok = bool(pivot)
         passed = passed and ok
         cur = dual_reflection(q, letter, cur)
-        steps.append(WordStep(letter, pivot, ok, cur))
+        steps.append(WordStep(letter, pivot, ok))
     return WordValidation(tuple(steps), passed, cur)
 
 

@@ -309,9 +309,6 @@ class ReflectionOutput:
     embeddings: dict
     calculus: SinkCalculus
 
-    def dims(self) -> dict:
-        return dict(self.module.support)
-
 
 def candidate_tuples(calc: SinkCalculus, include_interior: bool = False) -> list[tuple]:
     """Tuples j whose top space V(j, Delta(j)) can be nonzero.
@@ -493,14 +490,11 @@ class WordResult:
     trace: tuple   # (vertex, weight, dims) per applied letter
 
 
-def apply_functor_word(module: WreathModule, word: Sequence[str],
-                       require_generic: bool = False) -> WordResult:
+def apply_functor_word(module: WreathModule, word: Sequence[str]) -> WordResult:
     """Compose reflection functors along a word (first letter applied first)."""
     cur = module
     trace = []
     for letter in word:
-        if require_generic and not is_generic(cur.params, letter):
-            raise NotGenericError(f"parameters are not generic at {letter!r}")
         cur = reflection_functor(cur, letter).module
         trace.append((letter, cur.params.weight, dict(cur.support)))
     return WordResult(cur, tuple(trace))

@@ -53,6 +53,12 @@ class GammaData:
         return GammaData(m, elements, vertices, table, dims, m)
 
     def __post_init__(self):
+        if self.order < 1:
+            raise FormatError(f"group order must be at least 1, got {self.order}")
+        if len(set(self.elements)) != len(self.elements) or len(self.elements) != self.order:
+            raise FormatError(f"elements must be {self.order} distinct group elements")
+        if any(d < 1 for d in self.dims.values()):
+            raise FormatError("every dims value must be at least 1")
         ident = self.elements[0]
         for v in self.vertices:
             if self.table[v][ident] != Scalar.rational(self.dims[v], self.scalar_order):
@@ -193,9 +199,14 @@ def deformability_report(q: Quiver, lambda0: Weight, lam: Weight, nu: Scalar,
     report covers: validity of the word against lambda0; rectangles;
     the transported vertices being distinct, loop-free and pairwise
     non-adjacent; the exact trace identities lam . alpha_l =
-    (a_l - b_l) nu; and genericity of (lam, nu) along the word prefixes.
+    (a_l - b_l) nu; and genericity of (lam, nu) along the word prefixes,
+    against p < n.  An absent n is the total size of the diagrams; a
+    given n must be at least 1.
     """
-    n = n or sum(d.size for d, _ in blocks)
+    if n is None:
+        n = sum(d.size for d, _ in blocks)
+    elif n < 1:
+        raise FormatError(f"n must be at least 1, got {n}")
     items: list[ConditionItem] = []
 
     word_check = validate_word(q, lambda0, list(word))

@@ -11,6 +11,7 @@ from Young subgroups with canonical minimal-length coset representatives.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -50,9 +51,7 @@ class Perm:
     @staticmethod
     def adjacent(m: int, n: int) -> "Perm":
         """The transposition (m, m+1) inside S_n."""
-        img = list(range(1, n + 1))
-        img[m - 1], img[m] = img[m], img[m - 1]
-        return Perm(img)
+        return Perm.transposition(m, m + 1, n)
 
     @staticmethod
     def transposition(a: int, b: int, n: int) -> "Perm":
@@ -389,15 +388,12 @@ def central_sum_invertible(x, nu, r: int) -> bool:
     if not isinstance(nu, Scalar):
         nu = Scalar.rational(nu, x.order)
     order = x.order
-    size = 1
-    for t in range(2, r + 1):
-        size *= t
     for sign in (1, -1):
         element = {Perm.identity(r): x}
         for m in range(2, r + 1):
             element[Perm.transposition(1, m, r)] = sign * nu
         mat = regular_representation(element, r, order)
-        if rank(mat) != size:
+        if rank(mat) != math.factorial(r):
             return False
     return True
 

@@ -441,6 +441,24 @@ MALFORMED = [
     ("induce", b"[" * 100000, 2),
     ("blocks", "[" * 100000, 2),
     ("blocks", "[" * 100000 + "]" * 100000, 2),
+    # S_n and edge actions whose source tuple is not n quiver vertices
+    ("verify", _with(SN_MODULE, ["sn_actions", 0],
+                     {"adjacent": 1, "source_tuple": ["0"], "matrix": []}), 2),
+    ("verify", _with(SN_MODULE, ["sn_actions", 0],
+                     {"adjacent": 1, "source_tuple": ["9", "1", "1"], "matrix": []}), 2),
+    ("verify", _with(SN_MODULE, ["edge_actions", 0, "source_tuple"], ["1", "9"]), 2),
+    # table groups: order at least 1, exactly order distinct elements, dims at least 1
+    ("translate", {**TABLE_GAMMA, "order": 0, "dims": {"0": 0}, "table": {"0": {"e": "0"}}}, 2),
+    ("translate", {**TABLE_GAMMA, "dims": {"0": -1}, "table": {"0": {"e": "-1"}}}, 2),
+    ("translate", {**TABLE_GAMMA, "order": 2, "vertices": ["0", "1"], "dims": {"0": 1, "1": 1},
+                   "table": {"0": {"e": "1"}, "1": {"e": "1"}}}, 2),
+    ("translate", {**TABLE_GAMMA, "order": 2, "elements": ["e", "e"], "vertices": ["0", "1"],
+                   "dims": {"0": 1, "1": 1}, "table": {"0": {"e": "1"}, "1": {"e": "1"}}}, 2),
+    # n below 1 in a conditions request; with word ["0"] and lambda_0 = 0 the
+    # genericity check would find nothing to check at n = -3
+    ("conditions", _with(REQUEST, ["n"], 0), 2),
+    ("conditions", {**REQUEST, "lambda": {"0": "0", "1": "1"}, "nu": "1", "word": ["0"],
+                    "n": -3}, 2),
 ]
 
 

@@ -355,12 +355,22 @@ def test_kronecker_z3_cubes_need_no_exact_rank(monkeypatch):
 
 # -- the relation-(ii) certificate of module cubes ----------------------------------
 
+def _products_vanish(cube):
+    """Whether every exact d_{r+1} d_r of the cube is zero: with the certificate
+    cleared, ``complex_from_cube`` forms them and raises FormatError otherwise."""
+    cube._certificate = None
+    try:
+        complex_from_cube(cube)
+    except FormatError:
+        return False
+    return True
+
+
 def _certificate_and_products(module, vertex):
     """(certificate found, every exact d_{r+1} d_r of every module cube is zero)."""
     mc = module_cube(module, vertex)
     certified = cubes._relation_ii_certificate(mc.calculus) is not None
-    vanish = all(not d2 @ d1 for cube in mc.cubes.values()
-                 for d1, d2 in itertools.pairwise(cubes._total_complex(cube)[1]))
+    vanish = all(_products_vanish(cube) for cube in mc.cubes.values())
     return certified, vanish
 
 
@@ -432,6 +442,26 @@ def test_module_cohomology_multiplies_only_stored_edge_actions(kronecker_f0v, mo
     stored = {id(m) for m in seen["cubes"].calculus.module.edge_actions.values()}
     assert calls and all(id(a) in stored and id(b) in stored for a, b in calls)
     assert len(calls) <= 2 * seen["certificate"].instances
+
+
+def test_module_cohomology_assembles_each_cube_once(corpus, monkeypatch):
+    # complex_from_cube is the one path from a cube to its complex, and the
+    # certified module cubes go through it
+    for name, module in corpus:
+        for vertex in module.params.quiver.vertices:
+            seen = {}
+            build, assemble = cubes.module_cube, cubes.complex_from_cube
+            monkeypatch.setattr(cubes, "module_cube",
+                                lambda *a: seen.setdefault("cubes", build(*a)))
+            calls = []
+            monkeypatch.setattr(cubes, "complex_from_cube",
+                                lambda cube: calls.append(cube) or assemble(cube))
+            coh = module_cohomology(module, vertex)
+            monkeypatch.undo()
+            made = list(seen["cubes"].cubes.values())
+            assert [id(c) for c in calls] == [id(c) for c in made], (name, vertex)
+            assert len(coh) == len(made)
+            assert all(c._certificate is not None for c in made), (name, vertex)
 
 
 def test_a_certified_complex_needs_the_certificate():

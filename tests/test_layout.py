@@ -187,3 +187,41 @@ def test_the_guard_sees_an_unread_name(tmp_path):
     bench = tmp_path / "bench.py"
     bench.write_text("SPANS = (('a', 'traced', 'a.traced'),)\n")
     assert _unread_public_names(pkg, [bench]) == ["a.py:13: Unread", "a.py:16: unread"]
+
+
+# -- exception classes that nothing raises ---------------------------------------------
+
+def _unraised_errors(errors: pathlib.Path, sources: list[pathlib.Path]) -> list[str]:
+    """Exception classes of ``errors`` that no ``raise`` in ``sources`` names and no
+    other class of ``errors`` derives from."""
+    tree = ast.parse(errors.read_text(encoding="utf-8"))
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    bases = {base.id for node in classes for base in node.bases if isinstance(base, ast.Name)}
+    raised = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    return [f"{errors.name}:{node.lineno}: {node.name}" for node in classes
+            if node.name not in raised | bases]
+
+
+def test_every_exception_class_is_raised():
+    errors = PACKAGE / "errors.py"
+    sources = sorted(p for p in PACKAGE.glob("*.py") if p != errors)
+    assert _unraised_errors(errors, sources) == []
+
+
+def test_the_guard_sees_an_unraised_error(tmp_path):
+    errors = tmp_path / "errors.py"
+    errors.write_text("class Base(Exception):\n    pass\n\n"
+                      "class Raised(Base):\n    pass\n\n"
+                      "class Bare(Base):\n    pass\n\n"
+                      "class Unraised(Base):\n    pass\n")
+    user = tmp_path / "user.py"
+    user.write_text("from .errors import Raised, Bare, Unraised\n\n"
+                    "def f(x):\n    if x:\n        raise Raised('x')\n    raise Bare\n\n"
+                    "def g():\n    return Unraised\n")
+    assert _unraised_errors(errors, [user]) == ["errors.py:10: Unraised"]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -175,3 +176,136 @@ def test_quiver_validation():
         Quiver(["0"], [("a", "0", "1")])
     with pytest.raises(FormatError):
         Quiver(["0", "0"], [])
+
+
+# -- affine_data against the classification -------------------------------------
+
+def _graph(pairs, rng=None):
+    """A quiver on the vertices of ``pairs``, one edge per pair, oriented at random
+    when ``rng`` is given."""
+    vertices = list(dict.fromkeys(v for pair in pairs for v in pair))
+    edges = []
+    for k, (u, v) in enumerate(pairs):
+        if rng is not None and rng.random() < 0.5:
+            u, v = v, u
+        edges.append((f"e{k}", u, v))
+    return Quiver(vertices, edges)
+
+
+def _path(names):
+    return list(zip(names, names[1:]))
+
+
+def _star(centre, arms):
+    """(pairs, values) of a star: one path per arm out of the centre ``c``, with
+    ``arms`` listing the values along each arm from the centre outwards."""
+    pairs, values = [], {"c": centre}
+    for a, arm in enumerate(arms):
+        names = ["c"] + [f"{a}.{k}" for k in range(len(arm))]
+        pairs += _path(names)
+        values.update(zip(names[1:], arm))
+    return pairs, values
+
+
+def _cycle(n):
+    """A~_n, n >= 2: the cycle on n + 1 vertices."""
+    names = [str(k) for k in range(n + 1)]
+    return _path(names) + [(names[-1], names[0])], dict.fromkeys(names, 1)
+
+
+def _d_tilde(n):
+    """D~_n: a chain of n - 3 vertices of value 2 with two leaves at each end."""
+    chain = [f"c{k}" for k in range(n - 3)]
+    leaves = [(chain[0], "l1"), (chain[0], "l2"), (chain[-1], "l3"), (chain[-1], "l4")]
+    return _path(chain) + leaves, {**dict.fromkeys(chain, 2), "l1": 1, "l2": 1, "l3": 1, "l4": 1}
+
+
+AFFINE = [
+    *[_cycle(n) for n in range(2, 6)],
+    _star(2, [[1]] * 4), _d_tilde(5), _d_tilde(6),
+    _star(3, [[2, 1], [2, 1], [2, 1]]),                                           # E~_6
+    _star(4, [[3, 2, 1], [3, 2, 1], [2]]),                                        # E~_7
+    _star(6, [[4, 2], [3], [5, 4, 3, 2, 1]]),                                     # E~_8
+]
+
+NOT_AFFINE = [pairs for pairs, _ in [
+    *[_star(1, [[1] * k]) for k in range(1, 6)],                                  # A_2..A_6
+    *[_star(1, [[1], [1], [1] * (n - 3)]) for n in (4, 5, 6)],                    # D_n
+    *[_star(1, [[1, 1], [1], [1] * (n - 4)]) for n in (6, 7, 8)],                 # E_6..E_8
+    _star(1, [[1]] * 5),                                                          # five leaves
+    _star(1, [[1, 1], [1, 1], [1, 1, 1]]),                                        # T(3,3,4)
+    _star(1, [[1, 1], [1], [1] * 6]),                                             # T(3,2,7)
+    (_path(["0", "1", "2"]) + [("2", "0"), ("2", "3")], None),                    # cycle and tail
+]]
+
+
+def test_affine_data_on_the_affine_diagrams():
+    rng = random.Random(7)
+    assert affine_data(ahat1()) == DELTA                                           # A~_1
+    for pairs, delta in AFFINE:
+        for _ in range(3):
+            assert affine_data(_graph(pairs, rng)) == DimVector.make(delta), pairs
+
+
+def test_affine_data_refuses_dynkin_and_wild_diagrams():
+    rng = random.Random(8)
+    assert affine_data(Quiver(["0"], [])) is None
+    for pairs in NOT_AFFINE:
+        assert affine_data(_graph(pairs, rng)) is None, pairs
+
+
+def _psd_corank(rows):
+    """(positive semidefinite, corank) of a symmetric rational matrix, by symmetric
+    elimination (Schur complements); the corank is None when it is not PSD."""
+    m = [row[:] for row in rows]
+    n = len(m)
+    corank = 0
+    for t in range(n):
+        d = m[t][t]
+        if d < 0:
+            return False, None
+        if d == 0:
+            # PSD with a zero diagonal entry forces the whole row to vanish
+            if any(m[t][j] for j in range(t, n)):
+                return False, None
+            corank += 1
+            continue
+        for r in range(t + 1, n):
+            f = m[r][t] / d
+            if f:
+                for j in range(t, n):
+                    m[r][j] -= f * m[t][j]
+    return True, corank
+
+
+def _random_connected_quiver(rng):
+    n = rng.randint(1, 7)
+    vertices = [str(k) for k in range(n)]
+    pairs = [(str(rng.randrange(k)), str(k)) for k in range(1, n)]     # a spanning tree
+    pairs += [tuple(rng.sample(vertices, 2)) for _ in range(rng.randint(0, n)) if n > 1]
+    edges = []
+    for u, v in pairs:
+        if sum({u, v} == {e[1], e[2]} for e in edges) < 3:
+            edges.append((f"e{len(edges)}", u, v) if rng.random() < 0.5
+                         else (f"e{len(edges)}", v, u))
+    return Quiver(vertices, edges)
+
+
+def test_affine_data_agrees_with_the_semidefinite_test():
+    # Vinberg: a connected loop-free quiver is affine exactly when its symmetrized
+    # form is positive semidefinite of corank 1
+    rng = random.Random(20050202)
+    affine = 0
+    for _ in range(5000):
+        q = _random_connected_quiver(rng)
+        rows = [[Fraction(2 * (u == v) - sum({e.tail, e.head} == {u, v} for e in q.edges))
+                 for v in q.vertices] for u in q.vertices]
+        psd, corank = _psd_corank(rows)
+        delta = affine_data(q)
+        assert (delta is not None) == (psd and corank == 1), q
+        if delta is not None:
+            affine += 1
+            values = [delta[v] for v in q.vertices]
+            assert min(values) > 0 and math.gcd(*values) == 1, q
+            assert all(symmetrized_form(q, delta, DimVector.unit(v)) == 0 for v in q.vertices)
+    assert affine > 100

@@ -173,7 +173,10 @@ def test_word_empty_and_double(ahat1):
     v = simple_at(ahat1, "1", {"0": 1, "1": 0})
     res = apply_functor_word(v, [])
     assert res.module.support == v.support
-    res = apply_functor_word(v, ["0", "0"], require_generic=True)
+    # both letters act at generic parameters
+    once = apply_functor_word(v, ["0"]).module
+    assert is_generic(v.params, "0") and is_generic(once.params, "0")
+    res = apply_functor_word(v, ["0", "0"])
     assert res.module.support == v.support
     assert res.module.params.weight == v.params.weight
 

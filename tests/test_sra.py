@@ -193,3 +193,30 @@ def test_table_gamma_with_classes():
     back = recover_sra(gamma, lam, nu)
     assert back.t == t and back.k == k
     assert all(back.c[e] == c[e] for e in c)
+
+
+def test_conditions_refuse_n_below_one():
+    # r_0 negates lambda_0 = 0, so the coordinate clashes at p = 0 for every n >= 1
+    q = _ahat1()
+    lam0 = Weight({"0": 1, "1": 0})
+    lam = Weight({"0": 0, "1": 1})
+    blocks = [(YoungDiagram([2]), DimVector.unit("1"))]
+    for n in (None, 1, 2):
+        rep = deformability_report(q, lam0, lam, Scalar.rational(1), ["0"], blocks, n)
+        assert [i.passed for i in rep.items if i.label == "word-genericity"] == [False], n
+    for n in (0, -3):
+        with pytest.raises(FormatError, match="n must be at least 1"):
+            deformability_report(q, lam0, lam, Scalar.rational(1), ["0"], blocks, n)
+
+
+def test_table_gamma_needs_a_full_table():
+    one = Scalar.one()
+    with pytest.raises(FormatError, match="order"):
+        GammaData(0, ("e",), ("0",), {"0": {"e": Scalar.zero()}}, {"0": 0}, 1)
+    with pytest.raises(FormatError, match="dims"):
+        GammaData(1, ("e",), ("0",), {"0": {"e": -one}}, {"0": -1}, 1)
+    two = {"0": {"e": one}, "1": {"e": one}}
+    for elements in (("e",), ("e", "e")):
+        with pytest.raises(FormatError, match="distinct"):
+            GammaData(2, elements, ("0", "1"), two, {"0": 1, "1": 1}, 1)
+    assert GammaData(1, ("e",), ("0",), {"0": {"e": one}}, {"0": 1}, 1).order == 1
