@@ -8,9 +8,10 @@ sign (-1)^(number of larger elements already present).  For a module
 and a reflection vertex, the cube of a tuple j has the auxiliary spaces
 V(j, Delta(j) minus J) with the pi maps as structure maps; degree-zero
 cohomology recovers the reflection functor.  Its squares commute by
-relation (ii) between edges into the vertex: ``module_cube`` checks that
-once for all of its cubes and stores the certificate on each, and
-``complex_from_cube`` is the one path from any cube to its complex.
+relation (ii), so ``module_cube`` stores the module's passed
+``verify_relations`` report, computed once per module, on each cube as
+the certificate of d^2 = 0; ``complex_from_cube`` is the one path from
+any cube to its complex.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional, Sequence
 from .cyclotomic import Scalar
 from .errors import FormatError
 from .linalg import BlockBuilder, Mat, rank, rank_mod_p
-from .modules import WreathModule, relation_ii_residual
+from .modules import VerifyReport, WreathModule, verify_relations
 from .reflection import SinkCalculus, candidate_tuples
 from .symmetric import Perm, partitions
 
@@ -31,11 +32,11 @@ class Cube:
     """A commutative cube: dims per subset, maps per (subset, new element).
 
     Instances are treated as immutable: a cube from ``module_cube``
-    carries the relation-(ii) certificate of its module, and a changed
-    map would no longer be covered by it.
+    carries the passed ``verify_relations`` report of its module, and a
+    changed map would no longer be covered by it.
     """
 
-    _certificate: Optional[_RelationIICertificate] = None    # set by module_cube
+    _certificate: Optional[VerifyReport] = None    # set by module_cube
 
     def __init__(self, delta: Sequence, spaces: dict, maps: dict, order: int = 1):
         self.delta = tuple(delta)
@@ -102,8 +103,8 @@ class ChainComplex:
     The checks are exact and are made on construction: every differential
     fits its terms and d_{r+1} d_r = 0, the certificate that
     ``cohomology`` relies on.  Only ``complex_from_cube`` establishes
-    d^2 = 0 otherwise, for a module cube, from the
-    ``_RelationIICertificate`` it carries.
+    d^2 = 0 otherwise, for a module cube, from the passed
+    ``verify_relations`` report it carries.
     """
 
     def __init__(self, terms: list[ComplexTerm], diffs: list[Mat], order: int):
@@ -114,10 +115,10 @@ class ChainComplex:
 
     @classmethod
     def _certified(cls, terms: list[ComplexTerm], diffs: list[Mat], order: int,
-                   certificate: "_RelationIICertificate") -> "ChainComplex":
+                   certificate: VerifyReport) -> "ChainComplex":
         """The total complex of a module cube, d^2 = 0 by ``certificate``."""
-        if not isinstance(certificate, _RelationIICertificate):
-            raise TypeError("a certified complex needs a relation-(ii) certificate")
+        if not (isinstance(certificate, VerifyReport) and certificate.passed):
+            raise TypeError("a certified complex needs a passed VerifyReport")
         out = cls.__new__(cls)
         out._fit(terms, diffs, order)
         return out
@@ -141,11 +142,11 @@ def complex_from_cube(cube: Cube) -> ChainComplex:
 
     The block of d_{r+1} d_r from J to J + p + q is the difference of
     the two paths round the square at J, up to sign, so d^2 = 0 holds
-    exactly when every square commutes.  A cube from ``module_cube``
-    carries the relation-(ii) certificate of its module, which stands
-    in for the products.  Any other cube goes through ``ChainComplex``,
-    which forms every product d_{r+1} d_r; only a failed check walks
-    the squares to name the one at fault.
+    exactly when every square commutes.  A cube from ``module_cube`` of a
+    module that passed ``verify_relations`` carries the report, which
+    stands in for the products.  Any other cube goes through
+    ``ChainComplex``, which forms every product d_{r+1} d_r; only a
+    failed check walks the squares to name the one at fault.
     """
     order = cube.order
     terms = []
@@ -199,8 +200,8 @@ def cohomology(cx: ChainComplex) -> CohomologyData:
     without exact elimination.  Write rho_r for the rank of d_r mod p
     and R_r for its exact rank, so rho_r <= R_r.  Because d^2 = 0 (the
     ``ChainComplex`` certificate: the exact products d_{r+1} d_r, or for
-    the cubes of ``module_cube`` the relation-(ii) instances between
-    incoming edges), im d_{r-1} lies in ker d_r and
+    the cubes of ``module_cube`` the module's passed ``verify_relations``
+    report), im d_{r-1} lies in ker d_r and
     R_{r-1} + R_r <= dim C^r.  If the complex is exact mod p in degree
     r >= 1, that is dim C^r = rho_{r-1} + rho_r, then
     rho_{r-1} + rho_r <= R_{r-1} + R_r <= rho_{r-1} + rho_r, and with
@@ -250,11 +251,20 @@ def _complex_tuples(calc: SinkCalculus) -> list[tuple]:
 def module_cube(module: WreathModule, vertex: str) -> ModuleCubes:
     """Z_j(J) = V(j, Delta(j) - J) with the pi maps as structure maps.
 
-    Each cube carries the relation-(ii) certificate of the sink-form
-    module, or None if an instance fails.
+    Each cube carries ``verify_relations(module)`` when it passed, as the
+    certificate of d^2 = 0, and None otherwise.  The block of d^2 from
+    level D to D - {p, q} on the summand of xi is +-(b_q a_p - a_p b_q)
+    on V_t(j, xi), with a = R[xi_p] and b = R[xi_q] edges into the sink;
+    every such relation-(ii) instance on the support lies in some cube.
+    ``reorient_module`` (a -> a*, a* -> -a) sends each stored action to
+    +- a stored action, so the instance is +- the one at (t, p, q) that
+    the verifier checks in the original orientation, between out-edges
+    of t_p and t_q in the double.  Two edges into a loop-free sink are
+    never a star pair, so its right-hand side is 0 in both forms.
     """
     calc = SinkCalculus(module, vertex)
-    certificate = _relation_ii_certificate(calc)
+    report = verify_relations(module)
+    certificate = report if report.passed else None
     cubes = {}
     for j in _complex_tuples(calc):
         delta = calc.delta(j)
@@ -269,51 +279,12 @@ def module_cube(module: WreathModule, vertex: str) -> ModuleCubes:
     return ModuleCubes(calc, cubes)
 
 
-@dataclass(frozen=True)
-class _RelationIICertificate:
-    """Relation (ii) holds between the incoming edges of a sink-form module.
-
-    On the summand of an assignment xi, the block of d^2 from level D to
-    D - {p, q} of a module cube is +-(b_q a_p - a_p b_q) on V_t(j, xi),
-    with a = R[xi_p] and b = R[xi_q].  Two edges into the sink are never
-    a star pair, so relation (ii) says exactly that this is zero; and
-    every such instance on the support lies in some module cube.  So the
-    certificate holds exactly when every module cube has d^2 = 0.
-    """
-
-    instances: int          # relation-(ii) instances checked
-
-
-def _relation_ii_certificate(calc: SinkCalculus) -> Optional[_RelationIICertificate]:
-    """The relation-(ii) certificate of the module cubes of ``calc``, or None.
-
-    It checks a_p b_q = b_q a_p on V_t for every support tuple t of the
-    sink-form module, every pair of positions p < q holding tails of
-    incoming edges, and every (a, b) in R x R, and gives None at the
-    first instance that fails.
-    """
-    mod = calc.module
-    into = {}               # tail -> the incoming edges from it
-    for e in calc.R:
-        into.setdefault(e.tail, []).append(e)
-    checked = 0
-    for t in mod.tuples():
-        spots = [(p, into[v]) for p, v in enumerate(t, 1) if v in into]
-        for (p, at_p), (q, at_q) in itertools.combinations(spots, 2):
-            for a in at_p:
-                for b in at_q:
-                    if relation_ii_residual(mod, t, p, q, a, b) is not None:
-                        return None
-                    checked += 1
-    return _RelationIICertificate(checked)
-
-
 def module_cohomology(module: WreathModule, vertex: str) -> dict:
     """Per-tuple cohomology dimensions of the associated complex.
 
-    d^2 = 0 on every cube is certified by the relation-(ii) instances
-    that ``module_cube`` checks, in place of the products d_{r+1} d_r.
-    If an instance fails, ``complex_from_cube`` forms the products, and
+    d^2 = 0 on every cube is certified by the module's passed
+    ``verify_relations`` report, in place of the products d_{r+1} d_r.
+    If the report fails, ``complex_from_cube`` forms the products, and
     its ``FormatError`` names the first square that does not commute.
     """
     return {j: cohomology(complex_from_cube(cube)).dims

@@ -59,7 +59,8 @@ class WreathModule:
     position ``l`` (1-based) out of the graded piece at tuple ``j``; its
     target tuple replaces position ``l`` by the edge head.  Missing keys
     mean zero maps.  ``sn_actions[(m, j)]`` is the adjacent transposition
-    (m, m+1) out of ``j``.  Instances are treated as immutable.
+    (m, m+1) out of ``j``.  Instances are treated as immutable, which is
+    why ``verify_relations`` may keep its report on the instance.
     """
 
     def __init__(self, params: Params, support: dict, edge_actions: dict, sn_actions: dict):
@@ -74,6 +75,7 @@ class WreathModule:
             if mat is not None and mat:
                 self.sn_actions[(int(m), tuple(j))] = mat
         self._perm_cache: dict = {}
+        self._report: Optional[VerifyReport] = None    # set by verify_relations
 
     # -- basic access -----------------------------------------------------
     @property
@@ -372,11 +374,15 @@ def verify_relations(mod: WreathModule) -> VerifyReport:
     (a, b) evaluated at the instance.  The walk skips an instance when
     the first instance of its orbit passed, and evaluates it otherwise,
     so a failing module reports the failures of the full walk, in the
-    same order and with the same residuals.
+    same order and with the same residuals.  The report is computed once
+    per module and kept on it; later calls return the stored report.
     """
+    if mod._report is not None:
+        return mod._report
     structural = structural_report(mod)
     if structural:
-        return VerifyReport(tuple(structural), ())
+        mod._report = VerifyReport(tuple(structural), ())
+        return mod._report
 
     q = mod.params.quiver
     lam = mod.params.weight
@@ -424,7 +430,8 @@ def verify_relations(mod: WreathModule) -> VerifyReport:
                             failures.append(RelationFailure(
                                 "ii", j, ell, m, a.name, b.name, residual))
                 first.setdefault(key, len(failures) == found)
-    return VerifyReport((), tuple(failures))
+    mod._report = VerifyReport((), tuple(failures))
+    return mod._report
 
 
 # ---------------------------------------------------------------------------

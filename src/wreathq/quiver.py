@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
 from .cyclotomic import Scalar
@@ -249,13 +248,13 @@ def dual_reflection(q: Quiver, i: str, lam: Weight) -> Weight:
 
 
 def cartan_matrix(q: Quiver) -> Mat:
-    """Gram matrix of the symmetrized form on the coordinate vectors."""
-    n = len(q.vertices)
-    rows = []
-    for u in q.vertices:
-        rows.append([Fraction(symmetrized_form(q, DimVector.unit(u), DimVector.unit(v)))
-                     for v in q.vertices])
-    return Mat.from_rows(rows, 1) if n else Mat.zeros(0, 0)
+    """Gram matrix of the symmetrized form: 2I, less 1 at (t, h) and (h, t) per edge."""
+    at = q._vindex
+    rows = [[2 * (u == v) for v in at] for u in at]
+    for e in q.edges:
+        rows[at[e.tail]][at[e.head]] -= 1
+        rows[at[e.head]][at[e.tail]] -= 1
+    return Mat.from_rows(rows, 1)
 
 
 def affine_data(q: Quiver) -> Optional[DimVector]:

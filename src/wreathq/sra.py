@@ -200,12 +200,12 @@ def deformability_report(q: Quiver, lambda0: Weight, lam: Weight, nu: Scalar,
     the transported vertices being distinct, loop-free and pairwise
     non-adjacent; the exact trace identities lam . alpha_l =
     (a_l - b_l) nu; and genericity of (lam, nu) along the word prefixes,
-    against p < n.  An absent n is the total size of the diagrams; a
-    given n must be at least 1.
+    against p < n.  An absent n is the total size of the diagrams; either
+    way n must be at least 1, or word-genericity would check nothing.
     """
     if n is None:
         n = sum(d.size for d, _ in blocks)
-    elif n < 1:
+    if n < 1:
         raise FormatError(f"n must be at least 1, got {n}")
     items: list[ConditionItem] = []
 

@@ -46,6 +46,11 @@ def dimension_vector(mod):
     return out
 
 
+def unverified_copy(mod):
+    """The same module as a new instance, which has no stored verify_relations report."""
+    return WreathModule(mod.params, mod.support, mod.edge_actions, mod.sn_actions)
+
+
 def mat(rows, order=1):
     return Mat.from_rows(rows, order)
 

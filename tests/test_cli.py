@@ -1,11 +1,14 @@
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import pathlib
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wreathq import io as wio
 from wreathq.cli import main
@@ -459,6 +462,9 @@ MALFORMED = [
     ("conditions", _with(REQUEST, ["n"], 0), 2),
     ("conditions", {**REQUEST, "lambda": {"0": "0", "1": "1"}, "nu": "1", "word": ["0"],
                     "n": -3}, 2),
+    # no blocks and no n: n would be 0, and word-genericity would pass having checked nothing
+    ("conditions", {"lambda0": {"0": "1", "1": "1"}, "lambda": {"0": "0", "1": "1"},
+                    "nu": "1", "word": ["0"], "blocks": []}, 2),
 ]
 
 
@@ -552,3 +558,86 @@ def test_cli_samples_match_recorded_digests(capsys, tmp_path, monkeypatch):
                "writes": {pathlib.Path(p).name: hashlib.sha256(pathlib.Path(p).read_bytes())
                           .hexdigest() for p in writes}}
         assert got == expected[name], name
+
+
+# -- fuzzed samples: any exit is 0, 1 or 2, and never a traceback --------------
+
+SAMPLE_FILES = {"quiver": "ahat1.quiver.json", "module": "s1.module.json",
+                "params": "square.params.json", "request": "conditions.request.json",
+                "gamma": "gamma.z2.json", "sra": "sra.json"}
+# values of the wrong type or range for any field; DELETE removes the field
+DELETE = object()
+WRONG = (DELETE, None, True, -1, 0, 121, 1.5, "x", "", "1/0", "-1", [], {}, ["x"], {"x": 1})
+
+
+def _fields(node, prefix=()):
+    """The path to every field of a JSON document, parents before children."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _fields(child, prefix + (key,))
+
+
+def _argvs(f):
+    """Every subcommand, reading its documents from the paths in ``f``."""
+    blocks = '[{"diagram": [2], "vertex": "1"}]'
+    return [
+        ["verify", "--quiver", f["quiver"], "--module", f["module"]],
+        ["reflect", "--quiver", f["quiver"], "--module", f["module"], "--vertex", "0"],
+        ["reflect", "--quiver", f["quiver"], "--module", f["module"], "--word", "0 0"],
+        ["cohomology", "--quiver", f["quiver"], "--module", f["module"], "--vertex", "1"],
+        ["euler", "--quiver", f["quiver"], "--module", f["module"], "--vertex", "0"],
+        ["generic", "--quiver", f["quiver"], "--params", f["params"], "--vertex", "0"],
+        ["induce", "--quiver", f["quiver"], "--params", f["params"], "--blocks", blocks],
+        ["word-validate", "--quiver", f["quiver"], "--params", f["params"], "--word", "0 1"],
+        ["conditions", "--quiver", f["quiver"], "--request", f["request"]],
+        ["translate", "--gamma", f["gamma"], "--sra", f["sra"]],
+    ]
+
+
+@pytest.fixture(scope="module")
+def sample_docs(tmp_path_factory):
+    """A work directory, the sample paths, and the sample documents with F_0 of s1."""
+    work = tmp_path_factory.mktemp("fuzz")
+    paths = {kind: str(REPO / "samples" / name) for kind, name in SAMPLE_FILES.items()}
+    reflected = work / "reflected.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(_argvs(paths)[1] + ["--out", str(reflected)]) == 0
+    docs = {kind: json.loads(pathlib.Path(p).read_text()) for kind, p in paths.items()}
+    docs["reflected"] = json.loads(reflected.read_text())
+    return work, paths, docs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fuzzed_samples_exit_cleanly(sample_docs, data):
+    work, paths, docs = sample_docs
+    kind = data.draw(st.sampled_from(sorted(docs)))
+    doc = json.loads(json.dumps(docs[kind]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        fields = list(_fields(doc))
+        if not fields:
+            break
+        *head, last = data.draw(st.sampled_from(fields))
+        node = doc
+        for key in head:
+            node = node[key]
+        value = data.draw(st.sampled_from(WRONG))
+        if value is DELETE:
+            del node[last]
+        else:
+            node[last] = json.loads(json.dumps(value))     # a later draw may change it
+    path = work / "doc.json"
+    path.write_text(json.dumps(doc))
+    slot = "module" if kind == "reflected" else kind
+    for argv in _argvs(paths | {slot: str(path)}):
+        if str(path) not in argv:
+            continue
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv[0], doc)
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), (argv[0], doc, lines)

@@ -10,18 +10,18 @@ from wreathq.cyclotomic import Scalar, euler_phi
 from wreathq.errors import FormatError
 from wreathq.linalg import Mat, _modulus, hstack, rank, rref, solve_in_span
 from wreathq.modules import (
-    WreathModule, build_induced_zero_e, build_outer_tensor, module_character,
-    verify_relations,
+    Params, StructuralIssue, VerifyReport, WreathModule, build_induced_zero_e,
+    build_outer_tensor, module_character, relation_ii_residual, verify_relations,
 )
 from wreathq.cubes import (
     ChainComplex, ComplexTerm, Cube, cohomology, complex_from_cube,
     euler_characteristic, module_cohomology, module_cube,
 )
-from wreathq.quiver import Quiver
+from wreathq.quiver import Quiver, Weight
 from wreathq.reflection import reflection_functor
 from wreathq.symmetric import Perm, YoungDiagram
 
-from conftest import make_params, mat, simple_at
+from conftest import make_params, mat, simple_at, unverified_copy
 
 
 def test_one_edge_isomorphism_cube():
@@ -355,6 +355,24 @@ def test_kronecker_z3_cubes_need_no_exact_rank(monkeypatch):
 
 # -- the relation-(ii) certificate of module cubes ----------------------------------
 
+def _relation_ii_walk(calc):
+    """Reference: a_p b_q = b_q a_p on V_t for every support tuple t of the
+    sink-form module, every pair of positions p < q holding tails of incoming
+    edges, and every (a, b) in R x R; one instance at a time."""
+    mod = calc.module
+    into = {}               # tail -> the incoming edges from it
+    for e in calc.R:
+        into.setdefault(e.tail, []).append(e)
+    for t in mod.tuples():
+        spots = [(p, into[v]) for p, v in enumerate(t, 1) if v in into]
+        for (p, at_p), (q, at_q) in itertools.combinations(spots, 2):
+            for a in at_p:
+                for b in at_q:
+                    if relation_ii_residual(mod, t, p, q, a, b) is not None:
+                        return False
+    return True
+
+
 def _products_vanish(cube):
     """Whether every exact d_{r+1} d_r of the cube is zero: with the certificate
     cleared, ``complex_from_cube`` forms them and raises FormatError otherwise."""
@@ -367,9 +385,9 @@ def _products_vanish(cube):
 
 
 def _certificate_and_products(module, vertex):
-    """(certificate found, every exact d_{r+1} d_r of every module cube is zero)."""
+    """(reference walk holds, every exact d_{r+1} d_r of every module cube is zero)."""
     mc = module_cube(module, vertex)
-    certified = cubes._relation_ii_certificate(mc.calculus) is not None
+    certified = _relation_ii_walk(mc.calculus)
     vanish = all(_products_vanish(cube) for cube in mc.cubes.values())
     return certified, vanish
 
@@ -425,23 +443,84 @@ def test_perturbations_break_the_certificate(sink_forms):
     assert outcomes == {True, False}
 
 
+@pytest.fixture(scope="module")
+def at_vertex(corpus):
+    """(module, vertex, stored keys of the edge actions touching the vertex) of the
+    corpus, in the original orientation."""
+    out = []
+    for _, module in corpus:
+        quiver = module.params.quiver
+        for vertex in quiver.vertices:
+            keys = sorted(k for k in module.edge_actions
+                          if vertex in (quiver.edge(k[0]).tail, quiver.edge(k[0]).head))
+            if keys:
+                out.append((module, vertex, keys))
+    return out
+
+
+def _rescaled(module, key, c):
+    """The edge of ``key`` scaled by c and its star by 1/c: an automorphism of the algebra."""
+    base = key[0].rstrip("*")
+    scale = {base: Scalar.rational(c, module.order),
+             base + "*": Scalar.rational(1 / Fraction(c), module.order)}
+    actions = {k: m.scaled(scale[k[0]]) if k[0] in scale else m
+               for k, m in module.edge_actions.items()}
+    return WreathModule(module.params, module.support, actions, module.sn_actions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_passed_report_certifies_the_module_cubes(at_vertex, data):
+    # perturbed in the original orientation: a passed report implies the
+    # reference walk on the sink form and d^2 = 0 by products on every cube
+    module, vertex, keys = data.draw(st.sampled_from(at_vertex))
+    key = data.draw(st.sampled_from(keys))
+    if data.draw(st.booleans()):
+        module = _rescaled(module, key, data.draw(st.sampled_from((-2, Fraction(1, 2), 3))))
+    else:
+        row, col = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+        module = _perturbed(module, key, row, col, data.draw(st.sampled_from((-2, -1, 1, 2))))
+    mc = module_cube(module, vertex)
+    report = verify_relations(module)
+    made = list(mc.cubes.values())
+    if report.passed:
+        assert _relation_ii_walk(mc.calculus)
+        assert all(c._certificate is report for c in made)
+        assert all(_products_vanish(c) for c in made)
+    else:
+        assert all(c._certificate is None for c in made)
+
+
 def test_module_cohomology_multiplies_only_stored_edge_actions(kronecker_f0v, monkeypatch):
-    seen = {}
-    build, certify = cubes.module_cube, cubes._relation_ii_certificate
-    monkeypatch.setattr(cubes, "module_cube",
-                        lambda *a: seen.setdefault("cubes", build(*a)))
-    monkeypatch.setattr(cubes, "_relation_ii_certificate",
-                        lambda calc: seen.setdefault("certificate", certify(calc)))
+    # no differential is ever multiplied: a verified module's cubes carry its
+    # report, and an unverified one pays for one verify_relations and no more
+    assert verify_relations(kronecker_f0v).passed
     calls = []
     product = Mat.__matmul__
-    monkeypatch.setattr(Mat, "__matmul__", lambda a, b: calls.append((a, b)) or product(a, b))
+    monkeypatch.setattr(Mat, "__matmul__", lambda a, b: calls.append(1) or product(a, b))
     coh = module_cohomology(kronecker_f0v, "0")
+    assert calls == []
     assert sum(d[0] for d in coh.values()) == 2 and not any(any(d[1:]) for d in coh.values())
-    # no operand is a differential: each is an edge action stored in the
-    # sink-form module, two products per relation-(ii) instance at most
-    stored = {id(m) for m in seen["cubes"].calculus.module.edge_actions.values()}
-    assert calls and all(id(a) in stored and id(b) in stored for a, b in calls)
-    assert len(calls) <= 2 * seen["certificate"].instances
+    assert verify_relations(unverified_copy(kronecker_f0v)).passed
+    verified = len(calls)
+    calls.clear()
+    assert module_cohomology(unverified_copy(kronecker_f0v), "0") == coh
+    assert len(calls) == verified > 0
+
+
+def test_a_module_failing_relation_i_only_is_not_certified(kronecker_f0v):
+    # lambda_1 shifted by 1: the matrices, and so the cubes at vertex 0, are unchanged
+    p = kronecker_f0v.params
+    lam = {v: p.weight[v] for v in p.quiver.vertices}
+    lam["1"] = lam["1"] + Scalar.one(p.order)
+    shifted = WreathModule(Params(p.quiver, p.n, Weight(lam, p.order), p.nu),
+                           kronecker_f0v.support, kronecker_f0v.edge_actions,
+                           kronecker_f0v.sn_actions)
+    report = verify_relations(shifted)
+    assert not report.structural and report.failures
+    assert {f.relation for f in report.failures} == {"i"}
+    assert all(c._certificate is None for c in module_cube(shifted, "0").cubes.values())
+    assert module_cohomology(shifted, "0") == module_cohomology(kronecker_f0v, "0")
 
 
 def test_module_cohomology_assembles_each_cube_once(corpus, monkeypatch):
@@ -467,8 +546,10 @@ def test_module_cohomology_assembles_each_cube_once(corpus, monkeypatch):
 def test_a_certified_complex_needs_the_certificate():
     terms = [ComplexTerm(((),), (1,), (0,), 1)] * 3
     one = Mat.identity(1)
-    with pytest.raises(TypeError):
-        ChainComplex._certified(terms, [one, one], 1, None)
+    failed = VerifyReport((StructuralIssue("support", "a failure"),), ())
+    for certificate in (None, failed):
+        with pytest.raises(TypeError):
+            ChainComplex._certified(terms, [one, one], 1, certificate)
 
 
 def test_euler_traces_agree_with_the_assembled_action(corpus):

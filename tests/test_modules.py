@@ -17,7 +17,7 @@ from wreathq.quiver import Weight, star_name
 from wreathq.reflection import reflection_functor
 from wreathq.symmetric import Perm, YoungDiagram
 
-from conftest import AHAT1, AHAT2, frac, make_params, mat, simple_at
+from conftest import AHAT1, AHAT2, frac, make_params, mat, simple_at, unverified_copy
 
 
 def test_s1_passes(ahat1):
@@ -639,5 +639,19 @@ def test_verifier_skips_implied_checks(kronecker_f0v, monkeypatch):
     calls = []
     product = Mat.__matmul__
     monkeypatch.setattr(Mat, "__matmul__", lambda a, b: calls.append(1) or product(a, b))
-    assert verify_relations(kronecker_f0v).passed
+    assert verify_relations(unverified_copy(kronecker_f0v)).passed
     assert len(calls) < 1000
+
+
+def test_the_report_is_computed_once_per_module(corpus, monkeypatch):
+    module = dict(corpus)["a1.ind-n3"]
+    report = verify_relations(module)
+    calls = []
+    product = Mat.__matmul__
+    monkeypatch.setattr(Mat, "__matmul__", lambda a, b: calls.append(1) or product(a, b))
+    assert verify_relations(module) is report and calls == []
+    monkeypatch.undo()
+    # transports and sums of a verified module start with no report
+    made = (reorient_module(module, ["a"]), direct_sum(module, module), unverified_copy(module))
+    assert all(m._report is None for m in made)
+    assert [verify_relations(m) for m in made] == [report] * 3

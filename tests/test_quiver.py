@@ -6,6 +6,7 @@ import pytest
 
 from wreathq.cyclotomic import Scalar
 from wreathq.errors import EdgeLoopError, FormatError
+from wreathq.linalg import Mat
 from wreathq.quiver import (
     DimVector, Quiver, Weight, affine_data, apply_word_dimvector,
     cartan_matrix, dual_reflection, ringel_form, simple_reflection,
@@ -301,6 +302,9 @@ def test_affine_data_agrees_with_the_semidefinite_test():
         rows = [[Fraction(2 * (u == v) - sum({e.tail, e.head} == {u, v} for e in q.edges))
                  for v in q.vertices] for u in q.vertices]
         psd, corank = _psd_corank(rows)
+        assert cartan_matrix(q) == Mat.from_rows(
+            [[symmetrized_form(q, DimVector.unit(u), DimVector.unit(v)) for v in q.vertices]
+             for u in q.vertices]), q
         delta = affine_data(q)
         assert (delta is not None) == (psd and corank == 1), q
         if delta is not None:

@@ -209,6 +209,14 @@ def test_conditions_refuse_n_below_one():
             deformability_report(q, lam0, lam, Scalar.rational(1), ["0"], blocks, n)
 
 
+def test_conditions_refuse_no_blocks_and_no_n():
+    # n would be the total size of no diagrams, 0, and word-genericity would
+    # check nothing and pass
+    lam0, lam = Weight({"0": 1, "1": 1}), Weight({"0": 0, "1": 1})
+    with pytest.raises(FormatError, match="n must be at least 1, got 0"):
+        deformability_report(_ahat1(), lam0, lam, Scalar.rational(1), ["0"], [])
+
+
 def test_table_gamma_needs_a_full_table():
     one = Scalar.one()
     with pytest.raises(FormatError, match="order"):
