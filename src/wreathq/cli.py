@@ -38,14 +38,19 @@ def _fmt_tuple(j) -> str:
     return "(" + ",".join(j) + ")"
 
 
+def _require_structure(report) -> None:
+    """A module failing its structural checks is malformed input."""
+    if report.structural:
+        raise FormatError(f"structural: {report.structural[0]}")
+
+
 def cmd_verify(args) -> int:
     quiver = _load_quiver(args)
     module = _load_module(args, quiver)
     report = verify_relations(module)
-    if report.structural:
-        for issue in report.structural:
-            print(f"structural: {issue}")
-        return EXIT_FORMAT
+    for issue in report.structural:
+        print(f"structural: {issue}")
+    _require_structure(report)
     if report.failures:
         for f in report.failures:
             print(str(f))
@@ -85,6 +90,7 @@ def cmd_reflect(args) -> int:
 def cmd_cohomology(args) -> int:
     quiver = _load_quiver(args)
     module = _load_module(args, quiver)
+    _require_structure(verify_relations(module))
     coh = module_cohomology(module, args.vertex)
     for j in sorted(coh):
         dims = coh[j]
@@ -99,6 +105,7 @@ def cmd_cohomology(args) -> int:
 def cmd_euler(args) -> int:
     quiver = _load_quiver(args)
     module = _load_module(args, quiver)
+    _require_structure(verify_relations(module))
     report = euler_characteristic(module, args.vertex)
     for j, value in report.per_tuple:
         print(f"{_fmt_tuple(j)}: {value}")

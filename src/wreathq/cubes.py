@@ -196,29 +196,24 @@ class CohomologyData:
 def cohomology(cx: ChainComplex) -> CohomologyData:
     """dim H^r = dim C^r - rank d_r - rank d_{r-1}, with certified ranks.
 
-    The ranks come from ``rank_mod_p`` where they can be certified,
-    without exact elimination.  Write rho_r for the rank of d_r mod p
-    and R_r for its exact rank, so rho_r <= R_r.  Because d^2 = 0 (the
-    ``ChainComplex`` certificate: the exact products d_{r+1} d_r, or for
-    the cubes of ``module_cube`` the module's passed ``verify_relations``
-    report), im d_{r-1} lies in ker d_r and
-    R_{r-1} + R_r <= dim C^r.  If the complex is exact mod p in degree
-    r >= 1, that is dim C^r = rho_{r-1} + rho_r, then
-    rho_{r-1} + rho_r <= R_{r-1} + R_r <= rho_{r-1} + rho_r, and with
-    rho <= R termwise both ranks are exact.  Going down from the top
-    degree, exactness mod p in every degree r >= 1 certifies every
-    rank; then H^r = 0 for r >= 1.  Otherwise (higher cohomology, an
-    unlucky p, or p dividing a denominator) every rank is computed by
-    exact elimination.
+    Each rank comes from ``rank_mod_p`` where it can be certified, without
+    exact elimination.  Write rho_r for the rank of d_r mod p and R_r for
+    its exact rank; the ring map to F_p gives rho_r <= R_r.  Going down
+    from the top degree, R_{r+1} is already exact, certified or computed
+    (R_top = 0).  Because d^2 = 0 (the ``ChainComplex`` certificate: the
+    exact products d_{r+1} d_r, or for the cubes of ``module_cube`` the
+    module's passed ``verify_relations`` report), im d_r lies in
+    ker d_{r+1}, so R_r <= dim C^{r+1} - R_{r+1}.  Hence
+    rho_r + R_{r+1} = dim C^{r+1} makes rho_r exact.  Otherwise (higher
+    cohomology, an unlucky p, or p dividing a denominator) that one rank
+    is R_r = ``rank(d_r)``, by exact elimination.
     """
     dims = cx.dims()
-    diffs = cx.diffs
     ranks = [0] * len(dims)     # ranks[r] = rank d_r; the map out of the top is 0
-    for r in range(len(diffs) - 1, -1, -1):
-        got = rank_mod_p(diffs[r])
+    for r, d in reversed(list(enumerate(cx.diffs))):
+        got = rank_mod_p(d)
         if got is None or got + ranks[r + 1] != dims[r + 1]:
-            ranks = [rank(d) for d in diffs] + [0]
-            break
+            got = rank(d)
         ranks[r] = got
     return CohomologyData(tuple(dims[r] - ranks[r] - (ranks[r - 1] if r else 0)
                                 for r in range(len(dims))))
@@ -244,7 +239,7 @@ def _levels(delta: tuple):
 
 def _complex_tuples(calc: SinkCalculus) -> list[tuple]:
     """The candidate tuples j at which some level V(j, D) is nonzero, sorted."""
-    return [j for j in candidate_tuples(calc, include_interior=True)
+    return [j for j in candidate_tuples(calc)
             if any(calc.space(j, level).total for _, level in _levels(calc.delta(j)))]
 
 

@@ -338,42 +338,28 @@ class BlockBuilder:
         return out
 
 
-def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Unique reduced row-echelon form and its strictly increasing pivot columns.
+def _forward(rows: list, clear) -> tuple[list[int], list[dict]]:
+    """The forward elimination shared by ``rref``, ``rank`` and ``rank_mod_p``.
 
-    Sparse Gauss-Jordan elimination.  Rows wait in buckets keyed by their
-    leading column.  The bucket of the leftmost leading column holds every
+    Rows (nonzero dicts, consumed) wait in buckets keyed by their leading
+    column.  The bucket of the leftmost leading column holds every
     remaining row with an entry there; the shortest of them becomes the
-    pivot row, which limits fill, and is cleared out of the others.  Once
-    every pivot is found, back-substitution from the last pivot clears
-    each pivot column above its pivot.
+    pivot row, which limits fill, and ``clear(c, pivot, others)`` clears
+    column c out of the others in place and returns the pivot row to
+    keep.  Returns the pivot columns, strictly increasing, and rows.
     """
-    one = Scalar.one(a.order)
     buckets: dict[int, list] = {}
-    for row in a._rows:
-        if row:
-            lead = min(row)
-            got = buckets.get(lead)
-            if got is None:
-                buckets[lead] = [dict(row)]
-            else:
-                got.append(dict(row))
+    for row in rows:
+        buckets.setdefault(min(row), []).append(row)
     leads = list(buckets)
     heapq.heapify(leads)
-    piv: list[int] = []
-    prow: list[dict] = []
+    piv, prow = [], []
     while leads:
         c = heapq.heappop(leads)
         bucket = buckets.pop(c)
-        k = min(range(len(bucket)), key=lambda t: len(bucket[t]))
-        p = bucket.pop(k)
-        pv = p[c]
-        if pv != one:
-            inv = pv.inverse()
-            p = {j: x * inv for j, x in p.items()}
-            p[c] = one
+        k = min(range(len(bucket)), key=lambda t: len(bucket[t])) if len(bucket) > 1 else 0
+        p = clear(c, bucket.pop(k), bucket)
         for row in bucket:
-            _sub_multiple(row, row.pop(c), p, c)
             if row:
                 lead = min(row)
                 got = buckets.get(lead)
@@ -384,6 +370,30 @@ def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
                     got.append(row)
         piv.append(c)
         prow.append(p)
+    return piv, prow
+
+
+def _clear_exact(c: int, p: dict, others: list) -> dict:
+    """Scale the pivot row to a leading 1 and clear column c out of the others."""
+    pv = p[c]
+    one = Scalar.one(pv.order)
+    if pv != one:
+        inv = pv.inverse()
+        p = {j: x * inv for j, x in p.items()}
+        p[c] = one
+    for row in others:
+        _sub_multiple(row, row.pop(c), p, c)
+    return p
+
+
+def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Unique reduced row-echelon form and its strictly increasing pivot columns.
+
+    Sparse Gauss-Jordan elimination: the forward pass of ``_forward``,
+    each pivot row scaled to a leading 1, then back-substitution from the
+    last pivot, which clears each pivot column above its pivot.
+    """
+    piv, prow = _forward([dict(row) for row in a._rows if row], _clear_exact)
     pivpos = {c: k for k, c in enumerate(piv)}
     for k in range(len(piv) - 2, -1, -1):
         p, c = prow[k], piv[k]
@@ -396,7 +406,8 @@ def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
 
 
 def rank(a: Mat) -> int:
-    return len(rref(a)[1])
+    """The pivot count of the forward pass of ``rref``, with no back-substitution."""
+    return len(_forward([dict(row) for row in a._rows if row], _clear_exact)[0])
 
 
 def _is_prime(n: int) -> bool:
@@ -446,13 +457,13 @@ def rank_mod_p(a: Mat) -> int | None:
     sum(num_i zeta^i) / den maps to sum(num_i g^i) * den^-1 mod p; this
     is a ring homomorphism from Z[zeta][1/den] to F_p, so a minor that is
     nonzero mod p is nonzero exactly.  Returns None if p divides a
-    denominator.  Forward elimination only, with the shortest-row pivot
-    of ``rref``, on rows of ``{col: int}``.
+    denominator.  The forward pass of ``rref`` (``_forward``), on rows
+    of ``{col: int}``.
     """
     p, g = _modulus(a.order)
     powers = [pow(g, i, p) for i in range(euler_phi(a.order))]
     inverses = {1: 1}
-    buckets: dict[int, list] = {}
+    rows = []
     for row in a._rows:
         out = {}
         for c, x in row.items():
@@ -466,40 +477,26 @@ def rank_mod_p(a: Mat) -> int | None:
             if v:
                 out[c] = v
         if out:
-            buckets.setdefault(min(out), []).append(out)
-    leads = list(buckets)
-    heapq.heapify(leads)
-    found = 0
-    while leads:
-        c = heapq.heappop(leads)
-        bucket = buckets.pop(c)
-        found += 1
-        if len(bucket) == 1:
-            continue
-        k = min(range(len(bucket)), key=lambda t: len(bucket[t]))
-        piv = bucket.pop(k)
-        neg_inv = p - pow(piv.pop(c), -1, p)
-        for row in bucket:
-            f = row.pop(c) * neg_inv % p
-            for j, x in piv.items():
-                y = row.get(j)
-                if y is None:
-                    row[j] = f * x % p
-                else:
-                    y = (y + f * x) % p
-                    if y:
-                        row[j] = y
+            rows.append(out)
+
+    def clear(c, piv, others):
+        if others:
+            neg_inv = p - pow(piv.pop(c), -1, p)
+            for row in others:
+                f = row.pop(c) * neg_inv % p
+                for j, x in piv.items():
+                    y = row.get(j)
+                    if y is None:
+                        row[j] = f * x % p
                     else:
-                        del row[j]
-            if row:
-                lead = min(row)
-                got = buckets.get(lead)
-                if got is None:
-                    buckets[lead] = [row]
-                    heapq.heappush(leads, lead)
-                else:
-                    got.append(row)
-    return found
+                        y = (y + f * x) % p
+                        if y:
+                            row[j] = y
+                        else:
+                            del row[j]
+        return piv
+
+    return len(_forward(rows, clear)[0])
 
 
 def kernel_basis(a: Mat) -> Mat:

@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 from .cyclotomic import Scalar
 from .errors import FormatError, NotGenericError, NotInSpanError
-from .linalg import BlockBuilder, Mat, intersect_kernels, rank, solve_in_span
+from .linalg import BlockBuilder, Mat, intersect_kernels, solve_in_span
 from .modules import Params, WreathModule, check_intertwiner, reorient_module, swap_tuple
 from .quiver import Quiver, dual_reflection, require_loop_free, star_name
 from .symmetric import Perm, central_sum_invertible
@@ -310,19 +310,17 @@ class ReflectionOutput:
     calculus: SinkCalculus
 
 
-def candidate_tuples(calc: SinkCalculus, include_interior: bool = False) -> list[tuple]:
-    """Tuples j whose top space V(j, Delta(j)) can be nonzero.
+def candidate_tuples(calc: SinkCalculus) -> list[tuple]:
+    """Tuples j at which some level V(j, D), D inside Delta(j), can be nonzero.
 
-    With ``include_interior`` the enumeration also keeps tuples whose
-    lower levels V(j, D), D strictly inside Delta(j), can be nonzero;
-    those arise from support tuples that already carry the vertex and
-    matter for the cube complex but never for the functor itself.
+    Each is a support tuple with some positions holding the tail of an
+    incoming edge moved to the vertex.  The top space V(j, Delta(j)) has
+    no vertex left in its summands, so where it is nonzero j comes from a
+    support tuple without the vertex; the functor skips the rest.
     """
     tails = {e.tail for e in calc.R}
     out = set()
     for u in calc.module.support:
-        if calc.vertex in u and not include_interior:
-            continue
         spots = [p for p, v in enumerate(u, 1) if v in tails]
         for k in range(len(spots) + 1):
             for subset in itertools.combinations(spots, k):
@@ -443,8 +441,9 @@ def involution_witness(module: WreathModule, vertex: str) -> InvolutionWitness:
 
     Requires generic parameters.  The canonical map at a tuple j is the
     ordered composition of the mu maps over the positions of Delta(j)
-    (order-irrelevant, as the mu maps commute); it is checked to be
-    bijective in every degree and to intertwine all generators.
+    (order-irrelevant, as the mu maps commute); ``check_intertwiner``
+    checks that it is bijective in every degree and intertwines all
+    generators.
     """
     if not is_generic(module.params, vertex):
         raise NotGenericError(f"parameters are not generic at {vertex!r}")
@@ -456,7 +455,6 @@ def involution_witness(module: WreathModule, vertex: str) -> InvolutionWitness:
     order = module.order
 
     maps = {}
-    verified = True
     tuples = sorted(set(module.support) | set(second.module.support))
     for j in tuples:
         delta = calc1.delta(j)
@@ -472,16 +470,10 @@ def involution_witness(module: WreathModule, vertex: str) -> InvolutionWitness:
         if e2.rows != comp.rows:
             raise AssertionError("top spaces of the two passes disagree")
         try:
-            small = solve_in_span(e2, comp)
+            maps[j] = solve_in_span(e2, comp)
         except NotInSpanError:
-            verified = False
-            break
-        maps[j] = small
-        if small.rows != module.dim(j) or rank(small) != module.dim(j):
-            verified = False
-    if verified:
-        verified = check_intertwiner(module, second.module, maps)
-    return InvolutionWitness(second.module, maps, verified)
+            return InvolutionWitness(second.module, maps, False)
+    return InvolutionWitness(second.module, maps, check_intertwiner(module, second.module, maps))
 
 
 @dataclass

@@ -17,7 +17,9 @@ from typing import Optional, Sequence
 from .cyclotomic import Scalar
 from .errors import FormatError
 from .linalg import Mat, solve_in_span
+from .modules import Params
 from .quiver import DimVector, Quiver, Weight, apply_word_dimvector, dual_reflection, validate_word
+from .reflection import is_generic
 from .symmetric import YoungDiagram, contents
 
 
@@ -265,19 +267,14 @@ def deformability_report(q: Quiver, lambda0: Weight, lam: Weight, nu: Scalar,
 
     cur = lam
     generic = True
-    detail = "no constraints (empty word)" if not word else ""
+    detail = "all prefix coordinates avoid +-p nu" if word else "no constraints (empty word)"
     for g, letter in enumerate(word, 1):
         cur = dual_reflection(q, letter, cur)
-        val = cur[letter]
-        for p in range(n):
-            if not val + nu * p or not val - nu * p:
-                generic = False
-                detail = f"prefix {g}: coordinate {val} clashes at p = {p}"
-                break
-        if not generic:
+        result = is_generic(Params(q, n, cur, nu), letter)
+        if not result:
+            generic = False
+            detail = f"prefix {g}: coordinate {cur[letter]} clashes at p = {result.failing_p}"
             break
-    if generic and word:
-        detail = "all prefix coordinates avoid +-p nu"
     items.append(ConditionItem("word-genericity", generic, detail))
 
     return ConditionReport(tuple(items))

@@ -153,7 +153,7 @@ def test_criterion_5_block_map_identities(corpus):
         for vertex in q.vertices:
             calc = SinkCalculus(module, vertex)
             nu, lam_i, n = calc.nu, calc.lam_i, calc.n
-            for j in candidate_tuples(calc, include_interior=True):
+            for j in candidate_tuples(calc):
                 delta = calc.delta(j)
                 for d in _subsets(delta):
                     # equivariance of pi and mu under adjacent transpositions

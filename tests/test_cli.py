@@ -352,6 +352,9 @@ SN_MODULE = {
                       "matrix": []}],
     "sn_actions": [{"adjacent": 1, "source_tuple": ["1", "1"], "matrix": [["1"]]}],
 }
+# s_1 acts by 2 on V_(1,1), so the S_n action fails its group relations
+NOT_INVOLUTION = {**SN_MODULE, "edge_actions": [],
+                  "sn_actions": [{"adjacent": 1, "source_tuple": ["1", "1"], "matrix": [["2"]]}]}
 
 
 TABLE_GAMMA = {"type": "table", "order": 1, "elements": ["e"], "vertices": ["0"],
@@ -465,6 +468,10 @@ MALFORMED = [
     # no blocks and no n: n would be 0, and word-genericity would pass having checked nothing
     ("conditions", {"lambda0": {"0": "1", "1": "1"}, "lambda": {"0": "0", "1": "1"},
                     "nu": "1", "word": ["0"], "blocks": []}, 2),
+    # a module failing its structural checks is malformed for every command that reads it whole
+    ("verify", NOT_INVOLUTION, 2),
+    ("cohomology", NOT_INVOLUTION, 2),
+    ("euler", NOT_INVOLUTION, 2),
 ]
 
 

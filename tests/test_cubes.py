@@ -21,7 +21,7 @@ from wreathq.quiver import Quiver, Weight
 from wreathq.reflection import reflection_functor
 from wreathq.symmetric import Perm, YoungDiagram
 
-from conftest import make_params, mat, simple_at, unverified_copy
+from conftest import AHAT1, make_params, mat, simple_at, unverified_copy
 
 
 def test_one_edge_isomorphism_cube():
@@ -298,7 +298,31 @@ def test_unlucky_prime_falls_back_to_exact_ranks(order, monkeypatch):
         assert cohomology(complex_from_cube(cube)).dims == (0, 0)
     zero = Cube((1, 2), {(): 2, (1,): 2, (2,): 2, (1, 2): 2}, {}, order)
     assert cohomology(complex_from_cube(zero)).dims == (2, 4, 2)
-    assert calls == [(1, 1), (1, 1), (4, 2), (2, 4)]
+    assert calls == [(1, 1), (1, 1), (2, 4), (4, 2)]
+
+
+def test_a_certified_degree_keeps_its_mod_p_rank(monkeypatch):
+    # d_1 (0 x 2) is certified, so only d_0 (2 x 1) is ranked exactly
+    calls = _counting_rank(monkeypatch)
+    cube = Cube((1, 2), {(): 1, (1,): 1, (2,): 1, (1, 2): 0}, {})
+    assert cohomology(complex_from_cube(cube)).dims == (1, 2, 0)
+    assert calls == [(2, 1)]
+
+
+def test_non_generic_cubes_rank_exactly_only_the_uncertified_degrees(monkeypatch):
+    # lambda_0 = nu = 1/2: F_0 is not an equivalence, and the complexes have
+    # higher cohomology; every degree a mod-p rank certifies skips exact rank
+    nu = Fraction(1, 2)
+    params = make_params(AHAT1, 4, {"0": nu, "1": 0}, nu)
+    v = build_induced_zero_e(params, [(YoungDiagram([2, 2]), "1")])
+    f = reflection_functor(v, "0").module
+    assert sum(f.support.values()) == 162 and verify_relations(f).passed
+    complexes = [complex_from_cube(cube) for cube in module_cube(f, "0").cubes.values()]
+    calls = _counting_rank(monkeypatch)
+    got = [cohomology(cx).dims for cx in complexes]
+    assert len(calls) == 22
+    assert got == [_exact_dims(cx) for cx in complexes]
+    assert tuple(map(sum, itertools.zip_longest(*got, fillvalue=0))) == (2, 79, 79, 0, 0)
 
 
 def test_chain_complex_refuses_a_nonzero_square():

@@ -15,7 +15,7 @@ from wreathq import kernels
 from wreathq.cyclotomic import MAX_CYCLOTOMIC_ORDER, Scalar, cyclotomic_polynomial, euler_phi
 from wreathq.errors import NotInSpanError
 from wreathq.linalg import (
-    BlockBuilder, Mat, _modulus, kernel_basis, kron, rank_mod_p, rref, solve_in_span,
+    BlockBuilder, Mat, _modulus, kernel_basis, kron, rank, rank_mod_p, rref, solve_in_span,
 )
 
 ORDERS = [1, 3, 4, 5]
@@ -121,6 +121,7 @@ def test_rref_matches_dense_reference(order):
             red, piv = rref(a)
             ref, ref_piv = ref_rref(dense(a), cols, order)
             assert list(piv) == ref_piv
+            assert rank(a) == len(ref_piv)
             assert dense(red) == ref
             assert red == Mat(rows, cols, [x for row in ref for x in row], order)
 

@@ -298,7 +298,7 @@ def test_calculus_reorients_any_module(ahat1):
     assert calc.flips == ref.flips == sink_flips(ahat1, "0") == ("a", "b")
     assert all(e.head == "0" for e in calc.quiver.edges)
     checked = 0
-    for j in candidate_tuples(calc, include_interior=True):
+    for j in candidate_tuples(calc):
         delta = calc.delta(j)
         for d in _subsets(delta):
             for p in d:
@@ -347,7 +347,7 @@ def test_sigma_perm_matches_adjacent_chain(corpus):
         for vertex in module.params.quiver.vertices:
             calc = SinkCalculus(module, vertex)
             perms = [Perm(img) for img in itertools.permutations(range(1, calc.n + 1))]
-            for j in candidate_tuples(calc, include_interior=True):
+            for j in candidate_tuples(calc):
                 for d in _subsets(calc.delta(j)):
                     for m in range(1, calc.n):
                         assert calc.sigma_adjacent(j, d, m) == \
@@ -366,7 +366,7 @@ def test_tau_include_is_a_section_of_tau_project(corpus):
             continue
         for vertex in module.params.quiver.vertices:
             calc = SinkCalculus(module, vertex)
-            for j in candidate_tuples(calc, include_interior=True):
+            for j in candidate_tuples(calc):
                 for d in _subsets(calc.delta(j)):
                     for ell in d:
                         for r_idx in range(len(calc.R)):
@@ -425,7 +425,7 @@ def test_theta_matches_the_top_space_formula(corpus):
             continue
         for vertex in module.params.quiver.vertices:
             calc = SinkCalculus(module, vertex)
-            for j in candidate_tuples(calc, include_interior=True):
+            for j in candidate_tuples(calc):
                 for d in _subsets(calc.delta(j)):
                     for ell in range(1, calc.n + 1):
                         for r_idx, edge in enumerate(calc.R):
