@@ -189,9 +189,6 @@ def complex_from_cube(cube: Cube) -> ChainComplex:
 class CohomologyData:
     dims: tuple[int, ...]
 
-    def __getitem__(self, r: int) -> int:
-        return self.dims[r] if 0 <= r < len(self.dims) else 0
-
 
 def cohomology(cx: ChainComplex) -> CohomologyData:
     """dim H^r = dim C^r - rank d_r - rank d_{r-1}, with certified ranks.
@@ -237,12 +234,6 @@ def _levels(delta: tuple):
         yield subset, tuple(p for p in delta if p not in subset)
 
 
-def _complex_tuples(calc: SinkCalculus) -> list[tuple]:
-    """The candidate tuples j at which some level V(j, D) is nonzero, sorted."""
-    return [j for j in candidate_tuples(calc)
-            if any(calc.space(j, level).total for _, level in _levels(calc.delta(j)))]
-
-
 def module_cube(module: WreathModule, vertex: str) -> ModuleCubes:
     """Z_j(J) = V(j, Delta(j) - J) with the pi maps as structure maps.
 
@@ -261,7 +252,7 @@ def module_cube(module: WreathModule, vertex: str) -> ModuleCubes:
     report = verify_relations(module)
     certificate = report if report.passed else None
     cubes = {}
-    for j in _complex_tuples(calc):
+    for j in candidate_tuples(calc):
         delta = calc.delta(j)
         spaces = {}
         maps = {}
@@ -301,7 +292,7 @@ def euler_characteristic(module: WreathModule, vertex: str) -> EulerReport:
     this reproduces the dimensions and character of the reflected module.
     """
     calc = SinkCalculus(module, vertex)
-    tuples = _complex_tuples(calc)
+    tuples = candidate_tuples(calc)
     n = module.n
     per_tuple = []
     for j in tuples:

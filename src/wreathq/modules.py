@@ -61,6 +61,9 @@ class WreathModule:
     mean zero maps.  ``sn_actions[(m, j)]`` is the adjacent transposition
     (m, m+1) out of ``j``.  Instances are treated as immutable, which is
     why ``verify_relations`` may keep its report on the instance.
+
+    Zero dimensions and zero matrices are dropped; any other malformed
+    entry (a bad tuple, edge, position or matrix shape) raises FormatError.
     """
 
     def __init__(self, params: Params, support: dict, edge_actions: dict, sn_actions: dict):
@@ -74,8 +77,48 @@ class WreathModule:
         for (m, j), mat in sn_actions.items():
             if mat is not None and mat:
                 self.sn_actions[(int(m), tuple(j))] = mat
+        self._check_shapes()
         self._perm_cache: dict = {}
         self._report: Optional[VerifyReport] = None    # set by verify_relations
+
+    def _check_shapes(self) -> None:
+        """Raise ``FormatError`` "<where>: <problem>" at the first malformed entry."""
+        q, n, order = self.params.quiver, self.n, self.order
+        dim = self.support.get
+        for j, d in self.support.items():
+            if len(j) != n:
+                raise FormatError(f"support {j}: tuple length != {n}")
+            if not all(map(q.has_vertex, j)):
+                raise FormatError(f"support {j}: unknown vertex")
+            if d <= 0:
+                raise FormatError(f"support {j}: dimension must be positive")
+
+        def misfit(mat: Mat, tgt: tuple, j: tuple) -> Optional[str]:
+            """Why ``mat`` is not a map V_j -> V_tgt of the module, or None."""
+            if mat.rows != dim(tgt, 0) or mat.cols != dim(j, 0):
+                return f"shape {mat.rows}x{mat.cols} != {dim(tgt, 0)}x{dim(j, 0)}"
+            return "wrong cyclotomic order" if mat.order != order else None
+
+        edges = {e.name: e for e in q.double}
+        for (name, pos, j), mat in self.edge_actions.items():
+            e = edges.get(name)
+            if e is None:
+                problem = "unknown edge"
+            elif not (1 <= pos <= n) or len(j) != n:
+                problem = "bad position or tuple"
+            elif j[pos - 1] != e.tail:
+                problem = f"tuple has {j[pos - 1]} at position {pos}, expected {e.tail}"
+            else:
+                problem = misfit(mat, j[:pos - 1] + (e.head,) + j[pos:], j)
+            if problem:
+                raise FormatError(f"edge action ({name}, {pos}, {','.join(j)}): {problem}")
+        for (m, j), mat in self.sn_actions.items():
+            if 1 <= m <= n - 1 and len(j) == n:
+                problem = misfit(mat, swap_tuple(j, m), j)
+            else:
+                problem = "bad transposition index or tuple"
+            if problem:
+                raise FormatError(f"sn action ({m}, {','.join(j)}): {problem}")
 
     # -- basic access -----------------------------------------------------
     @property
@@ -178,10 +221,13 @@ class VerifyReport:
 
 
 def structural_report(mod: WreathModule) -> list[StructuralIssue]:
-    """Shape, group-relation and equivariance problems of a module, in walk order.
+    """Group-relation and equivariance problems of a module, in walk order.
 
-    The walk skips a check that an earlier passed check implies, so a
-    failing module reports exactly what the full walk reports:
+    These are the smash-product structure: the stored s_m represent S_n
+    and the edge actions are equivariant.  The ``WreathModule``
+    constructor has already refused malformed shapes.  The walk skips a
+    check that an earlier passed check implies, so a failing module
+    reports exactly what the full walk reports:
 
     * the involution check s_m s_m = 1 at s_m j is skipped when the check
       at j passed and V_j and V_{s_m j} have the same dimension, because a
@@ -194,51 +240,6 @@ def structural_report(mod: WreathModule) -> list[StructuralIssue]:
     issues: list[StructuralIssue] = []
     q = mod.params.quiver
     n = mod.n
-    for j, d in sorted(mod.support.items()):
-        if len(j) != n:
-            issues.append(StructuralIssue(f"support {j}", f"tuple length != {n}"))
-            continue
-        if any(not q.has_vertex(v) for v in j):
-            issues.append(StructuralIssue(f"support {j}", "unknown vertex"))
-        if d <= 0:
-            issues.append(StructuralIssue(f"support {j}", "dimension must be positive"))
-    if issues:
-        return issues
-
-    for (name, pos, j), mat in sorted(mod.edge_actions.items()):
-        where = f"edge action ({name}, {pos}, {','.join(j)})"
-        try:
-            e = q.edge(name)
-        except FormatError:
-            issues.append(StructuralIssue(where, "unknown edge"))
-            continue
-        if not (1 <= pos <= n) or len(j) != n:
-            issues.append(StructuralIssue(where, "bad position or tuple"))
-            continue
-        if j[pos - 1] != e.tail:
-            issues.append(StructuralIssue(where, f"tuple has {j[pos - 1]} at position {pos}, expected {e.tail}"))
-            continue
-        tgt = mod.edge_target(name, pos, j)
-        if (mat.rows, mat.cols) != (mod.dim(tgt), mod.dim(j)):
-            issues.append(StructuralIssue(
-                where, f"shape {mat.rows}x{mat.cols} != {mod.dim(tgt)}x{mod.dim(j)}"))
-        if mat.order != mod.order:
-            issues.append(StructuralIssue(where, "wrong cyclotomic order"))
-
-    for (m, j), mat in sorted(mod.sn_actions.items()):
-        where = f"sn action ({m}, {','.join(j)})"
-        if not (1 <= m <= n - 1) or len(j) != n:
-            issues.append(StructuralIssue(where, "bad transposition index or tuple"))
-            continue
-        tgt = swap_tuple(j, m)
-        if (mat.rows, mat.cols) != (mod.dim(tgt), mod.dim(j)):
-            issues.append(StructuralIssue(
-                where, f"shape {mat.rows}x{mat.cols} != {mod.dim(tgt)}x{mod.dim(j)}"))
-        if mat.order != mod.order:
-            issues.append(StructuralIssue(where, "wrong cyclotomic order"))
-    if issues:
-        return issues
-
     # group relations for the stored S_n generators, chased along tuples
     involutive = set()      # (m, j) whose involution check passed
     for j in mod.tuples():
@@ -360,7 +361,7 @@ def verify_relations(mod: WreathModule) -> VerifyReport:
     V_j, so at a tuple of dimension zero it holds vacuously (its matrices
     have no columns).  Relations are therefore evaluated on the support
     alone, and omitting the other tuples can never hide a failure.
-    Structural problems short-circuit the relation checks.
+    S_n-action problems (``structural_report``) short-circuit the relations.
 
     A clean ``structural_report`` certifies that the stored generators
     represent S_n, each sigma mapping V_j invertibly onto V_{sigma j}, and

@@ -311,10 +311,11 @@ class ReflectionOutput:
 
 
 def candidate_tuples(calc: SinkCalculus) -> list[tuple]:
-    """Tuples j at which some level V(j, D), D inside Delta(j), can be nonzero.
+    """Tuples j at which some level V(j, D), D inside Delta(j), is nonzero, sorted.
 
-    Each is a support tuple with some positions holding the tail of an
-    incoming edge moved to the vertex.  The top space V(j, Delta(j)) has
+    Each is a support tuple u with the positions D, each holding the tail
+    of an incoming edge, moved to the vertex; V_u is a summand of
+    V(j, D), so the list is exact.  The top space V(j, Delta(j)) has
     no vertex left in its summands, so where it is nonzero j comes from a
     support tuple without the vertex; the functor skips the rest.
     """
@@ -359,15 +360,12 @@ def reflection_functor(module: WreathModule, vertex: str) -> ReflectionOutput:
     new_weight = dual_reflection(module.params.quiver, vertex, module.params.weight)
     sink_params = Params(calc.quiver, n, new_weight, module.params.nu)
 
-    def restricted(big: Mat, src: tuple, tgt: tuple) -> Optional[Mat]:
-        e_src = embeddings.get(src)
-        if e_src is None:
-            return None
+    def restricted(big: Mat, src: tuple, tgt: tuple) -> Mat:
         e_tgt = embeddings.get(tgt)
         if e_tgt is None:
             tgt_delta = calc.delta(tgt)
             e_tgt = Mat.zeros(calc.space(tgt, tgt_delta).total, 0, order)
-        return solve_in_span(e_tgt, big @ e_src)
+        return solve_in_span(e_tgt, big @ embeddings[src])
 
     edge_actions = {}
     sn_actions = {}
@@ -386,13 +384,13 @@ def reflection_functor(module: WreathModule, vertex: str) -> ReflectionOutput:
                 else:
                     big = calc.away_edge_action(e.name, ell, j, delta)
                 small = restricted(big, j, j2)
-                if small is not None and small:
+                if small:
                     edge_actions[(e.name, ell, j)] = small
         for m in range(1, n):
             j2 = swap_tuple(j, m)
             big = calc.sigma_adjacent(j, delta, m)
             small = restricted(big, j, j2)
-            if small is not None and small:
+            if small:
                 sn_actions[(m, j)] = small
 
     sink_result = WreathModule(sink_params, support, edge_actions, sn_actions)

@@ -51,6 +51,11 @@ def unverified_copy(mod):
     return WreathModule(mod.params, mod.support, mod.edge_actions, mod.sn_actions)
 
 
+def report_text(report, k=3):
+    """The first ``k`` structural issues and relation failures of a verify report."""
+    return "; ".join(str(x) for x in report.structural[:k] + report.failures[:k])
+
+
 def mat(rows, order=1):
     return Mat.from_rows(rows, order)
 
@@ -85,7 +90,7 @@ def corpus():
 
     def add(name, module):
         report = verify_relations(module)
-        assert report.passed, f"corpus module {name} must verify: {report.summary()}"
+        assert report.passed, f"corpus module {name} must verify: {report_text(report)}"
         items.append((name, module))
 
     # --- affine A1 ---------------------------------------------------------

@@ -32,7 +32,8 @@ from wreathq.symmetric import (
 )
 
 from conftest import (
-    AHAT1, AHAT2, BLOCK_MAP_CORPUS, HALF, THIRD, dimension_vector, make_params, simple_at,
+    AHAT1, AHAT2, BLOCK_MAP_CORPUS, HALF, THIRD, dimension_vector, make_params, report_text,
+    simple_at,
 )
 
 
@@ -56,7 +57,7 @@ def test_criterion_1_functor_soundness(corpus):
             expected = dual_reflection(q, vertex, module.params.weight)
             assert out.module.params.weight == expected, (name, vertex)
             report = verify_relations(out.module)
-            assert report.passed, (name, vertex, report.summary())
+            assert report.passed, (name, vertex, report_text(report))
             checked += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 60

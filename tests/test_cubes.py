@@ -18,7 +18,7 @@ from wreathq.cubes import (
     euler_characteristic, module_cohomology, module_cube,
 )
 from wreathq.quiver import Quiver, Weight
-from wreathq.reflection import reflection_functor
+from wreathq.reflection import SinkCalculus, candidate_tuples, reflection_functor
 from wreathq.symmetric import Perm, YoungDiagram
 
 from conftest import AHAT1, make_params, mat, simple_at, unverified_copy
@@ -342,6 +342,28 @@ def test_chain_complex_refuses_a_nonzero_square():
         complex_from_cube(Cube((1, 2), spaces, maps))
 
 
+def test_cube_refuses_a_repeated_index_and_a_wrong_shaped_map():
+    spaces = {(): 1, (1,): 2}
+    with pytest.raises(FormatError, match="repeats"):
+        Cube((1, 1), spaces, {})
+    with pytest.raises(FormatError, match=r"map at \(\(\), 1\) has the wrong shape"):
+        Cube((1,), spaces, {((), 1): Mat.identity(1)})
+    Cube((1,), spaces, {((), 1): Mat.zeros(2, 1)})
+
+
+def test_every_candidate_tuple_has_a_nonzero_level(corpus, kronecker_f0v):
+    # the level of the positions moved to the vertex holds the support tuple
+    pairs = 0
+    for _, module in corpus + [("kronecker F0V", kronecker_f0v)]:
+        for vertex in module.params.quiver.vertices:
+            calc = SinkCalculus(module, vertex)
+            for j in candidate_tuples(calc):
+                assert any(calc.space(j, level).total
+                           for _, level in cubes._levels(calc.delta(j))), (vertex, j)
+            pairs += 1
+    assert pairs >= 30
+
+
 def _noncommuting_module(ahat1):
     """n = 2 at vertex 1: the incoming edge a anticommutes with itself on V_00."""
     params = make_params(ahat1, 2, {"0": 0, "1": 0})
@@ -581,7 +603,7 @@ def test_euler_traces_agree_with_the_assembled_action(corpus):
     for name, module in corpus:
         for vertex in module.params.quiver.vertices:
             calc = module_cube(module, vertex).calculus
-            for j in cubes._complex_tuples(calc):
+            for j in candidate_tuples(calc):
                 for subset, level in cubes._levels(calc.delta(j)):
                     for img in itertools.permutations(range(1, module.n + 1)):
                         sigma = Perm(list(img))

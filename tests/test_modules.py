@@ -15,7 +15,7 @@ from wreathq.modules import (
 )
 from wreathq.quiver import Weight, star_name
 from wreathq.reflection import reflection_functor
-from wreathq.symmetric import Perm, YoungDiagram
+from wreathq.symmetric import Perm, YoungDiagram, partitions
 
 from conftest import AHAT1, AHAT2, frac, make_params, mat, simple_at, unverified_copy
 
@@ -50,12 +50,53 @@ def test_relation_i_forces_lambda_minus_nu(ahat1):
                 [mat([[-lam1 - nu]])] * 2
 
 
-def test_structural_shape_error(ahat1):
-    params = make_params(ahat1, 1, {"0": 1, "1": 0})
-    m = WreathModule(params, {("1",): 1},
-                     {("a*", 1, ("1",)): mat([[1, 2]])}, {})
-    issues = structural_report(m)
-    assert issues and "shape" in issues[0].message
+# (n, support, edge actions, S_n actions, the FormatError text), one broken rule each
+MALFORMED = {
+    "support-length": (2, {("1",): 1}, {}, {}, "support ('1',): tuple length != 2"),
+    "support-vertex": (2, {("1", "9"): 1}, {}, {}, "support ('1', '9'): unknown vertex"),
+    "support-dim": (2, {("1", "1"): -1}, {}, {},
+                    "support ('1', '1'): dimension must be positive"),
+    "edge-name": (2, {("0", "1"): 1}, {("z", 1, ("0", "1")): mat([[1]])}, {},
+                  "edge action (z, 1, 0,1): unknown edge"),
+    "edge-position-low": (2, {("0", "1"): 1}, {("a", 0, ("0", "1")): mat([[1]])}, {},
+                          "edge action (a, 0, 0,1): bad position or tuple"),
+    "edge-position-high": (2, {("0", "1"): 1}, {("a", 3, ("0", "1")): mat([[1]])}, {},
+                           "edge action (a, 3, 0,1): bad position or tuple"),
+    "edge-tuple": (2, {("0", "1"): 1}, {("a", 1, ("0",)): mat([[1]])}, {},
+                   "edge action (a, 1, 0): bad position or tuple"),
+    "edge-tail": (2, {("1", "1"): 1}, {("a", 1, ("1", "1")): mat([[1]])}, {},
+                  "edge action (a, 1, 1,1): tuple has 1 at position 1, expected 0"),
+    "edge-shape": (1, {("1",): 1}, {("a*", 1, ("1",)): mat([[1, 2]])}, {},
+                   "edge action (a*, 1, 1): shape 1x2 != 0x1"),
+    "edge-order": (2, {("0", "1"): 1, ("1", "1"): 1}, {("a", 1, ("0", "1")): mat([[1]], 3)}, {},
+                   "edge action (a, 1, 0,1): wrong cyclotomic order"),
+    "sn-index-low": (2, {("1", "1"): 1}, {}, {(0, ("1", "1")): mat([[1]])},
+                     "sn action (0, 1,1): bad transposition index or tuple"),
+    "sn-index-high": (2, {("1", "1"): 1}, {}, {(2, ("1", "1")): mat([[1]])},
+                      "sn action (2, 1,1): bad transposition index or tuple"),
+    "sn-tuple": (2, {("1", "1"): 1}, {}, {(1, ("1",)): mat([[1]])},
+                 "sn action (1, 1): bad transposition index or tuple"),
+    "sn-shape": (2, {("1", "1"): 1}, {}, {(1, ("1", "1")): mat([[1, 0]])},
+                 "sn action (1, 1,1): shape 1x2 != 1x1"),
+    "sn-order": (2, {("1", "1"): 1}, {}, {(1, ("1", "1")): mat([[1]], 3)},
+                 "sn action (1, 1,1): wrong cyclotomic order"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_constructor_refuses_a_malformed_module(ahat1, case):
+    n, support, edges, sns, message = MALFORMED[case]
+    params = make_params(ahat1, n, {"0": 1, "1": 0})
+    with pytest.raises(FormatError) as caught:
+        WreathModule(params, support, edges, sns)
+    assert str(caught.value) == message
+
+
+def test_constructor_drops_zero_dimensions_and_zero_matrices(ahat1):
+    params = make_params(ahat1, 2, {"0": 1, "1": 0})
+    m = WreathModule(params, {("1", "1"): 1, ("0", "1"): 0},
+                     {("a", 1, ("0", "1")): mat([[0]])}, {(1, ("1", "1")): mat([[0]])})
+    assert (m.support, m.edge_actions, m.sn_actions) == ({("1", "1"): 1}, {}, {})
 
 
 def test_structural_involution_checked(ahat1):
@@ -219,6 +260,55 @@ def test_transport_rotation_ahat2(ahat2):
     assert out.support == {("2",): 1}
     assert out.params.weight == Weight({"1": 1, "2": 0, "0": 3})
     assert verify_relations(out).passed
+
+
+def _automorphisms(q):
+    """(g, orientation-preserving?) for every automorphism g of the underlying graph."""
+    for image in itertools.permutations(q.vertices):
+        g = dict(zip(q.vertices, image))
+        arrows = sorted((g[e.tail], g[e.head]) for e in q.edges)
+        lines = sorted(tuple(sorted(a)) for a in arrows)
+        if lines == sorted(tuple(sorted((e.tail, e.head))) for e in q.edges):
+            yield g, arrows == sorted((e.tail, e.head) for e in q.edges)
+
+
+def test_every_automorphism_transport_verifies(corpus, kronecker_f0v):
+    moved = 0
+    for name, module in corpus + [("kronecker F0V", kronecker_f0v)]:
+        q = module.params.quiver
+        for g, _ in _automorphisms(q):
+            out = graph_automorphism_transport(module, g)
+            assert verify_relations(out).passed, (name, g)
+            assert out.params.weight == Weight(
+                {g[v]: module.params.weight[v] for v in q.vertices}, module.order)
+            assert sorted(out.support.values()) == sorted(module.support.values())
+            moved += bool(out.edge_actions)
+    assert moved >= 10
+
+
+def test_rotations_round_trip(corpus, kronecker_f0v):
+    rotated = 0
+    for name, module in corpus + [("kronecker F0V", kronecker_f0v)]:
+        for g, preserving in _automorphisms(module.params.quiver):
+            if not preserving:
+                continue
+            back = {w: v for v, w in g.items()}
+            out = graph_automorphism_transport(graph_automorphism_transport(module, g), back)
+            assert out.params == module.params, (name, g)
+            assert out.canonical_key() == module.canonical_key(), (name, g)
+            rotated += bool(module.edge_actions) and g != {v: v for v in g}
+    assert rotated >= 2
+
+
+def test_direct_sum_doubles_the_character(corpus, kronecker_f0v):
+    for name, module in corpus + [("kronecker F0V", kronecker_f0v)]:
+        total = direct_sum(module, module)
+        assert verify_relations(total).passed, name
+        assert total.support == {j: 2 * d for j, d in module.support.items()}
+        for parts in partitions(module.n):
+            sigma = Perm.from_cycle_type(parts, module.n)
+            once = module_character(module, sigma)
+            assert module_character(total, sigma) == once + once, (name, parts)
 
 
 def test_intertwiner_identity_and_scaling(ahat1):
