@@ -222,7 +222,7 @@ def cohomology(cx: ChainComplex) -> CohomologyData:
 
 @dataclass
 class ModuleCubes:
-    """One commutative cube per candidate tuple, in sink form."""
+    """One commutative cube per candidate tuple, with the calculus that built it."""
 
     calculus: SinkCalculus
     cubes: dict          # tuple -> Cube
@@ -240,13 +240,11 @@ def module_cube(module: WreathModule, vertex: str) -> ModuleCubes:
     Each cube carries ``verify_relations(module)`` when it passed, as the
     certificate of d^2 = 0, and None otherwise.  The block of d^2 from
     level D to D - {p, q} on the summand of xi is +-(b_q a_p - a_p b_q)
-    on V_t(j, xi), with a = R[xi_p] and b = R[xi_q] edges into the sink;
-    every such relation-(ii) instance on the support lies in some cube.
-    ``reorient_module`` (a -> a*, a* -> -a) sends each stored action to
-    +- a stored action, so the instance is +- the one at (t, p, q) that
-    the verifier checks in the original orientation, between out-edges
-    of t_p and t_q in the double.  Two edges into a loop-free sink are
-    never a star pair, so its right-hand side is 0 in both forms.
+    on V_t(j, xi), with a = R[xi_p] and b = R[xi_q] edges of the double
+    into the vertex, acting by the module's stored actions.  That is the
+    relation-(ii) instance at (t, p, q) between out-edges of t_p and t_q,
+    which the verifier checks directly.  Two edges into a loop-free
+    vertex are never a star pair, so its right-hand side is 0.
     """
     calc = SinkCalculus(module, vertex)
     report = verify_relations(module)

@@ -62,22 +62,21 @@ class WreathModule:
     (m, m+1) out of ``j``.  Instances are treated as immutable, which is
     why ``verify_relations`` may keep its report on the instance.
 
-    Zero dimensions and zero matrices are dropped; any other malformed
-    entry (a bad tuple, edge, position or matrix shape) raises FormatError.
+    A malformed entry (a bad tuple, edge, position or matrix shape)
+    raises FormatError, zero or not; the well-formed zero dimensions and
+    zero matrices are then dropped.
     """
 
     def __init__(self, params: Params, support: dict, edge_actions: dict, sn_actions: dict):
         self.params = params
-        self.support = {tuple(j): int(d) for j, d in support.items() if d}
-        self.edge_actions = {}
-        for (name, pos, j), mat in edge_actions.items():
-            if mat is not None and mat:
-                self.edge_actions[(name, int(pos), tuple(j))] = mat
-        self.sn_actions = {}
-        for (m, j), mat in sn_actions.items():
-            if mat is not None and mat:
-                self.sn_actions[(int(m), tuple(j))] = mat
+        self.support = {tuple(j): int(d) for j, d in support.items()}
+        self.edge_actions = {(name, int(pos), tuple(j)): mat
+                             for (name, pos, j), mat in edge_actions.items()}
+        self.sn_actions = {(int(m), tuple(j)): mat for (m, j), mat in sn_actions.items()}
         self._check_shapes()
+        self.support = {j: d for j, d in self.support.items() if d}
+        self.edge_actions = {key: mat for key, mat in self.edge_actions.items() if mat}
+        self.sn_actions = {key: mat for key, mat in self.sn_actions.items() if mat}
         self._perm_cache: dict = {}
         self._report: Optional[VerifyReport] = None    # set by verify_relations
 
@@ -90,8 +89,8 @@ class WreathModule:
                 raise FormatError(f"support {j}: tuple length != {n}")
             if not all(map(q.has_vertex, j)):
                 raise FormatError(f"support {j}: unknown vertex")
-            if d <= 0:
-                raise FormatError(f"support {j}: dimension must be positive")
+            if d < 0:
+                raise FormatError(f"support {j}: dimension must be non-negative")
 
         def misfit(mat: Mat, tgt: tuple, j: tuple) -> Optional[str]:
             """Why ``mat`` is not a map V_j -> V_tgt of the module, or None."""
@@ -596,12 +595,13 @@ def build_outer_tensor(params: Params,
 # Transports
 # ---------------------------------------------------------------------------
 
-def reorient_module(mod: WreathModule, flips: Iterable[str], inverse: bool = False) -> WreathModule:
+def reorient_module(mod: WreathModule, flips: Iterable[str]) -> WreathModule:
     """Transport along the isomorphism with the algebra of the reoriented quiver.
 
-    For each flipped base edge a the generators map by a -> a*, a* -> -a
-    (the inverse transport undoes this exactly).  The choice preserves
-    the commutator sum in the defining relations.
+    For each flipped base edge a the generators map by a -> a*, a* -> -a,
+    which preserves the commutator sum in the defining relations.  Two
+    transports negate both members of each flipped pair, so four give
+    back the module.
     """
     flipset = set(flips)
     q2 = mod.params.quiver.reoriented(flipset)
@@ -611,8 +611,8 @@ def reorient_module(mod: WreathModule, flips: Iterable[str], inverse: bool = Fal
         if name.rstrip("*") not in flipset:
             edge_actions[(name, pos, j)] = mat
             continue
-        # new a acts by old a*, new a* by -(old a); the inverse negates the other one
-        edge_actions[(star_name(name), pos, j)] = -mat if name.endswith("*") == inverse else mat
+        # new a acts by old a*, new a* by -(old a)
+        edge_actions[(star_name(name), pos, j)] = mat if name.endswith("*") else -mat
     return WreathModule(params2, mod.support, edge_actions, mod.sn_actions)
 
 

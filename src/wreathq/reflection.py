@@ -1,17 +1,16 @@
 """The reflection functor at a loop-free vertex, and its certificates.
 
-The construction works in the sink form of the quiver: for a chosen
-vertex i, every edge incident to i points into i.  :class:`SinkCalculus`
-carries any module across the reorientation isomorphism itself, and
-``reflection_functor`` carries the result back.  For a tuple j, the
-positions carrying i form Delta(j); for D inside Delta(j) the auxiliary
-space V(j, D) is the direct sum of graded pieces of V indexed by all
-assignments of an incoming edge to each position in D.  The
-projection/inclusion block maps pi and mu, the reindexing maps tau, the
-case-III map theta and the S_n action are all assembled here, through
-one placement loop, as explicit matrices; the functor's value at j is
-the intersection of the kernels of the pi maps out of the top space
-V(j, Delta(j)).
+The paper works in the sink form, with every edge at the vertex i
+pointing into i.  The algebra does not depend on the orientation, so
+:class:`SinkCalculus` reads a module as it is, and the sink form is a
+sign on the base edges leaving i.  For a tuple j, the positions carrying
+i form Delta(j); for D inside Delta(j) the auxiliary space V(j, D) is
+the direct sum of graded pieces of V indexed by all assignments of an
+edge into i to each position in D.  The projection/inclusion block maps
+pi and mu, the reindexing maps tau, the case-III map theta and the S_n
+action are all assembled here, through one placement loop, as explicit
+matrices; the functor's value at j is the intersection of the kernels
+of the pi maps out of the top space V(j, Delta(j)).
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ from typing import Iterable, Optional, Sequence
 from .cyclotomic import Scalar
 from .errors import FormatError, NotGenericError, NotInSpanError
 from .linalg import BlockBuilder, Mat, intersect_kernels, solve_in_span
-from .modules import Params, WreathModule, check_intertwiner, reorient_module, swap_tuple
-from .quiver import Quiver, dual_reflection, require_loop_free, star_name
+from .modules import Params, WreathModule, check_intertwiner, swap_tuple
+from .quiver import dual_reflection, require_loop_free, star_name
 from .symmetric import Perm, central_sum_invertible
 
 
@@ -60,31 +59,27 @@ def _assemble(tgt: BigSpace, src: BigSpace, blocks: Iterable[tuple[int, int, Mat
     return bb.build()
 
 
-def sink_flips(q: Quiver, vertex: str) -> tuple[str, ...]:
-    """The base edges to reverse so that every edge at ``vertex`` points into it."""
-    require_loop_free(q, vertex)
-    return tuple(e.name for e in q.edges if e.tail == vertex)
-
-
 class SinkCalculus:
     """All the block maps between the spaces V(j, D) for one vertex.
 
-    The module may have any orientation: ``flips`` are the base edges
-    reversed to put it in sink form at the vertex, and ``module`` is the
-    reoriented module every map is built from.  R is the list of
-    incoming base edges in declaration order; assignments are enumerated
-    in lexicographic order over R-indices with the positions of D
-    ascending.
+    The module keeps its own orientation.  R holds the edges of the
+    double into the vertex, one per incident base edge in declaration
+    order: a base edge r: k -> i stays r, and a base edge a: i -> k
+    enters as a*.  The sink form would call a* a and act by -a in its
+    place, so ``mu`` negates the reverse edge of a star R-edge.
+    Assignments are enumerated in lexicographic order over R-indices
+    with the positions of D ascending.
     """
 
     def __init__(self, module: WreathModule, vertex: str):
-        self.flips = sink_flips(module.params.quiver, vertex)
-        self.module = reorient_module(module, self.flips)
+        self.quiver = q = module.params.quiver
+        require_loop_free(q, vertex)
+        self.module = module
         self.vertex = vertex
-        self.quiver = q = self.module.params.quiver
         self.n = module.n
         self.order = module.order
-        self.R = [e for e in q.edges if e.head == vertex]
+        self.R = [q.edge(e.name if e.head == vertex else star_name(e.name))
+                  for e in q.edges if vertex in (e.tail, e.head)]
         self.lam_i = module.params.weight[vertex]
         self.nu = module.params.nu
         self._spaces: dict = {}
@@ -146,7 +141,7 @@ class SinkCalculus:
         return out
 
     def mu(self, j: tuple, d_positions: Sequence[int], p: int) -> Mat:
-        """mu_{j,p} into level D: apply the reverse edge in position p."""
+        """mu_{j,p} into level D: apply the reverse edge in position p, signed."""
         j = tuple(j)
         d = tuple(sorted(d_positions))
         key = (j, d, p)
@@ -162,8 +157,9 @@ class SinkCalculus:
             for k, xi in enumerate(tgt.xis):
                 k2 = src.index_of(xi[:slot] + xi[slot + 1:])
                 if tgt.dims[k] and src.dims[k2]:
-                    yield k, k2, self.module.edge_matrix(
-                        star_name(self.R[xi[slot]].name), p, src.t_tuples[k2])
+                    r = self.R[xi[slot]]
+                    block = self.module.edge_matrix(star_name(r.name), p, src.t_tuples[k2])
+                    yield k, k2, -block if r.is_star else block
         out = _assemble(tgt, src, blocks(), self.order)
         self._mus[key] = out
         return out
@@ -300,9 +296,8 @@ class ReflectionOutput:
     """The reflected module plus the per-tuple embedding data.
 
     ``embeddings[j]`` is the basis of the new graded piece inside the top
-    space V(j, Delta(j)) of the sink form; ``calculus`` exposes the
-    underlying block maps (sink form throughout; ``calculus.flips`` are
-    the edges it reversed).
+    space V(j, Delta(j)); ``calculus`` exposes the underlying block maps,
+    built on the input module in its own orientation.
     """
 
     module: WreathModule
@@ -357,8 +352,8 @@ def reflection_functor(module: WreathModule, vertex: str) -> ReflectionOutput:
             embeddings[j] = basis
             support[j] = basis.cols
 
-    new_weight = dual_reflection(module.params.quiver, vertex, module.params.weight)
-    sink_params = Params(calc.quiver, n, new_weight, module.params.nu)
+    new_weight = dual_reflection(calc.quiver, vertex, module.params.weight)
+    params = Params(calc.quiver, n, new_weight, module.params.nu)
 
     def restricted(big: Mat, src: tuple, tgt: tuple) -> Mat:
         e_tgt = embeddings.get(tgt)
@@ -375,12 +370,14 @@ def reflection_functor(module: WreathModule, vertex: str) -> ReflectionOutput:
         for ell in range(1, n + 1):
             v = j[ell - 1]
             for e in calc.quiver.out_edges(v):
-                j2 = calc.module.edge_target(e.name, ell, j)
+                j2 = module.edge_target(e.name, ell, j)
                 if e.head == vertex:
                     big = calc.theta(r_names[e.name], ell, j, delta)
                 elif e.tail == vertex:
-                    base = e.name[:-1]
-                    big = calc.tau_project(r_names[base], ell, j, delta)
+                    # a base edge a leaving the vertex acts as minus the sink form's a*
+                    big = calc.tau_project(r_names[star_name(e.name)], ell, j, delta)
+                    if not e.is_star:
+                        big = -big
                 else:
                     big = calc.away_edge_action(e.name, ell, j, delta)
                 small = restricted(big, j, j2)
@@ -393,8 +390,7 @@ def reflection_functor(module: WreathModule, vertex: str) -> ReflectionOutput:
             if small:
                 sn_actions[(m, j)] = small
 
-    sink_result = WreathModule(sink_params, support, edge_actions, sn_actions)
-    result = reorient_module(sink_result, calc.flips, inverse=True)
+    result = WreathModule(params, support, edge_actions, sn_actions)
     return ReflectionOutput(result, embeddings, calc)
 
 

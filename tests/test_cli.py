@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import pathlib
 import sys
 import time
@@ -16,6 +17,8 @@ from wreathq.modules import build_induced_zero_e
 from wreathq.symmetric import YoungDiagram
 
 from conftest import make_params
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 AHAT1 = {"vertices": ["0", "1"],
@@ -309,6 +312,12 @@ def test_cyclotomic_module_round_trip(tmp_path, capsys):
     assert wio.to_canonical_json(wio.dump_module(parsed)) == text1
 
 
+def _fresh_env():
+    """The environment for a fresh interpreter that imports this checkout's package."""
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
 def test_cross_process_determinism(files, tmp_path):
     import subprocess
     _, qp, mp = files
@@ -318,7 +327,7 @@ def test_cross_process_determinism(files, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "wreathq.cli", "reflect", "--quiver", qp,
              "--module", mp, "--vertex", "0", "--out", out],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=_fresh_env())
         assert proc.returncode == 0
         results.append((proc.stdout, open(out).read()))
     assert results[0] == results[1]
@@ -532,14 +541,12 @@ def test_malformed_order_has_no_traceback_in_a_fresh_process(files, tmp_path):
     pp.write_text(json.dumps(_with(PARAMS, ["cyclotomic_order"], "x")))
     proc = subprocess.run(
         [sys.executable, "-m", "wreathq.cli", "generic", "--quiver", qp,
-         "--params", str(pp), "--vertex", "0"], capture_output=True, text=True)
+         "--params", str(pp), "--vertex", "0"], capture_output=True, text=True, env=_fresh_env())
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == ["error: cyclotomic_order must be an integer, got 'x'"]
 
 
 # -- golden output: the benchmark's CLI sample commands, in-process -----------
-
-REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _load_cli_samples(monkeypatch):

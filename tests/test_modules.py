@@ -55,7 +55,7 @@ MALFORMED = {
     "support-length": (2, {("1",): 1}, {}, {}, "support ('1',): tuple length != 2"),
     "support-vertex": (2, {("1", "9"): 1}, {}, {}, "support ('1', '9'): unknown vertex"),
     "support-dim": (2, {("1", "1"): -1}, {}, {},
-                    "support ('1', '1'): dimension must be positive"),
+                    "support ('1', '1'): dimension must be non-negative"),
     "edge-name": (2, {("0", "1"): 1}, {("z", 1, ("0", "1")): mat([[1]])}, {},
                   "edge action (z, 1, 0,1): unknown edge"),
     "edge-position-low": (2, {("0", "1"): 1}, {("a", 0, ("0", "1")): mat([[1]])}, {},
@@ -80,6 +80,16 @@ MALFORMED = {
                  "sn action (1, 1,1): shape 1x2 != 1x1"),
     "sn-order": (2, {("1", "1"): 1}, {}, {(1, ("1", "1")): mat([[1]], 3)},
                  "sn action (1, 1,1): wrong cyclotomic order"),
+    # zero entries are checked before they are dropped
+    "zero-support-vertex": (2, {("1", "9"): 0}, {}, {}, "support ('1', '9'): unknown vertex"),
+    "zero-edge-name": (2, {("0", "0"): 1}, {("zzz", 7, ("x",)): Mat.zeros(5, 3)}, {},
+                       "edge action (zzz, 7, x): unknown edge"),
+    "zero-edge-shape": (2, {("0", "1"): 1}, {("a", 1, ("0", "1")): Mat.zeros(2, 1)}, {},
+                        "edge action (a, 1, 0,1): shape 2x1 != 0x1"),
+    "zero-sn-index": (2, {("0", "0"): 1}, {}, {(9, ("q", "r", "s")): Mat.zeros(2, 2)},
+                      "sn action (9, q,r,s): bad transposition index or tuple"),
+    "zero-sn-shape": (2, {("0", "1"): 1}, {}, {(1, ("0", "1")): Mat.zeros(2, 1)},
+                      "sn action (1, 0,1): shape 2x1 != 0x1"),
 }
 
 
@@ -94,9 +104,9 @@ def test_constructor_refuses_a_malformed_module(ahat1, case):
 
 def test_constructor_drops_zero_dimensions_and_zero_matrices(ahat1):
     params = make_params(ahat1, 2, {"0": 1, "1": 0})
-    m = WreathModule(params, {("1", "1"): 1, ("0", "1"): 0},
+    m = WreathModule(params, {("1", "1"): 1, ("0", "1"): 1, ("1", "0"): 0},
                      {("a", 1, ("0", "1")): mat([[0]])}, {(1, ("1", "1")): mat([[0]])})
-    assert (m.support, m.edge_actions, m.sn_actions) == ({("1", "1"): 1}, {}, {})
+    assert (m.support, m.edge_actions, m.sn_actions) == ({("1", "1"): 1, ("0", "1"): 1}, {}, {})
 
 
 def test_structural_involution_checked(ahat1):
@@ -217,13 +227,16 @@ def test_reorient_round_trip(ahat1):
     flipped = reorient_module(m, ["a", "b"])
     assert flipped.params.quiver.edge("a").tail == "1"
     assert verify_relations(flipped).passed
-    back = reorient_module(flipped, ["a", "b"], inverse=True)
-    assert back.params.quiver == ahat1
-    assert back.canonical_key() == m.canonical_key()
     # double forward application flips the sign of both members of the pair
     double = reorient_module(flipped, ["a", "b"])
+    assert double.params.quiver == ahat1
     assert double.edge_matrix("a", 1, ("0",)) == -m.edge_matrix("a", 1, ("0",))
+    assert double.edge_matrix("a*", 1, ("1",)) == -m.edge_matrix("a*", 1, ("1",))
     assert verify_relations(double).passed
+    # and four give back the module
+    back = reorient_module(reorient_module(double, ["a", "b"]), ["a", "b"])
+    assert back.params.quiver == ahat1
+    assert back.canonical_key() == m.canonical_key()
 
 
 def test_reorient_no_flips_is_identity(ahat1):

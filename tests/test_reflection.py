@@ -14,7 +14,7 @@ from wreathq.modules import (
 from wreathq.quiver import Quiver, Weight, dual_reflection, simple_reflection, DimVector
 from wreathq.reflection import (
     SinkCalculus, apply_functor_word, candidate_tuples, involution_witness, is_generic,
-    is_generic_oracle, reflect_morphism, reflection_functor, sink_flips,
+    is_generic_oracle, reflect_morphism, reflection_functor,
 )
 from wreathq.symmetric import Perm, YoungDiagram
 
@@ -289,23 +289,24 @@ def test_reflection_over_cyclotomic_field(ahat1):
     assert wit.verified
 
 
-def test_calculus_reorients_any_module(ahat1):
-    # ahat1 has both edges leaving 0, so the calculus must flip them itself
-    params = make_params(ahat1, 2, {"0": 1, "1": Fraction(-1, 2)}, Fraction(1, 2))
-    v = build_induced_zero_e(params, [(YoungDiagram([2]), "1")])
-    calc = SinkCalculus(v, "0")
-    ref = reflection_functor(v, "0").calculus
-    assert calc.flips == ref.flips == sink_flips(ahat1, "0") == ("a", "b")
-    assert all(e.head == "0" for e in calc.quiver.edges)
+def test_functor_is_natural_in_the_orientation(corpus):
+    # the calculus reads every module in its own orientation; reflecting
+    # and then reversing the edges that leave the vertex agrees with
+    # reversing them first, where the vertex is already a sink
     checked = 0
-    for j in candidate_tuples(calc):
-        delta = calc.delta(j)
-        for d in _subsets(delta):
-            for p in d:
-                assert calc.pi(j, d, p) == ref.pi(j, d, p)
-                assert calc.mu(j, d, p) == ref.mu(j, d, p)
-                checked += 1
-    assert checked
+    for name, module in corpus:
+        q = module.params.quiver
+        for vertex in q.vertices:
+            flips = [e.name for e in q.edges if e.tail == vertex]
+            if not flips:
+                continue
+            assert SinkCalculus(module, vertex).module is module
+            after = reorient_module(reflection_functor(module, vertex).module, flips)
+            before = reflection_functor(reorient_module(module, flips), vertex).module
+            assert after.canonical_key() == before.canonical_key(), (name, vertex)
+            assert after.params == before.params, (name, vertex)
+            checked += 1
+    assert checked >= 10
 
 
 def _subsets(delta):
