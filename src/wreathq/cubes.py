@@ -4,14 +4,16 @@ A cube assigns a space to every subset of a finite index set and a map
 to every one-step inclusion, with commuting squares.  The total complex
 places the subsets of size r in degree r, twisted by the determinant
 line of the subset: inserting p into an ascending basis contributes the
-sign (-1)^(number of larger elements already present).  For a module
-and a reflection vertex, the cube of a tuple j has the auxiliary spaces
-V(j, Delta(j) minus J) with the pi maps as structure maps; degree-zero
-cohomology recovers the reflection functor.  Its squares commute by
-relation (ii), so ``module_cube`` stores the module's passed
-``verify_relations`` report, computed once per module, on each cube as
-the certificate of d^2 = 0; ``complex_from_cube`` is the one path from
-any cube to its complex.
+sign (-1)^(number of larger elements already present).  Its d^2 = 0
+holds exactly when every square commutes, and ``complex_from_cube``, the
+one path from a cube to its complex, checks that on the squares: by
+``Cube.validate``, or for a module cube by the certificate it carries.
+For a module and a reflection vertex, the cube of a tuple j has the
+auxiliary spaces V(j, Delta(j) minus J) with the pi maps as structure
+maps; degree-zero cohomology recovers the reflection functor.  Its
+squares commute by relation (ii), so ``module_cube`` stores the
+module's passed ``verify_relations`` report, computed once per module,
+on each cube as that certificate.
 """
 
 from __future__ import annotations
@@ -29,11 +31,15 @@ from .symmetric import Perm, partitions
 
 
 class Cube:
-    """A commutative cube: dims per subset, maps per (subset, new element).
+    """A cube: dims per subset, maps per (subset, new element).
 
-    Instances are treated as immutable: a cube from ``module_cube``
-    carries the passed ``verify_relations`` report of its module, and a
-    changed map would no longer be covered by it.
+    Subsets may be given in any order.  A repeated or unknown index, a
+    negative dimension, or a map of the wrong shape or to an index
+    outside delta or already in its subset raises ``FormatError``; an
+    absent space or map is zero.  Whether the squares commute is left to
+    ``validate``.  Instances are treated as immutable: a cube from
+    ``module_cube`` carries the passed ``verify_relations`` report of its
+    module, and a changed map would no longer be covered by it.
     """
 
     _certificate: Optional[VerifyReport] = None    # set by module_cube
@@ -43,21 +49,27 @@ class Cube:
         if len(set(self.delta)) != len(self.delta):
             raise FormatError("cube index set has repeats")
         self.order = order
-        self.spaces = {}
-        for subset in _subsets(self.delta):
-            self.spaces[subset] = int(spaces.get(subset, 0))
+        self.spaces = dict.fromkeys(_subsets(self.delta), 0)
+        for subset, d in spaces.items():
+            subset, d = self._subset(subset), int(d)
+            if d < 0:
+                raise FormatError(f"space {subset} has negative dimension {d}")
+            self.spaces[subset] = d
         self.maps = {}
-        for (subset, p), mat in maps.items():
-            key = (tuple(sorted(subset, key=self._rank)), p)
-            self.maps[key] = mat
-        for subset in _subsets(self.delta):
-            for p in self.delta:
-                if p in subset:
-                    continue
-                m = self.map(subset, p)
-                tgt = self._insert(subset, p)
-                if (m.rows, m.cols) != (self.spaces[tgt], self.spaces[subset]):
-                    raise FormatError(f"map at ({subset}, {p}) has the wrong shape")
+        for (subset, p), m in maps.items():
+            subset = self._subset(subset)
+            if p not in self.delta or p in subset:
+                raise FormatError(f"map at ({subset}, {p}) adds no new index")
+            if (m.rows, m.cols) != (self.spaces[self._insert(subset, p)], self.spaces[subset]):
+                raise FormatError(f"map at ({subset}, {p}) has the wrong shape")
+            self.maps[(subset, p)] = m
+
+    def _subset(self, subset) -> tuple:
+        """``subset`` in the order of delta, refused with a repeat or an unknown index."""
+        subset = tuple(subset)
+        if len(set(subset)) != len(subset) or not set(subset) <= set(self.delta):
+            raise FormatError(f"cube key {subset} is not a subset of {self.delta}")
+        return tuple(sorted(subset, key=self._rank))
 
     def _rank(self, x):
         return self.delta.index(x)
@@ -97,41 +109,17 @@ class ComplexTerm:
     total: int
 
 
+@dataclass(frozen=True)
 class ChainComplex:
-    """Terms C^0 .. C^len(delta) with differentials checked to square to zero.
+    """Terms C^0 .. C^len(delta) and differentials d_r: C^r -> C^{r+1}.
 
-    The checks are exact and are made on construction: every differential
-    fits its terms and d_{r+1} d_r = 0, the certificate that
-    ``cohomology`` relies on.  Only ``complex_from_cube`` establishes
-    d^2 = 0 otherwise, for a module cube, from the passed
-    ``verify_relations`` report it carries.
+    A plain record, built only by ``complex_from_cube``, which checks the
+    squares of its cube first: that is the d^2 = 0 ``cohomology`` relies on.
     """
 
-    def __init__(self, terms: list[ComplexTerm], diffs: list[Mat], order: int):
-        self._fit(terms, diffs, order)
-        for r in range(len(diffs) - 1):
-            if diffs[r + 1] @ diffs[r]:
-                raise FormatError(f"d_{r + 1} d_{r} is not zero")
-
-    @classmethod
-    def _certified(cls, terms: list[ComplexTerm], diffs: list[Mat], order: int,
-                   certificate: VerifyReport) -> "ChainComplex":
-        """The total complex of a module cube, d^2 = 0 by ``certificate``."""
-        if not (isinstance(certificate, VerifyReport) and certificate.passed):
-            raise TypeError("a certified complex needs a passed VerifyReport")
-        out = cls.__new__(cls)
-        out._fit(terms, diffs, order)
-        return out
-
-    def _fit(self, terms: list[ComplexTerm], diffs: list[Mat], order: int) -> None:
-        if len(diffs) != len(terms) - 1:
-            raise FormatError(f"{len(terms)} terms need {len(terms) - 1} differentials")
-        for r, d in enumerate(diffs):
-            if (d.rows, d.cols) != (terms[r + 1].total, terms[r].total):
-                raise FormatError(f"differential d_{r} has the wrong shape")
-        self.terms = terms
-        self.diffs = diffs
-        self.order = order
+    terms: list[ComplexTerm]
+    diffs: list[Mat]
+    order: int
 
     def dims(self) -> list[int]:
         return [t.total for t in self.terms]
@@ -144,10 +132,12 @@ def complex_from_cube(cube: Cube) -> ChainComplex:
     the two paths round the square at J, up to sign, so d^2 = 0 holds
     exactly when every square commutes.  A cube from ``module_cube`` of a
     module that passed ``verify_relations`` carries the report, which
-    stands in for the products.  Any other cube goes through
-    ``ChainComplex``, which forms every product d_{r+1} d_r; only a
-    failed check walks the squares to name the one at fault.
+    stands in for the squares.  Any other cube is checked by
+    ``Cube.validate`` before assembly, whose ``FormatError`` names the
+    first square that does not commute.
     """
+    if cube._certificate is None:
+        cube.validate()
     order = cube.order
     terms = []
     for r in range(len(cube.delta) + 1):
@@ -176,13 +166,7 @@ def complex_from_cube(cube: Cube) -> ChainComplex:
                     block = -block
                 bb.add_block(tgt.offsets[tgt_index[bigger]], src.offsets[k], block)
         diffs.append(bb.build())
-    if cube._certificate is not None:
-        return ChainComplex._certified(terms, diffs, order, cube._certificate)
-    try:
-        return ChainComplex(terms, diffs, order)
-    except FormatError:
-        cube.validate()
-        raise
+    return ChainComplex(terms, diffs, order)
 
 
 @dataclass(frozen=True)
@@ -197,10 +181,9 @@ def cohomology(cx: ChainComplex) -> CohomologyData:
     exact elimination.  Write rho_r for the rank of d_r mod p and R_r for
     its exact rank; the ring map to F_p gives rho_r <= R_r.  Going down
     from the top degree, R_{r+1} is already exact, certified or computed
-    (R_top = 0).  Because d^2 = 0 (the ``ChainComplex`` certificate: the
-    exact products d_{r+1} d_r, or for the cubes of ``module_cube`` the
-    module's passed ``verify_relations`` report), im d_r lies in
-    ker d_{r+1}, so R_r <= dim C^{r+1} - R_{r+1}.  Hence
+    (R_top = 0).  Because d^2 = 0 (``complex_from_cube`` checked the
+    squares of the cube, or took the certificate of a module cube),
+    im d_r lies in ker d_{r+1}, so R_r <= dim C^{r+1} - R_{r+1}.  Hence
     rho_r + R_{r+1} = dim C^{r+1} makes rho_r exact.  Otherwise (higher
     cohomology, an unlucky p, or p dividing a denominator) that one rank
     is R_r = ``rank(d_r)``, by exact elimination.
@@ -267,9 +250,9 @@ def module_cohomology(module: WreathModule, vertex: str) -> dict:
     """Per-tuple cohomology dimensions of the associated complex.
 
     d^2 = 0 on every cube is certified by the module's passed
-    ``verify_relations`` report, in place of the products d_{r+1} d_r.
-    If the report fails, ``complex_from_cube`` forms the products, and
-    its ``FormatError`` names the first square that does not commute.
+    ``verify_relations`` report.  If the report fails,
+    ``complex_from_cube`` walks the squares of each cube, and its
+    ``FormatError`` names the first one that does not commute.
     """
     return {j: cohomology(complex_from_cube(cube)).dims
             for j, cube in module_cube(module, vertex).cubes.items()}

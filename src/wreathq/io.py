@@ -13,7 +13,7 @@ from typing import Any
 from .cyclotomic import MAX_CYCLOTOMIC_ORDER, format_scalar, parse_scalar
 from .errors import FormatError, ResourceLimitError
 from .linalg import Mat
-from .modules import Params, WreathModule, swap_tuple
+from .modules import Params, WreathModule
 from .quiver import DimVector, Quiver, Weight
 from .sra import GammaData, SRAParams
 from .symmetric import YoungDiagram
@@ -139,16 +139,14 @@ def dump_params(p: Params) -> dict:
 
 # -- matrices -----------------------------------------------------------------
 
-def parse_matrix(doc: Any, rows: int, cols: int, order: int, where: str) -> Mat:
-    _require(isinstance(doc, list), f"{where}: matrix must be a list of rows")
-    _require(len(doc) == rows, f"{where}: expected {rows} rows, got {len(doc)}")
-    data = []
-    for row in doc:
-        _require(isinstance(row, list) and len(row) == cols,
-                 f"{where}: expected rows of length {cols}")
-        for entry in row:
-            data.append(parse_scalar(str(entry), order))
-    return Mat(rows, cols, data, order)
+def parse_matrix(doc: Any, cols: int, order: int, where: str) -> Mat:
+    """A list of equal rows; the empty list has ``cols`` columns."""
+    _require(isinstance(doc, list) and all(isinstance(row, list) for row in doc),
+             f"{where}: matrix must be a list of rows")
+    cols = len(doc[0]) if doc else cols
+    _require(all(len(row) == cols for row in doc), f"{where}: rows of unequal length")
+    data = [parse_scalar(str(entry), order) for row in doc for entry in row]
+    return Mat(len(doc), cols, data, order)
 
 
 def dump_matrix(m: Mat) -> list:
@@ -158,56 +156,40 @@ def dump_matrix(m: Mat) -> list:
 # -- modules -------------------------------------------------------------------
 
 def parse_module(doc: Any, quiver: Quiver) -> WreathModule:
+    """The module of a document whose fields have their JSON types; the
+    ``WreathModule`` constructor refuses a malformed tuple, edge, position,
+    dimension or matrix shape."""
     _require(isinstance(doc, dict), "module document must be an object")
     _require("params" in doc and "support" in doc, "module needs params and support")
     params = parse_params(doc["params"], quiver)
     order = params.order
 
-    def module_tuple(value, what):
-        j = _vertex_tuple(value, what)
-        _require(len(j) == params.n, f"{what} {j} has length != n")
-        for v in j:
-            _require(quiver.has_vertex(v), f"{what} uses unknown vertex {v!r}")
-        return j
-
     support = {}
     for item in _objects(doc, "support"):
         _require("tuple" in item and "dim" in item, "support entries need tuple and dim")
-        j = module_tuple(item["tuple"], "support tuple")
-        d = _int(item["dim"], "dim")
-        _require(d >= 0, f"dim must be non-negative, got {d}")
-        support[j] = d
+        support[_vertex_tuple(item["tuple"], "support tuple")] = _int(item["dim"], "dim")
 
-    def dim(j):
-        return support.get(j, 0)
+    def width(j):
+        # an empty matrix maps out of V_j; a negative dimension is the constructor's to refuse
+        return max(support.get(j, 0), 0)
 
     edge_actions = {}
     for item in _objects(doc, "edge_actions"):
         _require({"edge", "position", "source_tuple", "matrix"} <= set(item),
                  "edge actions need edge/position/source_tuple/matrix")
-        name = str(item["edge"])
-        pos = _int(item["position"], "position")
-        j = module_tuple(item["source_tuple"], "source_tuple")
-        e = quiver.edge(name)
-        _require(1 <= pos <= params.n, f"bad position {pos}")
-        _require(j[pos - 1] == e.tail,
-                 f"edge {name!r} cannot act at position {pos} of {j}")
-        tgt = list(j)
-        tgt[pos - 1] = e.head
-        where = f"edge action ({name}, {pos}, {j})"
-        mat = parse_matrix(item["matrix"], dim(tuple(tgt)), dim(j), order, where)
-        edge_actions[(name, pos, j)] = mat
+        name, pos = str(item["edge"]), _int(item["position"], "position")
+        j = _vertex_tuple(item["source_tuple"], "source_tuple")
+        edge_actions[(name, pos, j)] = parse_matrix(
+            item["matrix"], width(j), order, f"edge action ({name}, {pos}, {','.join(j)})")
 
     sn_actions = {}
     for item in _objects(doc, "sn_actions"):
         _require({"adjacent", "source_tuple", "matrix"} <= set(item),
                  "sn actions need adjacent/source_tuple/matrix")
         m = _int(item["adjacent"], "adjacent")
-        j = module_tuple(item["source_tuple"], "source_tuple")
-        _require(1 <= m <= params.n - 1, f"bad adjacent transposition index {m}")
-        where = f"sn action ({m}, {j})"
-        mat = parse_matrix(item["matrix"], dim(swap_tuple(j, m)), dim(j), order, where)
-        sn_actions[(m, j)] = mat
+        j = _vertex_tuple(item["source_tuple"], "source_tuple")
+        sn_actions[(m, j)] = parse_matrix(
+            item["matrix"], width(j), order, f"sn action ({m}, {','.join(j)})")
 
     return WreathModule(params, support, edge_actions, sn_actions)
 

@@ -103,7 +103,7 @@ class WreathModule:
             e = edges.get(name)
             if e is None:
                 problem = "unknown edge"
-            elif not (1 <= pos <= n) or len(j) != n:
+            elif not (1 <= pos <= n and len(j) == n and all(map(q.has_vertex, j))):
                 problem = "bad position or tuple"
             elif j[pos - 1] != e.tail:
                 problem = f"tuple has {j[pos - 1]} at position {pos}, expected {e.tail}"
@@ -112,7 +112,7 @@ class WreathModule:
             if problem:
                 raise FormatError(f"edge action ({name}, {pos}, {','.join(j)}): {problem}")
         for (m, j), mat in self.sn_actions.items():
-            if 1 <= m <= n - 1 and len(j) == n:
+            if 1 <= m <= n - 1 and len(j) == n and all(map(q.has_vertex, j)):
                 problem = misfit(mat, swap_tuple(j, m), j)
             else:
                 problem = "bad transposition index or tuple"

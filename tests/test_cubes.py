@@ -10,12 +10,12 @@ from wreathq.cyclotomic import Scalar, euler_phi
 from wreathq.errors import FormatError
 from wreathq.linalg import Mat, _modulus, hstack, rank, rref, solve_in_span
 from wreathq.modules import (
-    Params, StructuralIssue, VerifyReport, WreathModule, build_induced_zero_e,
-    build_outer_tensor, module_character, relation_ii_residual, verify_relations,
+    Params, WreathModule, build_induced_zero_e, build_outer_tensor,
+    module_character, relation_ii_residual, verify_relations,
 )
 from wreathq.cubes import (
-    ChainComplex, ComplexTerm, Cube, cohomology, complex_from_cube,
-    euler_characteristic, module_cohomology, module_cube,
+    Cube, cohomology, complex_from_cube, euler_characteristic, module_cohomology,
+    module_cube,
 )
 from wreathq.quiver import Quiver, Weight
 from wreathq.reflection import SinkCalculus, candidate_tuples, reflection_functor
@@ -326,16 +326,8 @@ def test_non_generic_cubes_rank_exactly_only_the_uncertified_degrees(monkeypatch
 
 
 def test_chain_complex_refuses_a_nonzero_square():
-    terms = [ComplexTerm(((),), (1,), (0,), 1)] * 3
-    one = Mat.identity(1)
-    ChainComplex(terms, [one, Mat.zeros(1, 1)], 1)
-    with pytest.raises(FormatError, match="not zero"):
-        ChainComplex(terms, [one, one], 1)
-    with pytest.raises(FormatError, match="wrong shape"):
-        ChainComplex(terms, [one, Mat.zeros(2, 1)], 1)
-    with pytest.raises(FormatError, match="differentials"):
-        ChainComplex(terms, [one], 1)
     # a cube whose square does not commute is refused by name
+    one = Mat.identity(1)
     spaces = {(): 1, (1,): 1, (2,): 1, (1, 2): 1}
     maps = {((), 1): one, ((), 2): one, ((1,), 2): one, ((2,), 1): -one}
     with pytest.raises(FormatError, match="does not commute"):
@@ -349,6 +341,19 @@ def test_cube_refuses_a_repeated_index_and_a_wrong_shaped_map():
     with pytest.raises(FormatError, match=r"map at \(\(\), 1\) has the wrong shape"):
         Cube((1,), spaces, {((), 1): Mat.identity(1)})
     Cube((1,), spaces, {((), 1): Mat.zeros(2, 1)})
+    with pytest.raises(FormatError, match="negative dimension"):
+        Cube((1,), {(): -1, (1,): 1}, {})
+    # space keys are normalised like map keys, and refused outside delta
+    assert Cube((1, 2), {(2, 1): 3}, {}).spaces[(1, 2)] == 3
+    for key in ((1, 1), (3,), (1, 3)):
+        with pytest.raises(FormatError, match="not a subset"):
+            Cube((1, 2), {key: 1}, {})
+        with pytest.raises(FormatError, match="not a subset"):
+            Cube((1, 2), {}, {(key, 2): Mat.zeros(0, 0)})
+    # a map must add an index of delta that is not yet in its subset
+    for key in (((), 5), ((1,), 1)):
+        with pytest.raises(FormatError, match="adds no new index"):
+            Cube((1,), {}, {key: Mat.zeros(0, 0)})
 
 
 def test_every_candidate_tuple_has_a_nonzero_level(corpus, kronecker_f0v):
@@ -420,14 +425,13 @@ def _relation_ii_walk(calc):
 
 
 def _products_vanish(cube):
-    """Whether every exact d_{r+1} d_r of the cube is zero: with the certificate
-    cleared, ``complex_from_cube`` forms them and raises FormatError otherwise."""
-    cube._certificate = None
-    try:
-        complex_from_cube(cube)
-    except FormatError:
-        return False
-    return True
+    """Whether every exact d_{r+1} d_r of the cube's complex is zero.  The complex
+    is assembled with ``Cube.validate`` patched out, so the products also check
+    the signs of the assembly, independently of the squares."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Cube, "validate", lambda self: None)
+        cx = complex_from_cube(cube)
+    return not any(b @ a for a, b in itertools.pairwise(cx.diffs))
 
 
 def _certificate_and_products(module, vertex):
@@ -587,15 +591,6 @@ def test_module_cohomology_assembles_each_cube_once(corpus, monkeypatch):
             assert [id(c) for c in calls] == [id(c) for c in made], (name, vertex)
             assert len(coh) == len(made)
             assert all(c._certificate is not None for c in made), (name, vertex)
-
-
-def test_a_certified_complex_needs_the_certificate():
-    terms = [ComplexTerm(((),), (1,), (0,), 1)] * 3
-    one = Mat.identity(1)
-    failed = VerifyReport((StructuralIssue("support", "a failure"),), ())
-    for certificate in (None, failed):
-        with pytest.raises(TypeError):
-            ChainComplex._certified(terms, [one, one], 1, certificate)
 
 
 def test_euler_traces_agree_with_the_assembled_action(corpus):

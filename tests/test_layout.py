@@ -36,6 +36,48 @@ def test_the_guard_sees_a_private_import(tmp_path):
     assert _private_imports(probe) == ["probe.py:1: _mat", "probe.py:2: _int"]
 
 
+# -- one constructor of the chain complex ----------------------------------------
+
+def _stray_calls(path: pathlib.Path, callee: str, owner: str) -> list[str]:
+    """Calls in one file of ``callee``, ``x.callee`` or ``callee.attr`` outside the
+    body of the function ``owner``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name == owner
+              for node in ast.walk(fn)}
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in inside:
+            continue
+        f = node.func
+        if (isinstance(f, ast.Name) and f.id == callee) \
+                or (isinstance(f, ast.Attribute) and f.attr == callee) \
+                or (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                    and f.value.id == callee):
+            lines.append(node.lineno)
+    return [f"{path.name}:{line}: {callee}" for line in sorted(lines)]
+
+
+def test_only_complex_from_cube_builds_a_chain_complex():
+    # cohomology takes d^2 = 0 as given: complex_from_cube checks it on the squares
+    files = sorted(PACKAGE.glob("*.py"))
+    assert files
+    offenders = [line for path in files
+                 for line in _stray_calls(path, "ChainComplex", "complex_from_cube")]
+    assert offenders == []
+
+
+def test_the_guard_sees_a_stray_chain_complex(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from . import cubes\n"
+                     "def complex_from_cube(cube):\n    return ChainComplex([], [], 1)\n"
+                     "def shortcut(terms, diffs):\n    return ChainComplex(terms, diffs, 1)\n"
+                     "BARE = cubes.ChainComplex([], [], 1)\n"
+                     "RAW = ChainComplex.__new__(ChainComplex)\n")
+    assert _stray_calls(probe, "ChainComplex", "complex_from_cube") == \
+        ["probe.py:5: ChainComplex", "probe.py:6: ChainComplex", "probe.py:7: ChainComplex"]
+
+
 # -- the benchmark tracer's hooks ------------------------------------------------
 
 REPO = PACKAGE.parents[1]

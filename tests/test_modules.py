@@ -90,6 +90,11 @@ MALFORMED = {
                       "sn action (9, q,r,s): bad transposition index or tuple"),
     "zero-sn-shape": (2, {("0", "1"): 1}, {}, {(1, ("0", "1")): Mat.zeros(2, 1)},
                       "sn action (1, 0,1): shape 2x1 != 0x1"),
+    # an unknown vertex in a source tuple, where every dimension and shape is 0
+    "zero-edge-vertex": (2, {("1", "1"): 1}, {("a*", 1, ("1", "9")): Mat.zeros(0, 0)}, {},
+                         "edge action (a*, 1, 1,9): bad position or tuple"),
+    "zero-sn-vertex": (2, {("1", "1"): 1}, {}, {(1, ("9", "1")): Mat.zeros(0, 0)},
+                       "sn action (1, 9,1): bad transposition index or tuple"),
 }
 
 
