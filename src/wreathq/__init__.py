@@ -19,7 +19,7 @@ from .symmetric import (
 from .modules import (
     Params, WreathModule, build_induced_zero_e, build_outer_tensor,
     check_intertwiner, direct_sum, graph_automorphism_transport,
-    module_character, relation_ii_residual, reorient_module, verify_relations,
+    module_character, reorient_module, verify_relations,
 )
 from .reflection import (
     apply_functor_word, involution_witness, is_generic, is_generic_oracle,

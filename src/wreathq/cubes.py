@@ -34,12 +34,13 @@ class Cube:
     """A cube: dims per subset, maps per (subset, new element).
 
     Subsets may be given in any order.  A repeated or unknown index, a
-    negative dimension, or a map of the wrong shape or to an index
-    outside delta or already in its subset raises ``FormatError``; an
-    absent space or map is zero.  Whether the squares commute is left to
-    ``validate``.  Instances are treated as immutable: a cube from
-    ``module_cube`` carries the passed ``verify_relations`` report of its
-    module, and a changed map would no longer be covered by it.
+    negative dimension, or a map of the wrong shape or cyclotomic order or
+    to an index outside delta or already in its subset raises
+    ``FormatError``; an absent space or map is zero.  Whether the squares
+    commute is left to ``validate``.  Instances are treated as immutable:
+    a cube from ``module_cube`` carries the passed ``verify_relations``
+    report of its module, and a changed map would no longer be covered by
+    it.
     """
 
     _certificate: Optional[VerifyReport] = None    # set by module_cube
@@ -62,6 +63,8 @@ class Cube:
                 raise FormatError(f"map at ({subset}, {p}) adds no new index")
             if (m.rows, m.cols) != (self.spaces[self._insert(subset, p)], self.spaces[subset]):
                 raise FormatError(f"map at ({subset}, {p}) has the wrong shape")
+            if m.order != order:
+                raise FormatError(f"map at ({subset}, {p}) has the wrong cyclotomic order")
             self.maps[(subset, p)] = m
 
     def _subset(self, subset) -> tuple:

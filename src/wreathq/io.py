@@ -156,9 +156,9 @@ def dump_matrix(m: Mat) -> list:
 # -- modules -------------------------------------------------------------------
 
 def parse_module(doc: Any, quiver: Quiver) -> WreathModule:
-    """The module of a document whose fields have their JSON types; the
-    ``WreathModule`` constructor refuses a malformed tuple, edge, position,
-    dimension or matrix shape."""
+    """The module of a document whose fields have their JSON types and whose
+    keys are not repeated; the ``WreathModule`` constructor refuses a
+    malformed tuple, edge, position, dimension or matrix shape."""
     _require(isinstance(doc, dict), "module document must be an object")
     _require("params" in doc and "support" in doc, "module needs params and support")
     params = parse_params(doc["params"], quiver)
@@ -167,7 +167,9 @@ def parse_module(doc: Any, quiver: Quiver) -> WreathModule:
     support = {}
     for item in _objects(doc, "support"):
         _require("tuple" in item and "dim" in item, "support entries need tuple and dim")
-        support[_vertex_tuple(item["tuple"], "support tuple")] = _int(item["dim"], "dim")
+        j = _vertex_tuple(item["tuple"], "support tuple")
+        _require(j not in support, f"support {j}: repeated tuple")
+        support[j] = _int(item["dim"], "dim")
 
     def width(j):
         # an empty matrix maps out of V_j; a negative dimension is the constructor's to refuse
@@ -179,8 +181,9 @@ def parse_module(doc: Any, quiver: Quiver) -> WreathModule:
                  "edge actions need edge/position/source_tuple/matrix")
         name, pos = str(item["edge"]), _int(item["position"], "position")
         j = _vertex_tuple(item["source_tuple"], "source_tuple")
-        edge_actions[(name, pos, j)] = parse_matrix(
-            item["matrix"], width(j), order, f"edge action ({name}, {pos}, {','.join(j)})")
+        where = f"edge action ({name}, {pos}, {','.join(j)})"
+        _require((name, pos, j) not in edge_actions, f"{where}: repeated key")
+        edge_actions[(name, pos, j)] = parse_matrix(item["matrix"], width(j), order, where)
 
     sn_actions = {}
     for item in _objects(doc, "sn_actions"):
@@ -188,8 +191,9 @@ def parse_module(doc: Any, quiver: Quiver) -> WreathModule:
                  "sn actions need adjacent/source_tuple/matrix")
         m = _int(item["adjacent"], "adjacent")
         j = _vertex_tuple(item["source_tuple"], "source_tuple")
-        sn_actions[(m, j)] = parse_matrix(
-            item["matrix"], width(j), order, f"sn action ({m}, {','.join(j)})")
+        where = f"sn action ({m}, {','.join(j)})"
+        _require((m, j) not in sn_actions, f"{where}: repeated key")
+        sn_actions[(m, j)] = parse_matrix(item["matrix"], width(j), order, where)
 
     return WreathModule(params, support, edge_actions, sn_actions)
 

@@ -163,7 +163,10 @@ class WreathModule:
         key = (p.img, j)
         out = self._perm_cache.get(key)
         if out is None:
-            out = self._perm_cache[key] = _chase(self, j, p.adjacent_word())
+            out = _word(self, j, p.adjacent_word())
+            if out is None:
+                out = Mat.zeros(self.dim(p.act_tuple(j)), self.dim(j), self.order)
+            self._perm_cache[key] = out
         return out
 
     def canonical_key(self):
@@ -239,30 +242,26 @@ def structural_report(mod: WreathModule) -> list[StructuralIssue]:
     issues: list[StructuralIssue] = []
     q = mod.params.quiver
     n = mod.n
+
     # group relations for the stored S_n generators, chased along tuples
     involutive = set()      # (m, j) whose involution check passed
     for j in mod.tuples():
-        d = mod.dim(j)
+        at = f"tuple ({','.join(j)})"
         for m in range(1, n):
             j2 = swap_tuple(j, m)
-            if (m, j2) in involutive and mod.dim(j2) == d:
+            if (m, j2) in involutive and mod.dim(j2) == mod.dim(j):
                 continue
-            if mod.sn_matrix(m, j2) @ mod.sn_matrix(m, j) == Mat.identity(d, mod.order):
+            if _residual(mod, j, (m, m), ()) is None:
                 involutive.add((m, j))
             else:
-                issues.append(StructuralIssue(
-                    f"tuple ({','.join(j)})", f"s_{m} is not an involution"))
+                issues.append(StructuralIssue(at, f"s_{m} is not an involution"))
         for m in range(1, n - 1):
-            lhs = _chase(mod, j, [m, m + 1, m])
-            rhs = _chase(mod, j, [m + 1, m, m + 1])
-            if lhs != rhs:
-                issues.append(StructuralIssue(
-                    f"tuple ({','.join(j)})", f"braid relation fails at s_{m}, s_{m + 1}"))
+            if _residual(mod, j, (m, m + 1, m), (m + 1, m, m + 1)) is not None:
+                issues.append(StructuralIssue(at, f"braid relation fails at s_{m}, s_{m + 1}"))
         for m in range(1, n):
             for k in range(m + 2, n):
-                if _chase(mod, j, [m, k]) != _chase(mod, j, [k, m]):
-                    issues.append(StructuralIssue(
-                        f"tuple ({','.join(j)})", f"s_{m} and s_{k} do not commute"))
+                if _residual(mod, j, (m, k), (k, m)) is not None:
+                    issues.append(StructuralIssue(at, f"s_{m} and s_{k} do not commute"))
 
     # smash-product equivariance of the edge actions
     group = not issues
@@ -270,20 +269,15 @@ def structural_report(mod: WreathModule) -> list[StructuralIssue]:
     for j in mod.tuples():
         for pos in range(1, n + 1):
             for e in q.out_edges(j[pos - 1]):
-                a_mat = mod.edge_matrix(e.name, pos, j)
-                tgt = mod.edge_target(e.name, pos, j)
                 for m in range(1, n):
                     sig_pos = pos
                     if pos == m:
                         sig_pos = m + 1
                     elif pos == m + 1:
                         sig_pos = m
-                    j2 = swap_tuple(j, m)
-                    if group and (e.name, sig_pos, j2, m) in equivariant:
+                    if group and (e.name, sig_pos, swap_tuple(j, m), m) in equivariant:
                         continue
-                    lhs = mod.sn_matrix(m, tgt) @ a_mat
-                    rhs = mod.edge_matrix(e.name, sig_pos, j2) @ mod.sn_matrix(m, j)
-                    if lhs == rhs:
+                    if _residual(mod, j, (m, (e.name, pos)), ((e.name, sig_pos), m)) is None:
                         equivariant.add((e.name, pos, j, m))
                     else:
                         issues.append(StructuralIssue(
@@ -292,69 +286,67 @@ def structural_report(mod: WreathModule) -> list[StructuralIssue]:
     return issues
 
 
-def _chase(mod: WreathModule, j: tuple, word: Sequence[int]) -> Mat:
-    """Compose adjacent generators along tuples: rightmost letter acts first.
+def _word(mod: WreathModule, j: tuple, word: Sequence) -> Optional[Mat]:
+    """The stored actions composed along ``word`` out of V_j, or None (a zero
+    map) when a factor is not stored.
 
-    The empty word gives the identity.
+    A letter is ``m`` for s_m or ``(edge name, position)``; the last letter
+    acts first, and the empty word gives the identity.
     """
-    if not word:
-        return Mat.identity(mod.dim(j), mod.order)
-    out = mod.sn_matrix(word[-1], j)
-    cur = swap_tuple(j, word[-1])
-    for k in reversed(word[:-1]):
-        out = mod.sn_matrix(k, cur) @ out
-        cur = swap_tuple(cur, k)
-    return out
+    out = None
+    for k in range(len(word) - 1, -1, -1):
+        letter = word[k]
+        edge = not isinstance(letter, int)
+        mat = mod.edge_actions.get((*letter, j)) if edge else mod.sn_actions.get((letter, j))
+        if mat is None:
+            return None
+        out = mat if out is None else mat @ out
+        if k:       # the next letter acts out of this letter's target
+            j = mod.edge_target(*letter, j) if edge else swap_tuple(j, letter)
+    return Mat.identity(mod.dim(j), mod.order) if out is None else out
 
 
-def _residual(lhs: Mat, rhs: Optional[Mat]) -> Optional[Mat]:
-    """``lhs - rhs``, or None where the two sides agree; a missing ``rhs`` is zero.
+def _residual(mod: WreathModule, j: tuple, lhs: Sequence, rhs: Sequence) -> Optional[Mat]:
+    """``lhs - rhs`` as a map out of V_j, or None where the two sides agree.
 
-    Comparing costs less than subtracting, so the subtraction is left to
-    the failures.
+    A side is a word for ``_word`` (a tuple), or a list of terms (c, w):
+    c is 1, -1 or a ``Scalar``, and w is a word or a ``Perm``, whose
+    matrix is the cached ``perm_matrix``.  Terms whose word or coefficient
+    is zero are left out, so no zero map is built; comparing costs less
+    than subtracting, so the subtraction is left to the failures.
     """
-    if rhs is None:
-        return lhs if lhs else None
-    return lhs - rhs if lhs != rhs else None
+    def total(terms):
+        if isinstance(terms, tuple):
+            return _word(mod, j, terms)
+        out = None
+        for c, w in terms:
+            mat = mod.perm_matrix(w, j) if isinstance(w, Perm) else _word(mod, j, w)
+            if mat is None or not c:
+                continue
+            mat = mat.scaled(c) if isinstance(c, Scalar) else mat if c > 0 else -mat
+            out = mat if out is None else out + mat
+        return out
 
-
-def _path(second: Optional[Mat], first: Optional[Mat]) -> Optional[Mat]:
-    """``second @ first``, or None (zero) when a factor is not stored."""
-    return None if second is None or first is None else second @ first
-
-
-def relation_ii_residual(mod: WreathModule, j: tuple, ell: int, m: int,
-                         a: Edge, b: Edge) -> Optional[Mat]:
-    """The residual of relation (ii) out of V_j, or None where it holds.
-
-    Edge ``a`` of the double acts in position ``ell`` and ``b`` in
-    position ``m > ell``: a_ell b_m - b_m a_ell = nu s_{ell m} when a is
-    the star of b, -nu s_{ell m} when b is the star of a, and 0
-    otherwise.  Only stored edge actions are multiplied; a path with a
-    missing factor is zero.
-    """
-    acts = mod.edge_actions
-    ja = mod.edge_target(a.name, ell, j)
-    jb = mod.edge_target(b.name, m, j)
-    ab = _path(acts.get((a.name, ell, jb)), acts.get((b.name, m, j)))
-    ba = _path(acts.get((b.name, m, ja)), acts.get((a.name, ell, j)))
-    if a.name != star_name(b.name):
-        if ab is None:
-            return -ba if ba else None
-        if ba is None:
-            return ab if ab else None
-        return ab - ba if ab != ba else None
-    lhs = Mat.zeros(mod.dim(mod.edge_target(a.name, ell, jb)), mod.dim(j), mod.order)
-    if ab is not None:
-        lhs = lhs + ab
-    if ba is not None:
-        lhs = lhs - ba
-    swap = mod.perm_matrix(Perm.transposition(ell, m, mod.n), j)
-    return _residual(lhs, swap.scaled(mod.params.nu if a.is_star else -mod.params.nu))
+    left, right = total(lhs), total(rhs)
+    if right is None:
+        return left if left else None
+    if left is None:
+        return -right if right else None
+    return left - right if left != right else None
 
 
 def verify_relations(mod: WreathModule) -> VerifyReport:
     """Check the two defining relation families as exact matrix identities.
+
+    Relation (i) at (j, l), with v = j_l, is an identity of maps out of
+    V_j: the sum over the edges x of the double out of v of the path x
+    then its reverse, added for a star edge and subtracted for a base
+    edge, equals lambda_v plus nu times the sum of the transpositions
+    s_{l m} with j_m = v.  Relation (ii) at (j, l, m, a, b), with l < m,
+    edge a of the double acting in position l and b in position m, is
+    a_l b_m - b_m a_l = nu s_{l m} when a is the star of b, -nu s_{l m}
+    when b is the star of a, and 0 otherwise.  Only stored actions are
+    multiplied; a path with a missing factor is zero.
 
     Every relation instance at a tuple j is an identity of maps out of
     V_j, so at a tuple of dimension zero it holds vacuously (its matrices
@@ -390,29 +382,19 @@ def verify_relations(mod: WreathModule) -> VerifyReport:
     n = mod.n
     failures: list[RelationFailure] = []
     first: dict = {}        # orbit key -> whether the orbit's first instance passed
-    minus_lam: dict = {}    # (v, d) -> -lambda_v times the identity of size d
 
     for j in mod.tuples():
-        d = mod.dim(j)
         sorted_j = tuple(sorted(j))
         for ell in range(1, n + 1):
             v = j[ell - 1]
             key = ("i", sorted_j, v)
             if first.get(key):
                 continue
-            lhs = minus_lam.get((v, d))
-            if lhs is None:
-                lhs = minus_lam[v, d] = Mat.identity(d, mod.order).scaled(-lam[v])
-            # the path x then its reverse, for every edge x of the double out
-            # of v: added for a star edge x, subtracted for a base edge
-            for x in q.out_edges(v):
-                mid = mod.edge_target(x.name, ell, j)
-                path = mod.edge_matrix(star_name(x.name), ell, mid) \
-                    @ mod.edge_matrix(x.name, ell, j)
-                lhs = lhs + path if x.is_star else lhs - path
-            swaps = [mod.perm_matrix(Perm.transposition(ell, m, n), j)
+            paths = [(1 if x.is_star else -1, ((star_name(x.name), ell), (x.name, ell)))
+                     for x in q.out_edges(v)]
+            swaps = [(nu, Perm.transposition(ell, m, n))
                      for m in range(1, n + 1) if m != ell and j[m - 1] == v]
-            residual = _residual(lhs, sum(swaps[1:], swaps[0]).scaled(nu) if swaps else None)
+            residual = _residual(mod, j, [(-lam[v], ())] + paths, swaps)
             if residual is not None:
                 failures.append(RelationFailure("i", j, ell, None, None, None, residual))
             first.setdefault(key, residual is None)
@@ -425,7 +407,11 @@ def verify_relations(mod: WreathModule) -> VerifyReport:
                 found = len(failures)
                 for a in q.out_edges(j[ell - 1]):
                     for b in q.out_edges(j[m - 1]):
-                        residual = relation_ii_residual(mod, j, ell, m, a, b)
+                        ab, ba = ((a.name, ell), (b.name, m)), ((b.name, m), (a.name, ell))
+                        if a.name == star_name(b.name):
+                            swap = Perm.transposition(ell, m, n)
+                            ba = [(1, ba), (nu if a.is_star else -nu, swap)]
+                        residual = _residual(mod, j, ab, ba)
                         if residual is not None:
                             failures.append(RelationFailure(
                                 "ii", j, ell, m, a.name, b.name, residual))

@@ -481,6 +481,13 @@ MALFORMED = [
     ("verify", NOT_INVOLUTION, 2),
     ("cohomology", NOT_INVOLUTION, 2),
     ("euler", NOT_INVOLUTION, 2),
+    # a repeated key, which would otherwise let the last entry win
+    ("verify", {**SN_MODULE, "support": [{"tuple": ["1", "1"], "dim": 5},
+                                         {"tuple": ["1", "1"], "dim": 1}]}, 2),
+    ("verify", {**SN_MODULE, "edge_actions": SN_MODULE["edge_actions"] * 2}, 2),
+    ("verify", {**SN_MODULE, "sn_actions": [
+        {"adjacent": 1, "source_tuple": ["1", "1"], "matrix": [["1"]]},
+        {"adjacent": 1, "source_tuple": ["1", "1"], "matrix": [["-1"]]}]}, 2),
 ]
 
 

@@ -11,7 +11,7 @@ from wreathq.errors import FormatError
 from wreathq.linalg import Mat, _modulus, hstack, rank, rref, solve_in_span
 from wreathq.modules import (
     Params, WreathModule, build_induced_zero_e, build_outer_tensor,
-    module_character, relation_ii_residual, verify_relations,
+    module_character, verify_relations,
 )
 from wreathq.cubes import (
     Cube, cohomology, complex_from_cube, euler_characteristic, module_cohomology,
@@ -341,6 +341,8 @@ def test_cube_refuses_a_repeated_index_and_a_wrong_shaped_map():
     with pytest.raises(FormatError, match=r"map at \(\(\), 1\) has the wrong shape"):
         Cube((1,), spaces, {((), 1): Mat.identity(1)})
     Cube((1,), spaces, {((), 1): Mat.zeros(2, 1)})
+    with pytest.raises(FormatError, match="wrong cyclotomic order"):
+        Cube((1,), {(): 1, (1,): 1}, {((), 1): Mat.identity(1, 3)}, 1)
     with pytest.raises(FormatError, match="negative dimension"):
         Cube((1,), {(): -1, (1,): 1}, {})
     # space keys are normalised like map keys, and refused outside delta
@@ -409,8 +411,10 @@ def test_kronecker_z3_cubes_need_no_exact_rank(monkeypatch):
 def _relation_ii_walk(calc):
     """Reference: a_p b_q = b_q a_p on V_t for every support tuple t of the
     sink-form module, every pair of positions p < q holding tails of incoming
-    edges, and every (a, b) in R x R; one instance at a time."""
+    edges, and every (a, b) in R x R; one instance at a time.  Both paths are
+    products of ``edge_matrix`` blocks, so a missing action is a zero matrix."""
     mod = calc.module
+    act = mod.edge_matrix
     into = {}               # tail -> the incoming edges from it
     for e in calc.R:
         into.setdefault(e.tail, []).append(e)
@@ -419,7 +423,9 @@ def _relation_ii_walk(calc):
         for (p, at_p), (q, at_q) in itertools.combinations(spots, 2):
             for a in at_p:
                 for b in at_q:
-                    if relation_ii_residual(mod, t, p, q, a, b) is not None:
+                    ta, tb = mod.edge_target(a.name, p, t), mod.edge_target(b.name, q, t)
+                    ab = act(a.name, p, tb) @ act(b.name, q, t)
+                    if ab != act(b.name, q, ta) @ act(a.name, p, t):
                         return False
     return True
 

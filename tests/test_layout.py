@@ -78,6 +78,41 @@ def test_the_guard_sees_a_stray_chain_complex(tmp_path):
         ["probe.py:5: ChainComplex", "probe.py:6: ChainComplex", "probe.py:7: ChainComplex"]
 
 
+# -- one evaluator of the verifier's identities -------------------------------------
+
+# the verifier's checks and the helpers that evaluate their terms; every matrix
+# product they form is one of _word's
+VERIFIER = ("structural_report", "verify_relations", "_residual", "perm_matrix")
+
+
+def _products(path: pathlib.Path, owners: tuple) -> dict[str, list[int]]:
+    """The lines of the matrix products (``@``, ``@=``) inside each named function
+    of one file, nested functions included."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {fn.name: sorted(node.lineno for node in ast.walk(fn)
+                            if isinstance(node, (ast.BinOp, ast.AugAssign))
+                            and isinstance(node.op, ast.MatMult))
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name in owners}
+
+
+def test_the_verifier_multiplies_only_in_word():
+    found = _products(PACKAGE / "modules.py", VERIFIER + ("_word",))
+    assert sorted(found) == sorted(VERIFIER + ("_word",))
+    assert len(found.pop("_word")) == 1
+    assert found == dict.fromkeys(VERIFIER, [])
+
+
+def test_the_guard_sees_a_stray_product(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def _word(a, b):\n    return a @ b\n"
+                     "def verify_relations(a, b):\n    def term(x):\n        return x @ b\n"
+                     "    a @= b\n    return term(a) == _word(a, b)\n"
+                     "def other(a, b):\n    return a @ b\n")
+    assert _products(probe, ("_word", "verify_relations", "structural_report")) == \
+        {"_word": [2], "verify_relations": [5, 6]}
+
+
 # -- the benchmark tracer's hooks ------------------------------------------------
 
 REPO = PACKAGE.parents[1]

@@ -3,6 +3,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wreathq.cyclotomic import Scalar
 from wreathq.errors import FormatError
@@ -696,9 +697,9 @@ def test_orbit_walk_matches_full_walk_on_non_rectangular_modules():
         assert not _assert_walks_agree(module).passed
 
 
-def _bumped(block):
-    """The block with 1 added to its first entry."""
-    unit = [[int((r, c) == (0, 0)) for c in range(block.cols)] for r in range(block.rows)]
+def _bumped(block, row=0, col=0):
+    """The block with 1 added to its entry at (row, col), the first by default."""
+    unit = [[int((r, c) == (row, col)) for c in range(block.cols)] for r in range(block.rows)]
     return block + Mat.from_rows(unit, block.order)
 
 
@@ -718,6 +719,32 @@ def test_orbit_walk_matches_full_walk_on_mutants_at_skipped_tuples(mixed_modules
                 assert not _assert_walks_agree(mutant).passed, key
                 mutants += 1
     assert mutants >= 20
+
+
+@pytest.fixture(scope="module")
+def stores(corpus, kronecker_f0v):
+    """(module, store, its stored keys) of the corpus modules with n >= 2 and F_0V."""
+    mods = [m for _, m in corpus if m.n >= 2] + [kronecker_f0v]
+    return [(m, store, sorted(getattr(m, store)))
+            for m in mods for store in ("edge_actions", "sn_actions") if getattr(m, store)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_walks_agree_on_a_deleted_or_bumped_action(stores, data):
+    # a deleted action is a missing factor in the middle of the words through it
+    mod, store, keys = data.draw(st.sampled_from(stores))
+    key = data.draw(st.sampled_from(keys))
+    actions = dict(getattr(mod, store))
+    block = actions.pop(key)
+    if data.draw(st.booleans()):
+        row = data.draw(st.integers(0, block.rows - 1))
+        actions[key] = _bumped(block, row, data.draw(st.integers(0, block.cols - 1)))
+    edges = actions if store == "edge_actions" else mod.edge_actions
+    sns = actions if store == "sn_actions" else mod.sn_actions
+    mutant = WreathModule(mod.params, mod.support, edges, sns)
+    assert verify_relations(mutant) == _full_verify(mutant)
+    assert structural_report(mutant) == _full_structural(mutant)
 
 
 def test_one_sided_inverse_is_not_an_involution(ahat1):
