@@ -11,6 +11,12 @@ Matrices with zero rows or zero columns are first-class citizens: they
 represent maps to or from the zero space and show up constantly in
 graded modules.
 
+A ``kernel_basis`` result carries an identity block: the row of each
+free column is a unit row, {k: 1} for its own basis column k.
+``solve_in_span`` reads the coordinates of a vector in such a basis off
+those rows, with no elimination, and certifies them by checking the
+other rows exactly; ``NotInSpanError`` is the certificate failing.
+
 ``rank_mod_p`` gives a lower bound for the rank from the image of a
 matrix over a word-size prime field; callers that can bound the rank
 from above certify it without exact elimination.
@@ -503,7 +509,9 @@ def kernel_basis(a: Mat) -> Mat:
     """Deterministic basis of the null space {v : a v = 0} as matrix columns.
 
     Columns come from the RREF with free variables taken in ascending
-    column order, so the output is reproducible across runs.
+    column order, so the output is reproducible across runs.  Column k
+    belongs to the k-th free column f, and row f is the unit row {k: 1}:
+    the identity block that ``solve_in_span`` reads coordinates from.
     """
     red, piv = rref(a)
     pivset = set(piv)
@@ -515,18 +523,56 @@ def kernel_basis(a: Mat) -> Mat:
     return _mat(a.cols, len(free), srows, a.order)
 
 
+def _unit_rows(basis: Mat) -> list[int] | None:
+    """For each column c of ``basis``, the first row equal to {c: 1}; None
+    if some column has no such row."""
+    one = Scalar.one(basis.order)
+    unit = [None] * basis.cols
+    for r, row in enumerate(basis._rows):
+        if len(row) == 1:
+            c, x = next(iter(row.items()))
+            if unit[c] is None and x == one:
+                unit[c] = r
+    return None if None in unit else unit
+
+
 def solve_in_span(basis: Mat, target: Mat) -> Mat:
     """Solve basis @ X = target; raise NotInSpanError if any column escapes.
 
-    ``target`` may have several columns.  The columns of ``basis`` are
-    expected to be independent (kernel bases and embeddings always are);
-    a dependent basis still yields one valid solution.
+    ``target`` may have several columns.  Where every column c of
+    ``basis`` has a unit row, a row equal to {c: 1} (every ``kernel_basis``
+    result and every identity has one at each free column), X is read
+    off: its row c is the target's row at the unit row of c.  The other
+    rows certify it: target lies in the span exactly when
+    basis[r] @ X == target[r] for each of them, checked exactly.  Any
+    other basis goes through the RREF of [basis | target]; its columns
+    are expected to be independent (kernel bases and embeddings always
+    are), and a dependent basis still yields one valid solution.
     """
     basis._check_order(target)
     if basis.rows != target.rows:
         raise ValueError("solve_in_span row mismatch")
     if target.cols == 0 or basis.rows == 0 and target.is_zero():
         return Mat.zeros(basis.cols, target.cols, basis.order)
+    unit = _unit_rows(basis)
+    if unit is not None:
+        trows = target._rows
+        xrows = [trows[r] for r in unit]
+        read = set(unit)
+        # the rows of basis @ X, less the unit rows, which hold by construction
+        for r, brow in enumerate(basis._rows):
+            if r in read:
+                continue
+            acc: dict = {}
+            for c, x in brow.items():
+                for k, y in xrows[c].items():
+                    v = acc.get(k)
+                    acc[k] = x * y if v is None else v + x * y
+            if len(brow) > 1:
+                acc = {k: v for k, v in acc.items() if v}
+            if acc != trows[r]:
+                raise NotInSpanError("target is outside the span of the basis")
+        return _mat(basis.cols, target.cols, xrows, basis.order)
     red, piv = rref(hstack([basis, target]))
     width = basis.cols
     if piv and piv[-1] >= width:

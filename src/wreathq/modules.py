@@ -234,19 +234,25 @@ def structural_report(mod: WreathModule) -> list[StructuralIssue]:
     * the involution check s_m s_m = 1 at s_m j is skipped when the check
       at j passed and V_j and V_{s_m j} have the same dimension, because a
       one-sided inverse of a square matrix is two-sided;
+    * the braid check at w j, w = s_m s_{m+1} s_m, is skipped when the
+      check at j passed and every involution check at a letter of the two
+      words out of j and out of w j passed: each word out of w j is then
+      the two-sided inverse of the same word out of j, so the two checks
+      are equivalent;
     * once no group-relation issue was found, the s_m-equivariance check
       of an edge at (s_m pos, s_m j) is skipped when the check at
       (pos, j) passed: with s_m^2 = 1, multiplying the identity there by
       s_m on both sides gives the identity here.
     """
-    issues: list[StructuralIssue] = []
     q = mod.params.quiver
     n = mod.n
+    found: dict = {j: [] for j in mod.tuples()}     # issues per tuple, in check order
 
-    # group relations for the stored S_n generators, chased along tuples
+    # group relations for the stored S_n generators, chased along tuples;
+    # the involutions first, as the braid skip reads all of them
     involutive = set()      # (m, j) whose involution check passed
+    not_involutive = set()
     for j in mod.tuples():
-        at = f"tuple ({','.join(j)})"
         for m in range(1, n):
             j2 = swap_tuple(j, m)
             if (m, j2) in involutive and mod.dim(j2) == mod.dim(j):
@@ -254,14 +260,35 @@ def structural_report(mod: WreathModule) -> list[StructuralIssue]:
             if _residual(mod, j, (m, m), ()) is None:
                 involutive.add((m, j))
             else:
-                issues.append(StructuralIssue(at, f"s_{m} is not an involution"))
+                not_involutive.add((m, j))
+                found[j].append(StructuralIssue(f"tuple ({','.join(j)})",
+                                                f"s_{m} is not an involution"))
+
+    def inverted(j, word):
+        """Whether every letter of ``word`` out of j passed its involution check."""
+        for m in reversed(word):
+            if (m, j) in not_involutive:
+                return False
+            j = swap_tuple(j, m)
+        return True
+
+    braided = set()         # (m, j) whose braid check passed
+    for j in mod.tuples():
+        at = f"tuple ({','.join(j)})"
         for m in range(1, n - 1):
-            if _residual(mod, j, (m, m + 1, m), (m + 1, m, m + 1)) is not None:
-                issues.append(StructuralIssue(at, f"braid relation fails at s_{m}, s_{m + 1}"))
+            lhs, rhs = (m, m + 1, m), (m + 1, m, m + 1)
+            wj = swap_tuple(swap_tuple(swap_tuple(j, m), m + 1), m)
+            if (m, wj) in braided and all(inverted(t, w) for t in (j, wj) for w in (lhs, rhs)):
+                continue
+            if _residual(mod, j, lhs, rhs) is None:
+                braided.add((m, j))
+            else:
+                found[j].append(StructuralIssue(at, f"braid relation fails at s_{m}, s_{m + 1}"))
         for m in range(1, n):
             for k in range(m + 2, n):
                 if _residual(mod, j, (m, k), (k, m)) is not None:
-                    issues.append(StructuralIssue(at, f"s_{m} and s_{k} do not commute"))
+                    found[j].append(StructuralIssue(at, f"s_{m} and s_{k} do not commute"))
+    issues = [x for j in mod.tuples() for x in found[j]]
 
     # smash-product equivariance of the edge actions
     group = not issues

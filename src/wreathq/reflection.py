@@ -85,6 +85,7 @@ class SinkCalculus:
         self._spaces: dict = {}
         self._pis: dict = {}
         self._mus: dict = {}
+        self._sigmas: dict = {}
 
     # -- tuple combinatorics ----------------------------------------------
     def delta(self, j: tuple) -> tuple[int, ...]:
@@ -175,14 +176,21 @@ class SinkCalculus:
         assignment (perm(p) carries the edge of p) by the module's own
         action of ``perm`` on the graded piece t(j, xi).
         """
+        j = tuple(j)
         d = tuple(sorted(d_positions))
+        key = (j, d, perm)
+        got = self._sigmas.get(key)
+        if got is not None:
+            return got
         src = self.space(j, d)
-        tgt = self.space(perm.act_tuple(tuple(j)), tuple(sorted(perm(p) for p in d)))
+        tgt = self.space(perm.act_tuple(j), tuple(sorted(perm(p) for p in d)))
         slots = sorted(range(len(d)), key=lambda s: perm(d[s]))
         perm_matrix = self.module.perm_matrix
-        return _assemble(tgt, src, (
+        out = _assemble(tgt, src, (
             (tgt.index_of(tuple(xi[s] for s in slots)), k, perm_matrix(perm, src.t_tuples[k]))
             for k, xi in enumerate(src.xis) if src.dims[k]), self.order)
+        self._sigmas[key] = out
+        return out
 
     def sigma_trace(self, j: tuple, d_positions: Sequence[int], perm: Perm) -> Scalar:
         """The trace of ``sigma_perm`` on a level V(j, D) that ``perm`` fixes.
@@ -239,24 +247,31 @@ class SinkCalculus:
     def theta(self, r_index: int, ell: int, j: tuple, d_positions: Sequence[int]) -> Mat:
         """An incoming edge acts by the compensated inclusion into V(r_ell(j), D + ell)."""
         j = tuple(j)
+        return self._theta_on(r_index, ell, j, d_positions,
+                              Mat.identity(self.space(j, d_positions).total, self.order))
+
+    def _theta_on(self, r_index: int, ell: int, j: tuple, d_positions: Sequence[int],
+                  x: Mat) -> Mat:
+        """theta @ x, for x with rows indexed by V(j, D).
+
+        (mu pi - lambda_i + nu sum_m s_{m,ell}) tau_!, each term applied to
+        tau_! x alone: its image lies in the xi(ell) = r part of the top
+        space, so the square top-space map is never formed.
+        """
         d = tuple(sorted(d_positions))
         edge = self.R[r_index]
         if j[ell - 1] != edge.tail or ell in d:
             raise FormatError("theta needs the edge tail at a position outside D")
-        j2 = list(j)
-        j2[ell - 1] = self.vertex
-        j2 = tuple(j2)
+        j2 = j[:ell - 1] + (self.vertex,) + j[ell:]
         d_ell = tuple(sorted(d + (ell,)))
-        # (mu pi - lambda_i + nu sum_m s_{m,ell}) tau_!, each term applied to
-        # tau_! alone: its image is the xi(ell) = r part of the top space
-        incl = self.tau_include(r_index, ell, j2, d_ell)
+        incl = self.tau_include(r_index, ell, j2, d_ell) @ x
         out = self.mu(j2, d_ell, ell) @ (self.pi(j2, d_ell, ell) @ incl)
         out = out - incl.scaled(self.lam_i)
         if self.nu and d:
-            s_sum = Mat.zeros(incl.rows, incl.cols, self.order)
+            s_sum = None
             for m in d:
-                swap = self.sigma_perm(j2, d_ell, Perm.transposition(m, ell, self.n))
-                s_sum = s_sum + swap @ incl
+                swap = self.sigma_perm(j2, d_ell, Perm.transposition(m, ell, self.n)) @ incl
+                s_sum = swap if s_sum is None else s_sum + swap
             out = out + s_sum.scaled(self.nu)
         return out
 
@@ -333,9 +348,13 @@ def reflection_functor(module: WreathModule, vertex: str) -> ReflectionOutput:
     The result is a module over the dual-reflected weight (same nu).  The
     new graded piece at j is the intersection of the kernels of the pi
     maps out of V(j, Delta(j)); the new generator actions are the case
-    maps restricted to those kernels and re-expressed in the kernel
-    bases.  A NotInSpanError here would indicate a genuine bug, since the
-    case maps provably preserve the kernels.
+    maps (theta, tau, the away-edge action, sigma) applied to the kernel
+    basis at j and re-expressed in the kernel basis at the target tuple.
+    theta is applied to the basis columns only, never formed on the whole
+    top space.  The coordinates are read off the identity block of the
+    target basis, and ``solve_in_span`` checks every other row exactly:
+    that is the certificate that the case maps preserve the kernels, so
+    a NotInSpanError here would indicate a genuine bug.
     """
     calc = SinkCalculus(module, vertex)
     n, order = module.n, module.order
@@ -355,38 +374,36 @@ def reflection_functor(module: WreathModule, vertex: str) -> ReflectionOutput:
     new_weight = dual_reflection(calc.quiver, vertex, module.params.weight)
     params = Params(calc.quiver, n, new_weight, module.params.nu)
 
-    def restricted(big: Mat, src: tuple, tgt: tuple) -> Mat:
+    def restricted(image: Mat, tgt: tuple) -> Mat:
         e_tgt = embeddings.get(tgt)
         if e_tgt is None:
-            tgt_delta = calc.delta(tgt)
-            e_tgt = Mat.zeros(calc.space(tgt, tgt_delta).total, 0, order)
-        return solve_in_span(e_tgt, big @ embeddings[src])
+            e_tgt = Mat.zeros(calc.space(tgt, calc.delta(tgt)).total, 0, order)
+        return solve_in_span(e_tgt, image)
 
     edge_actions = {}
     sn_actions = {}
     r_names = {e.name: k for k, e in enumerate(calc.R)}
     for j in sorted(embeddings):
         delta = calc.delta(j)
+        e_src = embeddings[j]
         for ell in range(1, n + 1):
             v = j[ell - 1]
             for e in calc.quiver.out_edges(v):
                 j2 = module.edge_target(e.name, ell, j)
                 if e.head == vertex:
-                    big = calc.theta(r_names[e.name], ell, j, delta)
+                    image = calc._theta_on(r_names[e.name], ell, j, delta, e_src)
                 elif e.tail == vertex:
                     # a base edge a leaving the vertex acts as minus the sink form's a*
-                    big = calc.tau_project(r_names[star_name(e.name)], ell, j, delta)
+                    image = calc.tau_project(r_names[star_name(e.name)], ell, j, delta) @ e_src
                     if not e.is_star:
-                        big = -big
+                        image = -image
                 else:
-                    big = calc.away_edge_action(e.name, ell, j, delta)
-                small = restricted(big, j, j2)
+                    image = calc.away_edge_action(e.name, ell, j, delta) @ e_src
+                small = restricted(image, j2)
                 if small:
                     edge_actions[(e.name, ell, j)] = small
         for m in range(1, n):
-            j2 = swap_tuple(j, m)
-            big = calc.sigma_adjacent(j, delta, m)
-            small = restricted(big, j, j2)
+            small = restricted(calc.sigma_adjacent(j, delta, m) @ e_src, swap_tuple(j, m))
             if small:
                 sn_actions[(m, j)] = small
 

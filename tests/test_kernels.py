@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wreathq import kernels
 from wreathq.cyclotomic import MAX_CYCLOTOMIC_ORDER, Scalar, cyclotomic_polynomial, euler_phi
@@ -154,10 +155,82 @@ def test_solve_in_span_matches_dense_reference(order):
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_solve_in_span_rejects_escaping_column(order):
-    basis = Mat.from_rows([[1], [0]], order)
+    # a unit row in the basis, then none: the read and the elimination both refuse
     target = Mat.from_rows([[Scalar.zeta(order) if order > 2 else 1], [1]], order)
+    for basis in (Mat.from_rows([[1], [0]], order), Mat.from_rows([[2], [0]], order)):
+        with pytest.raises(NotInSpanError):
+            solve_in_span(basis, target)
+
+
+def _read_by_elimination(basis: Mat, target: Mat) -> Mat:
+    """X from the dense RREF of [basis | target], as the elimination path reads it."""
+    red, piv = ref_rref([b + t for b, t in zip(dense(basis), dense(target))],
+                        basis.cols + target.cols, basis.order)
+    rows = [[Scalar.zero(basis.order)] * target.cols for _ in range(basis.cols)]
+    for r, c in enumerate(piv):
+        rows[c] = red[r][basis.cols:]
+    return Mat.from_rows(rows, basis.order) if rows else Mat.zeros(0, target.cols, basis.order)
+
+
+@st.composite
+def kernel_problems(draw):
+    """(order, a, K = kernel_basis(a), C) for a random sparse a and coordinates C."""
+    order = draw(st.sampled_from([1, 3]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    a = random_mat(rng, rng.randint(0, 5), rng.randint(0, 6), order)
+    k = kernel_basis(a)
+    return order, a, k, random_mat(rng, k.cols, rng.randint(1, 3), order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_problems())
+def test_unit_row_read_matches_elimination(problem):
+    order, a, k, c = problem
+    target = k @ c
+    assert solve_in_span(k, target) == c == _read_by_elimination(k, target)
+    # twice the basis has no unit row, so it goes through the RREF
+    two = Scalar.rational(2, order)
+    assert solve_in_span(k.scaled(two), target).scaled(two) == c
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_problems(), st.data())
+def test_unit_row_read_refuses_a_bumped_pivot_row(problem, data):
+    # a vector that vanishes on every free row and is nonzero lies outside the span
+    order, a, k, c = problem
+    piv = rref(a)[1]
+    if not piv:
+        return
+    r = data.draw(st.sampled_from(piv))
+    t = data.draw(st.integers(0, c.cols - 1))
+    bump = Mat.from_rows([[int((i, j) == (r, t)) for j in range(c.cols)]
+                          for i in range(k.rows)], order)
     with pytest.raises(NotInSpanError):
-        solve_in_span(basis, target)
+        solve_in_span(k, k @ c + bump)
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_zero_column_basis_refuses_a_nonzero_target(order):
+    target = Mat.from_rows([[0], [1]], order)
+    with pytest.raises(NotInSpanError):
+        solve_in_span(Mat.zeros(2, 0, order), target)
+    assert solve_in_span(Mat.zeros(2, 0, order), Mat.zeros(2, 1, order)) == Mat.zeros(0, 1, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_problems())
+def test_partial_unit_rows_give_the_dense_answer(problem):
+    # scaling the first column by 2 leaves it without a unit row
+    order, a, k, c = problem
+    if not k.cols:
+        return
+    scale = Mat.identity(k.cols, order) + Mat.from_rows(
+        [[int(i == j == 0) for j in range(k.cols)] for i in range(k.cols)], order)
+    basis = k @ scale
+    target = k @ c
+    got = solve_in_span(basis, target)
+    assert got == _read_by_elimination(basis, target)
+    assert basis @ got == target
 
 
 @pytest.mark.parametrize("order", ORDERS)

@@ -747,6 +747,48 @@ def test_walks_agree_on_a_deleted_or_bumped_action(stores, data):
     assert structural_report(mutant) == _full_structural(mutant)
 
 
+def test_walks_agree_on_a_braid_broken_at_one_tuple(mixed_modules, kronecker_f0v):
+    # conjugating s_m at one tuple it fixes keeps every involution, and
+    # breaks the braid relation at the tuples whose words pass through it
+    broken = 0
+    for mod in mixed_modules + [kronecker_f0v]:
+        for (m, x), block in sorted(mod.sn_actions.items()):
+            if mod.n < 3 or swap_tuple(x, m) != x or block.rows < 2:
+                continue
+            one = Mat.identity(block.rows, block.order)
+            shear = _bumped(one, 0, 1)          # its inverse is 2 - shear
+            sns = dict(mod.sn_actions) | {(m, x): shear @ block @ (one + one - shear)}
+            mutant = WreathModule(mod.params, mod.support, mod.edge_actions, sns)
+            issues = [str(i) for i in _assert_walks_agree(mutant).structural]
+            assert not any("involution" in i for i in issues), (m, x)
+            broken += any("braid" in i for i in issues)
+    assert broken >= 2
+
+
+def test_a_failed_involution_keeps_the_partner_braid_check(kronecker_f0v):
+    # s_1 bumped at (1,0,0,0): the braid check at (0,0,1,0) passes, and at its
+    # partner under s_1 s_2 s_1 it fails through the broken involution
+    key = (1, ("1", "0", "0", "0"))
+    sns = dict(kronecker_f0v.sn_actions) | {key: _bumped(kronecker_f0v.sn_actions[key])}
+    mutant = WreathModule(kronecker_f0v.params, kronecker_f0v.support,
+                          kronecker_f0v.edge_actions, sns)
+    issues = [str(i) for i in _assert_walks_agree(mutant).structural]
+    assert "tuple (1,0,0,0): braid relation fails at s_1, s_2" in issues
+    assert "tuple (0,0,1,0): braid relation fails at s_1, s_2" not in issues
+
+
+def test_braid_checks_skip_the_partner_tuple(kronecker_f0v, monkeypatch):
+    # w = s_m s_{m+1} s_m pairs the tuples; a passed check covers its partner
+    import wreathq.modules as modules
+    braids = []
+    residual = modules._residual
+    monkeypatch.setattr(modules, "_residual", lambda mod, j, lhs, rhs: (
+        braids.append(j) if len(lhs) == 3 else None) or residual(mod, j, lhs, rhs))
+    assert structural_report(unverified_copy(kronecker_f0v)) == []
+    full = sum(kronecker_f0v.n - 2 for _ in kronecker_f0v.support)
+    assert 0 < len(braids) < full
+
+
 def test_one_sided_inverse_is_not_an_involution(ahat1):
     # s(1,0) s(0,1) = 1 but s(0,1) s(1,0) is a rank-one idempotent of size 2
     params = make_params(ahat1, 2, {"0": 0, "1": 0})

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from wreathq.cyclotomic import Scalar
-from wreathq.errors import EdgeLoopError, NotGenericError
+from wreathq.errors import EdgeLoopError, NotGenericError, NotInSpanError
 from wreathq.linalg import BlockBuilder, Mat, rank
 from wreathq.modules import (
     Params, WreathModule, build_induced_zero_e, build_outer_tensor,
@@ -437,3 +437,48 @@ def test_theta_matches_the_top_space_formula(corpus):
                                 (name, vertex, j, d, ell, r_idx)
                             checked += 1
     assert checked > 50
+
+
+def test_sigma_perm_is_cached_per_calculus(corpus):
+    checked = 0
+    for name, module in corpus:
+        if name not in BLOCK_MAP_CORPUS:
+            continue
+        for vertex in module.params.quiver.vertices:
+            # the functor fills the cache through theta and the S_n action
+            calc = reflection_functor(module, vertex).calculus
+            for j in candidate_tuples(calc):
+                for d in _subsets(calc.delta(j)):
+                    for m in range(1, calc.n):
+                        got = calc.sigma_adjacent(j, d, m)
+                        assert calc.sigma_perm(j, d, Perm.adjacent(m, calc.n)) is got
+                        assert got == _sigma_adjacent_reference(calc, j, d, m), \
+                            (name, vertex, j, d, m)
+                        checked += 1
+    assert checked > 50
+
+
+def test_a_perturbed_theta_block_is_refused(kronecker_f0v, monkeypatch):
+    # add a unit vector outside the target kernel (a column some pi map
+    # does not kill) to the first theta image: the restriction must refuse it
+    theta_on = SinkCalculus._theta_on
+    bumped = []
+
+    def perturbed(self, r_index, ell, j, d, x):
+        out = theta_on(self, r_index, ell, j, d, x)
+        if bumped or not out.cols:
+            return out
+        j2 = j[:ell - 1] + (self.vertex,) + j[ell:]
+        delta = self.delta(j2)
+        pis = [self.pi(j2, delta, p).transpose() for p in delta]
+        hit = [c for c in range(out.rows) if any(any(t.row(c)) for t in pis)]
+        if not hit:
+            return out
+        bumped.append((j, ell, hit[0]))
+        unit = [[int((r, c) == (hit[0], 0)) for c in range(out.cols)] for r in range(out.rows)]
+        return out + Mat.from_rows(unit, out.order)
+
+    monkeypatch.setattr(SinkCalculus, "_theta_on", perturbed)
+    with pytest.raises(NotInSpanError):
+        reflection_functor(kronecker_f0v, "0")
+    assert bumped
