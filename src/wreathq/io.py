@@ -254,9 +254,7 @@ def parse_sra(doc: Any, gamma: GammaData) -> SRAParams:
     t = parse_scalar(str(doc["t"]), order)
     k = parse_scalar(str(doc["k"]), order)
     c = {str(e): parse_scalar(str(x), order) for e, x in _object(doc.get("c", {}), "c").items()}
-    sra = SRAParams(t, k, c)
-    sra.validate_against(gamma)
-    return sra
+    return SRAParams(t, k, c)
 
 
 # -- condition requests -----------------------------------------------------------
@@ -282,7 +280,6 @@ def parse_conditions_request(doc: Any, quiver: Quiver):
                                 for v, c in item["alpha"].items()})
         blocks.append((diagram, alpha))
     n = _int(doc["n"], "n") if "n" in doc else None
-    _require(n is None or n >= 1, f"n must be at least 1, got {n}")
     return lam0, lam, nu, word, blocks, n
 
 

@@ -14,8 +14,9 @@ graded modules.
 A ``kernel_basis`` result carries an identity block: the row of each
 free column is a unit row, {k: 1} for its own basis column k.
 ``solve_in_span`` reads the coordinates of a vector in such a basis off
-those rows, with no elimination, and certifies them by checking the
-other rows exactly; ``NotInSpanError`` is the certificate failing.
+those rows, with no elimination, and certifies them by one product of
+the other rows with them, compared exactly; ``NotInSpanError`` is the
+certificate failing.
 
 ``rank_mod_p`` gives a lower bound for the rank from the image of a
 matrix over a word-size prime field; callers that can bound the rank
@@ -32,16 +33,15 @@ from .cyclotomic import Scalar, euler_phi
 from .errors import NotInSpanError, OrderMismatchError
 
 _new = object.__new__
-_set = object.__setattr__
 
 
 def _mat(rows: int, cols: int, srows: list, order: int) -> "Mat":
     """Wrap row dicts (already free of zeros, and not shared with a builder)."""
     m = _new(Mat)
-    _set(m, "rows", rows)
-    _set(m, "cols", cols)
-    _set(m, "order", order)
-    _set(m, "_rows", srows)
+    m.rows = rows
+    m.cols = cols
+    m.order = order
+    m._rows = srows
     return m
 
 
@@ -107,7 +107,8 @@ def _sum_rows(a: dict, b: dict) -> dict:
 
 
 class Mat:
-    """Immutable sparse matrix with entries in Q(zeta_order).
+    """Sparse matrix with entries in Q(zeta_order), immutable by convention:
+    nothing assigns to it or to its row dicts after construction.
 
     ``Mat(rows, cols, data, order)`` takes the entries densely, row-major;
     ``data`` gives them back the same way, as a fresh list.
@@ -120,14 +121,11 @@ class Mat:
             raise ValueError("negative matrix dimensions")
         if len(data) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
-        _set(self, "rows", rows)
-        _set(self, "cols", cols)
-        _set(self, "order", order)
-        _set(self, "_rows", [{c: x for c, x in enumerate(data[r * cols:(r + 1) * cols]) if x}
-                             for r in range(rows)])
-
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("Mat is immutable")
+        self.rows = rows
+        self.cols = cols
+        self.order = order
+        self._rows = [{c: x for c, x in enumerate(data[r * cols:(r + 1) * cols]) if x}
+                      for r in range(rows)]
 
     # -- constructors ---------------------------------------------------
     @staticmethod
@@ -543,11 +541,12 @@ def solve_in_span(basis: Mat, target: Mat) -> Mat:
     ``basis`` has a unit row, a row equal to {c: 1} (every ``kernel_basis``
     result and every identity has one at each free column), X is read
     off: its row c is the target's row at the unit row of c.  The other
-    rows certify it: target lies in the span exactly when
-    basis[r] @ X == target[r] for each of them, checked exactly.  Any
-    other basis goes through the RREF of [basis | target]; its columns
-    are expected to be independent (kernel bases and embeddings always
-    are), and a dependent basis still yields one valid solution.
+    rows certify it with one exact product: target lies in the span
+    exactly when (those rows of basis) @ X equals the same rows of
+    target.  Any other basis goes through the RREF of
+    [basis | target]; its columns are expected to be independent (kernel
+    bases and embeddings always are), and a dependent basis still yields
+    one valid solution.
     """
     basis._check_order(target)
     if basis.rows != target.rows:
@@ -557,22 +556,15 @@ def solve_in_span(basis: Mat, target: Mat) -> Mat:
     unit = _unit_rows(basis)
     if unit is not None:
         trows = target._rows
-        xrows = [trows[r] for r in unit]
+        x = _mat(basis.cols, target.cols, [trows[r] for r in unit], basis.order)
+        # the unit rows of basis @ X hold by construction
         read = set(unit)
-        # the rows of basis @ X, less the unit rows, which hold by construction
-        for r, brow in enumerate(basis._rows):
-            if r in read:
-                continue
-            acc: dict = {}
-            for c, x in brow.items():
-                for k, y in xrows[c].items():
-                    v = acc.get(k)
-                    acc[k] = x * y if v is None else v + x * y
-            if len(brow) > 1:
-                acc = {k: v for k, v in acc.items() if v}
-            if acc != trows[r]:
-                raise NotInSpanError("target is outside the span of the basis")
-        return _mat(basis.cols, target.cols, xrows, basis.order)
+        rest = [r for r in range(basis.rows) if r not in read]
+        brows = basis._rows
+        check = _mat(len(rest), basis.cols, [brows[r] for r in rest], basis.order) @ x
+        if check._rows != [trows[r] for r in rest]:
+            raise NotInSpanError("target is outside the span of the basis")
+        return x
     red, piv = rref(hstack([basis, target]))
     width = basis.cols
     if piv and piv[-1] >= width:

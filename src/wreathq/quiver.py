@@ -158,7 +158,8 @@ class DimVector:
 
 
 class Weight:
-    """An element of B = sum of one copy of the base field per vertex."""
+    """An element of B = sum of one copy of the base field per vertex,
+    immutable by convention."""
 
     __slots__ = ("order", "coords", "_map")
 
@@ -170,12 +171,9 @@ class Weight:
                 raise FormatError(f"weight entry at {v!r} has order {s.order}, expected {order}")
             if s:
                 coords[v] = s
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coords", tuple(sorted(coords.items())))
-        object.__setattr__(self, "_map", dict(self.coords))
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("Weight is immutable")
+        self.order = order
+        self.coords = tuple(sorted(coords.items()))
+        self._map = dict(self.coords)
 
     def __getitem__(self, v: str) -> Scalar:
         return self._map.get(v, Scalar.zero(self.order))
@@ -248,13 +246,9 @@ def dual_reflection(q: Quiver, i: str, lam: Weight) -> Weight:
 
 
 def cartan_matrix(q: Quiver) -> Mat:
-    """Gram matrix of the symmetrized form: 2I, less 1 at (t, h) and (h, t) per edge."""
-    at = q._vindex
-    rows = [[2 * (u == v) for v in at] for u in at]
-    for e in q.edges:
-        rows[at[e.tail]][at[e.head]] -= 1
-        rows[at[e.head]][at[e.tail]] -= 1
-    return Mat.from_rows(rows, 1)
+    """Gram matrix of the symmetrized form on the unit vectors."""
+    units = [DimVector.unit(v) for v in q.vertices]
+    return Mat.from_rows([[symmetrized_form(q, u, v) for v in units] for u in units], 1)
 
 
 def affine_data(q: Quiver) -> Optional[DimVector]:

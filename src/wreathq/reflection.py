@@ -244,20 +244,17 @@ class SinkCalculus:
             (k, k, edge_matrix(name, ell, t))
             for k, t in enumerate(src.t_tuples) if src.dims[k]), self.order)
 
-    def theta(self, r_index: int, ell: int, j: tuple, d_positions: Sequence[int]) -> Mat:
-        """An incoming edge acts by the compensated inclusion into V(r_ell(j), D + ell)."""
-        j = tuple(j)
-        return self._theta_on(r_index, ell, j, d_positions,
-                              Mat.identity(self.space(j, d_positions).total, self.order))
-
-    def _theta_on(self, r_index: int, ell: int, j: tuple, d_positions: Sequence[int],
-                  x: Mat) -> Mat:
+    def theta(self, r_index: int, ell: int, j: tuple, d_positions: Sequence[int],
+              x: Mat) -> Mat:
         """theta @ x, for x with rows indexed by V(j, D).
 
-        (mu pi - lambda_i + nu sum_m s_{m,ell}) tau_!, each term applied to
-        tau_! x alone: its image lies in the xi(ell) = r part of the top
-        space, so the square top-space map is never formed.
+        An incoming edge acts by the compensated inclusion into
+        V(r_ell(j), D + ell): theta = (mu pi - lambda_i + nu sum_m s_{m,ell})
+        tau_!.  Each term is applied to tau_! x alone, whose image lies in
+        the xi(ell) = r part of the top space, so the square top-space map
+        is never formed; pass the identity on V(j, D) for theta itself.
         """
+        j = tuple(j)
         d = tuple(sorted(d_positions))
         edge = self.R[r_index]
         if j[ell - 1] != edge.tail or ell in d:
@@ -350,11 +347,12 @@ def reflection_functor(module: WreathModule, vertex: str) -> ReflectionOutput:
     maps out of V(j, Delta(j)); the new generator actions are the case
     maps (theta, tau, the away-edge action, sigma) applied to the kernel
     basis at j and re-expressed in the kernel basis at the target tuple.
-    theta is applied to the basis columns only, never formed on the whole
-    top space.  The coordinates are read off the identity block of the
-    target basis, and ``solve_in_span`` checks every other row exactly:
-    that is the certificate that the case maps preserve the kernels, so
-    a NotInSpanError here would indicate a genuine bug.
+    ``SinkCalculus.theta`` takes the basis columns, so theta is never
+    formed on the whole top space.  The coordinates are read off the
+    identity block of the target basis, and ``solve_in_span`` checks the
+    other rows with one exact product: that is the certificate that the
+    case maps preserve the kernels, so a NotInSpanError here would
+    indicate a genuine bug.
     """
     calc = SinkCalculus(module, vertex)
     n, order = module.n, module.order
@@ -391,7 +389,7 @@ def reflection_functor(module: WreathModule, vertex: str) -> ReflectionOutput:
             for e in calc.quiver.out_edges(v):
                 j2 = module.edge_target(e.name, ell, j)
                 if e.head == vertex:
-                    image = calc._theta_on(r_names[e.name], ell, j, delta, e_src)
+                    image = calc.theta(r_names[e.name], ell, j, delta, e_src)
                 elif e.tail == vertex:
                     # a base edge a leaving the vertex acts as minus the sink form's a*
                     image = calc.tau_project(r_names[star_name(e.name)], ell, j, delta) @ e_src

@@ -27,7 +27,7 @@ from .linalg import BlockBuilder, Mat, kron, rank
 # ---------------------------------------------------------------------------
 
 class Perm:
-    """A permutation of [1, n]; ``img[x-1]`` is the image of x."""
+    """A permutation of [1, n], immutable by convention; ``img[x-1]`` is the image of x."""
 
     __slots__ = ("img",)
 
@@ -35,10 +35,7 @@ class Perm:
         t = tuple(img)
         if sorted(t) != list(range(1, len(t) + 1)):
             raise FormatError(f"not a bijection of [1,{len(t)}]: {t}")
-        object.__setattr__(self, "img", t)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("Perm is immutable")
+        self.img = t
 
     @property
     def n(self) -> int:
@@ -168,7 +165,8 @@ def partitions(n: int) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 
 class YoungDiagram:
-    """A partition drawn as a diagram; rows weakly decreasing, all positive."""
+    """A partition drawn as a diagram, immutable by convention; rows weakly
+    decreasing, all positive."""
 
     __slots__ = ("parts",)
 
@@ -178,10 +176,7 @@ class YoungDiagram:
             raise FormatError(f"partition parts must be positive: {t}")
         if any(t[k] < t[k + 1] for k in range(len(t) - 1)):
             raise FormatError(f"partition must be weakly decreasing: {t}")
-        object.__setattr__(self, "parts", t)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("YoungDiagram is immutable")
+        self.parts = t
 
     @property
     def size(self) -> int:
@@ -272,7 +267,8 @@ def _positions(tab) -> dict[int, tuple[int, int]]:
 
 
 class RepMatrices:
-    """Exact matrices of the adjacent transpositions in a representation of S_n."""
+    """Exact matrices of the adjacent transpositions in a representation of
+    S_n, immutable by convention (the cache of ``matrix_of`` only fills)."""
 
     __slots__ = ("n", "dim", "gens", "order", "_cache")
 
@@ -283,14 +279,11 @@ class RepMatrices:
         for g in gens:
             if g.rows != dim or g.cols != dim:
                 raise FormatError("generator matrices must be square of equal size")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "gens", tuple(gens))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_cache", {})
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("RepMatrices is immutable")
+        self.n = n
+        self.dim = dim
+        self.gens = tuple(gens)
+        self.order = order
+        self._cache = {}
 
     def matrix_of(self, p: Perm) -> Mat:
         if p.n != self.n:

@@ -56,6 +56,11 @@ def report_text(report, k=3):
     return "; ".join(str(x) for x in report.structural[:k] + report.failures[:k])
 
 
+def whole_theta(calc, r_idx, ell, j, d):
+    """theta as a map out of V(j, D): ``SinkCalculus.theta`` applied to the identity."""
+    return calc.theta(r_idx, ell, j, d, Mat.identity(calc.space(j, d).total, calc.order))
+
+
 def mat(rows, order=1):
     return Mat.from_rows(rows, order)
 

@@ -33,7 +33,7 @@ from wreathq.symmetric import (
 
 from conftest import (
     AHAT1, AHAT2, BLOCK_MAP_CORPUS, HALF, THIRD, dimension_vector, make_params, report_text,
-    simple_at,
+    simple_at, whole_theta,
 )
 
 
@@ -276,21 +276,21 @@ def test_criterion_5_block_map_identities(corpus):
                         j2 = tuple(j2)
                         for d in _subsets(delta):
                             d_ell = tuple(sorted(d + (ell,)))
-                            th = calc.theta(r_idx, ell, j, d)
+                            th = whole_theta(calc, r_idx, ell, j, d)
                             for p in d:
                                 lhs = calc.pi(j2, d_ell, p) @ th
-                                rhs = calc.theta(r_idx, ell, j,
-                                                 tuple(x for x in d if x != p)) \
+                                rhs = whole_theta(calc, r_idx, ell, j,
+                                                  tuple(x for x in d if x != p)) \
                                     @ calc.pi(j, d, p)
                                 assert lhs == rhs, (name, vertex, j, d, p, "incoming-pi")
                                 lhs = th @ calc.mu(j, d, p)
                                 rhs = calc.mu(j2, d_ell, p) \
-                                    @ calc.theta(r_idx, ell, j, tuple(x for x in d if x != p))
+                                    @ whole_theta(calc, r_idx, ell, j, tuple(x for x in d if x != p))
                                 assert lhs == rhs, (name, vertex, j, d, p, "incoming-mu")
                                 counts["incoming"] += 1
                         # projection at the new position, full level
                         d_full = tuple(sorted(delta + (ell,)))
-                        th = calc.theta(r_idx, ell, j, delta)
+                        th = whole_theta(calc, r_idx, ell, j, delta)
                         lhs = calc.pi(j2, d_full, ell) @ th
                         rhs = Mat.zeros(lhs.rows, lhs.cols, calc.order)
                         for m in delta:

@@ -488,6 +488,9 @@ MALFORMED = [
     ("verify", {**SN_MODULE, "sn_actions": [
         {"adjacent": 1, "source_tuple": ["1", "1"], "matrix": [["1"]]},
         {"adjacent": 1, "source_tuple": ["1", "1"], "matrix": [["-1"]]}]}, 2),
+    # c on the identity of the cyclic group of order 2, and on an element it lacks
+    ("sra", {"t": "1", "k": "1/2", "c": {"g0": "1"}}, 2),
+    ("sra", {"t": "1", "k": "1/2", "c": {"g9": "1"}}, 2),
 ]
 
 

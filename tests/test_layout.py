@@ -6,6 +6,11 @@ import importlib.util
 import pathlib
 import re
 
+from conftest import AHAT1, HALF, make_params
+from wreathq import reflection
+from wreathq.modules import build_induced_zero_e
+from wreathq.symmetric import YoungDiagram
+
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "wreathq"
 
 
@@ -146,6 +151,37 @@ def test_every_traced_name_resolves():
     wanted += [("cyclotomic", f"Scalar.{a}") for attrs in spans.SCALAR_OPS.values() for a in attrs]
     missing = [f"{mod}.{attr}" for mod, attr in wanted if not _resolves(mod, attr)]
     assert missing == []
+
+
+def test_the_tracer_sees_theta_and_the_certificate_products():
+    # a private path beside a traced public name would hide its calls
+    spans = _spans_module()
+    params = make_params(AHAT1, 2, {"0": 1, "1": -HALF}, HALF)
+    # F_0 of a zero-edge module: reflecting it again meets proper kernels
+    module = reflection.reflection_functor(
+        build_induced_zero_e(params, [(YoungDiagram([2]), "1")]), "0").module
+    tracer = spans.Tracer()
+    certified = []
+    tracer.install_spans()
+    try:
+        traced = reflection.solve_in_span
+
+        def recording(basis, target):
+            certified.append(basis.rows > basis.cols and target.cols > 0)
+            return traced(basis, target)
+
+        reflection.solve_in_span = recording
+        reflection.reflection_functor(module, "0")
+    finally:
+        tracer.uninstall()
+    names = tracer.names
+    assert spans.aggregate(tracer.export())[0]["reflection.theta.calls"] > 0
+    solves = [k for k, (nid, *_) in enumerate(tracer.spans)
+              if names[nid] == "linalg.solve_in_span"]
+    products = {parent for nid, _, _, parent, _ in tracer.spans
+                if names[nid] == "linalg.matmul"}
+    assert len(solves) == len(certified) and any(certified)
+    assert all(k in products for k, cert in zip(solves, certified) if cert)
 
 
 def test_the_hook_check_sees_a_missing_name():

@@ -17,8 +17,11 @@ from wreathq.reflection import (
     is_generic_oracle, reflect_morphism, reflection_functor,
 )
 from wreathq.symmetric import Perm, YoungDiagram
+from wreathq import reflection
 
-from conftest import BLOCK_MAP_CORPUS, dimension_vector, make_params, mat, simple_at
+from conftest import (
+    BLOCK_MAP_CORPUS, dimension_vector, make_params, mat, simple_at, whole_theta,
+)
 
 
 def sink_module(ahat1, dims=(1, 1), entries=None):
@@ -167,6 +170,28 @@ def test_involution_requires_generic(ahat1):
     v = build_induced_zero_e(params, [(YoungDiagram([1, 1]), "1")])
     with pytest.raises(NotGenericError):
         involution_witness(v, "0")
+
+
+def test_involution_refuses_an_embedding_without_the_canonical_image(ahat1, monkeypatch):
+    # the second pass hands back zero embeddings of the right shapes, so the
+    # canonical map leaves their span and the witness reports failure
+    params = make_params(ahat1, 2, {"0": 1, "1": Fraction(-1, 2)}, Fraction(1, 2))
+    v = build_induced_zero_e(params, [(YoungDiagram([2]), "1")])
+    functor = reflection.reflection_functor
+    passes = []
+
+    def second_misplaced(module, vertex):
+        out = functor(module, vertex)
+        passes.append(vertex)
+        if len(passes) == 2:
+            out.embeddings = {j: Mat.zeros(e.rows, e.cols, e.order)
+                              for j, e in out.embeddings.items()}
+        return out
+
+    monkeypatch.setattr(reflection, "reflection_functor", second_misplaced)
+    wit = involution_witness(v, "0")
+    assert len(passes) == 2
+    assert not wit.verified
 
 
 def test_word_empty_and_double(ahat1):
@@ -432,7 +457,7 @@ def test_theta_matches_the_top_space_formula(corpus):
                         for r_idx, edge in enumerate(calc.R):
                             if ell in d or j[ell - 1] != edge.tail:
                                 continue
-                            assert calc.theta(r_idx, ell, j, d) == \
+                            assert whole_theta(calc, r_idx, ell, j, d) == \
                                 _theta_reference(calc, r_idx, ell, j, d), \
                                 (name, vertex, j, d, ell, r_idx)
                             checked += 1
@@ -461,11 +486,11 @@ def test_sigma_perm_is_cached_per_calculus(corpus):
 def test_a_perturbed_theta_block_is_refused(kronecker_f0v, monkeypatch):
     # add a unit vector outside the target kernel (a column some pi map
     # does not kill) to the first theta image: the restriction must refuse it
-    theta_on = SinkCalculus._theta_on
+    theta = SinkCalculus.theta
     bumped = []
 
     def perturbed(self, r_index, ell, j, d, x):
-        out = theta_on(self, r_index, ell, j, d, x)
+        out = theta(self, r_index, ell, j, d, x)
         if bumped or not out.cols:
             return out
         j2 = j[:ell - 1] + (self.vertex,) + j[ell:]
@@ -478,7 +503,7 @@ def test_a_perturbed_theta_block_is_refused(kronecker_f0v, monkeypatch):
         unit = [[int((r, c) == (hit[0], 0)) for c in range(out.cols)] for r in range(out.rows)]
         return out + Mat.from_rows(unit, out.order)
 
-    monkeypatch.setattr(SinkCalculus, "_theta_on", perturbed)
+    monkeypatch.setattr(SinkCalculus, "theta", perturbed)
     with pytest.raises(NotInSpanError):
         reflection_functor(kronecker_f0v, "0")
     assert bumped
