@@ -21,9 +21,5 @@ class NotInSpanError(WreathqError):
     """A vector expected to lie in the span of a basis does not."""
 
 
-class NotGenericError(WreathqError):
-    """Parameters lie outside the genericity locus required by the operation."""
-
-
 class ResourceLimitError(WreathqError):
     """A request exceeds the built-in desk-scale resource caps."""

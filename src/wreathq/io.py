@@ -64,10 +64,14 @@ def _diagram(value: Any) -> YoungDiagram:
     return YoungDiagram([_int(part, "diagram part") for part in value])
 
 
+def _vertex(value: Any, what: str) -> str:
+    """A vertex name: a JSON string.  A number is refused, not coerced to a name."""
+    _require(isinstance(value, str), f"{what} must be a vertex name (a string), got {value!r}")
+    return value
+
+
 def _vertex_tuple(value: Any, what: str) -> tuple[str, ...]:
-    _require(isinstance(value, list) and all(isinstance(v, str) for v in value),
-             f"{what} must be a list of vertex names, got {value!r}")
-    return tuple(value)
+    return tuple(_vertex(v, f"{what} entry") for v in _list(value, what))
 
 
 def load_json(path: str) -> Any:
@@ -100,7 +104,7 @@ def parse_quiver(doc: Any) -> Quiver:
         _require(all(isinstance(e[k], str) for k in ("name", "tail", "head")),
                  f"edge name, tail and head must be strings, got {e!r}")
         edges.append((e["name"], e["tail"], e["head"]))
-    return Quiver(_list(doc["vertices"], "vertices"), edges)
+    return Quiver(_vertex_tuple(doc["vertices"], "vertices"), edges)
 
 
 # -- weights and parameters ---------------------------------------------------
@@ -267,7 +271,7 @@ def parse_conditions_request(doc: Any, quiver: Quiver):
     lam0 = parse_weight(doc["lambda0"], quiver, order)
     lam = parse_weight(doc["lambda"], quiver, order)
     nu = parse_scalar(str(doc["nu"]), order)
-    word = [str(x) for x in _list(doc.get("word", []), "word")]
+    word = list(_vertex_tuple(doc.get("word", []), "word"))
     blocks = []
     for item in _list(doc["blocks"], "blocks"):
         _require(isinstance(item, dict) and {"diagram", "alpha"} <= set(item)
@@ -289,5 +293,5 @@ def parse_induce_request(doc: Any, quiver: Quiver):
     for item in doc:
         _require(isinstance(item, dict) and {"diagram", "vertex"} <= set(item),
                  "each induce block needs diagram and vertex")
-        blocks.append((_diagram(item["diagram"]), str(item["vertex"])))
+        blocks.append((_diagram(item["diagram"]), _vertex(item["vertex"], "induce vertex")))
     return blocks

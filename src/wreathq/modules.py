@@ -4,8 +4,11 @@ A module is a finitely supported family of spaces V_j indexed by vertex
 tuples j in I^n, with a matrix per doubled-quiver edge acting in one
 position and a matrix per adjacent transposition.  ``verify_relations``
 evaluates the two defining relation families as exact matrix identities;
-builders produce the standard induced modules (zero edge action or outer
-tensors of one-particle modules at nu = 0).
+the builders produce induced modules (the CLI's with zero edge action),
+and ``reorient_module`` transports a module to a reoriented quiver.
+Outer tensors, direct sums, graph-automorphism transports, characters
+and intertwiner checks, which only the tests use, are in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from typing import Iterable, Optional, Sequence
 
 from .cyclotomic import Scalar
 from .errors import FormatError
-from .linalg import BlockBuilder, Mat, kron, rank
-from .quiver import Edge, Quiver, Weight, star_name
+from .linalg import BlockBuilder, Mat, kron
+from .quiver import Quiver, Weight, star_name
 from .symmetric import Perm, YoungCosetAction, YoungDiagram, seminormal_rep
 
 
@@ -592,18 +595,6 @@ def build_induced_zero_e(params: Params,
     return induced_module(params, specs)
 
 
-def build_outer_tensor(params: Params,
-                       blocks: Sequence[tuple[int, WreathModule, YoungDiagram]]) -> WreathModule:
-    """The induced module built from one-particle modules; requires nu = 0."""
-    if params.nu:
-        raise FormatError("outer tensor modules require nu = 0")
-    keys = [y.canonical_key() for _, y, _ in blocks]
-    if len(set(keys)) != len(keys):
-        raise FormatError("block modules must be pairwise non-isomorphic "
-                          "(identical descriptions detected)")
-    return induced_module(params, blocks)
-
-
 # ---------------------------------------------------------------------------
 # Transports
 # ---------------------------------------------------------------------------
@@ -627,136 +618,3 @@ def reorient_module(mod: WreathModule, flips: Iterable[str]) -> WreathModule:
         # new a acts by old a*, new a* by -(old a)
         edge_actions[(star_name(name), pos, j)] = mat if name.endswith("*") else -mat
     return WreathModule(params2, mod.support, edge_actions, mod.sn_actions)
-
-
-def _edge_pairing(q: Quiver, g: dict[str, str]) -> dict[str, tuple[str, bool]]:
-    """Map each base edge to (image base edge, flipped?) under a graph map g.
-
-    Parallel edges are paired in declaration order.  Raises if g is not
-    an automorphism of the underlying graph.
-    """
-    if sorted(g) != sorted(q.vertices) or sorted(g.values()) != sorted(q.vertices):
-        raise FormatError("not a vertex bijection of the quiver")
-    by_pair: dict[frozenset, list[Edge]] = {}
-    for e in q.edges:
-        by_pair.setdefault(frozenset((e.tail, e.head)), []).append(e)
-    pairing: dict[str, tuple[str, bool]] = {}
-    for pair, edges in by_pair.items():
-        image_pair = frozenset(g[v] for v in pair)
-        images = by_pair.get(image_pair, [])
-        if len(images) != len(edges):
-            raise FormatError("vertex map does not preserve the edge multiset")
-        for e, e2 in zip(edges, images):
-            flipped = (g[e.tail], g[e.head]) != (e2.tail, e2.head)
-            if flipped and (g[e.tail], g[e.head]) != (e2.head, e2.tail):
-                raise FormatError("vertex map does not preserve the edge multiset")
-            pairing[e.name] = (e2.name, flipped)
-    return pairing
-
-
-def graph_automorphism_transport(mod: WreathModule, g: dict[str, str]) -> WreathModule:
-    """Relabel a module along a graph automorphism; the weight moves to g(lambda).
-
-    Orientation-reversing automorphisms compose the relabeling with the
-    reorientation transport, so the result lives over the original quiver.
-    """
-    q = mod.params.quiver
-    pairing = _edge_pairing(q, g)
-    flips = [name for name, (_, flipped) in pairing.items() if flipped]
-    flipped_mod = reorient_module(mod, flips)
-
-    order = mod.order
-    new_weight = Weight({g[v]: mod.params.weight[v] for v in q.vertices}, order)
-    params2 = Params(q, mod.params.n, new_weight, mod.params.nu)
-
-    support = {tuple(g[v] for v in j): d for j, d in flipped_mod.support.items()}
-    edge_actions = {}
-    for (name, pos, j), mat in flipped_mod.edge_actions.items():
-        base = name[:-1] if name.endswith("*") else name
-        img, _ = pairing[base]
-        newname = img + "*" if name.endswith("*") else img
-        edge_actions[(newname, pos, tuple(g[v] for v in j))] = mat
-    sn_actions = {(m, tuple(g[v] for v in j)): mat
-                  for (m, j), mat in flipped_mod.sn_actions.items()}
-    return WreathModule(params2, support, edge_actions, sn_actions)
-
-
-def direct_sum(a: WreathModule, b: WreathModule) -> WreathModule:
-    if a.params != b.params:
-        raise FormatError("direct summands must share identical parameters")
-    order = a.order
-    support = dict(a.support)
-    for j, d in b.support.items():
-        support[j] = support.get(j, 0) + d
-
-    def blockdiag(m1: Mat, m2: Mat) -> Mat:
-        bb = BlockBuilder(m1.rows + m2.rows, m1.cols + m2.cols, order)
-        bb.add_block(0, 0, m1)
-        bb.add_block(m1.rows, m1.cols, m2)
-        return bb.build()
-
-    edge_actions = {}
-    keys = set(a.edge_actions) | set(b.edge_actions)
-    for (name, pos, j) in keys:
-        m1 = a.edge_matrix(name, pos, j)
-        m2 = b.edge_matrix(name, pos, j)
-        edge_actions[(name, pos, j)] = blockdiag(m1, m2)
-    sn_actions = {}
-    keys = set(a.sn_actions) | set(b.sn_actions)
-    for (m, j) in keys:
-        sn_actions[(m, j)] = blockdiag(a.sn_matrix(m, j), b.sn_matrix(m, j))
-    out = WreathModule(a.params, support, edge_actions, sn_actions)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Intertwiners
-# ---------------------------------------------------------------------------
-
-def check_intertwiner(m1: WreathModule, m2: WreathModule, maps: dict,
-                      require_bijective: bool = True) -> bool:
-    """Do the given per-tuple maps commute with all generators (and biject)?
-
-    ``maps[j]`` is a matrix m1_j -> m2_j; missing keys mean zero maps.
-    With ``require_bijective`` this is an isomorphism-witness check.
-    """
-    if m1.params.quiver != m2.params.quiver or m1.n != m2.n or m1.order != m2.order:
-        raise FormatError("modules are not comparable")
-    q = m1.params.quiver
-    n = m1.n
-    tuples = sorted(set(m1.support) | set(m2.support) | {tuple(j) for j in maps})
-
-    def f(j):
-        got = maps.get(tuple(j))
-        if got is None:
-            return Mat.zeros(m2.dim(j), m1.dim(j), m1.order)
-        if (got.rows, got.cols) != (m2.dim(j), m1.dim(j)):
-            raise FormatError(f"map at {j} has shape {got.rows}x{got.cols}, "
-                              f"expected {m2.dim(j)}x{m1.dim(j)}")
-        return got
-
-    for j in tuples:
-        if require_bijective:
-            if m1.dim(j) != m2.dim(j) or rank(f(j)) != m1.dim(j):
-                return False
-        for pos in range(1, n + 1):
-            for e in q.out_edges(j[pos - 1]):
-                tgt = m1.edge_target(e.name, pos, j)
-                lhs = f(tgt) @ m1.edge_matrix(e.name, pos, j)
-                rhs = m2.edge_matrix(e.name, pos, j) @ f(j)
-                if lhs != rhs:
-                    return False
-        for m in range(1, n):
-            tgt = swap_tuple(j, m)
-            if f(tgt) @ m1.sn_matrix(m, j) != m2.sn_matrix(m, j) @ f(j):
-                return False
-    return True
-
-
-def module_character(mod: WreathModule, p: Perm) -> Scalar:
-    """Trace of a permutation acting on the whole module."""
-    total = Scalar.zero(mod.order)
-    for j in mod.tuples():
-        if p.act_tuple(j) == j:
-            total = total + mod.perm_matrix(p, j).trace()
-    return total

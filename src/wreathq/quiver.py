@@ -1,18 +1,18 @@
 """Quivers, their doubles, Ringel forms, and reflections on Z^I and on weights.
 
 Vertex ids are opaque strings; every enumeration follows declaration
-order, so all outputs are deterministic.
+order, so all outputs are deterministic.  The Cartan matrix and the
+detection of affine quivers, which only the tests use, are in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
 from .cyclotomic import Scalar
 from .errors import EdgeLoopError, FormatError
-from .linalg import Mat, kernel_basis
 
 
 class Edge(NamedTuple):
@@ -76,20 +76,6 @@ class Quiver:
     def adjacent(self, u: str, v: str) -> bool:
         """Whether some base edge joins the distinct vertices u and v."""
         return u != v and any({e.tail, e.head} == {u, v} for e in self.edges)
-
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        seen = {self.vertices[0]}
-        frontier = [self.vertices[0]]
-        while frontier:
-            v = frontier.pop()
-            for e in self.edges:
-                for other in ((e.head,) if e.tail == v else ()) + ((e.tail,) if e.head == v else ()):
-                    if other not in seen:
-                        seen.add(other)
-                        frontier.append(other)
-        return len(seen) == len(self.vertices)
 
     def reoriented(self, flips: Iterable[str]) -> "Quiver":
         """Same quiver with the named base edges reversed (names kept)."""
@@ -243,44 +229,6 @@ def dual_reflection(q: Quiver, i: str, lam: Weight) -> Weight:
         pairing = symmetrized_form(q, DimVector.unit(i), DimVector.unit(j))
         out[j] = lam[j] - lam_i * pairing
     return Weight(out, lam.order)
-
-
-def cartan_matrix(q: Quiver) -> Mat:
-    """Gram matrix of the symmetrized form on the unit vectors."""
-    units = [DimVector.unit(v) for v in q.vertices]
-    return Mat.from_rows([[symmetrized_form(q, u, v) for v in units] for u in units], 1)
-
-
-def affine_data(q: Quiver) -> Optional[DimVector]:
-    """The minimal positive imaginary root delta, when the quiver is affine.
-
-    Returns the primitive integer vector spanning the radical of the
-    symmetrized form if that radical is one-dimensional and the vector
-    has all entries positive; otherwise None.  Loops and disconnected
-    quivers yield None.  For a connected loop-free quiver the Cartan
-    matrix is an indecomposable symmetric generalized Cartan matrix, so
-    by Vinberg's trichotomy a positive radical vector forces affine
-    type: positive semidefinite of corank 1 (Kac, Infinite-Dimensional
-    Lie Algebras, Thm 4.3 and Prop 4.7).  No separate test of
-    semidefiniteness is needed.
-    """
-    if not q.vertices or not q.is_connected():
-        return None
-    if any(q.has_loop_at(v) for v in q.vertices):
-        return None
-    ker = kernel_basis(cartan_matrix(q))
-    if ker.cols != 1:
-        return None
-    vals = [ker[r, 0].as_fraction() for r in range(ker.rows)]
-    den = math.lcm(*(v.denominator for v in vals))
-    ints = [int(v * den) for v in vals]
-    g = math.gcd(*ints)
-    ints = [x // g for x in ints]
-    if all(x < 0 for x in ints):
-        ints = [-x for x in ints]
-    if any(x <= 0 for x in ints):
-        return None
-    return DimVector.make(dict(zip(q.vertices, ints)))
 
 
 # ---------------------------------------------------------------------------

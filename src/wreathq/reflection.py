@@ -10,7 +10,9 @@ edge into i to each position in D.  The projection/inclusion block maps
 pi and mu, the reindexing maps tau, the case-III map theta and the S_n
 action are all assembled here, through one placement loop, as explicit
 matrices; the functor's value at j is the intersection of the kernels
-of the pi maps out of the top space V(j, Delta(j)).
+of the pi maps out of the top space V(j, Delta(j)).  The functor on
+morphisms, the group-algebra genericity oracle and the involution
+witness F_i F_i V = V are test-side references in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .cyclotomic import Scalar
-from .errors import FormatError, NotGenericError, NotInSpanError
+from .errors import FormatError
 from .linalg import BlockBuilder, Mat, intersect_kernels, solve_in_span
-from .modules import Params, WreathModule, check_intertwiner, swap_tuple
+from .modules import Params, WreathModule, swap_tuple
 from .quiver import dual_reflection, require_loop_free, star_name
-from .symmetric import Perm, central_sum_invertible
+from .symmetric import Perm
 
 
 @dataclass(frozen=True)
@@ -295,14 +297,6 @@ def is_generic(params: Params, vertex: str) -> GenericityResult:
     return GenericityResult(True)
 
 
-def is_generic_oracle(params: Params, vertex: str) -> bool:
-    """Group-algebra invertibility oracle for the same locus (r capped at 6)."""
-    require_loop_free(params.quiver, vertex)
-    lam_i = params.weight[vertex]
-    return all(central_sum_invertible(lam_i, params.nu, r)
-               for r in range(1, min(params.n, 6) + 1))
-
-
 @dataclass
 class ReflectionOutput:
     """The reflected module plus the per-tuple embedding data.
@@ -407,82 +401,6 @@ def reflection_functor(module: WreathModule, vertex: str) -> ReflectionOutput:
 
     result = WreathModule(params, support, edge_actions, sn_actions)
     return ReflectionOutput(result, embeddings, calc)
-
-
-def reflect_morphism(src: WreathModule, dst: WreathModule, maps: dict, vertex: str) -> dict:
-    """Apply the functor to a morphism given as per-tuple matrices.
-
-    The image maps are the block-diagonal sums of the original maps over
-    assignments, restricted to the kernel embeddings on both sides.
-    Raises if the input is not an intertwiner.
-    """
-    if not check_intertwiner(src, dst, maps, require_bijective=False):
-        raise FormatError("the given maps do not intertwine the module actions")
-    out_src = reflection_functor(src, vertex)
-    out_dst = reflection_functor(dst, vertex)
-    calc_s, calc_d = out_src.calculus, out_dst.calculus
-    order = src.order
-
-    result = {}
-    for j in sorted(set(out_src.embeddings) | set(out_dst.embeddings)):
-        delta = calc_s.delta(j)
-        s_space = calc_s.space(j, delta)
-        d_space = calc_d.space(j, delta)
-        big = _assemble(d_space, s_space, ((k, k, maps[t]) for k, t in
-                                           enumerate(s_space.t_tuples) if t in maps), order)
-        e_src = out_src.embeddings.get(j, Mat.zeros(s_space.total, 0, order))
-        e_dst = out_dst.embeddings.get(j, Mat.zeros(d_space.total, 0, order))
-        small = solve_in_span(e_dst, big @ e_src)
-        if small:
-            result[j] = small
-    return result
-
-
-@dataclass
-class InvolutionWitness:
-    module: WreathModule          # F_i(F_i(V)), over the original weight
-    maps: dict                    # canonical per-tuple maps V_j -> F_iF_i(V)_j
-    verified: bool
-
-
-def involution_witness(module: WreathModule, vertex: str) -> InvolutionWitness:
-    """Build and check the canonical isomorphism V = F_i(F_i(V)).
-
-    Requires generic parameters.  The canonical map at a tuple j is the
-    ordered composition of the mu maps over the positions of Delta(j)
-    (order-irrelevant, as the mu maps commute); ``check_intertwiner``
-    checks that it is bijective in every degree and intertwines all
-    generators.
-    """
-    if not is_generic(module.params, vertex):
-        raise NotGenericError(f"parameters are not generic at {vertex!r}")
-    first = reflection_functor(module, vertex)
-    second = reflection_functor(first.module, vertex)
-    if second.module.params.weight != module.params.weight:
-        raise AssertionError("double reflection must restore the weight")
-    calc1 = first.calculus
-    order = module.order
-
-    maps = {}
-    tuples = sorted(set(module.support) | set(second.module.support))
-    for j in tuples:
-        delta = calc1.delta(j)
-        comp = Mat.identity(module.dim(j), order)
-        covered: tuple[int, ...] = ()
-        for p in sorted(delta, reverse=True):
-            covered = tuple(sorted(covered + (p,)))
-            comp = calc1.mu(j, covered, p) @ comp
-        e2 = second.embeddings.get(j)
-        if e2 is None:
-            top = calc1.space(j, delta)
-            e2 = Mat.zeros(top.total, 0, order)
-        if e2.rows != comp.rows:
-            raise AssertionError("top spaces of the two passes disagree")
-        try:
-            maps[j] = solve_in_span(e2, comp)
-        except NotInSpanError:
-            return InvolutionWitness(second.module, maps, False)
-    return InvolutionWitness(second.module, maps, check_intertwiner(module, second.module, maps))
 
 
 @dataclass

@@ -5,7 +5,8 @@ vertex is the trace of t*1 + c on the corresponding irreducible, and nu
 is k|Gamma|/2.  Cyclic groups get a built-in character table; other
 groups are supplied as exact tables.  The deformability report collects
 the rectangle, adjacency, trace, and word-genericity conditions that
-govern flat deformations of the induced modules.
+govern flat deformations of the induced modules.  The cyclic McKay
+quivers, which only the tests build, are in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -96,22 +97,6 @@ class SRAParams:
             vals = {str(self.c.get(e, Scalar.zero(self.t.order))) for e in cls}
             if len(vals) > 1:
                 raise FormatError(f"c is not constant on the class {cls}")
-
-
-def mckay_quiver_cyclic(m: int) -> Quiver:
-    """The affine cycle on m vertices; the double edge pair for m = 2.
-
-    The reflection machinery needs a nontrivial group, so m = 1 is
-    rejected.
-    """
-    if m < 2:
-        raise FormatError("the cyclic McKay quiver needs group order at least 2")
-    vertices = [str(j) for j in range(m)]
-    if m == 2:
-        edges = [("a0", "0", "1"), ("a1", "0", "1")]
-    else:
-        edges = [(f"a{j}", str(j), str((j + 1) % m)) for j in range(m)]
-    return Quiver(vertices, edges)
 
 
 def translate_params(gamma: GammaData, sra: SRAParams) -> tuple[Weight, Scalar]:

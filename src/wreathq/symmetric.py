@@ -3,23 +3,23 @@
 Contents: permutations of [1, n] with canonical adjacent-transposition
 words, Young diagrams with their cell contents, Young's seminormal form
 of the irreducible representations (all matrices rational, no square
-roots), invertibility of x +- nu * (s_12 + ... + s_1r) in the group
-algebra via the regular representation, and representations induced
-from Young subgroups with canonical minimal-length coset representatives.
+roots), and representations induced from Young subgroups with canonical
+minimal-length coset representatives.  The group-algebra invertibility
+of x +- nu * (s_12 + ... + s_1r), which only the tests decide, is in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .cyclotomic import Scalar
-from .errors import FormatError, ResourceLimitError
-from .linalg import BlockBuilder, Mat, kron, rank
+from .errors import FormatError
+from .linalg import BlockBuilder, Mat, kron
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +133,6 @@ class Perm:
 
     def __repr__(self):
         return f"Perm{self.img}"
-
-
-@lru_cache(maxsize=None)
-def all_perms(n: int) -> tuple[Perm, ...]:
-    if n > 7:
-        raise ResourceLimitError("permutation enumeration capped at n = 7")
-    return tuple(Perm(p) for p in itertools.permutations(range(1, n + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -345,50 +338,6 @@ def seminormal_rep(mu: YoungDiagram, order: int = 1) -> RepMatrices:
             builder[t_idx][t_idx] = Scalar.rational(rho, order)
         gens.append(Mat.from_rows(builder, order))
     return RepMatrices(n, gens, order)
-
-
-# ---------------------------------------------------------------------------
-# Invertibility of x +- nu (s_12 + ... + s_1r) in the group algebra
-# ---------------------------------------------------------------------------
-
-def regular_representation(element: dict[Perm, Scalar], r: int, order: int = 1) -> Mat:
-    """Matrix of left multiplication by sum coeff_g * g on k[S_r]."""
-    perms = all_perms(r)
-    idx = {p.img: k for k, p in enumerate(perms)}
-    size = len(perms)
-    bb = BlockBuilder(size, size, order)
-    for g, coeff in element.items():
-        if not coeff:
-            continue
-        for col, h in enumerate(perms):
-            bb.add_entry(idx[g.compose(h).img], col, coeff)
-    return bb.build()
-
-
-def central_sum_invertible(x, nu, r: int) -> bool:
-    """Whether x + nu*C and x - nu*C are both invertible in k[S_r].
-
-    Here C = s_12 + s_13 + ... + s_1r (empty for r = 1).  Decided by
-    nonsingularity of the regular representation, an r! x r! exact
-    matrix, so r is capped at 6.
-    """
-    if r < 1:
-        raise FormatError("r must be at least 1")
-    if r > 6:
-        raise ResourceLimitError("group algebra test capped at r = 6 (720 x 720)")
-    if not isinstance(x, Scalar):
-        x = Scalar.rational(x)
-    if not isinstance(nu, Scalar):
-        nu = Scalar.rational(nu, x.order)
-    order = x.order
-    for sign in (1, -1):
-        element = {Perm.identity(r): x}
-        for m in range(2, r + 1):
-            element[Perm.transposition(1, m, r)] = sign * nu
-        mat = regular_representation(element, r, order)
-        if rank(mat) != math.factorial(r):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

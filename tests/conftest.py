@@ -7,12 +7,13 @@ import pytest
 from wreathq.cyclotomic import Scalar
 from wreathq.linalg import Mat
 from wreathq.modules import (
-    Params, WreathModule, build_induced_zero_e, build_outer_tensor, point_module,
-    verify_relations,
+    Params, WreathModule, build_induced_zero_e, point_module, verify_relations,
 )
 from wreathq.quiver import Quiver, Weight
 from wreathq.reflection import reflection_functor
 from wreathq.symmetric import YoungDiagram
+
+from reference import build_outer_tensor
 
 
 @pytest.fixture(scope="session")

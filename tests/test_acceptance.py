@@ -16,24 +16,21 @@ from wreathq.cubes import euler_characteristic, module_cohomology
 from wreathq.cyclotomic import Scalar
 from wreathq.linalg import Mat
 from wreathq.modules import (
-    Params, WreathModule, build_induced_zero_e, build_outer_tensor,
-    module_character, point_module, verify_relations,
+    Params, WreathModule, build_induced_zero_e, point_module, verify_relations,
 )
 from wreathq import io as wio
 from wreathq.quiver import (
     DimVector, Weight, dual_reflection, simple_reflection,
 )
-from wreathq.reflection import (
-    SinkCalculus, involution_witness, is_generic, reflection_functor,
-)
-from wreathq.symmetric import (
-    Perm, YoungDiagram, central_sum_invertible, contents, partitions,
-    seminormal_rep,
-)
+from wreathq.reflection import SinkCalculus, is_generic, reflection_functor
+from wreathq.symmetric import Perm, YoungDiagram, contents, partitions, seminormal_rep
 
 from conftest import (
     AHAT1, AHAT2, BLOCK_MAP_CORPUS, HALF, THIRD, dimension_vector, make_params, report_text,
     simple_at, whole_theta,
+)
+from reference import (
+    build_outer_tensor, central_sum_invertible, involution_witness, module_character,
 )
 
 

@@ -491,6 +491,10 @@ MALFORMED = [
     # c on the identity of the cyclic group of order 2, and on an element it lacks
     ("sra", {"t": "1", "k": "1/2", "c": {"g0": "1"}}, 2),
     ("sra", {"t": "1", "k": "1/2", "c": {"g9": "1"}}, 2),
+    # vertex names are JSON strings: a number is refused, not coerced to a name
+    ("quiver", _with(QUIVER, ["vertices"], [0, 1]), 2),
+    ("induce", [{"diagram": [2], "vertex": 1}], 2),
+    ("conditions", _with(REQUEST, ["word"], [0]), 2),
 ]
 
 

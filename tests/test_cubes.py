@@ -9,10 +9,7 @@ from wreathq import cubes
 from wreathq.cyclotomic import Scalar, euler_phi
 from wreathq.errors import FormatError
 from wreathq.linalg import Mat, _modulus, hstack, rank, rref, solve_in_span
-from wreathq.modules import (
-    Params, WreathModule, build_induced_zero_e, build_outer_tensor,
-    module_character, verify_relations,
-)
+from wreathq.modules import Params, WreathModule, build_induced_zero_e, verify_relations
 from wreathq.cubes import (
     Cube, cohomology, complex_from_cube, euler_characteristic, module_cohomology,
     module_cube,
@@ -22,6 +19,7 @@ from wreathq.reflection import SinkCalculus, candidate_tuples, reflection_functo
 from wreathq.symmetric import Perm, YoungDiagram
 
 from conftest import AHAT1, make_params, mat, simple_at, unverified_copy
+from reference import build_outer_tensor, module_character
 
 
 def test_one_edge_isomorphism_cube():

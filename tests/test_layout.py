@@ -5,8 +5,11 @@ import importlib
 import importlib.util
 import pathlib
 import re
+import subprocess
+import sys
 
 from conftest import AHAT1, HALF, make_params
+from test_cli import _fresh_env
 from wreathq import reflection
 from wreathq.modules import build_induced_zero_e
 from wreathq.symmetric import YoungDiagram
@@ -224,8 +227,7 @@ def _unused_imports(path: pathlib.Path) -> list[str]:
 
 
 def test_no_unused_imports():
-    # __init__.py imports only to re-export
-    files = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    files = sorted(PACKAGE.glob("*.py"))
     assert files
     offenders = [line for path in files for line in _unused_imports(path)]
     assert offenders == []
@@ -262,12 +264,9 @@ def _reads(path: pathlib.Path) -> set[str]:
 
 
 def _unread_public_names(package: pathlib.Path, readers: list[pathlib.Path]) -> list[str]:
-    """Public top-level functions and classes of a package's modules that the package
-    does not export, their own module does not read again, and no other module of the
-    package and no file of ``readers`` reads."""
-    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
-    exported = {alias.name for node in init.body if isinstance(node, ast.ImportFrom)
-                for alias in node.names}
+    """Public top-level functions and classes of a package's modules that their own
+    module does not read again, and no other module of the package and no file of
+    ``readers`` reads.  A re-export from ``__init__`` is not a read."""
     modules = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
     reads = {p: _reads(p) for p in modules + list(readers)}
     found = []
@@ -276,7 +275,7 @@ def _unread_public_names(package: pathlib.Path, readers: list[pathlib.Path]) -> 
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_") \
-                    and node.name not in exported | reads[path] | elsewhere:
+                    and node.name not in reads[path] | elsewhere:
                 found.append(f"{path.name}:{node.lineno}: {node.name}")
     return found
 
@@ -299,7 +298,23 @@ def test_the_guard_sees_an_unread_name(tmp_path):
     (pkg / "b.py").write_text("from .a import shared\n")
     bench = tmp_path / "bench.py"
     bench.write_text("SPANS = (('a', 'traced', 'a.traced'),)\n")
-    assert _unread_public_names(pkg, [bench]) == ["a.py:13: Unread", "a.py:16: unread"]
+    assert _unread_public_names(pkg, [bench]) == \
+        ["a.py:1: exported", "a.py:13: Unread", "a.py:16: unread"]
+
+
+# -- the package namespace loads nothing ----------------------------------------------
+
+def test_the_package_imports_only_what_is_asked_for():
+    # __init__ re-exports nothing, so the pipeline modules load no CLI, I/O or SRA code
+    assert not [node for node in ast.walk(ast.parse((PACKAGE / "__init__.py").read_text()))
+                if isinstance(node, (ast.Import, ast.ImportFrom))]
+    probe = ("import sys\nfrom wreathq import cubes, modules, reflection\n"
+             "print(sorted(m for m in sys.modules if m.startswith('wreathq.')))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_fresh_env(), check=True)
+    loaded = ast.literal_eval(proc.stdout)
+    assert {"wreathq.cubes", "wreathq.modules", "wreathq.reflection"} <= set(loaded)
+    assert not {"wreathq.sra", "wreathq.io", "wreathq.cli"} & set(loaded)
 
 
 # -- exception classes that nothing raises ---------------------------------------------

@@ -10,15 +10,18 @@ from wreathq.errors import FormatError
 from wreathq.linalg import Mat
 from wreathq.modules import (
     Params, RelationFailure, StructuralIssue, VerifyReport, WreathModule,
-    build_induced_zero_e, build_outer_tensor, check_intertwiner, direct_sum,
-    graph_automorphism_transport, induced_module, module_character, point_module,
-    reorient_module, structural_report, swap_tuple, verify_relations,
+    build_induced_zero_e, induced_module, point_module, reorient_module,
+    structural_report, swap_tuple, verify_relations,
 )
 from wreathq.quiver import Weight, star_name
 from wreathq.reflection import reflection_functor
 from wreathq.symmetric import Perm, YoungDiagram, partitions
 
 from conftest import AHAT1, AHAT2, frac, make_params, mat, simple_at, unverified_copy
+from reference import (
+    build_outer_tensor, check_intertwiner, direct_sum, graph_automorphism_transport,
+    module_character,
+)
 
 
 def test_s1_passes(ahat1):

