@@ -197,11 +197,6 @@ class Scalar:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.num[0], self.den)
-
     # -- arithmetic --------------------------------------------------
     def __add__(self, other):
         o = other if type(other) is Scalar else self._coerce(other)

@@ -64,14 +64,15 @@ def _diagram(value: Any) -> YoungDiagram:
     return YoungDiagram([_int(part, "diagram part") for part in value])
 
 
-def _vertex(value: Any, what: str) -> str:
-    """A vertex name: a JSON string.  A number is refused, not coerced to a name."""
-    _require(isinstance(value, str), f"{what} must be a vertex name (a string), got {value!r}")
+def _name(value: Any, what: str) -> str:
+    """A vertex, edge or group-element name: a JSON string.  A number is
+    refused, not coerced to a name."""
+    _require(isinstance(value, str), f"{what} must be a name (a string), got {value!r}")
     return value
 
 
-def _vertex_tuple(value: Any, what: str) -> tuple[str, ...]:
-    return tuple(_vertex(v, f"{what} entry") for v in _list(value, what))
+def _names(value: Any, what: str) -> tuple[str, ...]:
+    return tuple(_name(v, f"{what} entry") for v in _list(value, what))
 
 
 def load_json(path: str) -> Any:
@@ -101,10 +102,8 @@ def parse_quiver(doc: Any) -> Quiver:
     for e in _list(doc["edges"], "edges"):
         _require(isinstance(e, dict) and {"name", "tail", "head"} <= set(e),
                  "each edge needs name/tail/head")
-        _require(all(isinstance(e[k], str) for k in ("name", "tail", "head")),
-                 f"edge name, tail and head must be strings, got {e!r}")
-        edges.append((e["name"], e["tail"], e["head"]))
-    return Quiver(_vertex_tuple(doc["vertices"], "vertices"), edges)
+        edges.append(tuple(_name(e[k], f"edge {k}") for k in ("name", "tail", "head")))
+    return Quiver(_names(doc["vertices"], "vertices"), edges)
 
 
 # -- weights and parameters ---------------------------------------------------
@@ -171,7 +170,7 @@ def parse_module(doc: Any, quiver: Quiver) -> WreathModule:
     support = {}
     for item in _objects(doc, "support"):
         _require("tuple" in item and "dim" in item, "support entries need tuple and dim")
-        j = _vertex_tuple(item["tuple"], "support tuple")
+        j = _names(item["tuple"], "support tuple")
         _require(j not in support, f"support {j}: repeated tuple")
         support[j] = _int(item["dim"], "dim")
 
@@ -183,8 +182,8 @@ def parse_module(doc: Any, quiver: Quiver) -> WreathModule:
     for item in _objects(doc, "edge_actions"):
         _require({"edge", "position", "source_tuple", "matrix"} <= set(item),
                  "edge actions need edge/position/source_tuple/matrix")
-        name, pos = str(item["edge"]), _int(item["position"], "position")
-        j = _vertex_tuple(item["source_tuple"], "source_tuple")
+        name, pos = _name(item["edge"], "edge"), _int(item["position"], "position")
+        j = _names(item["source_tuple"], "source_tuple")
         where = f"edge action ({name}, {pos}, {','.join(j)})"
         _require((name, pos, j) not in edge_actions, f"{where}: repeated key")
         edge_actions[(name, pos, j)] = parse_matrix(item["matrix"], width(j), order, where)
@@ -194,7 +193,7 @@ def parse_module(doc: Any, quiver: Quiver) -> WreathModule:
         _require({"adjacent", "source_tuple", "matrix"} <= set(item),
                  "sn actions need adjacent/source_tuple/matrix")
         m = _int(item["adjacent"], "adjacent")
-        j = _vertex_tuple(item["source_tuple"], "source_tuple")
+        j = _names(item["source_tuple"], "source_tuple")
         where = f"sn action ({m}, {','.join(j)})"
         _require((m, j) not in sn_actions, f"{where}: repeated key")
         sn_actions[(m, j)] = parse_matrix(item["matrix"], width(j), order, where)
@@ -234,10 +233,10 @@ def parse_gamma(doc: Any) -> GammaData:
              "table gamma needs order, elements, vertices, dims and table")
     order = _int(doc["order"], "order")
     scalar_order = _cyclotomic_order(doc.get("cyclotomic_order", 1))
-    elements = tuple(str(e) for e in _list(doc["elements"], "elements"))
+    elements = _names(doc["elements"], "elements")
     _require(elements, "elements must not be empty")
-    vertices = tuple(str(v) for v in _list(doc["vertices"], "vertices"))
-    dims = {str(v): _int(d, "dims value") for v, d in _object(doc["dims"], "dims").items()}
+    vertices = _names(doc["vertices"], "vertices")
+    dims = {v: _int(d, "dims value") for v, d in _object(doc["dims"], "dims").items()}
     table_doc = _object(doc["table"], "table")
     table = {}
     for v in vertices:
@@ -271,7 +270,7 @@ def parse_conditions_request(doc: Any, quiver: Quiver):
     lam0 = parse_weight(doc["lambda0"], quiver, order)
     lam = parse_weight(doc["lambda"], quiver, order)
     nu = parse_scalar(str(doc["nu"]), order)
-    word = list(_vertex_tuple(doc.get("word", []), "word"))
+    word = list(_names(doc.get("word", []), "word"))
     blocks = []
     for item in _list(doc["blocks"], "blocks"):
         _require(isinstance(item, dict) and {"diagram", "alpha"} <= set(item)
@@ -293,5 +292,5 @@ def parse_induce_request(doc: Any, quiver: Quiver):
     for item in doc:
         _require(isinstance(item, dict) and {"diagram", "vertex"} <= set(item),
                  "each induce block needs diagram and vertex")
-        blocks.append((_diagram(item["diagram"]), _vertex(item["vertex"], "induce vertex")))
+        blocks.append((_diagram(item["diagram"]), _name(item["vertex"], "induce vertex")))
     return blocks

@@ -60,10 +60,12 @@ class WreathModule:
 
     ``edge_actions[(name, l, j)]`` is the matrix of edge ``name`` acting in
     position ``l`` (1-based) out of the graded piece at tuple ``j``; its
-    target tuple replaces position ``l`` by the edge head.  Missing keys
-    mean zero maps.  ``sn_actions[(m, j)]`` is the adjacent transposition
-    (m, m+1) out of ``j``.  Instances are treated as immutable, which is
-    why ``verify_relations`` may keep its report on the instance.
+    target tuple replaces position ``l`` by the edge head.
+    ``sn_actions[(m, j)]`` is the adjacent transposition (m, m+1) out of
+    ``j``.  A missing key is a zero map, and readers take the None of
+    ``.get`` as that map: no zero matrix is built for it.  Instances are
+    treated as immutable, which is why ``verify_relations`` may keep its
+    report on the instance.
 
     A malformed entry (a bad tuple, edge, position or matrix shape)
     raises FormatError, zero or not; the well-formed zero dimensions and
@@ -145,40 +147,13 @@ class WreathModule:
         out[pos - 1] = e.head
         return tuple(out)
 
-    def edge_matrix(self, name: str, pos: int, j: tuple) -> Mat:
-        j = tuple(j)
-        mat = self.edge_actions.get((name, pos, j))
-        if mat is not None:
-            return mat
-        tgt = self.edge_target(name, pos, j)
-        return Mat.zeros(self.dim(tgt), self.dim(j), self.order)
-
-    def sn_matrix(self, m: int, j: tuple) -> Mat:
-        j = tuple(j)
-        mat = self.sn_actions.get((m, j))
-        if mat is not None:
-            return mat
-        return Mat.zeros(self.dim(swap_tuple(j, m)), self.dim(j), self.order)
-
-    def perm_matrix(self, p: Perm, j: tuple) -> Mat:
-        """Matrix of an arbitrary permutation, composed from stored generators."""
-        j = tuple(j)
+    def perm_matrix(self, p: Perm, j: tuple) -> Optional[Mat]:
+        """Matrix of an arbitrary permutation, composed from stored generators,
+        or None (a zero map) where a factor is not stored."""
         key = (p.img, j)
-        out = self._perm_cache.get(key)
-        if out is None:
-            out = _word(self, j, p.adjacent_word())
-            if out is None:
-                out = Mat.zeros(self.dim(p.act_tuple(j)), self.dim(j), self.order)
-            self._perm_cache[key] = out
-        return out
-
-    def canonical_key(self):
-        edges = tuple(sorted(
-            (name, pos, j, mat) for (name, pos, j), mat in self.edge_actions.items()))
-        sns = tuple(sorted(
-            (m, j, mat)
-            for (m, j), mat in self.sn_actions.items()))
-        return (tuple(sorted(self.support.items())), edges, sns)
+        if key not in self._perm_cache:
+            self._perm_cache[key] = _word(self, j, p.adjacent_word())
+        return self._perm_cache[key]
 
     def __repr__(self):
         dims = ", ".join(f"{''.join(j)}:{d}" for j, d in sorted(self.support.items()))
@@ -237,11 +212,10 @@ def structural_report(mod: WreathModule) -> list[StructuralIssue]:
     * the involution check s_m s_m = 1 at s_m j is skipped when the check
       at j passed and V_j and V_{s_m j} have the same dimension, because a
       one-sided inverse of a square matrix is two-sided;
-    * the braid check at w j, w = s_m s_{m+1} s_m, is skipped when the
-      check at j passed and every involution check at a letter of the two
-      words out of j and out of w j passed: each word out of w j is then
-      the two-sided inverse of the same word out of j, so the two checks
-      are equivalent;
+    * once no involution issue was found, the braid check at w j,
+      w = s_m s_{m+1} s_m, is skipped when the check at j passed: each
+      word out of w j is then the two-sided inverse of the same word out
+      of j, so the two checks are equivalent;
     * once no group-relation issue was found, the s_m-equivariance check
       of an edge at (s_m pos, s_m j) is skipped when the check at
       (pos, j) passed: with s_m^2 = 1, multiplying the identity there by
@@ -252,9 +226,8 @@ def structural_report(mod: WreathModule) -> list[StructuralIssue]:
     found: dict = {j: [] for j in mod.tuples()}     # issues per tuple, in check order
 
     # group relations for the stored S_n generators, chased along tuples;
-    # the involutions first, as the braid skip reads all of them
+    # the involutions first, as the braid skip needs all of them to pass
     involutive = set()      # (m, j) whose involution check passed
-    not_involutive = set()
     for j in mod.tuples():
         for m in range(1, n):
             j2 = swap_tuple(j, m)
@@ -263,17 +236,9 @@ def structural_report(mod: WreathModule) -> list[StructuralIssue]:
             if _residual(mod, j, (m, m), ()) is None:
                 involutive.add((m, j))
             else:
-                not_involutive.add((m, j))
                 found[j].append(StructuralIssue(f"tuple ({','.join(j)})",
                                                 f"s_{m} is not an involution"))
-
-    def inverted(j, word):
-        """Whether every letter of ``word`` out of j passed its involution check."""
-        for m in reversed(word):
-            if (m, j) in not_involutive:
-                return False
-            j = swap_tuple(j, m)
-        return True
+    involutions = not any(found.values())
 
     braided = set()         # (m, j) whose braid check passed
     for j in mod.tuples():
@@ -281,7 +246,7 @@ def structural_report(mod: WreathModule) -> list[StructuralIssue]:
         for m in range(1, n - 1):
             lhs, rhs = (m, m + 1, m), (m + 1, m, m + 1)
             wj = swap_tuple(swap_tuple(swap_tuple(j, m), m + 1), m)
-            if (m, wj) in braided and all(inverted(t, w) for t in (j, wj) for w in (lhs, rhs)):
+            if involutions and (m, wj) in braided:
                 continue
             if _residual(mod, j, lhs, rhs) is None:
                 braided.add((m, j))
@@ -549,8 +514,8 @@ def induced_module(params: Params,
                     if src is None:
                         continue
                     slot = sinv(pos)
-                    a = slot_modules[slot - 1].edge_matrix(e.name, 1, (j[pos - 1],))
-                    if a:
+                    a = slot_modules[slot - 1].edge_actions.get((e.name, 1, (j[pos - 1],)))
+                    if a is not None:
                         offset, dims = src
                         left = Mat.identity(math.prod(dims[:slot - 1]), order)
                         right = Mat.identity(math.prod(dims[slot:]) * dim_x, order)

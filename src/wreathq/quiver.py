@@ -194,10 +194,9 @@ def ringel_form(q: Quiver, alpha: DimVector, beta: DimVector) -> int:
     for v, _ in alpha.coords + beta.coords:
         if not q.has_vertex(v):
             raise FormatError(f"dimension vector uses unknown vertex {v!r}")
-    a, b = alpha.as_dict(), beta.as_dict()
-    total = sum(a.get(v, 0) * b.get(v, 0) for v in q.vertices)
+    total = sum(c * beta[v] for v, c in alpha.coords)
     for e in q.edges:
-        total -= a.get(e.tail, 0) * b.get(e.head, 0)
+        total -= alpha[e.tail] * beta[e.head]
     return total
 
 

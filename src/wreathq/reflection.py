@@ -48,11 +48,12 @@ class BigSpace:
         object.__setattr__(self, "_index", {xi: k for k, xi in enumerate(self.xis)})
 
 
-def _assemble(tgt: BigSpace, src: BigSpace, blocks: Iterable[tuple[int, int, Mat]],
+def _assemble(tgt: BigSpace, src: BigSpace, blocks: Iterable[tuple[int, int, Optional[Mat]]],
               order: int) -> Mat:
     """The map src -> tgt with each (target index, source index, block) placed.
 
-    Indices are assignment indices of the two spaces; zero blocks are skipped.
+    Indices are assignment indices of the two spaces; a block that is None
+    (no stored action) or zero is skipped.
     """
     bb = BlockBuilder(tgt.total, src.total, order)
     for k2, k, block in blocks:
@@ -70,7 +71,11 @@ class SinkCalculus:
     enters as a*.  The sink form would call a* a and act by -a in its
     place, so ``mu`` negates the reverse edge of a star R-edge.
     Assignments are enumerated in lexicographic order over R-indices
-    with the positions of D ascending.
+    with the positions of D ascending.  Every map takes j as a tuple and
+    D as an ascending tuple of positions; ``space`` refuses any other D.
+    A block is the module's stored action or None where none is stored,
+    and ``_assemble`` places only the blocks that exist.  pi, mu and
+    sigma_perm are cached per (map, j, D, argument).
     """
 
     def __init__(self, module: WreathModule, vertex: str):
@@ -85,24 +90,21 @@ class SinkCalculus:
         self.lam_i = module.params.weight[vertex]
         self.nu = module.params.nu
         self._spaces: dict = {}
-        self._pis: dict = {}
-        self._mus: dict = {}
-        self._sigmas: dict = {}
+        self._maps: dict = {}
 
     # -- tuple combinatorics ----------------------------------------------
     def delta(self, j: tuple) -> tuple[int, ...]:
         return tuple(p for p, v in enumerate(j, 1) if v == self.vertex)
 
-    def space(self, j: tuple, d_positions: Sequence[int]) -> BigSpace:
-        j = tuple(j)
-        d = tuple(sorted(d_positions))
+    def space(self, j: tuple, d: tuple[int, ...]) -> BigSpace:
+        """V(j, D); D must be an ascending tuple of positions of Delta(j)."""
         key = (j, d)
         got = self._spaces.get(key)
         if got is not None:
             return got
-        delta = set(self.delta(j))
-        if not set(d) <= delta:
-            raise FormatError(f"positions {d} are not all at {self.vertex!r} in {j}")
+        if tuple(p for p in self.delta(j) if p in d) != d:
+            raise FormatError(f"D = {d} is not an ascending tuple of positions "
+                              f"at {self.vertex!r} in {j}")
         xis = list(itertools.product(range(len(self.R)), repeat=len(d)))
         t_tuples = []
         dims = []
@@ -121,133 +123,117 @@ class SinkCalculus:
         self._spaces[key] = out
         return out
 
+    def _drop(self, j: tuple, d: tuple[int, ...], p: int) -> tuple[BigSpace, BigSpace, int]:
+        """V(j, D), V(j, D minus p) and the slot of p in D."""
+        if p not in d:
+            raise FormatError(f"position {p} is not in D = {d}")
+        slot = d.index(p)
+        return self.space(j, d), self.space(j, d[:slot] + d[slot + 1:]), slot
+
     # -- the block maps ------------------------------------------------------
-    def pi(self, j: tuple, d_positions: Sequence[int], p: int) -> Mat:
+    def pi(self, j: tuple, d: tuple[int, ...], p: int) -> Mat:
         """pi_{j,p} at level D: apply the assigned edge in position p."""
-        j = tuple(j)
-        d = tuple(sorted(d_positions))
-        key = (j, d, p)
-        got = self._pis.get(key)
-        if got is not None:
-            return got
-        if p not in d:
-            raise FormatError(f"position {p} is not in D = {d}")
-        src = self.space(j, d)
-        tgt = self.space(j, tuple(x for x in d if x != p))
-        slot = d.index(p)
-        edge_matrix = self.module.edge_matrix
-        out = _assemble(tgt, src, (
-            (tgt.index_of(xi[:slot] + xi[slot + 1:]), k,
-             edge_matrix(self.R[xi[slot]].name, p, src.t_tuples[k]))
-            for k, xi in enumerate(src.xis) if src.dims[k]), self.order)
-        self._pis[key] = out
+        key = ("pi", j, d, p)
+        out = self._maps.get(key)
+        if out is None:
+            src, tgt, slot = self._drop(j, d, p)
+            actions = self.module.edge_actions
+            out = self._maps[key] = _assemble(tgt, src, (
+                (tgt.index_of(xi[:slot] + xi[slot + 1:]), k,
+                 actions.get((self.R[xi[slot]].name, p, src.t_tuples[k])))
+                for k, xi in enumerate(src.xis)), self.order)
         return out
 
-    def mu(self, j: tuple, d_positions: Sequence[int], p: int) -> Mat:
+    def mu(self, j: tuple, d: tuple[int, ...], p: int) -> Mat:
         """mu_{j,p} into level D: apply the reverse edge in position p, signed."""
-        j = tuple(j)
-        d = tuple(sorted(d_positions))
-        key = (j, d, p)
-        got = self._mus.get(key)
-        if got is not None:
-            return got
-        if p not in d:
-            raise FormatError(f"position {p} is not in D = {d}")
-        src = self.space(j, tuple(x for x in d if x != p))
-        tgt = self.space(j, d)
-        slot = d.index(p)
-        def blocks():
-            for k, xi in enumerate(tgt.xis):
-                k2 = src.index_of(xi[:slot] + xi[slot + 1:])
-                if tgt.dims[k] and src.dims[k2]:
+        key = ("mu", j, d, p)
+        out = self._maps.get(key)
+        if out is None:
+            tgt, src, slot = self._drop(j, d, p)
+            actions = self.module.edge_actions
+
+            def blocks():
+                for k, xi in enumerate(tgt.xis):
+                    k2 = src.index_of(xi[:slot] + xi[slot + 1:])
                     r = self.R[xi[slot]]
-                    block = self.module.edge_matrix(star_name(r.name), p, src.t_tuples[k2])
-                    yield k, k2, -block if r.is_star else block
-        out = _assemble(tgt, src, blocks(), self.order)
-        self._mus[key] = out
+                    block = actions.get((star_name(r.name), p, src.t_tuples[k2]))
+                    if block is not None:
+                        yield k, k2, -block if r.is_star else block
+            out = self._maps[key] = _assemble(tgt, src, blocks(), self.order)
         return out
 
-    def sigma_adjacent(self, j: tuple, d_positions: Sequence[int], m: int) -> Mat:
+    def sigma_adjacent(self, j: tuple, d: tuple[int, ...], m: int) -> Mat:
         """The big-space action of the adjacent transposition (m, m+1)."""
-        return self.sigma_perm(j, d_positions, Perm.adjacent(m, self.n))
+        return self.sigma_perm(j, d, Perm.adjacent(m, self.n))
 
-    def sigma_perm(self, j: tuple, d_positions: Sequence[int], perm: Perm) -> Mat:
+    def sigma_perm(self, j: tuple, d: tuple[int, ...], perm: Perm) -> Mat:
         """The big-space action of a permutation.
 
         The summand of an assignment xi goes to the summand of the moved
         assignment (perm(p) carries the edge of p) by the module's own
         action of ``perm`` on the graded piece t(j, xi).
         """
-        j = tuple(j)
-        d = tuple(sorted(d_positions))
-        key = (j, d, perm)
-        got = self._sigmas.get(key)
-        if got is not None:
-            return got
-        src = self.space(j, d)
-        tgt = self.space(perm.act_tuple(j), tuple(sorted(perm(p) for p in d)))
-        slots = sorted(range(len(d)), key=lambda s: perm(d[s]))
-        perm_matrix = self.module.perm_matrix
-        out = _assemble(tgt, src, (
-            (tgt.index_of(tuple(xi[s] for s in slots)), k, perm_matrix(perm, src.t_tuples[k]))
-            for k, xi in enumerate(src.xis) if src.dims[k]), self.order)
-        self._sigmas[key] = out
+        key = ("sigma", j, d, perm)
+        out = self._maps.get(key)
+        if out is None:
+            src = self.space(j, d)
+            tgt = self.space(perm.act_tuple(j), tuple(sorted(perm(p) for p in d)))
+            slots = sorted(range(len(d)), key=lambda s: perm(d[s]))
+            perm_matrix = self.module.perm_matrix
+            out = self._maps[key] = _assemble(tgt, src, (
+                (tgt.index_of(tuple(xi[s] for s in slots)), k, perm_matrix(perm, src.t_tuples[k]))
+                for k, xi in enumerate(src.xis)), self.order)
         return out
 
-    def sigma_trace(self, j: tuple, d_positions: Sequence[int], perm: Perm) -> Scalar:
+    def sigma_trace(self, j: tuple, d: tuple[int, ...], perm: Perm) -> Scalar:
         """The trace of ``sigma_perm`` on a level V(j, D) that ``perm`` fixes.
 
         Only the summands whose assignment ``perm`` fixes lie on the
         diagonal, so the trace is the sum of the traces of the module's
         action of ``perm`` on their graded pieces.
         """
-        d = tuple(sorted(d_positions))
-        if perm.act_tuple(tuple(j)) != tuple(j) or tuple(sorted(perm(p) for p in d)) != d:
-            raise FormatError(f"the permutation does not fix {tuple(j)} and D = {d}")
+        if perm.act_tuple(j) != j or tuple(sorted(perm(p) for p in d)) != d:
+            raise FormatError(f"the permutation does not fix {j} and D = {d}")
         src = self.space(j, d)
         slots = sorted(range(len(d)), key=lambda s: perm(d[s]))
         perm_matrix = self.module.perm_matrix
         out = Scalar.zero(self.order)
         for k, xi in enumerate(src.xis):
-            if src.dims[k] and tuple(xi[s] for s in slots) == xi:
-                out = out + perm_matrix(perm, src.t_tuples[k]).trace()
+            if tuple(xi[s] for s in slots) == xi:
+                block = perm_matrix(perm, src.t_tuples[k])
+                if block is not None:
+                    out = out + block.trace()
         return out
 
-    def tau_project(self, r_index: int, ell: int, j: tuple, d_positions: Sequence[int]) -> Mat:
+    def tau_project(self, r_index: int, ell: int, j: tuple, d: tuple[int, ...]) -> Mat:
         """tau^!: V(j, D) -> V(r*_ell(j), D minus ell); picks the xi(ell) = r part."""
-        j = tuple(j)
-        d = tuple(sorted(d_positions))
         if ell not in d:
             raise FormatError(f"position {ell} is not in D = {d}")
         src = self.space(j, d)
         j2 = self.module.edge_target(star_name(self.R[r_index].name), ell, j)
-        tgt = self.space(j2, tuple(x for x in d if x != ell))
         slot = d.index(ell)
+        tgt = self.space(j2, d[:slot] + d[slot + 1:])
         return _assemble(tgt, src, (
             (k2, src.index_of(eta[:slot] + (r_index,) + eta[slot:]),
              Mat.identity(tgt.dims[k2], self.order))
             for k2, eta in enumerate(tgt.xis) if tgt.dims[k2]), self.order)
 
-    def tau_include(self, r_index: int, ell: int, j: tuple, d_positions: Sequence[int]) -> Mat:
+    def tau_include(self, r_index: int, ell: int, j: tuple, d: tuple[int, ...]) -> Mat:
         """tau_!: V(r*_ell(j), D minus ell) -> V(j, D); the section of tau^!."""
-        return self.tau_project(r_index, ell, j, d_positions).transpose()
+        return self.tau_project(r_index, ell, j, d).transpose()
 
-    def away_edge_action(self, name: str, ell: int, j: tuple, d_positions: Sequence[int]) -> Mat:
+    def away_edge_action(self, name: str, ell: int, j: tuple, d: tuple[int, ...]) -> Mat:
         """An edge not touching the sink acts diagonally across assignments."""
-        j = tuple(j)
-        d = tuple(sorted(d_positions))
         edge = self.quiver.edge(name)
         if self.vertex in (edge.tail, edge.head):
             raise FormatError("away_edge_action needs an edge avoiding the sink vertex")
         src = self.space(j, d)
         tgt = self.space(self.module.edge_target(name, ell, j), d)
-        edge_matrix = self.module.edge_matrix
+        actions = self.module.edge_actions
         return _assemble(tgt, src, (
-            (k, k, edge_matrix(name, ell, t))
-            for k, t in enumerate(src.t_tuples) if src.dims[k]), self.order)
+            (k, k, actions.get((name, ell, t))) for k, t in enumerate(src.t_tuples)), self.order)
 
-    def theta(self, r_index: int, ell: int, j: tuple, d_positions: Sequence[int],
-              x: Mat) -> Mat:
+    def theta(self, r_index: int, ell: int, j: tuple, d: tuple[int, ...], x: Mat) -> Mat:
         """theta @ x, for x with rows indexed by V(j, D).
 
         An incoming edge acts by the compensated inclusion into
@@ -256,8 +242,6 @@ class SinkCalculus:
         the xi(ell) = r part of the top space, so the square top-space map
         is never formed; pass the identity on V(j, D) for theta itself.
         """
-        j = tuple(j)
-        d = tuple(sorted(d_positions))
         edge = self.R[r_index]
         if j[ell - 1] != edge.tail or ell in d:
             raise FormatError("theta needs the edge tail at a position outside D")

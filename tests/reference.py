@@ -12,7 +12,9 @@ more general constructions kept here.
 - module builders and transports: outer tensors at nu = 0, direct sums,
   and relabelling along a graph automorphism;
 - the Cartan matrix and the minimal imaginary root of an affine quiver;
-- the cyclic McKay quiver.
+- the cyclic McKay quiver;
+- the stored actions of a module with a zero matrix where none is stored,
+  a module's comparison key, and the rational value of a scalar.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -36,6 +39,42 @@ from wreathq.symmetric import Perm, YoungDiagram
 
 class NotGenericError(WreathqError):
     """Parameters lie outside the genericity locus required by the operation."""
+
+
+# ---------------------------------------------------------------------------
+# Zero-filled actions and comparison keys
+# ---------------------------------------------------------------------------
+
+def _or_zero(mod: WreathModule, mat: Optional[Mat], tgt: tuple, j: tuple) -> Mat:
+    return Mat.zeros(mod.dim(tgt), mod.dim(j), mod.order) if mat is None else mat
+
+
+def edge_matrix(mod: WreathModule, name: str, pos: int, j: tuple) -> Mat:
+    """The stored action of an edge in one position out of V_j, or its zero matrix."""
+    return _or_zero(mod, mod.edge_actions.get((name, pos, j)), mod.edge_target(name, pos, j), j)
+
+
+def sn_matrix(mod: WreathModule, m: int, j: tuple) -> Mat:
+    """The stored s_m out of V_j, or its zero matrix."""
+    return _or_zero(mod, mod.sn_actions.get((m, j)), swap_tuple(j, m), j)
+
+
+def perm_matrix(mod: WreathModule, p: Perm, j: tuple) -> Mat:
+    """``WreathModule.perm_matrix``, with a zero matrix where a factor is not stored."""
+    return _or_zero(mod, mod.perm_matrix(p, j), p.act_tuple(j), j)
+
+
+def canonical_key(mod: WreathModule) -> tuple:
+    """The support, edge actions and S_n actions of a module, sorted."""
+    return (tuple(sorted(mod.support.items())),
+            tuple(sorted((name, pos, j, mat) for (name, pos, j), mat in mod.edge_actions.items())),
+            tuple(sorted((m, j, mat) for (m, j), mat in mod.sn_actions.items())))
+
+
+def as_fraction(x: Scalar) -> Fraction:
+    if not x.is_rational():
+        raise ValueError(f"{x} is not rational")
+    return Fraction(x.num[0], x.den)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +173,7 @@ def affine_data(q: Quiver) -> Optional[DimVector]:
     ker = kernel_basis(cartan_matrix(q))
     if ker.cols != 1:
         return None
-    vals = [ker[r, 0].as_fraction() for r in range(ker.rows)]
+    vals = [as_fraction(ker[r, 0]) for r in range(ker.rows)]
     den = math.lcm(*(v.denominator for v in vals))
     ints = [int(v * den) for v in vals]
     g = math.gcd(*ints)
@@ -171,7 +210,7 @@ def build_outer_tensor(params: Params,
     """The induced module built from one-particle modules; requires nu = 0."""
     if params.nu:
         raise FormatError("outer tensor modules require nu = 0")
-    keys = [y.canonical_key() for _, y, _ in blocks]
+    keys = [canonical_key(y) for _, y, _ in blocks]
     if len(set(keys)) != len(keys):
         raise FormatError("block modules must be pairwise non-isomorphic "
                           "(identical descriptions detected)")
@@ -247,13 +286,13 @@ def direct_sum(a: WreathModule, b: WreathModule) -> WreathModule:
     edge_actions = {}
     keys = set(a.edge_actions) | set(b.edge_actions)
     for (name, pos, j) in keys:
-        m1 = a.edge_matrix(name, pos, j)
-        m2 = b.edge_matrix(name, pos, j)
+        m1 = edge_matrix(a, name, pos, j)
+        m2 = edge_matrix(b, name, pos, j)
         edge_actions[(name, pos, j)] = blockdiag(m1, m2)
     sn_actions = {}
     keys = set(a.sn_actions) | set(b.sn_actions)
     for (m, j) in keys:
-        sn_actions[(m, j)] = blockdiag(a.sn_matrix(m, j), b.sn_matrix(m, j))
+        sn_actions[(m, j)] = blockdiag(sn_matrix(a, m, j), sn_matrix(b, m, j))
     return WreathModule(a.params, support, edge_actions, sn_actions)
 
 
@@ -262,7 +301,7 @@ def module_character(mod: WreathModule, p: Perm) -> Scalar:
     total = Scalar.zero(mod.order)
     for j in mod.tuples():
         if p.act_tuple(j) == j:
-            total = total + mod.perm_matrix(p, j).trace()
+            total = total + perm_matrix(mod, p, j).trace()
     return total
 
 
@@ -299,13 +338,13 @@ def check_intertwiner(m1: WreathModule, m2: WreathModule, maps: dict,
         for pos in range(1, n + 1):
             for e in q.out_edges(j[pos - 1]):
                 tgt = m1.edge_target(e.name, pos, j)
-                lhs = f(tgt) @ m1.edge_matrix(e.name, pos, j)
-                rhs = m2.edge_matrix(e.name, pos, j) @ f(j)
+                lhs = f(tgt) @ edge_matrix(m1, e.name, pos, j)
+                rhs = edge_matrix(m2, e.name, pos, j) @ f(j)
                 if lhs != rhs:
                     return False
         for m in range(1, n):
             tgt = swap_tuple(j, m)
-            if f(tgt) @ m1.sn_matrix(m, j) != m2.sn_matrix(m, j) @ f(j):
+            if f(tgt) @ sn_matrix(m1, m, j) != sn_matrix(m2, m, j) @ f(j):
                 return False
     return True
 

@@ -495,6 +495,9 @@ MALFORMED = [
     ("quiver", _with(QUIVER, ["vertices"], [0, 1]), 2),
     ("induce", [{"diagram": [2], "vertex": 1}], 2),
     ("conditions", _with(REQUEST, ["word"], [0]), 2),
+    # group element and table vertex names are JSON strings too
+    ("translate", _with(TABLE_GAMMA, ["vertices"], [0]), 2),
+    ("translate", {**TABLE_GAMMA, "elements": [0], "table": {"0": {"0": "1"}}}, 2),
 ]
 
 
@@ -535,6 +538,25 @@ def test_malformed_input_exits_with_one_error_line(files, capsys, tmp_path, comm
     assert len(lines) == 1 and lines[0].startswith("error:"), err
     if vertex != "0":
         assert lines == [f"error: unknown vertex {vertex!r}"]
+
+
+def test_an_edge_name_that_is_a_number_is_refused(capsys, tmp_path):
+    # the quiver's only edge is named "1", so a coerced 1 would name it
+    qp, mp = tmp_path / "quiver.json", tmp_path / "module.json"
+    qp.write_text(json.dumps({"vertices": ["0", "1"],
+                              "edges": [{"name": "1", "tail": "0", "head": "1"}]}))
+    module = {"params": {"n": 1, "lambda": {"0": "0", "1": "0"}, "nu": "0"},
+              "support": [{"tuple": ["0"], "dim": 1}, {"tuple": ["1"], "dim": 1}],
+              "edge_actions": [{"edge": 1, "position": 1, "source_tuple": ["0"],
+                                "matrix": [["1"]]}]}
+    mp.write_text(json.dumps(module))
+    code, out, err = run(capsys, "verify", "--quiver", str(qp), "--module", str(mp))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: edge must be a name (a string), got 1"]
+    module["edge_actions"][0]["edge"] = "1"
+    mp.write_text(json.dumps(module))
+    code, out, _ = run(capsys, "verify", "--quiver", str(qp), "--module", str(mp))
+    assert code == 0 and out.startswith("ok")
 
 
 def test_huge_cyclotomic_order_is_refused_at_once(files, capsys, tmp_path):

@@ -19,7 +19,7 @@ from wreathq.reflection import SinkCalculus, candidate_tuples, reflection_functo
 from wreathq.symmetric import Perm, YoungDiagram
 
 from conftest import AHAT1, make_params, mat, simple_at, unverified_copy
-from reference import build_outer_tensor, module_character
+from reference import build_outer_tensor, edge_matrix, module_character
 
 
 def test_one_edge_isomorphism_cube():
@@ -412,7 +412,6 @@ def _relation_ii_walk(calc):
     edges, and every (a, b) in R x R; one instance at a time.  Both paths are
     products of ``edge_matrix`` blocks, so a missing action is a zero matrix."""
     mod = calc.module
-    act = mod.edge_matrix
     into = {}               # tail -> the incoming edges from it
     for e in calc.R:
         into.setdefault(e.tail, []).append(e)
@@ -422,8 +421,8 @@ def _relation_ii_walk(calc):
             for a in at_p:
                 for b in at_q:
                     ta, tb = mod.edge_target(a.name, p, t), mod.edge_target(b.name, q, t)
-                    ab = act(a.name, p, tb) @ act(b.name, q, t)
-                    if ab != act(b.name, q, ta) @ act(a.name, p, t):
+                    ab = edge_matrix(mod, a.name, p, tb) @ edge_matrix(mod, b.name, q, t)
+                    if ab != edge_matrix(mod, b.name, q, ta) @ edge_matrix(mod, a.name, p, t):
                         return False
     return True
 

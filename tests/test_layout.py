@@ -264,19 +264,22 @@ def _reads(path: pathlib.Path) -> set[str]:
 
 
 def _unread_public_names(package: pathlib.Path, readers: list[pathlib.Path]) -> list[str]:
-    """Public top-level functions and classes of a package's modules that their own
-    module does not read again, and no other module of the package and no file of
-    ``readers`` reads.  A re-export from ``__init__`` is not a read."""
+    """Public top-level functions and classes of a package's modules, and public
+    methods and properties of those classes, that their own module does not read
+    again, and no other module of the package and no file of ``readers`` reads.
+    A re-export from ``__init__`` is not a read."""
     modules = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
-    reads = {p: _reads(p) for p in modules + list(readers)}
+    read = set().union(*map(_reads, modules + list(readers)))
     found = []
     for path in modules:
-        elsewhere = set().union(*(names for p, names in reads.items() if p != path))
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_") \
-                    and node.name not in reads[path] | elsewhere:
-                found.append(f"{path.name}:{node.lineno}: {node.name}")
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            members = [m for m in node.body if isinstance(m, ast.FunctionDef)] \
+                if isinstance(node, ast.ClassDef) else []
+            found += [f"{path.name}:{n.lineno}: {n.name}" for n in [node] + members
+                      if not n.name.startswith("_") and n.name not in read]
     return found
 
 
@@ -294,12 +297,17 @@ def test_the_guard_sees_an_unread_name(tmp_path):
                               "def traced():\n    return 3\n\n"
                               "class Unread:\n    pass\n\n"
                               "def unread():\n    return 4\n\n"
-                              "def _private():\n    return 5\n")
-    (pkg / "b.py").write_text("from .a import shared\n")
+                              "def _private():\n    return 5\n\n"
+                              "class Read:\n"
+                              "    def __init__(self):\n        self.x = 6\n"
+                              "    def used(self):\n        return self.x\n"
+                              "    @property\n    def unused(self):\n        return 7\n"
+                              "    def _hidden(self):\n        return 8\n")
+    (pkg / "b.py").write_text("from .a import Read, shared\n\nVALUE = Read().used()\n")
     bench = tmp_path / "bench.py"
     bench.write_text("SPANS = (('a', 'traced', 'a.traced'),)\n")
     assert _unread_public_names(pkg, [bench]) == \
-        ["a.py:1: exported", "a.py:13: Unread", "a.py:16: unread"]
+        ["a.py:1: exported", "a.py:13: Unread", "a.py:16: unread", "a.py:28: unused"]
 
 
 # -- the package namespace loads nothing ----------------------------------------------

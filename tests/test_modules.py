@@ -19,8 +19,8 @@ from wreathq.symmetric import Perm, YoungDiagram, partitions
 
 from conftest import AHAT1, AHAT2, frac, make_params, mat, simple_at, unverified_copy
 from reference import (
-    build_outer_tensor, check_intertwiner, direct_sum, graph_automorphism_transport,
-    module_character,
+    build_outer_tensor, canonical_key, check_intertwiner, direct_sum, edge_matrix,
+    graph_automorphism_transport, module_character, perm_matrix, sn_matrix,
 )
 
 
@@ -129,7 +129,7 @@ def test_induced_zero_e_two_blocks(ahat1):
     params = make_params(ahat1, 2, {"0": 0, "1": 0}, 0)
     m = build_induced_zero_e(params, [(YoungDiagram([1]), "0"), (YoungDiagram([1]), "1")])
     assert m.support == {("0", "1"): 1, ("1", "0"): 1}
-    s = m.sn_matrix(1, ("0", "1"))
+    s = sn_matrix(m, 1, ("0", "1"))
     assert s == Mat.identity(1)  # swaps the two lines
     assert verify_relations(m).passed
 
@@ -138,7 +138,7 @@ def test_induced_zero_e_single_block_triv(ahat1):
     params = make_params(ahat1, 2, {"0": 1, "1": -1}, 1)
     m = build_induced_zero_e(params, [(YoungDiagram([2]), "1")])
     assert m.support == {("1", "1"): 1}
-    assert m.sn_matrix(1, ("1", "1")) == Mat.identity(1)
+    assert sn_matrix(m, 1, ("1", "1")) == Mat.identity(1)
     # lambda_1 = -nu here, the rectangle rule for a 1x2 row
     assert verify_relations(m).passed
 
@@ -176,7 +176,7 @@ def test_outer_tensor_two_simples(ahat1):
     y = simple_at(ahat1, "1", {"0": 1, "1": 0})
     m = build_outer_tensor(params, [(2, y, YoungDiagram([2]))])
     assert m.support == {("1", "1"): 1}
-    assert m.sn_matrix(1, ("1", "1")) == Mat.identity(1)
+    assert sn_matrix(m, 1, ("1", "1")) == Mat.identity(1)
     assert verify_relations(m).passed
 
 
@@ -239,26 +239,26 @@ def test_reorient_round_trip(ahat1):
     # double forward application flips the sign of both members of the pair
     double = reorient_module(flipped, ["a", "b"])
     assert double.params.quiver == ahat1
-    assert double.edge_matrix("a", 1, ("0",)) == -m.edge_matrix("a", 1, ("0",))
-    assert double.edge_matrix("a*", 1, ("1",)) == -m.edge_matrix("a*", 1, ("1",))
+    assert edge_matrix(double, "a", 1, ("0",)) == -edge_matrix(m, "a", 1, ("0",))
+    assert edge_matrix(double, "a*", 1, ("1",)) == -edge_matrix(m, "a*", 1, ("1",))
     assert verify_relations(double).passed
     # and four give back the module
     back = reorient_module(reorient_module(double, ["a", "b"]), ["a", "b"])
     assert back.params.quiver == ahat1
-    assert back.canonical_key() == m.canonical_key()
+    assert canonical_key(back) == canonical_key(m)
 
 
 def test_reorient_no_flips_is_identity(ahat1):
     m = simple_at(ahat1, "1", {"0": 1, "1": 0})
     out = reorient_module(m, [])
-    assert out.canonical_key() == m.canonical_key()
+    assert canonical_key(out) == canonical_key(m)
     assert out.params.quiver == ahat1
 
 
 def test_transport_identity(ahat1):
     m = simple_at(ahat1, "1", {"0": 1, "1": 0})
     out = graph_automorphism_transport(m, {"0": "0", "1": "1"})
-    assert out.canonical_key() == m.canonical_key()
+    assert canonical_key(out) == canonical_key(m)
     assert out.params.weight == m.params.weight
 
 
@@ -317,7 +317,7 @@ def test_rotations_round_trip(corpus, kronecker_f0v):
             back = {w: v for v, w in g.items()}
             out = graph_automorphism_transport(graph_automorphism_transport(module, g), back)
             assert out.params == module.params, (name, g)
-            assert out.canonical_key() == module.canonical_key(), (name, g)
+            assert canonical_key(out) == canonical_key(module), (name, g)
             rotated += bool(module.edge_actions) and g != {v: v for v in g}
     assert rotated >= 2
 
@@ -401,8 +401,21 @@ def test_outer_tensor_with_sign_block(ahat1):
     m = build_outer_tensor(params, [(2, y0, YoungDiagram([1, 1])),
                                     (1, y1, YoungDiagram([1]))])
     assert sorted(m.support) == [("0", "0", "1"), ("0", "1", "0"), ("1", "0", "0")]
-    assert m.sn_matrix(1, ("0", "0", "1")) == -Mat.identity(1)
+    assert sn_matrix(m, 1, ("0", "0", "1")) == -Mat.identity(1)
     assert verify_relations(m).passed
+
+
+def test_perm_matrix_is_none_where_a_factor_is_not_stored(ahat1):
+    # s_1 is stored between (0, 1) and (1, 0), not on (0, 0)
+    one = Mat.identity(1)
+    m = WreathModule(make_params(ahat1, 2, {"0": 1, "1": 1}),
+                     {("0", "1"): 1, ("1", "0"): 1, ("0", "0"): 1}, {},
+                     {(1, ("0", "1")): one, (1, ("1", "0")): one})
+    swap = Perm.transposition(1, 2, 2)
+    assert m.perm_matrix(swap, ("0", "1")) == one
+    assert m.perm_matrix(swap, ("0", "0")) is None
+    assert m.perm_matrix(swap, ("0", "0")) is None
+    assert m.perm_matrix(Perm.identity(2), ("0", "0")) == one
 
 
 def test_perm_matrix_is_a_homomorphism(corpus):
@@ -512,7 +525,7 @@ GOLDEN_INDUCED = {
 @pytest.mark.parametrize("name", sorted(GOLDEN_INDUCED))
 def test_induced_module_matches_recorded_digest(name):
     module = _golden_module(name)
-    got = hashlib.sha256(repr(module.canonical_key()).encode()).hexdigest()
+    got = hashlib.sha256(repr(canonical_key(module)).encode()).hexdigest()
     assert got == GOLDEN_INDUCED[name][-1]
 
 
@@ -526,7 +539,7 @@ def test_induced_module_matches_recorded_digest(name):
 def _full_chase(mod, j, word):
     out, cur = Mat.identity(mod.dim(j), mod.order), j
     for k in reversed(word):
-        out = mod.sn_matrix(k, cur) @ out
+        out = sn_matrix(mod, k, cur) @ out
         cur = swap_tuple(cur, k)
     return out
 
@@ -595,8 +608,8 @@ def _full_structural(mod):
                 tgt = mod.edge_target(e.name, pos, j)
                 for m in range(1, n):
                     sig_pos = {m: m + 1, m + 1: m}.get(pos, pos)
-                    lhs = mod.sn_matrix(m, tgt) @ mod.edge_matrix(e.name, pos, j)
-                    rhs = mod.edge_matrix(e.name, sig_pos, swap_tuple(j, m)) @ mod.sn_matrix(m, j)
+                    lhs = sn_matrix(mod, m, tgt) @ edge_matrix(mod, e.name, pos, j)
+                    rhs = edge_matrix(mod, e.name, sig_pos, swap_tuple(j, m)) @ sn_matrix(mod, m, j)
                     if lhs != rhs:
                         issues.append(StructuralIssue(
                             f"tuple ({','.join(j)})",
@@ -616,11 +629,11 @@ def _full_verify(mod):
             lhs = Mat.identity(mod.dim(j), mod.order).scaled(-lam[v])
             for x in q.out_edges(v):
                 mid = mod.edge_target(x.name, ell, j)
-                path = mod.edge_matrix(star_name(x.name), ell, mid) @ mod.edge_matrix(x.name, ell, j)
+                path = edge_matrix(mod, star_name(x.name), ell, mid) @ edge_matrix(mod, x.name, ell, j)
                 lhs = lhs + path if x.is_star else lhs - path
             for m in range(1, n + 1):
                 if m != ell and j[m - 1] == v:
-                    lhs = lhs - mod.perm_matrix(Perm.transposition(ell, m, n), j).scaled(nu)
+                    lhs = lhs - perm_matrix(mod, Perm.transposition(ell, m, n), j).scaled(nu)
             if lhs:
                 failures.append(RelationFailure("i", j, ell, None, None, None, lhs))
         for ell in range(1, n + 1):
@@ -629,10 +642,10 @@ def _full_verify(mod):
                     for b in q.out_edges(j[m - 1]):
                         jb = mod.edge_target(b.name, m, j)
                         ja = mod.edge_target(a.name, ell, j)
-                        lhs = mod.edge_matrix(a.name, ell, jb) @ mod.edge_matrix(b.name, m, j) \
-                            - mod.edge_matrix(b.name, m, ja) @ mod.edge_matrix(a.name, ell, j)
+                        lhs = edge_matrix(mod, a.name, ell, jb) @ edge_matrix(mod, b.name, m, j) \
+                            - edge_matrix(mod, b.name, m, ja) @ edge_matrix(mod, a.name, ell, j)
                         if a.name == star_name(b.name):
-                            swap = mod.perm_matrix(Perm.transposition(ell, m, n), j)
+                            swap = perm_matrix(mod, Perm.transposition(ell, m, n), j)
                             lhs = lhs - swap.scaled(nu if a.is_star else -nu)
                         if lhs:
                             failures.append(RelationFailure("ii", j, ell, m, a.name, b.name, lhs))

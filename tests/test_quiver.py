@@ -12,7 +12,7 @@ from wreathq.quiver import (
     simple_reflection, symmetrized_form, validate_word,
 )
 
-from reference import affine_data, cartan_matrix
+from reference import affine_data, as_fraction, cartan_matrix
 
 
 def ahat1():
@@ -168,7 +168,7 @@ def test_validate_word_two_letters():
 
 def test_cartan_matrix_ahat1():
     c = cartan_matrix(ahat1())
-    assert [x.as_fraction() for x in c.data] == [2, -2, -2, 2]
+    assert [as_fraction(x) for x in c.data] == [2, -2, -2, 2]
 
 
 def test_quiver_validation():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from wreathq.cyclotomic import Scalar
-from wreathq.errors import EdgeLoopError, NotInSpanError
+from wreathq.errors import EdgeLoopError, FormatError, NotInSpanError
 from wreathq.linalg import BlockBuilder, Mat, rank
 from wreathq.modules import (
     Params, WreathModule, build_induced_zero_e, reorient_module, verify_relations,
@@ -20,8 +20,9 @@ from conftest import (
     BLOCK_MAP_CORPUS, dimension_vector, make_params, mat, simple_at, whole_theta,
 )
 from reference import (
-    NotGenericError, build_outer_tensor, check_intertwiner, direct_sum,
+    NotGenericError, build_outer_tensor, canonical_key, check_intertwiner, direct_sum,
     graph_automorphism_transport, involution_witness, is_generic_oracle, reflect_morphism,
+    sn_matrix,
 )
 
 
@@ -68,6 +69,44 @@ def test_pi_mu_empty_shapes():
     assert pi.rows == 0 and pi.cols == 2
     mu = calc.mu(("0",), (1,), 1)
     assert mu.rows == 2 and mu.cols == 0
+
+
+def _unacted_module(ahat2):
+    """n = 2 on the three-cycle with every V_j one-dimensional: no edge acts, and
+    s_1 is stored only between (1, 2) and (2, 1)."""
+    one = Mat.identity(1)
+    support = {j: 1 for j in itertools.product("012", repeat=2)}
+    swaps = {(1, ("1", "2")): one, (1, ("2", "1")): one}
+    return WreathModule(make_params(ahat2, 2, {"0": 1, "1": 1, "2": 1}), support, {}, swaps)
+
+
+def test_block_maps_build_no_zero_matrix_for_a_missing_action(ahat2, monkeypatch):
+    # R at 0 is (a2, a0*), with tails 2 and 1; a1: 1 -> 2 avoids the vertex
+    calc = SinkCalculus(_unacted_module(ahat2), "0")
+
+    def refuse(*args):
+        raise AssertionError("a zero matrix was built")
+
+    monkeypatch.setattr(Mat, "zeros", staticmethod(refuse))
+    jj, top, swap = ("0", "0"), (1, 2), Perm.transposition(1, 2, 2)
+    pi, mu = calc.pi(jj, top, 1), calc.mu(jj, top, 1)
+    assert (pi.rows, pi.cols, mu.rows, mu.cols) == (2, 4, 4, 2) and not pi and not mu
+    away = calc.away_edge_action("a1", 1, ("1", "0"), (2,))
+    assert (away.rows, away.cols) == (2, 2) and not away
+    # assignments (a2, a2), (a2, a0*), (a0*, a2), (a0*, a0*): tuples 22, 21, 12, 11
+    sigma = calc.sigma_perm(jj, top, swap)
+    assert sigma == mat([[0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]])
+    assert calc.sigma_trace(jj, top, swap) == Scalar.zero()
+
+
+def test_space_refuses_a_level_that_is_not_ascending(ahat2):
+    calc = SinkCalculus(_unacted_module(ahat2), "0")
+    assert calc.space(("0", "0"), (1, 2)).total == 4
+    for d in ((2, 1), (1, 1), (3,)):
+        with pytest.raises(FormatError):
+            calc.space(("0", "0"), d)
+    with pytest.raises(FormatError):
+        calc.pi(("0", "0"), (2, 1), 1)
 
 
 def test_reflect_simple_at_one(ahat1):
@@ -329,7 +368,7 @@ def test_functor_is_natural_in_the_orientation(corpus):
             assert SinkCalculus(module, vertex).module is module
             after = reorient_module(reflection_functor(module, vertex).module, flips)
             before = reflection_functor(reorient_module(module, flips), vertex).module
-            assert after.canonical_key() == before.canonical_key(), (name, vertex)
+            assert canonical_key(after) == canonical_key(before), (name, vertex)
             assert after.params == before.params, (name, vertex)
             checked += 1
     assert checked >= 10
@@ -351,7 +390,7 @@ def _sigma_adjacent_reference(calc, j, d, m):
         moved = {g(p): r for p, r in zip(d, xi)}
         k2 = tgt.index_of(tuple(moved[p] for p in d2))
         bb.add_block(tgt.offsets[k2], src.offsets[k],
-                     calc.module.sn_matrix(m, src.t_tuples[k]))
+                     sn_matrix(calc.module, m, src.t_tuples[k]))
     return bb.build()
 
 

@@ -12,7 +12,7 @@ from wreathq.symmetric import (
     standard_tableaux, young_cosets,
 )
 
-from reference import all_perms, central_sum_invertible
+from reference import all_perms, as_fraction, central_sum_invertible
 
 
 def hook_count(parts):
@@ -194,7 +194,7 @@ def brute_induced_character(n, sizes, block_reps, g):
             for block, rep in zip(blocks, block_reps):
                 base = block[0]
                 part = Perm(tuple(y(base + t) - base + 1 for t in range(len(block))))
-                val *= rep.matrix_of(part).trace().as_fraction()
+                val *= as_fraction(rep.matrix_of(part).trace())
             total += val
     return total / subgroup_size
 
