@@ -9,7 +9,6 @@ numbers are printed in the scalar grammar.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .cyclotomic import format_scalar
@@ -133,10 +132,7 @@ def cmd_induce(args) -> int:
     if args.blocks.startswith("@"):
         doc = io.load_json(args.blocks[1:])
     else:
-        try:
-            doc = json.loads(args.blocks)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise FormatError(f"bad --blocks JSON: {exc}") from exc
+        doc = io.parse_json(args.blocks, "bad --blocks JSON")
     blocks = io.parse_induce_request(doc, quiver)
     module = build_induced_zero_e(params, blocks)
     _print_dims(module, "induced module dimensions:")

@@ -6,8 +6,8 @@ places the subsets of size r in degree r, twisted by the determinant
 line of the subset: inserting p into an ascending basis contributes the
 sign (-1)^(number of larger elements already present).  Its d^2 = 0
 holds exactly when every square commutes, and ``complex_from_cube``, the
-one path from a cube to its complex, checks that on the squares: by
-``Cube.validate``, or for a module cube by the certificate it carries.
+one path from a cube to its complex, checks that on the squares, or
+for a module cube takes the certificate it carries.
 For a module and a reflection vertex, the cube of a tuple j has the
 auxiliary spaces V(j, Delta(j) minus J) with the pi maps as structure
 maps; degree-zero cohomology recovers the reflection functor.  Its
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .cyclotomic import Scalar
 from .errors import FormatError
@@ -30,73 +30,23 @@ from .reflection import SinkCalculus, candidate_tuples
 from .symmetric import Perm, partitions
 
 
+@dataclass(frozen=True)
 class Cube:
-    """A cube: dims per subset, maps per (subset, new element).
+    """A cube over an ascending index set ``delta``, as a plain record.
 
-    Subsets may be given in any order.  A repeated or unknown index, a
-    negative dimension, or a map of the wrong shape or cyclotomic order or
-    to an index outside delta or already in its subset raises
-    ``FormatError``; an absent space or map is zero.  Whether the squares
-    commute is left to ``validate``.  Instances are treated as immutable:
-    a cube from ``module_cube`` carries the passed ``verify_relations``
-    report of its module, and a changed map would no longer be covered by
-    it.
+    ``spaces`` maps an ascending subset tuple to its dimension and ``maps``
+    maps (subset, p), p not in the subset, to the structure map into the
+    subset with p inserted; an absent space or map is zero.  Nothing is
+    normalised or re-checked: ``module_cube`` builds its cubes correct by
+    construction.  ``certificate`` is the passed ``verify_relations``
+    report of a module cube, which stands in for the squares, or None.
     """
 
-    _certificate: Optional[VerifyReport] = None    # set by module_cube
-
-    def __init__(self, delta: Sequence, spaces: dict, maps: dict, order: int = 1):
-        self.delta = tuple(delta)
-        if len(set(self.delta)) != len(self.delta):
-            raise FormatError("cube index set has repeats")
-        self.order = order
-        self.spaces = dict.fromkeys(_subsets(self.delta), 0)
-        for subset, d in spaces.items():
-            subset, d = self._subset(subset), int(d)
-            if d < 0:
-                raise FormatError(f"space {subset} has negative dimension {d}")
-            self.spaces[subset] = d
-        self.maps = {}
-        for (subset, p), m in maps.items():
-            subset = self._subset(subset)
-            if p not in self.delta or p in subset:
-                raise FormatError(f"map at ({subset}, {p}) adds no new index")
-            if (m.rows, m.cols) != (self.spaces[self._insert(subset, p)], self.spaces[subset]):
-                raise FormatError(f"map at ({subset}, {p}) has the wrong shape")
-            if m.order != order:
-                raise FormatError(f"map at ({subset}, {p}) has the wrong cyclotomic order")
-            self.maps[(subset, p)] = m
-
-    def _subset(self, subset) -> tuple:
-        """``subset`` in the order of delta, refused with a repeat or an unknown index."""
-        subset = tuple(subset)
-        if len(set(subset)) != len(subset) or not set(subset) <= set(self.delta):
-            raise FormatError(f"cube key {subset} is not a subset of {self.delta}")
-        return tuple(sorted(subset, key=self._rank))
-
-    def _rank(self, x):
-        return self.delta.index(x)
-
-    def _insert(self, subset: tuple, p) -> tuple:
-        return tuple(sorted(subset + (p,), key=self._rank))
-
-    def map(self, subset: tuple, p) -> Mat:
-        subset = tuple(sorted(subset, key=self._rank))
-        got = self.maps.get((subset, p))
-        if got is not None:
-            return got
-        tgt = self._insert(subset, p)
-        return Mat.zeros(self.spaces[tgt], self.spaces[subset], self.order)
-
-    def validate(self) -> None:
-        """Exact commutativity of every square."""
-        for subset in _subsets(self.delta):
-            rest = [p for p in self.delta if p not in subset]
-            for p, q in itertools.combinations(rest, 2):
-                lhs = self.map(self._insert(subset, p), q) @ self.map(subset, p)
-                rhs = self.map(self._insert(subset, q), p) @ self.map(subset, q)
-                if lhs != rhs:
-                    raise FormatError(f"cube square at {subset} with {p}, {q} does not commute")
+    delta: tuple
+    spaces: dict
+    maps: dict
+    order: int = 1
+    certificate: Optional[VerifyReport] = None
 
 
 def _subsets(delta: tuple):
@@ -104,10 +54,25 @@ def _subsets(delta: tuple):
         yield from itertools.combinations(delta, k)
 
 
+def _path(cube: Cube, subset: tuple, p, q) -> Optional[Mat]:
+    """The map from ``subset`` to its union with p and q through p, or None if it is zero."""
+    first = cube.maps.get((subset, p))
+    second = cube.maps.get((tuple(sorted((*subset, p))), q))
+    return None if first is None or second is None else (second @ first) or None
+
+
+def _validate(cube: Cube) -> None:
+    """Exact commutativity of every square."""
+    for subset in _subsets(cube.delta):
+        rest = [p for p in cube.delta if p not in subset]
+        for p, q in itertools.combinations(rest, 2):
+            if _path(cube, subset, p, q) != _path(cube, subset, q, p):
+                raise FormatError(f"cube square at {subset} with {p}, {q} does not commute")
+
+
 @dataclass(frozen=True)
 class ComplexTerm:
     subsets: tuple          # the size-r subsets in canonical order
-    dims: tuple[int, ...]
     offsets: tuple[int, ...]
     total: int
 
@@ -122,7 +87,6 @@ class ChainComplex:
 
     terms: list[ComplexTerm]
     diffs: list[Mat]
-    order: int
 
     def dims(self) -> list[int]:
         return [t.total for t in self.terms]
@@ -135,49 +99,39 @@ def complex_from_cube(cube: Cube) -> ChainComplex:
     the two paths round the square at J, up to sign, so d^2 = 0 holds
     exactly when every square commutes.  A cube from ``module_cube`` of a
     module that passed ``verify_relations`` carries the report, which
-    stands in for the squares.  Any other cube is checked by
-    ``Cube.validate`` before assembly, whose ``FormatError`` names the
-    first square that does not commute.
+    stands in for the squares.  Any other cube has its squares checked
+    before assembly, and the ``FormatError`` names the first square that
+    does not commute.  An absent map is a zero block, and is skipped.
     """
-    if cube._certificate is None:
-        cube.validate()
-    order = cube.order
+    if cube.certificate is None:
+        _validate(cube)
     terms = []
     for r in range(len(cube.delta) + 1):
-        subsets = list(itertools.combinations(cube.delta, r))
-        dims = [cube.spaces[s] for s in subsets]
+        subsets = tuple(itertools.combinations(cube.delta, r))
         offsets = []
         total = 0
-        for d in dims:
+        for s in subsets:
             offsets.append(total)
-            total += d
-        terms.append(ComplexTerm(tuple(subsets), tuple(dims), tuple(offsets), total))
+            total += cube.spaces.get(s, 0)
+        terms.append(ComplexTerm(subsets, tuple(offsets), total))
     diffs = []
     for src, tgt in itertools.pairwise(terms):
         tgt_index = {s: k for k, s in enumerate(tgt.subsets)}
-        bb = BlockBuilder(tgt.total, src.total, order)
+        bb = BlockBuilder(tgt.total, src.total, cube.order)
         for k, subset in enumerate(src.subsets):
             for p in cube.delta:
-                if p in subset:
-                    continue
-                block = cube.map(subset, p)
+                block = cube.maps.get((subset, p))
                 if not block:
                     continue
-                bigger = cube._insert(subset, p)
-                sign = sum(1 for q in subset if cube._rank(q) > cube._rank(p))
-                if sign % 2:
+                if sum(q > p for q in subset) % 2:
                     block = -block
-                bb.add_block(tgt.offsets[tgt_index[bigger]], src.offsets[k], block)
+                bigger = tgt_index[tuple(sorted((*subset, p)))]
+                bb.add_block(tgt.offsets[bigger], src.offsets[k], block)
         diffs.append(bb.build())
-    return ChainComplex(terms, diffs, order)
+    return ChainComplex(terms, diffs)
 
 
-@dataclass(frozen=True)
-class CohomologyData:
-    dims: tuple[int, ...]
-
-
-def cohomology(cx: ChainComplex) -> CohomologyData:
+def cohomology(cx: ChainComplex) -> tuple[int, ...]:
     """dim H^r = dim C^r - rank d_r - rank d_{r-1}, with certified ranks.
 
     Each rank comes from ``rank_mod_p`` where it can be certified, without
@@ -198,21 +152,12 @@ def cohomology(cx: ChainComplex) -> CohomologyData:
         if got is None or got + ranks[r + 1] != dims[r + 1]:
             got = rank(d)
         ranks[r] = got
-    return CohomologyData(tuple(dims[r] - ranks[r] - (ranks[r - 1] if r else 0)
-                                for r in range(len(dims))))
+    return tuple(dims[r] - ranks[r] - (ranks[r - 1] if r else 0) for r in range(len(dims)))
 
 
 # ---------------------------------------------------------------------------
 # The module cube of a reflection vertex
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ModuleCubes:
-    """One commutative cube per candidate tuple, with the calculus that built it."""
-
-    calculus: SinkCalculus
-    cubes: dict          # tuple -> Cube
-
 
 def _levels(delta: tuple):
     """(J, Delta - J) for every subset J of Delta, in cube order."""
@@ -220,8 +165,8 @@ def _levels(delta: tuple):
         yield subset, tuple(p for p in delta if p not in subset)
 
 
-def module_cube(module: WreathModule, vertex: str) -> ModuleCubes:
-    """Z_j(J) = V(j, Delta(j) - J) with the pi maps as structure maps.
+def module_cube(module: WreathModule, vertex: str) -> dict:
+    """{j: Z_j} over the candidate tuples, Z_j(J) = V(j, Delta(j) - J) with the pi maps.
 
     Each cube carries ``verify_relations(module)`` when it passed, as the
     certificate of d^2 = 0, and None otherwise.  The block of d^2 from
@@ -244,9 +189,8 @@ def module_cube(module: WreathModule, vertex: str) -> ModuleCubes:
             spaces[subset] = calc.space(j, level).total
             for p in level:
                 maps[(subset, p)] = calc.pi(j, level, p)
-        cubes[j] = Cube(delta, spaces, maps, module.order)
-        cubes[j]._certificate = certificate
-    return ModuleCubes(calc, cubes)
+        cubes[j] = Cube(delta, spaces, maps, module.order, certificate)
+    return cubes
 
 
 def module_cohomology(module: WreathModule, vertex: str) -> dict:
@@ -257,8 +201,8 @@ def module_cohomology(module: WreathModule, vertex: str) -> dict:
     ``complex_from_cube`` walks the squares of each cube, and its
     ``FormatError`` names the first one that does not commute.
     """
-    return {j: cohomology(complex_from_cube(cube)).dims
-            for j, cube in module_cube(module, vertex).cubes.items()}
+    return {j: cohomology(complex_from_cube(cube))
+            for j, cube in module_cube(module, vertex).items()}
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ Orders above ``MAX_CYCLOTOMIC_ORDER`` are refused with
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -117,6 +118,14 @@ def _reduced(num, den: int, order: int) -> "Scalar":
             num = [x // g for x in num]
             den //= g
     return _mk(tuple(num), den, order)
+
+
+def _rational_inverse(x: "Scalar") -> "Scalar":
+    """1/x for a nonzero rational x: its one numerator and its denominator swap."""
+    n, den = x.num[0], x.den
+    if n < 0:
+        n, den = -n, -den
+    return _mk((den,) + x.num[1:], n, x.order)
 
 
 def _mismatch(a: int, b: int) -> OrderMismatchError:
@@ -288,12 +297,9 @@ class Scalar:
     def inverse(self) -> "Scalar":
         if not self:
             raise ZeroDivisionError("scalar is zero")
-        num, den = self.num, self.den
         if self.is_rational():
-            n = num[0]
-            if n < 0:
-                n, den = -n, -den
-            return _mk((den,) + num[1:], n, self.order)
+            return _rational_inverse(self)
+        num, den = self.num, self.den
         # x^-1 = y / N(x) with y = prod_{k != 1} sigma_k(x), N(x) = x * y
         m = self.order
         rows = _power_table(m)
@@ -314,7 +320,7 @@ class Scalar:
         norm = self * y
         if not norm.is_rational():
             raise AssertionError("the Galois norm of a cyclotomic scalar must be rational")
-        return y * norm.inverse()
+        return y * _rational_inverse(norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -404,19 +410,24 @@ def parse_scalar(text: str, order: int = 1) -> Scalar:
         if sign is None and not first:
             raise FormatError(f"missing '+'/'-' before {s[pos:]!r} in {text!r}")
         neg = sign == "-"
-        if m.group("coef") is not None:
-            try:
+        try:
+            if m.group("coef") is not None:
                 coef = Fraction(m.group("coef").replace(" ", ""))
-            except ZeroDivisionError as exc:
-                raise FormatError(f"zero denominator in {text!r}") from exc
-            k = m.group("k1")
-            if k is None and "*" in s[pos:m.end()]:
-                k = "1"
-            power = int(k) if k is not None else 0
-        else:
-            coef = 1
-            k = m.group("k2")
-            power = int(k) if k is not None else 1
+                k = m.group("k1")
+                if k is None and "*" in s[pos:m.end()]:
+                    k = "1"
+                power = int(k) if k is not None else 0
+            else:
+                coef = 1
+                k = m.group("k2")
+                power = int(k) if k is not None else 1
+        except ZeroDivisionError as exc:
+            raise FormatError(f"zero denominator in {text!r}") from exc
+        except ValueError as exc:
+            # the digits match the grammar, so int() refused them by
+            # Python's limit on integer string conversion
+            raise FormatError(f"a number in a scalar has more than "
+                              f"{sys.get_int_max_str_digits()} digits") from exc
         if power and order == 1:
             raise FormatError("'z' is not available at cyclotomic order 1")
         term = Scalar.rational(coef, order)

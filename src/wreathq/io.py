@@ -8,9 +8,10 @@ trips are byte-stable.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any
 
-from .cyclotomic import MAX_CYCLOTOMIC_ORDER, format_scalar, parse_scalar
+from .cyclotomic import MAX_CYCLOTOMIC_ORDER, Scalar, format_scalar, parse_scalar
 from .errors import FormatError, ResourceLimitError
 from .linalg import Mat
 from .modules import Params, WreathModule
@@ -75,13 +76,33 @@ def _names(value: Any, what: str) -> tuple[str, ...]:
     return tuple(_name(v, f"{what} entry") for v in _list(value, what))
 
 
+def _scalar(value: Any, order: int, what: str) -> Scalar:
+    """A scalar field: a JSON string in the scalar grammar.  A number or a
+    boolean is refused, not coerced to its text."""
+    _require(isinstance(value, str), f"{what} must be a scalar (a string), got {value!r}")
+    return parse_scalar(value, order)
+
+
+def parse_json(text: str, where: str) -> Any:
+    """The JSON document in ``text``; ``where`` begins the message of a refusal."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: the decoder's limit on nesting depth
+        raise FormatError(f"{where}: {exc}") from exc
+    except ValueError as exc:
+        # int() refuses a literal longer than Python's limit on integer string conversion
+        raise FormatError(f"{where}: an integer has more than "
+                          f"{sys.get_int_max_str_digits()} digits") from exc
+
+
 def load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: the decoder's limit on nesting depth
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
+    return parse_json(text, f"cannot read {path}")
 
 
 def dump_json(path: str, payload: Any) -> None:
@@ -113,7 +134,7 @@ def parse_weight(doc: Any, quiver: Quiver, order: int) -> Weight:
     out = {}
     for v, text in doc.items():
         _require(quiver.has_vertex(v), f"weight names unknown vertex {v!r}")
-        out[v] = parse_scalar(str(text), order)
+        out[v] = _scalar(text, order, f"weight at {v!r}")
     return Weight(out, order)
 
 
@@ -127,7 +148,7 @@ def parse_params(doc: Any, quiver: Quiver) -> Params:
     order = _cyclotomic_order(doc.get("cyclotomic_order", 1))
     n = _int(doc["n"], "n")
     weight = parse_weight(doc["lambda"], quiver, order)
-    nu = parse_scalar(str(doc["nu"]), order)
+    nu = _scalar(doc["nu"], order, "nu")
     return Params(quiver, n, weight, nu)
 
 
@@ -148,7 +169,7 @@ def parse_matrix(doc: Any, cols: int, order: int, where: str) -> Mat:
              f"{where}: matrix must be a list of rows")
     cols = len(doc[0]) if doc else cols
     _require(all(len(row) == cols for row in doc), f"{where}: rows of unequal length")
-    data = [parse_scalar(str(entry), order) for row in doc for entry in row]
+    data = [_scalar(entry, order, f"{where}: matrix entry") for row in doc for entry in row]
     return Mat(len(doc), cols, data, order)
 
 
@@ -246,7 +267,7 @@ def parse_gamma(doc: Any) -> GammaData:
         row = {}
         for e in elements:
             _require(e in row_doc, f"missing table entry ({v}, {e})")
-            row[e] = parse_scalar(str(row_doc[e]), scalar_order)
+            row[e] = _scalar(row_doc[e], scalar_order, f"table entry ({v}, {e})")
         table[v] = row
     return GammaData(order, elements, vertices, table, dims, scalar_order)
 
@@ -254,9 +275,9 @@ def parse_gamma(doc: Any) -> GammaData:
 def parse_sra(doc: Any, gamma: GammaData) -> SRAParams:
     _require(isinstance(doc, dict) and {"t", "k"} <= set(doc), "sra needs t and k")
     order = gamma.scalar_order
-    t = parse_scalar(str(doc["t"]), order)
-    k = parse_scalar(str(doc["k"]), order)
-    c = {str(e): parse_scalar(str(x), order) for e, x in _object(doc.get("c", {}), "c").items()}
+    t = _scalar(doc["t"], order, "t")
+    k = _scalar(doc["k"], order, "k")
+    c = {e: _scalar(x, order, f"c at {e!r}") for e, x in _object(doc.get("c", {}), "c").items()}
     return SRAParams(t, k, c)
 
 
@@ -269,7 +290,7 @@ def parse_conditions_request(doc: Any, quiver: Quiver):
     order = _cyclotomic_order(doc.get("cyclotomic_order", 1))
     lam0 = parse_weight(doc["lambda0"], quiver, order)
     lam = parse_weight(doc["lambda"], quiver, order)
-    nu = parse_scalar(str(doc["nu"]), order)
+    nu = _scalar(doc["nu"], order, "nu")
     word = list(_names(doc.get("word", []), "word"))
     blocks = []
     for item in _list(doc["blocks"], "blocks"):

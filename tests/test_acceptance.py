@@ -523,8 +523,8 @@ def test_criterion_10_cube_algebra():
         dim = rng.choice([2, 3, 4])
         cube = _idempotent_cube(rng, m, dim)
         cx = complex_from_cube(cube)   # d^2 = 0 is asserted on construction
-        data = cohomology(cx)
-        assert all(d == 0 for d in data.dims[1:]), (seed, data.dims)
+        dims = cohomology(cx)
+        assert all(d == 0 for d in dims[1:]), (seed, dims)
         for q in cube.delta:
             z0, z1, connecting = cone_faces(cube, q)
             cx0, cx1 = complex_from_cube(z0), complex_from_cube(z1)

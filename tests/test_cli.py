@@ -498,6 +498,17 @@ MALFORMED = [
     # group element and table vertex names are JSON strings too
     ("translate", _with(TABLE_GAMMA, ["vertices"], [0]), 2),
     ("translate", {**TABLE_GAMMA, "elements": [0], "table": {"0": {"0": "1"}}}, 2),
+    # literals past Python's limit on integer string conversion: a scalar coefficient,
+    # a z^k exponent, a JSON integer in a file, and one in inline --blocks
+    ("verify", _with(S1_MODULE, ["params", "lambda", "0"], "1" * 5001), 2),
+    ("verify", _with(S1_MODULE, ["params"], {**S1_MODULE["params"], "cyclotomic_order": 3,
+                                             "lambda": {"0": "z^" + "1" * 5001, "1": "0"}}), 2),
+    ("verify", json.dumps(S1_MODULE).replace('"n": 1', '"n": ' + "1" * 5001).encode(), 2),
+    ("blocks", '[{"diagram": [' + "1" * 5001 + '], "vertex": "1"}]', 2),
+    # scalars are JSON strings: a number or a boolean is refused, not coerced to its text
+    ("verify", _with(S1_MODULE, ["params", "lambda", "0"], 1), 2),
+    ("verify", _with(S1_MODULE, ["params", "nu"], True), 2),
+    ("verify", _with(SN_MODULE, ["sn_actions", 0, "matrix"], [[1]]), 2),
 ]
 
 
@@ -557,6 +568,28 @@ def test_an_edge_name_that_is_a_number_is_refused(capsys, tmp_path):
     mp.write_text(json.dumps(module))
     code, out, _ = run(capsys, "verify", "--quiver", str(qp), "--module", str(mp))
     assert code == 0 and out.startswith("ok")
+
+
+def test_scalars_are_strings_and_over_long_literals_name_the_limit(files, capsys, tmp_path):
+    _, qp, _ = files
+    mp = tmp_path / "module.json"
+    limit = sys.get_int_max_str_digits()
+    cases = [
+        (_with(S1_MODULE, ["params", "lambda", "0"], 1),
+         "error: weight at '0' must be a scalar (a string), got 1"),
+        (_with(S1_MODULE, ["params", "nu"], True),
+         "error: nu must be a scalar (a string), got True"),
+        (_with(SN_MODULE, ["sn_actions", 0, "matrix"], [[1]]),
+         "error: sn action (1, 1,1): matrix entry must be a scalar (a string), got 1"),
+        (_with(S1_MODULE, ["params", "lambda", "0"], "1" * 5001),
+         f"error: a number in a scalar has more than {limit} digits"),
+        (json.dumps(S1_MODULE).replace('"n": 1', '"n": ' + "1" * 5001),
+         f"error: cannot read {mp}: an integer has more than {limit} digits"),
+    ]
+    for doc, message in cases:
+        mp.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--quiver", qp, "--module", str(mp))
+        assert (code, out, err.splitlines()) == (2, "", [message])
 
 
 def test_huge_cyclotomic_order_is_refused_at_once(files, capsys, tmp_path):

@@ -24,8 +24,7 @@ from reference import build_outer_tensor, edge_matrix, module_character
 
 def test_one_edge_isomorphism_cube():
     cube = Cube((1,), {(): 1, (1,): 1}, {((), 1): Mat.identity(1)})
-    data = cohomology(complex_from_cube(cube))
-    assert data.dims == (0, 0)
+    assert cohomology(complex_from_cube(cube)) == (0, 0)
 
 
 def test_square_all_identity():
@@ -34,13 +33,13 @@ def test_square_all_identity():
             ((1,), 2): Mat.identity(1), ((2,), 1): Mat.identity(1)}
     cx = complex_from_cube(Cube((1, 2), spaces, maps))
     assert cx.dims() == [1, 2, 1]
-    assert cohomology(cx).dims == (0, 0, 0)
+    assert cohomology(cx) == (0, 0, 0)
 
 
 def test_zero_maps_give_binomial_cohomology():
     spaces = {(): 2, (1,): 2, (2,): 2, (1, 2): 2}
     cx = complex_from_cube(Cube((1, 2), spaces, {}))
-    assert cohomology(cx).dims == (2, 4, 2)
+    assert cohomology(cx) == (2, 4, 2)
 
 
 def test_non_commuting_cube_rejected():
@@ -112,25 +111,25 @@ def _face(cube, q, side):
     maps = {}
     for k in range(len(small) + 1):
         for subset in itertools.combinations(small, k):
-            big = subset if side == 0 else cube._insert(subset, q)
+            big = subset if side == 0 else tuple(sorted(subset + (q,)))
             spaces[subset] = cube.spaces[big]
             for p in small:
                 if p not in subset:
-                    maps[(subset, p)] = cube.map(big, p)
+                    maps[(subset, p)] = cube.maps[(big, p)]
     return Cube(small, spaces, maps, cube.order)
 
 
 def cone_faces(cube, q):
     """The two faces in direction q and the connecting maps between them."""
     z0, z1 = _face(cube, q, 0), _face(cube, q, 1)
-    return z0, z1, {subset: cube.map(subset, q) for subset in z0.spaces}
+    return z0, z1, {subset: cube.maps[(subset, q)] for subset in z0.spaces}
 
 
 @pytest.mark.parametrize("m,dim,seed", [(1, 3, 1), (2, 3, 2), (2, 4, 3), (3, 4, 4)])
 def test_idempotent_cube_has_no_higher_cohomology(m, dim, seed):
     cube = _idempotent_cube(random.Random(seed), m, dim)
-    data = cohomology(complex_from_cube(cube))
-    assert all(d == 0 for d in data.dims[1:]), data.dims
+    dims = cohomology(complex_from_cube(cube))
+    assert all(d == 0 for d in dims[1:]), dims
 
 
 def test_idempotent_cube_diagonal_example():
@@ -138,8 +137,7 @@ def test_idempotent_cube_diagonal_example():
     spaces = {(): 2, (1,): 1, (2,): 1, (1, 2): 0}
     maps = {((), 1): mat([[1, 0]]), ((), 2): mat([[0, 1]]),
             ((1,), 2): Mat.zeros(0, 1), ((2,), 1): Mat.zeros(0, 1)}
-    data = cohomology(complex_from_cube(Cube((1, 2), spaces, maps)))
-    assert data.dims == (0, 0, 0)
+    assert cohomology(complex_from_cube(Cube((1, 2), spaces, maps))) == (0, 0, 0)
 
 
 def test_cone_termwise_exactness():
@@ -163,9 +161,9 @@ def test_cone_termwise_exactness():
 def test_module_cube_s1(ahat1):
     v = simple_at(ahat1, "1", {"0": 1, "1": 0})
     mc = module_cube(v, "0")
-    cube = mc.cubes[("0",)]
+    cube = mc[("0",)]
     assert cube.spaces[()] == 2 and cube.spaces[(1,)] == 0
-    assert mc.cubes[("1",)].spaces[()] == 1
+    assert mc[("1",)].spaces[()] == 1
 
 
 def test_module_cube_interior_tuple(ahat1):
@@ -217,8 +215,7 @@ def test_euler_zero_module(ahat1):
 def test_empty_index_cube_is_degree_zero():
     # a cube over the empty index set is a single space in degree 0
     cube = Cube((), {(): 3}, {})
-    data = cohomology(complex_from_cube(cube))
-    assert data.dims == (3,)
+    assert cohomology(complex_from_cube(cube)) == (3,)
 
 
 def test_euler_equals_alternating_cohomology_at_nonzero_nu(ahat1):
@@ -256,9 +253,9 @@ def test_cohomology_matches_exact_ranks_on_the_corpus(corpus):
     checked = 0
     for name, module in corpus:
         for vertex in module.params.quiver.vertices:
-            for j, cube in module_cube(module, vertex).cubes.items():
+            for j, cube in module_cube(module, vertex).items():
                 cx = complex_from_cube(cube)
-                assert cohomology(cx).dims == _exact_dims(cx), (name, vertex, j)
+                assert cohomology(cx) == _exact_dims(cx), (name, vertex, j)
                 checked += 1
     assert checked > 50
 
@@ -270,7 +267,7 @@ CUBE_PROPS = settings(max_examples=25, deadline=None)
 @given(st.sampled_from((1, 3, 4)), st.integers(1, 3), st.integers(1, 4), st.integers(0, 10 ** 6))
 def test_cohomology_matches_exact_ranks_on_idempotent_cubes(order, m, dim, seed):
     cx = complex_from_cube(_idempotent_cube(random.Random(seed), m, dim, order))
-    dims = cohomology(cx).dims
+    dims = cohomology(cx)
     assert dims == _exact_dims(cx)
     assert not any(dims[1:])
 
@@ -283,7 +280,7 @@ def test_cohomology_matches_exact_ranks_on_zero_map_cubes(order, sizes):
     delta = tuple(range(1, len(sizes).bit_length()))
     subsets = [s for k in range(len(delta) + 1) for s in itertools.combinations(delta, k)]
     cx = complex_from_cube(Cube(delta, dict(zip(subsets, sizes)), {}, order))
-    assert cohomology(cx).dims == _exact_dims(cx) == tuple(cx.dims())
+    assert cohomology(cx) == _exact_dims(cx) == tuple(cx.dims())
 
 
 @pytest.mark.parametrize("order", (1, 3))
@@ -293,9 +290,9 @@ def test_unlucky_prime_falls_back_to_exact_ranks(order, monkeypatch):
     # an entry that vanishes mod p, and one with no image mod p
     for entry in (p, Fraction(1, p)):
         cube = Cube((1,), {(): 1, (1,): 1}, {((), 1): Mat.from_rows([[entry]], order)}, order)
-        assert cohomology(complex_from_cube(cube)).dims == (0, 0)
+        assert cohomology(complex_from_cube(cube)) == (0, 0)
     zero = Cube((1, 2), {(): 2, (1,): 2, (2,): 2, (1, 2): 2}, {}, order)
-    assert cohomology(complex_from_cube(zero)).dims == (2, 4, 2)
+    assert cohomology(complex_from_cube(zero)) == (2, 4, 2)
     assert calls == [(1, 1), (1, 1), (2, 4), (4, 2)]
 
 
@@ -303,7 +300,7 @@ def test_a_certified_degree_keeps_its_mod_p_rank(monkeypatch):
     # d_1 (0 x 2) is certified, so only d_0 (2 x 1) is ranked exactly
     calls = _counting_rank(monkeypatch)
     cube = Cube((1, 2), {(): 1, (1,): 1, (2,): 1, (1, 2): 0}, {})
-    assert cohomology(complex_from_cube(cube)).dims == (1, 2, 0)
+    assert cohomology(complex_from_cube(cube)) == (1, 2, 0)
     assert calls == [(2, 1)]
 
 
@@ -315,9 +312,9 @@ def test_non_generic_cubes_rank_exactly_only_the_uncertified_degrees(monkeypatch
     v = build_induced_zero_e(params, [(YoungDiagram([2, 2]), "1")])
     f = reflection_functor(v, "0").module
     assert sum(f.support.values()) == 162 and verify_relations(f).passed
-    complexes = [complex_from_cube(cube) for cube in module_cube(f, "0").cubes.values()]
+    complexes = [complex_from_cube(cube) for cube in module_cube(f, "0").values()]
     calls = _counting_rank(monkeypatch)
-    got = [cohomology(cx).dims for cx in complexes]
+    got = [cohomology(cx) for cx in complexes]
     assert len(calls) == 22
     assert got == [_exact_dims(cx) for cx in complexes]
     assert tuple(map(sum, itertools.zip_longest(*got, fillvalue=0))) == (2, 79, 79, 0, 0)
@@ -332,28 +329,12 @@ def test_chain_complex_refuses_a_nonzero_square():
         complex_from_cube(Cube((1, 2), spaces, maps))
 
 
-def test_cube_refuses_a_repeated_index_and_a_wrong_shaped_map():
-    spaces = {(): 1, (1,): 2}
-    with pytest.raises(FormatError, match="repeats"):
-        Cube((1, 1), spaces, {})
-    with pytest.raises(FormatError, match=r"map at \(\(\), 1\) has the wrong shape"):
-        Cube((1,), spaces, {((), 1): Mat.identity(1)})
-    Cube((1,), spaces, {((), 1): Mat.zeros(2, 1)})
-    with pytest.raises(FormatError, match="wrong cyclotomic order"):
-        Cube((1,), {(): 1, (1,): 1}, {((), 1): Mat.identity(1, 3)}, 1)
-    with pytest.raises(FormatError, match="negative dimension"):
-        Cube((1,), {(): -1, (1,): 1}, {})
-    # space keys are normalised like map keys, and refused outside delta
-    assert Cube((1, 2), {(2, 1): 3}, {}).spaces[(1, 2)] == 3
-    for key in ((1, 1), (3,), (1, 3)):
-        with pytest.raises(FormatError, match="not a subset"):
-            Cube((1, 2), {key: 1}, {})
-        with pytest.raises(FormatError, match="not a subset"):
-            Cube((1, 2), {}, {(key, 2): Mat.zeros(0, 0)})
-    # a map must add an index of delta that is not yet in its subset
-    for key in (((), 5), ((1,), 1)):
-        with pytest.raises(FormatError, match="adds no new index"):
-            Cube((1,), {}, {key: Mat.zeros(0, 0)})
+def test_an_absent_space_or_map_reads_as_zero():
+    # (1, 2) is omitted from spaces and ((2,), 1) from maps: a zero space and a zero map
+    one = Mat.identity(1)
+    cx = complex_from_cube(Cube((1, 2), {(): 1, (1,): 1, (2,): 1}, {((), 1): one, ((), 2): one}))
+    assert cx.dims() == [1, 2, 0]
+    assert cohomology(cx) == _exact_dims(cx) == (0, 1, 0)
 
 
 def test_every_candidate_tuple_has_a_nonzero_level(corpus, kronecker_f0v):
@@ -429,19 +410,18 @@ def _relation_ii_walk(calc):
 
 def _products_vanish(cube):
     """Whether every exact d_{r+1} d_r of the cube's complex is zero.  The complex
-    is assembled with ``Cube.validate`` patched out, so the products also check
+    is assembled with its square check patched out, so the products also check
     the signs of the assembly, independently of the squares."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Cube, "validate", lambda self: None)
+        patch.setattr(cubes, "_validate", lambda cube: None)
         cx = complex_from_cube(cube)
     return not any(b @ a for a, b in itertools.pairwise(cx.diffs))
 
 
 def _certificate_and_products(module, vertex):
     """(reference walk holds, every exact d_{r+1} d_r of every module cube is zero)."""
-    mc = module_cube(module, vertex)
-    certified = _relation_ii_walk(mc.calculus)
-    vanish = all(_products_vanish(cube) for cube in mc.cubes.values())
+    certified = _relation_ii_walk(SinkCalculus(module, vertex))
+    vanish = all(_products_vanish(cube) for cube in module_cube(module, vertex).values())
     return certified, vanish
 
 
@@ -457,7 +437,7 @@ def sink_forms(corpus):
     out = []
     for _, module in corpus:
         for vertex in module.params.quiver.vertices:
-            calc = module_cube(module, vertex).calculus
+            calc = SinkCalculus(module, vertex)
             into = {e.name for e in calc.R}
             keys = sorted(k for k in calc.module.edge_actions if k[0] in into)
             if keys:
@@ -533,15 +513,14 @@ def test_a_passed_report_certifies_the_module_cubes(at_vertex, data):
     else:
         row, col = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
         module = _perturbed(module, key, row, col, data.draw(st.sampled_from((-2, -1, 1, 2))))
-    mc = module_cube(module, vertex)
+    made = list(module_cube(module, vertex).values())
     report = verify_relations(module)
-    made = list(mc.cubes.values())
     if report.passed:
-        assert _relation_ii_walk(mc.calculus)
-        assert all(c._certificate is report for c in made)
+        assert _relation_ii_walk(SinkCalculus(module, vertex))
+        assert all(c.certificate is report for c in made)
         assert all(_products_vanish(c) for c in made)
     else:
-        assert all(c._certificate is None for c in made)
+        assert all(c.certificate is None for c in made)
 
 
 def test_module_cohomology_multiplies_only_stored_edge_actions(kronecker_f0v, monkeypatch):
@@ -572,7 +551,7 @@ def test_a_module_failing_relation_i_only_is_not_certified(kronecker_f0v):
     report = verify_relations(shifted)
     assert not report.structural and report.failures
     assert {f.relation for f in report.failures} == {"i"}
-    assert all(c._certificate is None for c in module_cube(shifted, "0").cubes.values())
+    assert all(c.certificate is None for c in module_cube(shifted, "0").values())
     assert module_cohomology(shifted, "0") == module_cohomology(kronecker_f0v, "0")
 
 
@@ -590,17 +569,17 @@ def test_module_cohomology_assembles_each_cube_once(corpus, monkeypatch):
                                 lambda cube: calls.append(cube) or assemble(cube))
             coh = module_cohomology(module, vertex)
             monkeypatch.undo()
-            made = list(seen["cubes"].cubes.values())
+            made = list(seen["cubes"].values())
             assert [id(c) for c in calls] == [id(c) for c in made], (name, vertex)
             assert len(coh) == len(made)
-            assert all(c._certificate is not None for c in made), (name, vertex)
+            assert all(c.certificate is not None for c in made), (name, vertex)
 
 
 def test_euler_traces_agree_with_the_assembled_action(corpus):
     checked = 0
     for name, module in corpus:
         for vertex in module.params.quiver.vertices:
-            calc = module_cube(module, vertex).calculus
+            calc = SinkCalculus(module, vertex)
             for j in candidate_tuples(calc):
                 for subset, level in cubes._levels(calc.delta(j)):
                     for img in itertools.permutations(range(1, module.n + 1)):
@@ -615,7 +594,7 @@ def test_euler_traces_agree_with_the_assembled_action(corpus):
 
 
 def test_sigma_trace_refuses_a_moved_level(ahat1):
-    calc = module_cube(_outer_square(ahat1), "0").calculus
+    calc = SinkCalculus(_outer_square(ahat1), "0")
     swap = Perm.transposition(1, 2, 2)
     assert calc.sigma_trace(("0", "0"), (1, 2), swap) == \
         calc.sigma_perm(("0", "0"), (1, 2), swap).trace()

@@ -354,3 +354,13 @@ def test_rational_inverse_keeps_the_denominator_positive():
     x = Scalar.rational(Fraction(-6, 35), 3).inverse()
     assert (x.num, x.den) == ((-35, 0), 6)
     assert (Scalar.zero(4).num, Scalar.zero(4).den) == ((0, 0), 1)
+
+
+def test_an_irrational_inverse_calls_inverse_once(monkeypatch):
+    # the rational Galois norm is inverted in place, not by a second inverse()
+    calls = []
+    inverse = Scalar.inverse
+    monkeypatch.setattr(Scalar, "inverse", lambda x: calls.append(x) or inverse(x))
+    x = Scalar.one(5) + Scalar.zeta(5) * 3
+    assert x * x.inverse() == Scalar.one(5)
+    assert calls == [x]

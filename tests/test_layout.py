@@ -86,6 +86,24 @@ def test_the_guard_sees_a_stray_chain_complex(tmp_path):
         ["probe.py:5: ChainComplex", "probe.py:6: ChainComplex", "probe.py:7: ChainComplex"]
 
 
+# -- one reader of scalar fields ---------------------------------------------------
+
+def test_io_parses_scalars_only_in_scalar():
+    # a scalar field is a JSON string: _scalar refuses any other JSON value, so no
+    # reader coerces a number or a boolean to scalar text
+    assert _stray_calls(PACKAGE / "io.py", "parse_scalar", "_scalar") == []
+
+
+def test_the_guard_sees_a_stray_scalar_parse(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from . import cyclotomic\n"
+                     "def _scalar(value, order, what):\n    return parse_scalar(value, order)\n"
+                     "def parse_weight(doc, order):\n    return parse_scalar(str(doc), order)\n"
+                     "NU = cyclotomic.parse_scalar('1/2')\n")
+    assert _stray_calls(probe, "parse_scalar", "_scalar") == \
+        ["probe.py:5: parse_scalar", "probe.py:6: parse_scalar"]
+
+
 # -- one evaluator of the verifier's identities -------------------------------------
 
 # the verifier's checks and the helpers that evaluate their terms; every matrix
