@@ -309,7 +309,7 @@ def kron(a: Mat, b: Mat) -> Mat:
 class BlockBuilder:
     """Mutable scratch matrix used to assemble block maps, then frozen.
 
-    Blocks and entries added to the same place are summed.  ``build``
+    Blocks added to the same place are summed.  ``build``
     hands the rows over to the result, so the builder is spent after it.
     """
 
@@ -326,15 +326,6 @@ class BlockBuilder:
         for r, row in enumerate(m._rows, r0):
             if row:
                 _add_into(dst[r], row, c0)
-
-    def add_entry(self, r: int, c: int, x: Scalar):
-        row = self._rows[r]
-        y = row.get(c)
-        s = x if y is None else y + x
-        if s:
-            row[c] = s
-        elif y is not None:
-            del row[c]
 
     def build(self) -> Mat:
         out = _mat(self.rows, self.cols, self._rows, self.order)

@@ -4,25 +4,24 @@ A module is a finitely supported family of spaces V_j indexed by vertex
 tuples j in I^n, with a matrix per doubled-quiver edge acting in one
 position and a matrix per adjacent transposition.  ``verify_relations``
 evaluates the two defining relation families as exact matrix identities;
-the builders produce induced modules (the CLI's with zero edge action),
-and ``reorient_module`` transports a module to a reoriented quiver.
-Outer tensors, direct sums, graph-automorphism transports, characters
-and intertwiner checks, which only the tests use, are in
-``tests/reference.py``.
+``build_induced_zero_e`` builds the induced module with zero edge action
+(the CLI's), and ``reorient_module`` transports a module to a reoriented
+quiver.  The general induction of one-particle modules, outer tensors,
+direct sums, graph-automorphism transports, characters and intertwiner
+checks, which only the tests use, are in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .cyclotomic import Scalar
 from .errors import FormatError
-from .linalg import BlockBuilder, Mat, kron
+from .linalg import Mat, kron
 from .quiver import Quiver, Weight, star_name
-from .symmetric import Perm, YoungCosetAction, YoungDiagram, seminormal_rep
+from .symmetric import Perm, YoungDiagram, seminormal_rep, young_cosets
 
 
 @dataclass(frozen=True)
@@ -67,17 +66,18 @@ class WreathModule:
     treated as immutable, which is why ``verify_relations`` may keep its
     report on the instance.
 
-    A malformed entry (a bad tuple, edge, position or matrix shape)
-    raises FormatError, zero or not; the well-formed zero dimensions and
-    zero matrices are then dropped.
+    A malformed entry (a bad tuple, edge, position or matrix shape, or a
+    dimension, position or transposition index that is not an ``int``)
+    raises FormatError, zero or not; nothing is coerced.  The well-formed
+    zero dimensions and zero matrices are then dropped.
     """
 
     def __init__(self, params: Params, support: dict, edge_actions: dict, sn_actions: dict):
         self.params = params
-        self.support = {tuple(j): int(d) for j, d in support.items()}
-        self.edge_actions = {(name, int(pos), tuple(j)): mat
+        self.support = {tuple(j): d for j, d in support.items()}
+        self.edge_actions = {(name, pos, tuple(j)): mat
                              for (name, pos, j), mat in edge_actions.items()}
-        self.sn_actions = {(int(m), tuple(j)): mat for (m, j), mat in sn_actions.items()}
+        self.sn_actions = {(m, tuple(j)): mat for (m, j), mat in sn_actions.items()}
         self._check_shapes()
         self.support = {j: d for j, d in self.support.items() if d}
         self.edge_actions = {key: mat for key, mat in self.edge_actions.items() if mat}
@@ -94,6 +94,8 @@ class WreathModule:
                 raise FormatError(f"support {j}: tuple length != {n}")
             if not all(map(q.has_vertex, j)):
                 raise FormatError(f"support {j}: unknown vertex")
+            if type(d) is not int:
+                raise FormatError(f"support {j}: dimension must be an integer, got {d!r}")
             if d < 0:
                 raise FormatError(f"support {j}: dimension must be non-negative")
 
@@ -108,21 +110,22 @@ class WreathModule:
             e = edges.get(name)
             if e is None:
                 problem = "unknown edge"
-            elif not (1 <= pos <= n and len(j) == n and all(map(q.has_vertex, j))):
+            elif not (type(pos) is int and 1 <= pos <= n and len(j) == n
+                      and all(map(q.has_vertex, j))):
                 problem = "bad position or tuple"
             elif j[pos - 1] != e.tail:
                 problem = f"tuple has {j[pos - 1]} at position {pos}, expected {e.tail}"
             else:
                 problem = misfit(mat, j[:pos - 1] + (e.head,) + j[pos:], j)
             if problem:
-                raise FormatError(f"edge action ({name}, {pos}, {','.join(j)}): {problem}")
+                raise FormatError(f"edge action ({name}, {pos}, {','.join(map(str, j))}): {problem}")
         for (m, j), mat in self.sn_actions.items():
-            if 1 <= m <= n - 1 and len(j) == n and all(map(q.has_vertex, j)):
+            if type(m) is int and 1 <= m <= n - 1 and len(j) == n and all(map(q.has_vertex, j)):
                 problem = misfit(mat, swap_tuple(j, m), j)
             else:
                 problem = "bad transposition index or tuple"
             if problem:
-                raise FormatError(f"sn action ({m}, {','.join(j)}): {problem}")
+                raise FormatError(f"sn action ({m}, {','.join(map(str, j))}): {problem}")
 
     # -- basic access -----------------------------------------------------
     @property
@@ -149,7 +152,7 @@ class WreathModule:
 
     def perm_matrix(self, p: Perm, j: tuple) -> Optional[Mat]:
         """Matrix of an arbitrary permutation, composed from stored generators,
-        or None (a zero map) where a factor is not stored."""
+        or None (a zero map) where V_j is zero or a factor is not stored."""
         key = (p.img, j)
         if key not in self._perm_cache:
             self._perm_cache[key] = _word(self, j, p.adjacent_word())
@@ -286,7 +289,8 @@ def _word(mod: WreathModule, j: tuple, word: Sequence) -> Optional[Mat]:
     map) when a factor is not stored.
 
     A letter is ``m`` for s_m or ``(edge name, position)``; the last letter
-    acts first, and the empty word gives the identity.
+    acts first, and the empty word gives the identity, or None out of a
+    zero-dimensional piece.
     """
     out = None
     for k in range(len(word) - 1, -1, -1):
@@ -298,7 +302,9 @@ def _word(mod: WreathModule, j: tuple, word: Sequence) -> Optional[Mat]:
         out = mat if out is None else mat @ out
         if k:       # the next letter acts out of this letter's target
             j = mod.edge_target(*letter, j) if edge else swap_tuple(j, letter)
-    return Mat.identity(mod.dim(j), mod.order) if out is None else out
+    if out is None and mod.dim(j):
+        return Mat.identity(mod.dim(j), mod.order)
+    return out
 
 
 def _residual(mod: WreathModule, j: tuple, lhs: Sequence, rhs: Sequence) -> Optional[Mat]:
@@ -419,124 +425,6 @@ def verify_relations(mod: WreathModule) -> VerifyReport:
 # Builders
 # ---------------------------------------------------------------------------
 
-def point_module(params: Params, vertex: str) -> WreathModule:
-    """The one-dimensional n = 1 module concentrated at one vertex."""
-    if params.n != 1:
-        raise FormatError("point modules have n = 1")
-    return WreathModule(params, {(vertex,): 1}, {}, {})
-
-
-def _tensor_place_matrix(h: Perm, src_dims: Sequence[int], order: int) -> Mat:
-    """Plain (sign-free) permutation of tensor factors: slot s receives slot h^{-1}(s)."""
-    hinv = h.inverse()
-    moved = [hinv(s) - 1 for s in range(1, len(src_dims) + 1)]
-    total = math.prod(src_dims)
-    bb = BlockBuilder(total, total, order)
-    one = Scalar.one(order)
-    for col, src in enumerate(itertools.product(*map(range, src_dims))):
-        row = 0
-        for k in moved:
-            row = row * src_dims[k] + src[k]
-        bb.add_entry(row, col, one)
-    return bb.build()
-
-
-def induced_module(params: Params,
-                   blocks: Sequence[tuple[int, WreathModule, YoungDiagram]]) -> WreathModule:
-    """Induce (X_1 tensor ... tensor Y_1^{n_1} tensor ...) from the Young subgroup.
-
-    ``blocks`` lists (multiplicity n_l, one-particle module Y_l, diagram
-    X_l of S_{n_l}).  The S_n action permutes tensor slots plainly (no
-    Koszul signs) twisted by the seminormal representations of the X_l;
-    edge actions act in a single slot.  No relations are verified here.
-
-    Basis order at a tuple j: coset-major; inside a coset sigma, the slot
-    tensor factors row-major (slot 1 slowest, slot s graded by the vertex
-    j_{sigma(s)}) and the X factor fastest.
-    """
-    n, order = params.n, params.order
-    sizes = [b[0] for b in blocks]
-    if sum(sizes) != n:
-        raise FormatError(f"block multiplicities {sizes} do not sum to n = {n}")
-    for size, y, diagram in blocks:
-        if y.params.n != 1:
-            raise FormatError("block modules must have n = 1")
-        if y.params.quiver != params.quiver:
-            raise FormatError("block modules must live over the same quiver")
-        if y.order != order:
-            raise FormatError("block modules must share the cyclotomic order")
-        if diagram.size != size:
-            raise FormatError(f"diagram {diagram} is not a partition of the block size {size}")
-    reps = [seminormal_rep(diagram, order) for _, _, diagram in blocks]
-    dim_x = math.prod(r.dim for r in reps)
-    slot_modules = [y for size, y, _ in blocks for _ in range(size)]
-    action = YoungCosetAction(n, sizes)
-    cosets = action.cosets
-
-    # per tuple of the support, per coset: (offset, slot dims), or None for an empty coset
-    layout: dict[tuple, list] = {}
-    support: dict[tuple, int] = {}
-    slot_vertices = [sorted(j[0] for j in y.support) for y in slot_modules]
-    for sigma in cosets:
-        for v in itertools.product(*slot_vertices):
-            j = sigma.act_tuple(v)
-            if j in layout:
-                continue
-            layout[j], offset = [], 0
-            for tau in cosets:
-                dims = [y.dim((j[tau(s) - 1],)) for s, y in enumerate(slot_modules, 1)]
-                size = math.prod(dims) * dim_x
-                layout[j].append((offset, dims) if size else None)
-                offset += size
-            support[j] = offset
-
-    # (c', h, rho_X(h)) with s_m sigma_c = sigma_c' h, per m and coset c
-    moves = {}
-    for m in range(1, n):
-        g = Perm.adjacent(m, n)
-        for c in range(len(cosets)):
-            c2, h, parts = action.factor(g, c)
-            rho = Mat.identity(1, order)
-            for rep, part in zip(reps, parts):
-                rho = kron(rho, rep.matrix_of(part))
-            moves[m, c] = (c2, h, rho)
-
-    edge_actions = {}
-    slot_of = [sigma.inverse() for sigma in cosets]
-    for j, here in layout.items():
-        for pos in range(1, n + 1):
-            for e in params.quiver.out_edges(j[pos - 1]):
-                j2 = j[:pos - 1] + (e.head,) + j[pos:]
-                if j2 not in layout:
-                    continue    # every target coset is empty
-                bb = BlockBuilder(support[j2], support[j], order)
-                for src, tgt, sinv in zip(here, layout[j2], slot_of):
-                    if src is None:
-                        continue
-                    slot = sinv(pos)
-                    a = slot_modules[slot - 1].edge_actions.get((e.name, 1, (j[pos - 1],)))
-                    if a is not None:
-                        offset, dims = src
-                        left = Mat.identity(math.prod(dims[:slot - 1]), order)
-                        right = Mat.identity(math.prod(dims[slot:]) * dim_x, order)
-                        bb.add_block(tgt[0], offset, kron(kron(left, a), right))
-                edge_actions[(e.name, pos, j)] = bb.build()
-
-    sn_actions = {}
-    for j, here in layout.items():
-        for m in range(1, n):
-            j2 = swap_tuple(j, m)
-            bb = BlockBuilder(support[j2], support[j], order)
-            for c, src in enumerate(here):
-                if src is not None:
-                    c2, h, rho = moves[m, c]
-                    place = _tensor_place_matrix(h, src[1], order)
-                    bb.add_block(layout[j2][c2][0], src[0], kron(place, rho))
-            sn_actions[(m, j)] = bb.build()
-
-    return WreathModule(params, support, edge_actions, sn_actions)
-
-
 def build_induced_zero_e(params: Params,
                          blocks: Sequence[tuple[YoungDiagram, str]]) -> WreathModule:
     """The induced module with every edge acting by zero.
@@ -545,19 +433,40 @@ def build_induced_zero_e(params: Params,
     The result is only a module over the smash product of the vertex
     algebra with k[S_n]; run ``verify_relations`` to find out whether it
     extends to the full algebra at the given parameters.
+
+    As the i_l are distinct, each tuple j of the support lies in one
+    Young coset, and V_j = X_1 (x) ... (x) X_L with the last factor
+    fastest.  s_m maps V_j to V_{s_m j} by the identity when j_m !=
+    j_{m+1}; otherwise it acts in the factor of the vertex j_m by the
+    seminormal s_k, where k is the rank of m among the positions of j at
+    that vertex.  No edge action is stored.
     """
     vertices = [v for _, v in blocks]
     if len(set(vertices)) != len(vertices):
         raise FormatError("block vertices must be pairwise distinct")
-    q = params.quiver
     for v in vertices:
-        if not q.has_vertex(v):
+        if not params.quiver.has_vertex(v):
             raise FormatError(f"unknown vertex {v!r}")
-    if sum(d.size for d, _ in blocks) != params.n:
+    sizes = [d.size for d, _ in blocks]
+    if sum(sizes) != params.n:
         raise FormatError("block diagram sizes must sum to n")
-    p1 = Params(params.quiver, 1, params.weight, params.nu)
-    specs = [(d.size, point_module(p1, v), d) for d, v in blocks]
-    return induced_module(params, specs)
+    order = params.order
+    reps = [seminormal_rep(d, order) for d, _ in blocks]
+    dims = [rep.dim for rep in reps]
+    # per block, each seminormal s_k acting in its factor of X_1 (x) ... (x) X_L
+    factors = {v: [kron(kron(Mat.identity(math.prod(dims[:l]), order), g),
+                        Mat.identity(math.prod(dims[l + 1:]), order)) for g in rep.gens]
+               for l, (v, rep) in enumerate(zip(vertices, reps))}
+    one = Mat.identity(math.prod(dims), order)
+    base = tuple(v for v, size in zip(vertices, sizes) for _ in range(size))
+    support, sn_actions = {}, {}
+    for sigma in young_cosets(params.n, sizes):
+        j = sigma.act_tuple(base)
+        support[j] = one.rows
+        for m in range(1, params.n):
+            v = j[m - 1]
+            sn_actions[(m, j)] = factors[v][j[:m].count(v) - 1] if v == j[m] else one
+    return WreathModule(params, support, {}, sn_actions)
 
 
 # ---------------------------------------------------------------------------

@@ -33,18 +33,23 @@ class Quiver:
     """A finite quiver.  The double adds a reverse edge a* per edge a."""
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple]):
-        self.vertices: tuple[str, ...] = tuple(str(v) for v in vertices)
+        self.vertices: tuple[str, ...] = tuple(vertices)
+        for v in self.vertices:
+            if not isinstance(v, str):
+                raise FormatError(f"vertex id {v!r} must be a string")
         if len(set(self.vertices)) != len(self.vertices):
             raise FormatError("duplicate vertex ids")
         vset = set(self.vertices)
         base = []
         for e in edges:
             name, tail, head = (e.name, e.tail, e.head) if isinstance(e, Edge) else e
+            if not isinstance(name, str):
+                raise FormatError(f"edge name {name!r} must be a string")
             if name.endswith("*"):
                 raise FormatError(f"edge name {name!r} is reserved for reverse edges")
             if tail not in vset or head not in vset:
                 raise FormatError(f"edge {name!r} references an unknown vertex")
-            base.append(Edge(name, str(tail), str(head)))
+            base.append(Edge(name, tail, head))
         if len({e.name for e in base}) != len(base):
             raise FormatError("duplicate edge names")
         self.edges: tuple[Edge, ...] = tuple(base)

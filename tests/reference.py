@@ -9,8 +9,10 @@ more general constructions kept here.
   (acceptance criterion 3's reference for ``reflection.is_generic``);
 - the involution witness V = F_i(F_i(V)) and the functor on morphisms,
   both checked by ``check_intertwiner``;
-- module builders and transports: outer tensors at nu = 0, direct sums,
-  and relabelling along a graph automorphism;
+- module builders and transports: the induced module of one-particle
+  modules (with point modules, the reference for the library's direct
+  zero-edge builder), outer tensors at nu = 0, direct sums, and
+  relabelling along a graph automorphism;
 - the Cartan matrix and the minimal imaginary root of an affine quiver;
 - the cyclic McKay quiver;
 - the stored actions of a module with a zero matrix where none is stored,
@@ -29,12 +31,10 @@ from typing import Optional, Sequence
 from wreathq import reflection
 from wreathq.cyclotomic import Scalar
 from wreathq.errors import FormatError, NotInSpanError, ResourceLimitError, WreathqError
-from wreathq.linalg import BlockBuilder, Mat, kernel_basis, rank, solve_in_span
-from wreathq.modules import (
-    Params, WreathModule, induced_module, reorient_module, swap_tuple,
-)
+from wreathq.linalg import BlockBuilder, Mat, kernel_basis, kron, rank, solve_in_span
+from wreathq.modules import Params, WreathModule, reorient_module, swap_tuple
 from wreathq.quiver import DimVector, Edge, Quiver, Weight, require_loop_free, symmetrized_form
-from wreathq.symmetric import Perm, YoungDiagram
+from wreathq.symmetric import Perm, YoungCosetAction, YoungDiagram, seminormal_rep
 
 
 class NotGenericError(WreathqError):
@@ -98,7 +98,7 @@ def regular_representation(element: dict[Perm, Scalar], r: int, order: int = 1) 
         if not coeff:
             continue
         for col, h in enumerate(perms):
-            bb.add_entry(idx[g.compose(h).img], col, coeff)
+            bb.add_block(idx[g.compose(h).img], col, Mat.from_rows([[coeff]], order))
     return bb.build()
 
 
@@ -204,6 +204,124 @@ def mckay_quiver_cyclic(m: int) -> Quiver:
 # ---------------------------------------------------------------------------
 # Module builders and transports
 # ---------------------------------------------------------------------------
+
+def point_module(params: Params, vertex: str) -> WreathModule:
+    """The one-dimensional n = 1 module concentrated at one vertex."""
+    if params.n != 1:
+        raise FormatError("point modules have n = 1")
+    return WreathModule(params, {(vertex,): 1}, {}, {})
+
+
+def _tensor_place_matrix(h: Perm, src_dims: Sequence[int], order: int) -> Mat:
+    """Plain (sign-free) permutation of tensor factors: slot s receives slot h^{-1}(s)."""
+    hinv = h.inverse()
+    moved = [hinv(s) - 1 for s in range(1, len(src_dims) + 1)]
+    total = math.prod(src_dims)
+    bb = BlockBuilder(total, total, order)
+    one = Mat.identity(1, order)
+    for col, src in enumerate(itertools.product(*map(range, src_dims))):
+        row = 0
+        for k in moved:
+            row = row * src_dims[k] + src[k]
+        bb.add_block(row, col, one)
+    return bb.build()
+
+
+def induced_module(params: Params,
+                   blocks: Sequence[tuple[int, WreathModule, YoungDiagram]]) -> WreathModule:
+    """Induce (X_1 tensor ... tensor Y_1^{n_1} tensor ...) from the Young subgroup.
+
+    ``blocks`` lists (multiplicity n_l, one-particle module Y_l, diagram
+    X_l of S_{n_l}).  The S_n action permutes tensor slots plainly (no
+    Koszul signs) twisted by the seminormal representations of the X_l;
+    edge actions act in a single slot.  No relations are verified here.
+
+    Basis order at a tuple j: coset-major; inside a coset sigma, the slot
+    tensor factors row-major (slot 1 slowest, slot s graded by the vertex
+    j_{sigma(s)}) and the X factor fastest.
+    """
+    n, order = params.n, params.order
+    sizes = [b[0] for b in blocks]
+    if sum(sizes) != n:
+        raise FormatError(f"block multiplicities {sizes} do not sum to n = {n}")
+    for size, y, diagram in blocks:
+        if y.params.n != 1:
+            raise FormatError("block modules must have n = 1")
+        if y.params.quiver != params.quiver:
+            raise FormatError("block modules must live over the same quiver")
+        if y.order != order:
+            raise FormatError("block modules must share the cyclotomic order")
+        if diagram.size != size:
+            raise FormatError(f"diagram {diagram} is not a partition of the block size {size}")
+    reps = [seminormal_rep(diagram, order) for _, _, diagram in blocks]
+    dim_x = math.prod(r.dim for r in reps)
+    slot_modules = [y for size, y, _ in blocks for _ in range(size)]
+    action = YoungCosetAction(n, sizes)
+    cosets = action.cosets
+
+    # per tuple of the support, per coset: (offset, slot dims), or None for an empty coset
+    layout: dict[tuple, list] = {}
+    support: dict[tuple, int] = {}
+    slot_vertices = [sorted(j[0] for j in y.support) for y in slot_modules]
+    for sigma in cosets:
+        for v in itertools.product(*slot_vertices):
+            j = sigma.act_tuple(v)
+            if j in layout:
+                continue
+            layout[j], offset = [], 0
+            for tau in cosets:
+                dims = [y.dim((j[tau(s) - 1],)) for s, y in enumerate(slot_modules, 1)]
+                size = math.prod(dims) * dim_x
+                layout[j].append((offset, dims) if size else None)
+                offset += size
+            support[j] = offset
+
+    # (c', h, rho_X(h)) with s_m sigma_c = sigma_c' h, per m and coset c
+    moves = {}
+    for m in range(1, n):
+        g = Perm.adjacent(m, n)
+        for c in range(len(cosets)):
+            c2, h, parts = action.factor(g, c)
+            rho = Mat.identity(1, order)
+            for rep, part in zip(reps, parts):
+                rho = kron(rho, rep.matrix_of(part))
+            moves[m, c] = (c2, h, rho)
+
+    edge_actions = {}
+    slot_of = [sigma.inverse() for sigma in cosets]
+    for j, here in layout.items():
+        for pos in range(1, n + 1):
+            for e in params.quiver.out_edges(j[pos - 1]):
+                j2 = j[:pos - 1] + (e.head,) + j[pos:]
+                if j2 not in layout:
+                    continue    # every target coset is empty
+                bb = BlockBuilder(support[j2], support[j], order)
+                for src, tgt, sinv in zip(here, layout[j2], slot_of):
+                    if src is None:
+                        continue
+                    slot = sinv(pos)
+                    a = slot_modules[slot - 1].edge_actions.get((e.name, 1, (j[pos - 1],)))
+                    if a is not None:
+                        offset, dims = src
+                        left = Mat.identity(math.prod(dims[:slot - 1]), order)
+                        right = Mat.identity(math.prod(dims[slot:]) * dim_x, order)
+                        bb.add_block(tgt[0], offset, kron(kron(left, a), right))
+                edge_actions[(e.name, pos, j)] = bb.build()
+
+    sn_actions = {}
+    for j, here in layout.items():
+        for m in range(1, n):
+            j2 = swap_tuple(j, m)
+            bb = BlockBuilder(support[j2], support[j], order)
+            for c, src in enumerate(here):
+                if src is not None:
+                    c2, h, rho = moves[m, c]
+                    place = _tensor_place_matrix(h, src[1], order)
+                    bb.add_block(layout[j2][c2][0], src[0], kron(place, rho))
+            sn_actions[(m, j)] = bb.build()
+
+    return WreathModule(params, support, edge_actions, sn_actions)
+
 
 def build_outer_tensor(params: Params,
                        blocks: Sequence[tuple[int, WreathModule, YoungDiagram]]) -> WreathModule:

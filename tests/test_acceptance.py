@@ -16,7 +16,7 @@ from wreathq.cubes import euler_characteristic, module_cohomology
 from wreathq.cyclotomic import Scalar
 from wreathq.linalg import Mat
 from wreathq.modules import (
-    Params, WreathModule, build_induced_zero_e, point_module, verify_relations,
+    Params, WreathModule, build_induced_zero_e, verify_relations,
 )
 from wreathq import io as wio
 from wreathq.quiver import (

@@ -85,7 +85,7 @@ def test_reflect_vertex(files, capsys, tmp_path):
                        "--vertex", "0", "--out", out_path)
     assert code == 0
     assert "(0) -> 2" in out and "(1) -> 1" in out
-    doc = json.loads(open(out_path).read())
+    doc = json.loads(pathlib.Path(out_path).read_text())
     assert doc["params"]["lambda"] == {"0": "-1", "1": "2"}
     # the written module passes verification
     code, out, _ = run(capsys, "verify", "--quiver", qp, "--module", out_path)
@@ -100,7 +100,7 @@ def test_reflect_empty_word_is_canonical_copy(files, capsys, tmp_path):
     assert code == 0
     p2 = str(tmp_path / "copy2.json")
     run(capsys, "reflect", "--quiver", qp, "--module", p1, "--word", "", "--out", p2)
-    assert open(p1).read() == open(p2).read()
+    assert pathlib.Path(p1).read_text() == pathlib.Path(p2).read_text()
 
 
 def test_reflect_double_word_restores_dims(files, capsys, tmp_path):
@@ -109,7 +109,7 @@ def test_reflect_double_word_restores_dims(files, capsys, tmp_path):
     code, out, _ = run(capsys, "reflect", "--quiver", qp, "--module", mp,
                        "--word", "0 0", "--out", out_path)
     assert code == 0
-    doc = json.loads(open(out_path).read())
+    doc = json.loads(pathlib.Path(out_path).read_text())
     assert doc["support"] == [{"tuple": ["1"], "dim": 1}]
     assert doc["params"]["lambda"] == {"0": "1", "1": "0"}
 
@@ -290,7 +290,7 @@ def test_induce_blocks_from_file(files, capsys, tmp_path):
 def test_cyclotomic_module_round_trip(tmp_path, capsys):
     # an order-4 module written by reflect parses back and verifies
     from wreathq.cyclotomic import Scalar
-    from wreathq.modules import point_module
+    from reference import point_module
     from wreathq.quiver import Quiver
     q = wio.parse_quiver(AHAT1)
     params = make_params(q, 1, {"0": Scalar.zeta(4), "1": Scalar.zero(4)},
@@ -307,7 +307,7 @@ def test_cyclotomic_module_round_trip(tmp_path, capsys):
     assert "weight now {0: -1*z^1, 1: 2*z^1}" in stdout
     code, _, _ = run(capsys, "verify", "--quiver", str(qp), "--module", out)
     assert code == 0
-    text1 = open(out).read()
+    text1 = pathlib.Path(out).read_text()
     parsed = wio.parse_module(json.loads(text1), q)
     assert wio.to_canonical_json(wio.dump_module(parsed)) == text1
 
@@ -329,7 +329,7 @@ def test_cross_process_determinism(files, tmp_path):
              "--module", mp, "--vertex", "0", "--out", out],
             capture_output=True, text=True, env=_fresh_env())
         assert proc.returncode == 0
-        results.append((proc.stdout, open(out).read()))
+        results.append((proc.stdout, pathlib.Path(out).read_text()))
     assert results[0] == results[1]
 
 

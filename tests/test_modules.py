@@ -10,7 +10,7 @@ from wreathq.errors import FormatError
 from wreathq.linalg import Mat
 from wreathq.modules import (
     Params, RelationFailure, StructuralIssue, VerifyReport, WreathModule,
-    build_induced_zero_e, induced_module, point_module, reorient_module,
+    build_induced_zero_e, reorient_module,
     structural_report, swap_tuple, verify_relations,
 )
 from wreathq.quiver import Weight, star_name
@@ -20,7 +20,8 @@ from wreathq.symmetric import Perm, YoungDiagram, partitions
 from conftest import AHAT1, AHAT2, frac, make_params, mat, simple_at, unverified_copy
 from reference import (
     build_outer_tensor, canonical_key, check_intertwiner, direct_sum, edge_matrix,
-    graph_automorphism_transport, module_character, perm_matrix, sn_matrix,
+    graph_automorphism_transport, induced_module, module_character, perm_matrix,
+    point_module, sn_matrix,
 )
 
 
@@ -99,6 +100,17 @@ MALFORMED = {
                          "edge action (a*, 1, 1,9): bad position or tuple"),
     "zero-sn-vertex": (2, {("1", "1"): 1}, {}, {(1, ("9", "1")): Mat.zeros(0, 0)},
                        "sn action (1, 9,1): bad transposition index or tuple"),
+    # a dimension, position or transposition index is an int, not coerced to one
+    "support-dim-float": (1, {("1",): 2.7}, {}, {},
+                          "support ('1',): dimension must be an integer, got 2.7"),
+    "support-dim-bool": (1, {("1",): True}, {}, {},
+                         "support ('1',): dimension must be an integer, got True"),
+    "edge-position-float": (2, {("0", "1"): 1}, {("a", 1.0, ("0", "1")): mat([[1]])}, {},
+                            "edge action (a, 1.0, 0,1): bad position or tuple"),
+    "sn-index-bool": (2, {("1", "1"): 1}, {}, {(True, ("1", "1")): mat([[1]])},
+                      "sn action (True, 1,1): bad transposition index or tuple"),
+    "sn-tuple-numbers": (2, {("1", "1"): 1}, {}, {(1, (1, 1)): mat([[1]])},
+                         "sn action (1, 1,1): bad transposition index or tuple"),
 }
 
 
@@ -418,6 +430,13 @@ def test_perm_matrix_is_none_where_a_factor_is_not_stored(ahat1):
     assert m.perm_matrix(Perm.identity(2), ("0", "0")) == one
 
 
+def test_the_identity_out_of_a_zero_piece_is_none(ahat1):
+    # no 0x0 identity: outside the support even the empty word is a zero map
+    m = WreathModule(make_params(ahat1, 2, {"0": 1, "1": 1}), {("0", "1"): 2}, {}, {})
+    assert m.perm_matrix(Perm.identity(2), ("1", "1")) is None
+    assert m.perm_matrix(Perm.identity(2), ("0", "1")) == Mat.identity(2)
+
+
 def test_perm_matrix_is_a_homomorphism(corpus):
     # the reflected n = 3 module mixes vertices within a tuple, so words of
     # two or more letters pass through different tuples
@@ -522,11 +541,41 @@ GOLDEN_INDUCED = {
 }
 
 
+def _reference_zero_e(params, blocks):
+    """The zero-edge induced module through the general builder, from point modules."""
+    p1 = Params(params.quiver, 1, params.weight, params.nu)
+    return induced_module(params, [(d.size, point_module(p1, v), d) for d, v in blocks])
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_INDUCED))
 def test_induced_module_matches_recorded_digest(name):
-    module = _golden_module(name)
-    got = hashlib.sha256(repr(canonical_key(module)).encode()).hexdigest()
-    assert got == GOLDEN_INDUCED[name][-1]
+    quiver, n, order, blocks, digest = GOLDEN_INDUCED[name]
+    built = [_golden_module(name)]
+    if len(blocks[0]) == 2:     # a zero-edge row pins the reference builder too
+        built.append(_reference_zero_e(_golden_params(quiver, n, order),
+                                       [(YoungDiagram(d), v) for d, v in blocks]))
+    for module in built:
+        assert hashlib.sha256(repr(canonical_key(module)).encode()).hexdigest() == digest
+
+
+# every split of n <= 5 into diagrams at the vertices of affine A2, in vertex order
+ZERO_E_SPLITS = [
+    tuple((d, v) for d, v in zip(ds, AHAT2.vertices) if d)
+    for n in range(1, 6)
+    for sizes in itertools.product(range(n + 1), repeat=3) if sum(sizes) == n
+    for ds in itertools.product(*map(partitions, sizes))
+]
+
+
+@pytest.mark.parametrize("split", ZERO_E_SPLITS,
+                         ids=lambda split: "|".join(f"{v}=" + "-".join(map(str, d)) for d, v in split))
+def test_zero_edge_induction_matches_the_general_builder(split):
+    n = sum(sum(d) for d, _ in split)
+    blocks = [(YoungDiagram(d), v) for d, v in split]
+    for order in (1, 3):
+        params = _golden_params(AHAT2, n, order)
+        assert canonical_key(build_induced_zero_e(params, blocks)) == \
+            canonical_key(_reference_zero_e(params, blocks))
 
 
 # -- the orbit-reduced walk against the full walk ---------------------------------

@@ -180,6 +180,18 @@ def test_quiver_validation():
         Quiver(["0", "0"], [])
 
 
+# a name is refused, not coerced with str(): the vertex 0 is not the vertex "0"
+@pytest.mark.parametrize("vertices, edges, message", [
+    ([0, 1], [("a", "0", "1")], "vertex id 0 must be a string"),
+    (["0", "1"], [(5, "0", "1")], "edge name 5 must be a string"),
+    (["0", "1"], [("a", 0, "1")], "edge 'a' references an unknown vertex"),
+])
+def test_quiver_refuses_a_name_that_is_not_a_string(vertices, edges, message):
+    with pytest.raises(FormatError) as caught:
+        Quiver(vertices, edges)
+    assert str(caught.value) == message
+
+
 # -- affine_data against the classification -------------------------------------
 
 def _graph(pairs, rng=None):

@@ -341,7 +341,7 @@ def test_reflection_over_cyclotomic_field(ahat1):
     # the whole pipeline runs inside Q(zeta_4): weight (z, 0), nu = 0
     z = Scalar.zeta(4)
     params = make_params(ahat1, 1, {"0": z, "1": Scalar.zero(4)}, Scalar.zero(4), order=4)
-    from wreathq.modules import point_module
+    from reference import point_module
     v = point_module(params, "1")
     assert verify_relations(v).passed
     out = reflection_functor(v, "0")
