@@ -141,8 +141,10 @@ class Scalar:
     compare it directly.  Scalars are immutable by convention: nothing
     assigns to them after construction.
 
-    Arithmetic with plain ``int``/``Fraction`` coerces them into the same
-    field; combining scalars of different orders raises
+    ``+``, ``-``, ``*`` and ``==`` take a plain ``int`` or ``Fraction`` on
+    either side and coerce it into the same field; subtraction is addition
+    of the negation.  There is no ``/`` or ``**``: division is a product
+    with ``inverse()``.  Combining scalars of different orders raises
     :class:`OrderMismatchError` (no implicit field embeddings).
     """
 
@@ -233,28 +235,10 @@ class Scalar:
         return _mk(tuple(-x for x in self.num), self.den, self.order)
 
     def __sub__(self, other):
-        o = other if type(other) is Scalar else self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.order != self.order:
-            raise _mismatch(self.order, o.order)
-        da, db = self.den, o.den
-        if da == db:
-            return _reduced([x - y for x, y in zip(self.num, o.num)], da, self.order)
-        g = gcd(da, db)
-        fa, fb = db // g, da // g
-        num = [x * fa - y * fb for x, y in zip(self.num, o.num)]
-        if g != 1:
-            g = gcd(g, *num)
-            if g != 1:
-                return _mk(tuple(x // g for x in num), da * fa // g, self.order)
-        return _mk(tuple(num), da * fa, self.order)
+        return self + -other
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return -self + other
 
     def __mul__(self, other):
         o = other if type(other) is Scalar else self._coerce(other)
@@ -321,30 +305,6 @@ class Scalar:
         if not norm.is_rational():
             raise AssertionError("the Galois norm of a cyclotomic scalar must be rational")
         return y * _rational_inverse(norm)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Scalar.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     # -- comparisons / hashing ----------------------------------------
     def __eq__(self, other):

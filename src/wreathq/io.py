@@ -300,7 +300,7 @@ def parse_conditions_request(doc: Any, quiver: Quiver):
         diagram = _diagram(item["diagram"])
         for v in item["alpha"]:
             _require(quiver.has_vertex(v), f"alpha names unknown vertex {v!r}")
-        alpha = DimVector.make({str(v): _int(c, "alpha value")
+        alpha = DimVector.make({v: _int(c, "alpha value")
                                 for v, c in item["alpha"].items()})
         blocks.append((diagram, alpha))
     n = _int(doc["n"], "n") if "n" in doc else None

@@ -60,38 +60,20 @@ def _add_into(dst: dict, src: dict, offset: int = 0) -> None:
                 del dst[c]
 
 
-def _sub_multiple(dst: dict, f: Scalar, src: dict, skip: int) -> None:
-    """dst -= f * src outside column ``skip``, deleting entries that cancel."""
+def _add_multiple(dst: dict, f: Scalar, src: dict, skip: int) -> None:
+    """dst += f * src outside column ``skip``, deleting entries that cancel."""
     for j, x in src.items():
         if j == skip:
             continue
         y = dst.get(j)
         if y is None:
-            dst[j] = -(f * x)
+            dst[j] = f * x
         else:
-            s = y - f * x
+            s = y + f * x
             if s:
                 dst[j] = s
             else:
                 del dst[j]
-
-
-def _diff_rows(a: dict, b: dict) -> dict:
-    """a - b in one pass, deleting entries that cancel."""
-    if not b:
-        return a
-    out = dict(a)
-    for c, y in b.items():
-        x = out.get(c)
-        if x is None:
-            out[c] = -y
-        else:
-            s = x - y
-            if s:
-                out[c] = s
-            else:
-                del out[c]
-    return out
 
 
 def _sum_rows(a: dict, b: dict) -> dict:
@@ -110,8 +92,9 @@ class Mat:
     """Sparse matrix with entries in Q(zeta_order), immutable by convention:
     nothing assigns to it or to its row dicts after construction.
 
-    ``Mat(rows, cols, data, order)`` takes the entries densely, row-major;
-    ``data`` gives them back the same way, as a fresh list.
+    ``Mat(rows, cols, data, order)`` takes the entries densely, row-major,
+    each a ``Scalar`` of cyclotomic order ``order``; ``data`` gives them
+    back the same way, as a fresh list.
     """
 
     __slots__ = ("rows", "cols", "order", "_rows")
@@ -121,6 +104,10 @@ class Mat:
             raise ValueError("negative matrix dimensions")
         if len(data) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
+        if any(type(x) is not Scalar for x in data):
+            raise TypeError("matrix entries must be Scalars")
+        if any(x.order != order for x in data):
+            raise OrderMismatchError(f"matrix entries must have cyclotomic order {order}")
         self.rows = rows
         self.cols = cols
         self.order = order
@@ -223,11 +210,7 @@ class Mat:
                     [_sum_rows(a, b) for a, b in zip(self._rows, other._rows)], self.order)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        self._check_order(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in subtraction")
-        return _mat(self.rows, self.cols,
-                    [_diff_rows(a, b) for a, b in zip(self._rows, other._rows)], self.order)
+        return self + -other
 
     def __neg__(self) -> "Mat":
         return _mat(self.rows, self.cols,
@@ -377,7 +360,7 @@ def _clear_exact(c: int, p: dict, others: list) -> dict:
         p = {j: x * inv for j, x in p.items()}
         p[c] = one
     for row in others:
-        _sub_multiple(row, row.pop(c), p, c)
+        _add_multiple(row, -row.pop(c), p, c)
     return p
 
 
@@ -395,7 +378,7 @@ def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
         for cl in [j for j in p if j in pivpos and j != c]:
             # the later pivot rows are reduced already: beyond their pivot
             # they hold only free columns, so no pivot column comes back
-            _sub_multiple(p, p.pop(cl), prow[pivpos[cl]], cl)
+            _add_multiple(p, -p.pop(cl), prow[pivpos[cl]], cl)
     prow.extend({} for _ in range(a.rows - len(piv)))
     return _mat(a.rows, a.cols, prow, a.order), tuple(piv)
 

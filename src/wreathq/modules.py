@@ -66,18 +66,16 @@ class WreathModule:
     treated as immutable, which is why ``verify_relations`` may keep its
     report on the instance.
 
-    A malformed entry (a bad tuple, edge, position or matrix shape, or a
-    dimension, position or transposition index that is not an ``int``)
+    A malformed entry (a tuple key that is not a ``tuple`` of n vertices,
+    a bad edge, position or matrix shape, or a dimension, position or
+    transposition index that is not an ``int``)
     raises FormatError, zero or not; nothing is coerced.  The well-formed
     zero dimensions and zero matrices are then dropped.
     """
 
     def __init__(self, params: Params, support: dict, edge_actions: dict, sn_actions: dict):
         self.params = params
-        self.support = {tuple(j): d for j, d in support.items()}
-        self.edge_actions = {(name, pos, tuple(j)): mat
-                             for (name, pos, j), mat in edge_actions.items()}
-        self.sn_actions = {(m, tuple(j)): mat for (m, j), mat in sn_actions.items()}
+        self.support, self.edge_actions, self.sn_actions = support, edge_actions, sn_actions
         self._check_shapes()
         self.support = {j: d for j, d in self.support.items() if d}
         self.edge_actions = {key: mat for key, mat in self.edge_actions.items() if mat}
@@ -90,6 +88,8 @@ class WreathModule:
         q, n, order = self.params.quiver, self.n, self.order
         dim = self.support.get
         for j, d in self.support.items():
+            if type(j) is not tuple:
+                raise FormatError(f"support {j!r}: key must be a tuple")
             if len(j) != n:
                 raise FormatError(f"support {j}: tuple length != {n}")
             if not all(map(q.has_vertex, j)):
@@ -105,12 +105,15 @@ class WreathModule:
                 return f"shape {mat.rows}x{mat.cols} != {dim(tgt, 0)}x{dim(j, 0)}"
             return "wrong cyclotomic order" if mat.order != order else None
 
+        def label(j) -> str:
+            return ",".join(map(str, j)) if type(j) is tuple else repr(j)
+
         edges = {e.name: e for e in q.double}
         for (name, pos, j), mat in self.edge_actions.items():
             e = edges.get(name)
             if e is None:
                 problem = "unknown edge"
-            elif not (type(pos) is int and 1 <= pos <= n and len(j) == n
+            elif not (type(pos) is int and 1 <= pos <= n and type(j) is tuple and len(j) == n
                       and all(map(q.has_vertex, j))):
                 problem = "bad position or tuple"
             elif j[pos - 1] != e.tail:
@@ -118,14 +121,15 @@ class WreathModule:
             else:
                 problem = misfit(mat, j[:pos - 1] + (e.head,) + j[pos:], j)
             if problem:
-                raise FormatError(f"edge action ({name}, {pos}, {','.join(map(str, j))}): {problem}")
+                raise FormatError(f"edge action ({name}, {pos}, {label(j)}): {problem}")
         for (m, j), mat in self.sn_actions.items():
-            if type(m) is int and 1 <= m <= n - 1 and len(j) == n and all(map(q.has_vertex, j)):
+            if (type(m) is int and 1 <= m <= n - 1 and type(j) is tuple and len(j) == n
+                    and all(map(q.has_vertex, j))):
                 problem = misfit(mat, swap_tuple(j, m), j)
             else:
                 problem = "bad transposition index or tuple"
             if problem:
-                raise FormatError(f"sn action ({m}, {','.join(map(str, j))}): {problem}")
+                raise FormatError(f"sn action ({m}, {label(j)}): {problem}")
 
     # -- basic access -----------------------------------------------------
     @property
@@ -137,7 +141,7 @@ class WreathModule:
         return self.params.order
 
     def dim(self, j: tuple) -> int:
-        return self.support.get(tuple(j), 0)
+        return self.support.get(j, 0)
 
     def tuples(self) -> list[tuple]:
         return sorted(self.support)

@@ -117,7 +117,9 @@ class DimVector:
 
     @staticmethod
     def make(mapping: dict[str, int]) -> "DimVector":
-        return DimVector(tuple(sorted((v, int(c)) for v, c in mapping.items() if c)))
+        if any(type(c) is not int for c in mapping.values()):
+            raise FormatError(f"dimension vector coefficients must be integers: {mapping}")
+        return DimVector(tuple(sorted((v, c) for v, c in mapping.items() if c)))
 
     @staticmethod
     def unit(vertex: str) -> "DimVector":

@@ -249,7 +249,7 @@ class SinkCalculus:
         d_ell = tuple(sorted(d + (ell,)))
         incl = self.tau_include(r_index, ell, j2, d_ell) @ x
         out = self.mu(j2, d_ell, ell) @ (self.pi(j2, d_ell, ell) @ incl)
-        out = out - incl.scaled(self.lam_i)
+        out = out + incl.scaled(-self.lam_i)
         if self.nu and d:
             s_sum = None
             for m in d:

@@ -164,7 +164,9 @@ class YoungDiagram:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int]):
-        t = tuple(int(p) for p in parts)
+        t = tuple(parts)
+        if any(type(p) is not int for p in t):
+            raise FormatError(f"partition parts must be integers: {t}")
         if not t or any(p <= 0 for p in t):
             raise FormatError(f"partition parts must be positive: {t}")
         if any(t[k] < t[k + 1] for k in range(len(t) - 1)):

@@ -291,7 +291,6 @@ def test_cyclotomic_module_round_trip(tmp_path, capsys):
     # an order-4 module written by reflect parses back and verifies
     from wreathq.cyclotomic import Scalar
     from reference import point_module
-    from wreathq.quiver import Quiver
     q = wio.parse_quiver(AHAT1)
     params = make_params(q, 1, {"0": Scalar.zeta(4), "1": Scalar.zero(4)},
                          Scalar.zero(4), order=4)

@@ -47,12 +47,13 @@ def test_euler_phi():
 def test_zeta_powers_reduce():
     z = Scalar.zeta(4)
     assert z * z == Scalar.rational(-1, 4)
-    assert z ** 4 == Scalar.one(4)
+    assert z * z * z * z == Scalar.one(4)
     # zeta_3^2 = -1 - zeta_3
     z3 = Scalar.zeta(3)
     assert z3 * z3 == Scalar((-1, -1), 3)
     # primitive roots multiply to 1 around the circle
-    assert Scalar.zeta(6) ** 6 == Scalar.one(6)
+    z6 = Scalar.zeta(6)
+    assert z6 * z6 * z6 * z6 * z6 * z6 == Scalar.one(6)
 
 
 def _random_scalar(rng, m):
@@ -71,7 +72,13 @@ def test_field_axioms(m):
         assert x + y == y + x
         if x:
             assert x * x.inverse() == one
-            assert (x / x) == one
+
+
+def test_scalar_has_no_division_or_power_operator():
+    x = Scalar.zeta(3)
+    for op in (lambda: x / x, lambda: 1 / x, lambda: x ** 2):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_inverse_of_zeta4():
@@ -182,15 +189,6 @@ def ref_inverse(a, m):
     return tuple(row[-1] for row in rows)
 
 
-def ref_pow(a, k, m):
-    if k < 0:
-        a, k = ref_inverse(a, m), -k
-    out = ref_one(m)
-    for _ in range(k):
-        out = ref_mul(out, a, m)
-    return out
-
-
 def assert_canonical(x):
     assert type(x.den) is int and x.den > 0
     assert all(type(c) is int for c in x.num)
@@ -233,18 +231,16 @@ def test_ring_operations_agree_with_reference(case):
 
 
 @PROPS
-@given(elements(2), st.integers(-3, 4))
-def test_division_and_powers_agree_with_reference(case, k):
+@given(elements(2))
+def test_inverse_and_quotient_agree_with_reference(case):
     m, a, b = case
     x, y = Scalar(a, m), Scalar(b, m)
     if y:
         assert agrees(y.inverse(), ref_inverse(b, m))
-        assert agrees(x / y, ref_mul(a, ref_inverse(b, m), m))
+        assert agrees(x * y.inverse(), ref_mul(a, ref_inverse(b, m), m))
     else:
         with pytest.raises(ZeroDivisionError):
             y.inverse()
-    if x or k >= 0:
-        assert agrees(x ** k, ref_pow(a, k, m))
 
 
 @PROPS
@@ -265,7 +261,7 @@ def test_equal_values_are_equal_and_hash_alike(case):
     ]
     if x:
         routes.append((x * x.inverse(), Scalar.one(m)))
-        routes.append(((y / x) * x, y))
+        routes.append(((y * x.inverse()) * x, y))
     for u, v in routes:
         assert_canonical(u)
         assert u == v and hash(u) == hash(v)
@@ -297,13 +293,8 @@ def test_mixing_with_int_and_fraction(case, k, q):
                  (x * q, x * sq), (q * x, sq * x), (x + q, x + sq), (q - x, sq - x)]:
         assert_canonical(u)
         assert u == v
-    if q:
-        assert x / q == x * sq.inverse()
-    if x:
-        assert k / x == sk * x.inverse()
     other = 4 if m == 3 else 3
-    for op in (lambda s, t: s + t, lambda s, t: s - t, lambda s, t: s * t,
-               lambda s, t: s / t):
+    for op in (lambda s, t: s + t, lambda s, t: s - t, lambda s, t: s * t):
         with pytest.raises(OrderMismatchError):
             op(x, Scalar.one(other))
 

@@ -30,7 +30,6 @@ def dense(m: Mat) -> list:
 
 def ref_rref(rows: list, ncols: int, order: int):
     mat = [list(row) for row in rows]
-    one = Scalar.one(order)
     piv = []
     r = 0
     for c in range(ncols):
@@ -38,7 +37,7 @@ def ref_rref(rows: list, ncols: int, order: int):
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        inv = one / mat[r][c]
+        inv = mat[r][c].inverse()
         mat[r] = [x * inv for x in mat[r]]
         for k in range(len(mat)):
             if k != r and mat[k][c]:

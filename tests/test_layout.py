@@ -15,6 +15,7 @@ from wreathq.modules import build_induced_zero_e
 from wreathq.symmetric import YoungDiagram
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "wreathq"
+TESTS = pathlib.Path(__file__).resolve().parent
 
 
 def _private_imports(path: pathlib.Path) -> list[str]:
@@ -245,7 +246,7 @@ def _unused_imports(path: pathlib.Path) -> list[str]:
 
 
 def test_no_unused_imports():
-    files = sorted(PACKAGE.glob("*.py"))
+    files = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
     assert files
     offenders = [line for path in files for line in _unused_imports(path)]
     assert offenders == []

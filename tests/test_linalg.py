@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from wreathq.cyclotomic import Scalar
-from wreathq.errors import NotInSpanError
+from wreathq.errors import NotInSpanError, OrderMismatchError
 from wreathq.linalg import (
     BlockBuilder, Mat, hstack, intersect_kernels, kernel_basis, kron,
     rank, rref, solve_in_span, vstack,
@@ -13,6 +13,16 @@ from wreathq.linalg import (
 
 def M(rows, order=1):
     return Mat.from_rows(rows, order)
+
+
+def test_mat_refuses_entries_it_cannot_hold():
+    with pytest.raises(TypeError):
+        Mat(1, 2, [1, 0])
+    with pytest.raises(TypeError):
+        Mat(1, 1, [Fraction(1, 2)])
+    with pytest.raises(OrderMismatchError):
+        Mat(1, 1, [Scalar.one(3)], 1)
+    assert Mat(1, 2, [Scalar.zeta(3), Scalar.zero(3)], 3) == M([[Scalar.zeta(3), 0]], 3)
 
 
 def test_rref_rank_one():

@@ -111,6 +111,12 @@ MALFORMED = {
                       "sn action (True, 1,1): bad transposition index or tuple"),
     "sn-tuple-numbers": (2, {("1", "1"): 1}, {}, {(1, (1, 1)): mat([[1]])},
                          "sn action (1, 1,1): bad transposition index or tuple"),
+    # a tuple key is a tuple, not a string of vertex names
+    "support-key-str": (2, {"01": 1}, {}, {}, "support '01': key must be a tuple"),
+    "edge-tuple-str": (2, {("0", "1"): 1}, {("a", 1, "01"): mat([[1]])}, {},
+                       "edge action (a, 1, '01'): bad position or tuple"),
+    "sn-tuple-int": (2, {("1", "1"): 1}, {}, {(1, 11): mat([[1]])},
+                     "sn action (1, 11): bad transposition index or tuple"),
 }
 
 

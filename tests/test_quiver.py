@@ -64,6 +64,12 @@ def test_ringel_bilinearity_random():
     assert ringel_form(q, a.scale(3), b) == 3 * ringel_form(q, a, b)
 
 
+@pytest.mark.parametrize("coefficient", [2.5, 2.0, True, "2"])
+def test_dimvector_make_refuses_a_coefficient_that_is_not_an_int(coefficient):
+    with pytest.raises(FormatError, match="must be integers"):
+        DimVector.make({"0": coefficient})
+
+
 def test_simple_reflection_examples():
     q = ahat1()
     assert simple_reflection(q, "0", E1) == DimVector.make({"0": 2, "1": 1})

@@ -7,7 +7,7 @@ from wreathq.cyclotomic import Scalar
 from wreathq.errors import EdgeLoopError, FormatError, NotInSpanError
 from wreathq.linalg import BlockBuilder, Mat, rank
 from wreathq.modules import (
-    Params, WreathModule, build_induced_zero_e, reorient_module, verify_relations,
+    WreathModule, build_induced_zero_e, reorient_module, verify_relations,
 )
 from wreathq.quiver import Quiver, Weight, dual_reflection, simple_reflection, DimVector
 from wreathq.reflection import (

@@ -6,8 +6,7 @@ from wreathq.cyclotomic import Scalar
 from wreathq.errors import FormatError
 from wreathq.quiver import DimVector, Weight
 from wreathq.sra import (
-    ConditionReport, GammaData, SRAParams, deformability_report, recover_sra,
-    translate_params,
+    GammaData, SRAParams, deformability_report, recover_sra, translate_params,
 )
 from wreathq.symmetric import YoungDiagram
 

@@ -8,7 +8,7 @@ from wreathq.cyclotomic import Scalar
 from wreathq.errors import FormatError, ResourceLimitError
 from wreathq.linalg import Mat
 from wreathq.symmetric import (
-    Perm, RepMatrices, YoungDiagram, contents, induce_rep, partitions, seminormal_rep,
+    Perm, YoungDiagram, contents, induce_rep, partitions, seminormal_rep,
     standard_tableaux, young_cosets,
 )
 
@@ -240,3 +240,6 @@ def test_young_diagram_validation():
         YoungDiagram([1, 2])
     with pytest.raises(FormatError):
         YoungDiagram([2, 0])
+    for part in (2.7, 2.0, True, "2"):
+        with pytest.raises(FormatError, match="must be integers"):
+            YoungDiagram([part])
