@@ -18,15 +18,22 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .cyclotomic import Scalar
-from .errors import FormatError
+from .errors import FormatError, ResourceLimitError
 from .linalg import Mat, kron
 from .quiver import Quiver, Weight, star_name
 from .symmetric import Perm, YoungDiagram, seminormal_rep, young_cosets
 
 
+MAX_N = 10     # the largest n accepted: S_n orbits of tuples grow as n!
+
+
 @dataclass(frozen=True)
 class Params:
-    """The data (quiver, n, lambda, nu) defining one algebra."""
+    """The data (quiver, n, lambda, nu) defining one algebra.
+
+    An n above ``MAX_N`` is refused with ``ResourceLimitError`` before any
+    tuple, partition or matrix is enumerated.
+    """
 
     quiver: Quiver
     n: int
@@ -36,6 +43,8 @@ class Params:
     def __post_init__(self):
         if self.n < 1:
             raise FormatError("n must be a positive integer")
+        if self.n > MAX_N:
+            raise ResourceLimitError(f"n = {self.n} exceeds the limit of {MAX_N}")
         if self.nu.order != self.weight.order:
             raise FormatError("weight and nu must share one cyclotomic order")
         for v, _ in self.weight.coords:
@@ -213,8 +222,8 @@ def structural_report(mod: WreathModule) -> list[StructuralIssue]:
     These are the smash-product structure: the stored s_m represent S_n
     and the edge actions are equivariant.  The ``WreathModule``
     constructor has already refused malformed shapes.  The walk skips a
-    check that an earlier passed check implies, so a failing module
-    reports exactly what the full walk reports:
+    group-relation check that an earlier passed check implies, so a
+    failing module reports exactly what the full walk reports:
 
     * the involution check s_m s_m = 1 at s_m j is skipped when the check
       at j passed and V_j and V_{s_m j} have the same dimension, because a
@@ -222,11 +231,31 @@ def structural_report(mod: WreathModule) -> list[StructuralIssue]:
     * once no involution issue was found, the braid check at w j,
       w = s_m s_{m+1} s_m, is skipped when the check at j passed: each
       word out of w j is then the two-sided inverse of the same word out
-      of j, so the two checks are equivalent;
-    * once no group-relation issue was found, the s_m-equivariance check
-      of an edge at (s_m pos, s_m j) is skipped when the check at
-      (pos, j) passed: with s_m^2 = 1, multiplying the identity there by
-      s_m on both sides gives the identity here.
+      of j, so the two checks are equivalent.
+
+    The equivariance check at a triple x = (e, pos, j), edge e of the
+    double acting in position pos out of V_j, and a generator s_m is
+    s_m E_x = E_{s_m x} s_m out of V_j, where s_m x = (e, s_m pos, s_m j).
+    Once no group-relation issue was found, ``_equivariance_certified``
+    proves every such identity from far fewer checks, one spanning tree
+    per S_n-orbit of triples; only when it fails does the full walk run,
+    every (j, pos, e, m) in order, to report.  The proof:
+
+    * a clean group-relation report makes the support S_n-stable (an
+      involution check with s_m j outside the support fails) and the
+      stored s_m a representation rho of S_n on the sum of the V_j, so
+      each orbit of triples has its root x0 = (e, p0, r) in the walk,
+      with r the sorted tuple and p0 the first position of j_pos in r;
+    * the tree checks, on the edges x -> s_m x of a breadth-first
+      spanning tree of the orbit, give E_x = rho(w) E_{x0} rho(w)^-1
+      along the tree path w from x0 to x;
+    * the stabiliser of x0 is the Young subgroup that fixes r and p0,
+      generated by the s_m with r_m = r_{m+1} and p0 not in {m, m+1}, and
+      the root checks make E_{x0} commute with each of them, hence with
+      the stabiliser, so x -> rho(w) E_{x0} rho(w)^-1 for x = w x0 is well
+      defined on the whole orbit and equals E_x there;
+    * so rho(s_m) E_x rho(s_m)^-1 = rho(s_m w) E_{x0} rho(s_m w)^-1 =
+      E_{s_m x}: every generator's identity holds at every triple.
     """
     q = mod.params.quiver
     n = mod.n
@@ -264,28 +293,70 @@ def structural_report(mod: WreathModule) -> list[StructuralIssue]:
                 if _residual(mod, j, (m, k), (k, m)) is not None:
                     found[j].append(StructuralIssue(at, f"s_{m} and s_{k} do not commute"))
     issues = [x for j in mod.tuples() for x in found[j]]
+    if not issues and _equivariance_certified(mod):
+        return issues
 
-    # smash-product equivariance of the edge actions
-    group = not issues
-    equivariant = set()     # (edge, pos, j, m) whose check passed
+    # smash-product equivariance of the edge actions, in full
     for j in mod.tuples():
         for pos in range(1, n + 1):
             for e in q.out_edges(j[pos - 1]):
                 for m in range(1, n):
-                    sig_pos = pos
-                    if pos == m:
-                        sig_pos = m + 1
-                    elif pos == m + 1:
-                        sig_pos = m
-                    if group and (e.name, sig_pos, swap_tuple(j, m), m) in equivariant:
-                        continue
-                    if _residual(mod, j, (m, (e.name, pos)), ((e.name, sig_pos), m)) is None:
-                        equivariant.add((e.name, pos, j, m))
-                    else:
+                    if not _equivariant(mod, e.name, pos, j, m):
                         issues.append(StructuralIssue(
                             f"tuple ({','.join(j)})",
                             f"edge {e.name} at position {pos} is not s_{m}-equivariant"))
     return issues
+
+
+def _equivariant(mod: WreathModule, edge: str, pos: int, j: tuple, m: int) -> bool:
+    """Whether s_m E = E' s_m out of V_j, E the edge acting in position pos
+    and E' the same edge in position s_m pos."""
+    return _residual(mod, j, (m, (edge, pos)), ((edge, _swap_position(pos, m)), m)) is None
+
+
+def _swap_position(pos: int, m: int) -> int:
+    """The image of a position under the adjacent transposition (m, m+1)."""
+    return {m: m + 1, m + 1: m}.get(pos, pos)
+
+
+def _equivariance_certified(mod: WreathModule) -> bool:
+    """Whether the tree and root checks of every S_n-orbit of triples pass.
+
+    Sound only once the group relations have passed; the proof is in
+    ``structural_report``.  Returns at the first failed check.
+    """
+    q, n = mod.params.quiver, mod.n
+    for r in mod.tuples():
+        if r != tuple(sorted(r)):
+            continue
+        for p0, v in enumerate(r, 1):
+            if v in r[:p0 - 1]:
+                continue
+            stabiliser = [m for m in range(1, n) if r[m - 1] == r[m] and p0 not in (m, m + 1)]
+            tree = _spanning_tree(n, p0, r)
+            for e in q.out_edges(v):
+                if not all(_equivariant(mod, e.name, pos, j, m) for pos, j, m in tree):
+                    return False
+                if not all(_equivariant(mod, e.name, p0, r, m) for m in stabiliser):
+                    return False
+    return True
+
+
+def _spanning_tree(n: int, root_pos: int, root: tuple) -> list[tuple]:
+    """The edges (pos, j, m) of a breadth-first spanning tree of the S_n-orbit
+    of (root_pos, root) under s_m (pos, j) = (s_m pos, s_m j): the tree first
+    reaches (s_m pos, s_m j) from (pos, j), through s_m."""
+    seen = {(root_pos, root)}
+    queue = [(root_pos, root)]
+    edges = []
+    for pos, j in queue:        # the loop reaches the points it appends
+        for m in range(1, n):
+            y = (_swap_position(pos, m), swap_tuple(j, m))
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+                edges.append((pos, j, m))
+    return edges
 
 
 def _word(mod: WreathModule, j: tuple, word: Sequence) -> Optional[Mat]:

@@ -82,11 +82,16 @@ BLOCK_MAP_CORPUS = ("a1.s1", "a1.f0s1", "a1.ind-triv", "a1.ind-sign", "a1.outer-
 
 
 @pytest.fixture(scope="session")
-def kronecker_f0v():
-    """F_0 of the [2, 2] zero-edge module at vertex 1 on the Kronecker quiver, n = 4."""
+def kronecker_v():
+    """The [2, 2] zero-edge module at vertex 1 on the Kronecker quiver, n = 4."""
     params = make_params(AHAT1, 4, {"0": Fraction(2, 5), "1": 0}, Fraction(1, 2))
-    v = build_induced_zero_e(params, [(YoungDiagram([2, 2]), "1")])
-    return reflection_functor(v, "0").module
+    return build_induced_zero_e(params, [(YoungDiagram([2, 2]), "1")])
+
+
+@pytest.fixture(scope="session")
+def kronecker_f0v(kronecker_v):
+    """F_0 of ``kronecker_v``."""
+    return reflection_functor(kronecker_v, "0").module
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from wreathq import io as wio
 from wreathq.cli import main
-from wreathq.modules import build_induced_zero_e
+from wreathq.modules import MAX_N, build_induced_zero_e
 from wreathq.symmetric import YoungDiagram
 
 from conftest import make_params
@@ -599,6 +599,30 @@ def test_huge_cyclotomic_order_is_refused_at_once(files, capsys, tmp_path):
     code, _, err = run(capsys, "generic", "--quiver", qp, "--params", str(pp), "--vertex", "0")
     assert time.perf_counter() - t0 < 0.1
     assert code == 1 and err.startswith("error:") and "limit" in err
+
+
+def _module_at(n, support, sn_actions):
+    return {"params": {"n": n, "lambda": {"0": "1", "1": "0"}, "nu": "0", "cyclotomic_order": 1},
+            "support": support, "edge_actions": [], "sn_actions": sn_actions}
+
+
+ONE_AT_ALL_ONES = _module_at(30, [{"tuple": ["1"] * 30, "dim": 1}], [
+    {"adjacent": m, "source_tuple": ["1"] * 30, "matrix": [["1"]]} for m in range(1, 30)])
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("cohomology", ONE_AT_ALL_ONES),        # 2^30 subsets of positions
+    ("euler", _module_at(90, [], [])),      # partitions of 90
+], ids=["cohomology-n30", "euler-n90"])
+def test_a_huge_n_is_refused_at_once(files, capsys, tmp_path, command, doc):
+    _, qp, _ = files
+    mp = tmp_path / "huge.json"
+    mp.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, command, "--quiver", qp, "--module", str(mp), "--vertex", "0")
+    assert time.perf_counter() - t0 < 0.1
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: n = {doc['params']['n']} exceeds the limit of {MAX_N}"]
 
 
 def test_malformed_order_has_no_traceback_in_a_fresh_process(files, tmp_path):

@@ -883,12 +883,78 @@ def test_equivariance_is_checked_in_full_once_a_group_relation_fails(ahat1):
 
 
 def test_verifier_skips_implied_checks(kronecker_f0v, monkeypatch):
-    # the full walk takes 2,000 products on this module
+    # the full walk takes 2,000 products on this module, the verifier 546
     calls = []
     product = Mat.__matmul__
     monkeypatch.setattr(Mat, "__matmul__", lambda a, b: calls.append(1) or product(a, b))
     assert verify_relations(unverified_copy(kronecker_f0v)).passed
-    assert len(calls) < 1000
+    assert len(calls) < 560
+
+
+def test_equivariance_is_certified_on_spanning_trees(kronecker_v, kronecker_f0v, monkeypatch):
+    # the tree edges of each orbit of (edge, position, tuple) and the root's
+    # stabiliser generators: 136 checks on F_0V (240 with the partner skip
+    # alone, 384 in full) and 10 on V (24 in full)
+    import wreathq.modules as modules
+    checks = []
+    residual = modules._residual
+    monkeypatch.setattr(modules, "_residual", lambda mod, j, lhs, rhs: (
+        checks.append(j) if not isinstance(lhs[-1], int) else None) or residual(mod, j, lhs, rhs))
+    counts = []
+    for mod in (kronecker_f0v, kronecker_v):
+        checks.clear()
+        assert structural_report(unverified_copy(mod)) == []
+        counts.append(len(checks))
+    assert counts == [136, 10]
+
+
+def _stabiliser_breaking_mutant(mod):
+    """The module with E + N at a root triple x0 = (e, p0, r), N not commuting
+    with a generator s_m of the stabiliser of x0, and E + N transported to the
+    rest of the orbit along the verifier's spanning tree; with (e, p0, r, m)."""
+    import wreathq.modules as modules
+    sn = mod.sn_actions
+    for r in filter(lambda j: j == tuple(sorted(j)), mod.tuples()):
+        for p0, v in enumerate(r, 1):
+            if v in r[:p0 - 1]:
+                continue
+            for e in mod.params.quiver.out_edges(v):
+                tgt = mod.edge_target(e.name, p0, r)
+                rows, cols = mod.dim(tgt), mod.dim(r)
+                for m in range(1, mod.n):
+                    if r[m - 1] != r[m] or p0 in (m, m + 1) or not rows:
+                        continue
+                    for a, b in itertools.product(range(rows), range(cols)):
+                        unit = _bumped(Mat.zeros(rows, cols, mod.order), a, b)
+                        if sn[(m, tgt)] @ unit != unit @ sn[(m, r)]:
+                            break
+                    else:
+                        continue
+                    delta = {(p0, r): unit}
+                    for pos, j, k in modules._spanning_tree(mod.n, p0, r):
+                        y = (modules._swap_position(pos, k), swap_tuple(j, k))
+                        target = mod.edge_target(e.name, pos, j)
+                        delta[y] = sn[(k, target)] @ delta[(pos, j)] @ sn[(k, y[1])]
+                    edges = dict(mod.edge_actions) | {
+                        (e.name, pos, j): edge_matrix(mod, e.name, pos, j) + d
+                        for (pos, j), d in delta.items()}
+                    mutant = WreathModule(mod.params, mod.support, edges, mod.sn_actions)
+                    return mutant, (e.name, p0, r, m)
+    raise AssertionError("no root triple with a breakable stabiliser")
+
+
+def test_the_root_checks_are_needed(kronecker_f0v):
+    # every tree check passes on the mutant; the root check against s_m fails,
+    # and the full walk then reports what it reports without the trees
+    import wreathq.modules as modules
+    mutant, (edge, p0, r, m) = _stabiliser_breaking_mutant(kronecker_f0v)
+    assert all(modules._equivariant(mutant, edge, pos, j, k)
+               for pos, j, k in modules._spanning_tree(mutant.n, p0, r))
+    assert not modules._equivariant(mutant, edge, p0, r, m)
+    issues = structural_report(mutant)
+    assert issues == _full_structural(mutant)
+    assert f"tuple ({','.join(r)}): edge {edge} at position {p0} is not s_{m}-equivariant" \
+        in [str(i) for i in issues]
 
 
 def test_the_report_is_computed_once_per_module(corpus, monkeypatch):
