@@ -128,6 +128,21 @@ def _rational_inverse(x: "Scalar") -> "Scalar":
     return _mk((den,) + x.num[1:], n, x.order)
 
 
+def _galois(x: "Scalar", k: int) -> "Scalar":
+    """sigma_k(x) for k prime to the order m: zeta^i -> zeta^(k i).  It
+    permutes Z[zeta], so the numerators keep their gcd with the
+    denominator and stay in lowest terms."""
+    m = x.order
+    rows = _power_table(m)
+    out = [0] * len(x.num)
+    for i, a in enumerate(x.num):
+        if a:
+            for t, c in enumerate(rows[k * i % m]):
+                if c:
+                    out[t] += a * c
+    return _mk(tuple(out), x.den, m)
+
+
 def _mismatch(a: int, b: int) -> OrderMismatchError:
     return OrderMismatchError(f"cannot mix cyclotomic orders {a} and {b}")
 
@@ -193,10 +208,6 @@ class Scalar:
 
     # -- coercion ----------------------------------------------------
     def _coerce(self, other):
-        if isinstance(other, Scalar):
-            if other.order != self.order:
-                raise _mismatch(self.order, other.order)
-            return other
         if isinstance(other, (int, Fraction)):
             return Scalar.rational(other, self.order)
         return None
@@ -283,28 +294,21 @@ class Scalar:
             raise ZeroDivisionError("scalar is zero")
         if self.is_rational():
             return _rational_inverse(self)
-        num, den = self.num, self.den
         # x^-1 = y / N(x) with y = prod_{k != 1} sigma_k(x), N(x) = x * y
         m = self.order
-        rows = _power_table(m)
         y = None
         for k in range(2, m):
-            if gcd(k, m) != 1:
-                continue
-            # sigma_k: zeta^i -> zeta^(k i); it permutes Z[zeta], so the
-            # numerators keep their gcd with den and stay in lowest terms
-            out = [0] * len(num)
-            for i, a in enumerate(num):
-                if a:
-                    for t, c in enumerate(rows[k * i % m]):
-                        if c:
-                            out[t] += a * c
-            conj = _mk(tuple(out), den, m)
-            y = conj if y is None else y * conj
+            if gcd(k, m) == 1:
+                conj = _galois(self, k)
+                y = conj if y is None else y * conj
         norm = self * y
         if not norm.is_rational():
             raise AssertionError("the Galois norm of a cyclotomic scalar must be rational")
         return y * _rational_inverse(norm)
+
+    def conjugate(self) -> "Scalar":
+        """The complex conjugate: sigma_-1, which sends zeta to zeta^-1."""
+        return self if self.is_rational() else _galois(self, -1)
 
     # -- comparisons / hashing ----------------------------------------
     def __eq__(self, other):

@@ -106,8 +106,11 @@ def load_json(path: str) -> Any:
 
 
 def dump_json(path: str, payload: Any) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_canonical_json(payload))
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(to_canonical_json(payload))
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from exc
 
 
 def to_canonical_json(payload: Any) -> str:
@@ -269,7 +272,21 @@ def parse_gamma(doc: Any) -> GammaData:
             _require(e in row_doc, f"missing table entry ({v}, {e})")
             row[e] = _scalar(row_doc[e], scalar_order, f"table entry ({v}, {e})")
         table[v] = row
-    return GammaData(order, elements, vertices, table, dims, scalar_order)
+    gamma = GammaData(order, elements, vertices, table, dims, scalar_order)
+    # recover_sra inverts by the orthogonality of characters, so only a
+    # square table of orthogonal characters is accepted
+    classes = len(gamma.conjugacy_classes())
+    _require(classes == len(vertices), "table gamma needs as many conjugacy classes as "
+             f"vertices, got {classes} and {len(vertices)}")
+    for a, v in enumerate(vertices):
+        conj = [table[v][e].conjugate() for e in elements]
+        for w in vertices[a:]:
+            inner = Scalar.zero(scalar_order)
+            for e, x in zip(elements, conj):
+                inner = inner + table[w][e] * x
+            _require(inner == (order if w == v else 0),
+                     f"table rows {v!r} and {w!r} break the orthogonality of characters")
+    return gamma
 
 
 def parse_sra(doc: Any, gamma: GammaData) -> SRAParams:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 from functools import lru_cache
+from math import isqrt
 from operator import mul
 
 from .cyclotomic import Scalar, euler_phi
@@ -141,10 +142,6 @@ class Mat:
                     out[k] = x
             srows.append(out)
         return _mat(r, c, srows, order)
-
-    @staticmethod
-    def column(entries, order: int = 1) -> "Mat":
-        return Mat.from_rows([[x] for x in entries], order)
 
     def scaled(self, s: Scalar) -> "Mat":
         if not s:
@@ -389,27 +386,10 @@ def rank(a: Mat) -> int:
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the bases 2, 3, 5, 7: deterministic below 3,215,031,751."""
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in (2, 3, 5, 7):
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division by 2 and the odd numbers up to isqrt(n)."""
+    if n < 3:
+        return n == 2
+    return n % 2 == 1 and all(n % q for q in range(3, isqrt(n) + 1, 2))
 
 
 @lru_cache(maxsize=None)
@@ -495,9 +475,20 @@ def kernel_basis(a: Mat) -> Mat:
     return _mat(a.cols, len(free), srows, a.order)
 
 
-def _unit_rows(basis: Mat) -> list[int] | None:
-    """For each column c of ``basis``, the first row equal to {c: 1}; None
-    if some column has no such row."""
+def solve_in_span(basis: Mat, target: Mat) -> Mat:
+    """Solve basis @ X = target; raise NotInSpanError if any column escapes.
+
+    ``target`` may have several columns.  Every column c of ``basis``
+    needs a unit row, a row equal to {c: 1} (every ``kernel_basis``
+    result and every identity has one at each free column); ValueError
+    refuses a basis without.  X is read off: its row c is the target's
+    row at the first unit row of c.  The other rows certify it with one
+    exact product: target lies in the span exactly when (those rows of
+    basis) @ X equals the same rows of target.
+    """
+    basis._check_order(target)
+    if basis.rows != target.rows:
+        raise ValueError("solve_in_span row mismatch")
     one = Scalar.one(basis.order)
     unit = [None] * basis.cols
     for r, row in enumerate(basis._rows):
@@ -505,48 +496,18 @@ def _unit_rows(basis: Mat) -> list[int] | None:
             c, x = next(iter(row.items()))
             if unit[c] is None and x == one:
                 unit[c] = r
-    return None if None in unit else unit
-
-
-def solve_in_span(basis: Mat, target: Mat) -> Mat:
-    """Solve basis @ X = target; raise NotInSpanError if any column escapes.
-
-    ``target`` may have several columns.  Where every column c of
-    ``basis`` has a unit row, a row equal to {c: 1} (every ``kernel_basis``
-    result and every identity has one at each free column), X is read
-    off: its row c is the target's row at the unit row of c.  The other
-    rows certify it with one exact product: target lies in the span
-    exactly when (those rows of basis) @ X equals the same rows of
-    target.  Any other basis goes through the RREF of
-    [basis | target]; its columns are expected to be independent (kernel
-    bases and embeddings always are), and a dependent basis still yields
-    one valid solution.
-    """
-    basis._check_order(target)
-    if basis.rows != target.rows:
-        raise ValueError("solve_in_span row mismatch")
-    if target.cols == 0 or basis.rows == 0 and target.is_zero():
-        return Mat.zeros(basis.cols, target.cols, basis.order)
-    unit = _unit_rows(basis)
-    if unit is not None:
-        trows = target._rows
-        x = _mat(basis.cols, target.cols, [trows[r] for r in unit], basis.order)
-        # the unit rows of basis @ X hold by construction
-        read = set(unit)
-        rest = [r for r in range(basis.rows) if r not in read]
-        brows = basis._rows
-        check = _mat(len(rest), basis.cols, [brows[r] for r in rest], basis.order) @ x
-        if check._rows != [trows[r] for r in rest]:
-            raise NotInSpanError("target is outside the span of the basis")
-        return x
-    red, piv = rref(hstack([basis, target]))
-    width = basis.cols
-    if piv and piv[-1] >= width:
+    if None in unit:
+        raise ValueError(f"basis column {unit.index(None)} has no unit row")
+    trows = target._rows
+    x = _mat(basis.cols, target.cols, [trows[r] for r in unit], basis.order)
+    # the unit rows of basis @ X hold by construction
+    read = set(unit)
+    rest = [r for r in range(basis.rows) if r not in read]
+    brows = basis._rows
+    check = _mat(len(rest), basis.cols, [brows[r] for r in rest], basis.order) @ x
+    if check._rows != [trows[r] for r in rest]:
         raise NotInSpanError("target is outside the span of the basis")
-    srows = [{} for _ in range(width)]
-    for c, row in zip(piv, red._rows):
-        srows[c] = {j - width: x for j, x in row.items() if j >= width}
-    return _mat(width, target.cols, srows, basis.order)
+    return x
 
 
 def intersect_kernels(maps: list[Mat], ambient_dim: int, order: int = 1) -> Mat:

@@ -42,7 +42,7 @@ class Quiver:
         vset = set(self.vertices)
         base = []
         for e in edges:
-            name, tail, head = (e.name, e.tail, e.head) if isinstance(e, Edge) else e
+            name, tail, head = e
             if not isinstance(name, str):
                 raise FormatError(f"edge name {name!r} must be a string")
             if name.endswith("*"):
@@ -152,14 +152,16 @@ class DimVector:
 
 class Weight:
     """An element of B = sum of one copy of the base field per vertex,
-    immutable by convention."""
+    immutable by convention.  Every value must be a ``Scalar`` of the
+    given order; nothing is coerced."""
 
     __slots__ = ("order", "coords", "_map")
 
     def __init__(self, mapping: dict[str, Scalar], order: int = 1):
         coords = {}
-        for v, x in mapping.items():
-            s = x if isinstance(x, Scalar) else Scalar.rational(x, order)
+        for v, s in mapping.items():
+            if type(s) is not Scalar:
+                raise FormatError(f"weight entry at {v!r} must be a Scalar, got {s!r}")
             if s.order != order:
                 raise FormatError(f"weight entry at {v!r} has order {s.order}, expected {order}")
             if s:

@@ -171,7 +171,8 @@ class SinkCalculus:
 
         The summand of an assignment xi goes to the summand of the moved
         assignment (perm(p) carries the edge of p) by the module's own
-        action of ``perm`` on the graded piece t(j, xi).
+        action of ``perm`` on the graded piece t(j, xi); a piece of
+        dimension 0 is skipped.
         """
         key = ("sigma", j, d, perm)
         out = self._maps.get(key)
@@ -182,7 +183,7 @@ class SinkCalculus:
             perm_matrix = self.module.perm_matrix
             out = self._maps[key] = _assemble(tgt, src, (
                 (tgt.index_of(tuple(xi[s] for s in slots)), k, perm_matrix(perm, src.t_tuples[k]))
-                for k, xi in enumerate(src.xis)), self.order)
+                for k, xi in enumerate(src.xis) if src.dims[k]), self.order)
         return out
 
     def sigma_trace(self, j: tuple, d: tuple[int, ...], perm: Perm) -> Scalar:
@@ -199,7 +200,7 @@ class SinkCalculus:
         perm_matrix = self.module.perm_matrix
         out = Scalar.zero(self.order)
         for k, xi in enumerate(src.xis):
-            if tuple(xi[s] for s in slots) == xi:
+            if src.dims[k] and tuple(xi[s] for s in slots) == xi:
                 block = perm_matrix(perm, src.t_tuples[k])
                 if block is not None:
                     out = out + block.trace()

@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 
 from .cyclotomic import Scalar
 from .errors import FormatError
-from .linalg import Mat, solve_in_span
 from .modules import Params
 from .quiver import DimVector, Quiver, Weight, apply_word_dimvector, dual_reflection, validate_word
 from .reflection import is_generic
@@ -114,40 +113,26 @@ def translate_params(gamma: GammaData, sra: SRAParams) -> tuple[Weight, Scalar]:
 
 
 def recover_sra(gamma: GammaData, weight: Weight, nu: Scalar) -> SRAParams:
-    """Invert the dictionary: solve for t and the class function c exactly.
+    """Invert the dictionary by the second orthogonality relation.
 
-    The unknowns are t and one value of c per nontrivial conjugacy
-    class; the equations are one per vertex.  For cyclic groups this is
-    discrete Fourier inversion.
+    For a character table, sum_v conj(chi_v(e)) chi_v(e') is |Gamma| / |class|
+    when e and e' are conjugate and 0 otherwise (Serre, Linear
+    Representations of Finite Groups, ch. 2), so t = sum_v dim_v lambda_v
+    / |Gamma| and c(e) = sum_v conj(chi_v(e)) lambda_v / |Gamma| for e != 1.
+    For cyclic groups this is discrete Fourier inversion.
     """
-    order = weight.order
-    classes = gamma.conjugacy_classes()
-    ident = gamma.elements[0]
-    nontrivial = [cls for cls in classes if ident not in cls]
-    # one column for t (the dimensions) and one per nontrivial class: the
-    # trace of c on N_v sums the character over the class elements
-    columns = [[Scalar.rational(gamma.dims[v], order) for v in gamma.vertices]]
-    for cls in nontrivial:
-        col = []
-        for v in gamma.vertices:
-            s = Scalar.zero(order)
-            for e in cls:
-                s = s + gamma.table[v][e]
-            col.append(s)
-        columns.append(col)
-    basis = Mat.from_rows([[col[r] for col in columns]
-                           for r in range(len(gamma.vertices))], order)
-    target = Mat.column([weight[v] for v in gamma.vertices], order)
-    sol = solve_in_span(basis, target)
-    t = sol[0, 0]
+    scale = Fraction(1, gamma.order)
+    t = Scalar.zero(weight.order)
+    for v in gamma.vertices:
+        t = t + weight[v] * gamma.dims[v]
     c = {}
-    for k, cls in enumerate(nontrivial):
-        value = sol[k + 1, 0]
+    for e in gamma.elements[1:]:
+        value = Scalar.zero(weight.order)
+        for v in gamma.vertices:
+            value = value + gamma.table[v][e].conjugate() * weight[v]
         if value:
-            for e in cls:
-                c[e] = value
-    k_param = nu * Fraction(2, gamma.order)
-    return SRAParams(t, k_param, c)
+            c[e] = value * scale
+    return SRAParams(t * scale, nu * Fraction(2, gamma.order), c)
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,14 @@ def ahat2():
     return Quiver(["0", "1", "2"], [("a0", "0", "1"), ("a1", "1", "2"), ("a2", "2", "0")])
 
 
+def rational_weight(lam, order=1):
+    """The weight with the given int, Fraction or Scalar values."""
+    return Weight({v: x if isinstance(x, Scalar) else Scalar.rational(x, order)
+                   for v, x in lam.items()}, order)
+
+
 def make_params(quiver, n, lam, nu=0, order=1):
-    weight = Weight({v: Scalar.rational(x, order) if not isinstance(x, Scalar) else x
-                     for v, x in lam.items()}, order)
+    weight = rational_weight(lam, order)
     nu_s = nu if isinstance(nu, Scalar) else Scalar.rational(nu, order)
     return Params(quiver, n, weight, nu_s)
 

@@ -20,14 +20,14 @@ from wreathq.modules import (
 )
 from wreathq import io as wio
 from wreathq.quiver import (
-    DimVector, Weight, dual_reflection, simple_reflection,
+    DimVector, dual_reflection, simple_reflection,
 )
 from wreathq.reflection import SinkCalculus, is_generic, reflection_functor
 from wreathq.symmetric import Perm, YoungDiagram, contents, partitions, seminormal_rep
 
 from conftest import (
-    AHAT1, AHAT2, BLOCK_MAP_CORPUS, HALF, THIRD, dimension_vector, make_params, report_text,
-    simple_at, whole_theta,
+    AHAT1, AHAT2, BLOCK_MAP_CORPUS, HALF, THIRD, dimension_vector, make_params, rational_weight,
+    report_text, simple_at, whole_theta,
 )
 from reference import (
     build_outer_tensor, central_sum_invertible, involution_witness, module_character,
@@ -478,7 +478,7 @@ def test_criterion_8_flat_family_sampling(tmp_path):
         assert signature == reference, nu
 
     # at nu = 0 the family specialises to the outer tensor X (x) Y up
-    p0 = Params(AHAT1, 2, Weight({"0": -1, "1": 2}), Scalar.zero())
+    p0 = Params(AHAT1, 2, rational_weight({"0": -1, "1": 2}), Scalar.zero())
     baseline = build_outer_tensor(p0, [(2, y, YoungDiagram([2]))])
     assert dict(reference[0]) == baseline.support
     elapsed = time.perf_counter() - started

@@ -550,6 +550,48 @@ def test_malformed_input_exits_with_one_error_line(files, capsys, tmp_path, comm
         assert lines == [f"error: unknown vertex {vertex!r}"]
 
 
+# a table gamma must be a character table: as many classes as vertices, orthogonal rows
+NOT_CHARACTERS = [
+    # two identical rows merge the two columns into one class
+    ({**TABLE_GAMMA, "order": 2, "elements": ["e", "g"], "vertices": ["0", "1"],
+      "dims": {"0": 1, "1": 1}, "table": {"0": {"e": "1", "g": "1"}, "1": {"e": "1", "g": "1"}}},
+     "table gamma needs as many conjugacy classes as vertices, got 1 and 2"),
+    # two identical rows of Z/3, whose three columns stay distinct
+    ({**TABLE_GAMMA, "order": 3, "cyclotomic_order": 3, "elements": ["e", "g", "h"],
+      "vertices": ["0", "1", "2"], "dims": {"0": 1, "1": 1, "2": 1},
+      "table": {"0": {"e": "1", "g": "1", "h": "1"}, "1": {"e": "1", "g": "1", "h": "1"},
+                "2": {"e": "1", "g": "z", "h": "z^2"}}},
+     "table rows '0' and '1' break the orthogonality of characters"),
+]
+
+
+@pytest.mark.parametrize("doc,message", NOT_CHARACTERS, ids=["one-class", "identical-rows"])
+def test_translate_refuses_a_table_that_is_not_a_character_table(capsys, tmp_path, doc, message):
+    gamma, sra = tmp_path / "gamma.json", tmp_path / "sra.json"
+    gamma.write_text(json.dumps(doc))
+    sra.write_text(json.dumps({"t": "1", "k": "1/2", "c": {}}))
+    code, out, err = run(capsys, "translate", "--gamma", str(gamma), "--sra", str(sra))
+    assert (code, out, err.splitlines()) == (2, "", [f"error: {message}"])
+
+
+@pytest.mark.parametrize("command", ["reflect", "induce"])
+@pytest.mark.parametrize("target", ["missing/out.json", "."])
+def test_an_unwritable_out_path_exits_with_one_error_line(files, command, target):
+    import subprocess
+    tmp_path, qp, mp = files
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(PARAMS))
+    out = str(tmp_path / target)
+    argv = {"reflect": ["reflect", "--quiver", qp, "--module", mp, "--vertex", "0"],
+            "induce": ["induce", "--quiver", qp, "--params", str(params),
+                       "--blocks", '[{"diagram": [2], "vertex": "1"}]']}[command]
+    proc = subprocess.run([sys.executable, "-m", "wreathq.cli", *argv, "--out", out],
+                          capture_output=True, text=True, env=_fresh_env())
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out}: "), lines
+
+
 def test_an_edge_name_that_is_a_number_is_refused(capsys, tmp_path):
     # the quiver's only edge is named "1", so a coerced 1 would name it
     qp, mp = tmp_path / "quiver.json", tmp_path / "module.json"

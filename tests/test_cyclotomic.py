@@ -244,6 +244,20 @@ def test_inverse_and_quotient_agree_with_reference(case):
 
 
 @PROPS
+@given(elements(2))
+def test_conjugate_is_the_automorphism_inverting_zeta(case):
+    m, a, b = case
+    x, y = Scalar(a, m), Scalar(b, m)
+    cx, cy = x.conjugate(), y.conjugate()
+    # sum a_i zeta^i goes to sum a_i zeta^-i
+    ref = sum((Scalar.zeta(m, -i) * c for i, c in enumerate(a)), Scalar.zero(m))
+    assert agrees(cx, ref.coeffs)
+    assert cx.conjugate() == x
+    assert (x + y).conjugate() == cx + cy and (x * y).conjugate() == cx * cy
+    assert (x * cx).conjugate() == x * cx
+
+
+@PROPS
 @given(elements(3))
 def test_equal_values_are_equal_and_hash_alike(case):
     m, a, b, c = case

@@ -16,7 +16,8 @@ from wreathq import kernels
 from wreathq.cyclotomic import MAX_CYCLOTOMIC_ORDER, Scalar, cyclotomic_polynomial, euler_phi
 from wreathq.errors import NotInSpanError
 from wreathq.linalg import (
-    BlockBuilder, Mat, _modulus, kernel_basis, kron, rank, rank_mod_p, rref, solve_in_span,
+    BlockBuilder, Mat, _is_prime, _modulus, kernel_basis, kron, rank, rank_mod_p, rref,
+    solve_in_span,
 )
 
 ORDERS = [1, 3, 4, 5]
@@ -154,15 +155,16 @@ def test_solve_in_span_matches_dense_reference(order):
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_solve_in_span_rejects_escaping_column(order):
-    # a unit row in the basis, then none: the read and the elimination both refuse
+    # the certificate refuses a target off the span; a basis with no unit row is refused
     target = Mat.from_rows([[Scalar.zeta(order) if order > 2 else 1], [1]], order)
-    for basis in (Mat.from_rows([[1], [0]], order), Mat.from_rows([[2], [0]], order)):
-        with pytest.raises(NotInSpanError):
-            solve_in_span(basis, target)
+    with pytest.raises(NotInSpanError):
+        solve_in_span(Mat.from_rows([[1], [0]], order), target)
+    with pytest.raises(ValueError, match="column 0 has no unit row"):
+        solve_in_span(Mat.from_rows([[2], [0]], order), target)
 
 
 def _read_by_elimination(basis: Mat, target: Mat) -> Mat:
-    """X from the dense RREF of [basis | target], as the elimination path reads it."""
+    """X from the dense RREF of [basis | target]."""
     red, piv = ref_rref([b + t for b, t in zip(dense(basis), dense(target))],
                         basis.cols + target.cols, basis.order)
     rows = [[Scalar.zero(basis.order)] * target.cols for _ in range(basis.cols)]
@@ -187,9 +189,10 @@ def test_unit_row_read_matches_elimination(problem):
     order, a, k, c = problem
     target = k @ c
     assert solve_in_span(k, target) == c == _read_by_elimination(k, target)
-    # twice the basis has no unit row, so it goes through the RREF
-    two = Scalar.rational(2, order)
-    assert solve_in_span(k.scaled(two), target).scaled(two) == c
+    if k.cols:
+        # twice the basis has no unit row
+        with pytest.raises(ValueError, match="has no unit row"):
+            solve_in_span(k.scaled(Scalar.rational(2, order)), target)
 
 
 @settings(max_examples=60, deadline=None)
@@ -218,18 +221,20 @@ def test_zero_column_basis_refuses_a_nonzero_target(order):
 
 @settings(max_examples=60, deadline=None)
 @given(kernel_problems())
-def test_partial_unit_rows_give_the_dense_answer(problem):
-    # scaling the first column by 2 leaves it without a unit row
+def test_a_column_without_a_unit_row_is_refused(problem):
+    # scaling the first column by 2 leaves it without a unit row, unless
+    # another row of that column held 1/2
     order, a, k, c = problem
     if not k.cols:
         return
     scale = Mat.identity(k.cols, order) + Mat.from_rows(
         [[int(i == j == 0) for j in range(k.cols)] for i in range(k.cols)], order)
     basis = k @ scale
-    target = k @ c
-    got = solve_in_span(basis, target)
-    assert got == _read_by_elimination(basis, target)
-    assert basis @ got == target
+    unit = [1] + [0] * (k.cols - 1)
+    if any(basis.row(r) == unit for r in range(basis.rows)):
+        return
+    with pytest.raises(ValueError, match="column 0 has no unit row"):
+        solve_in_span(basis, k @ c)
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -318,6 +323,10 @@ def test_modulus_is_the_largest_prime_with_a_root_of_phi():
 
     def is_prime(n):
         return all(n % q for q in primes if q * q <= n)
+
+    assert [n for n in range(2000) if _is_prime(n)] == _small_primes(1999)
+    # the square of a prime has no divisor below its root, the last one tried
+    assert not any(_is_prime(q * q) for q in primes[-3:]) and _is_prime(2 ** 31 - 1)
 
     for m in range(1, MAX_CYCLOTOMIC_ORDER + 1):
         p, g = _modulus(m)

@@ -87,6 +87,27 @@ def test_the_guard_sees_a_stray_chain_complex(tmp_path):
         ["probe.py:5: ChainComplex", "probe.py:6: ChainComplex", "probe.py:7: ChainComplex"]
 
 
+# -- one module opens files -------------------------------------------------------
+
+def test_only_io_opens_files():
+    # io turns every file error into a FormatError ("cannot read", "cannot write")
+    files = sorted(p for p in PACKAGE.glob("*.py") if p.name != "io.py")
+    assert files
+    offenders = [line for path in files for line in _stray_calls(path, "open", "")]
+    assert offenders == []
+
+
+def test_the_guard_sees_a_stray_open(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import os, pathlib\n"
+                     "def save(path, text):\n    with open(path, 'w') as fh:\n"
+                     "        fh.write(text)\n"
+                     "FD = os.open('x', os.O_RDONLY)\n"
+                     "TEXT = pathlib.Path('x').open().read()\n")
+    assert _stray_calls(probe, "open", "") == \
+        ["probe.py:3: open", "probe.py:5: open", "probe.py:6: open"]
+
+
 # -- one reader of scalar fields ---------------------------------------------------
 
 def test_io_parses_scalars_only_in_scalar():

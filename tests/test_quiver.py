@@ -12,6 +12,7 @@ from wreathq.quiver import (
     simple_reflection, symmetrized_form, validate_word,
 )
 
+from conftest import rational_weight
 from reference import affine_data, as_fraction, cartan_matrix
 
 
@@ -70,6 +71,13 @@ def test_dimvector_make_refuses_a_coefficient_that_is_not_an_int(coefficient):
         DimVector.make({"0": coefficient})
 
 
+@pytest.mark.parametrize("value", [1, Fraction(1, 2), 2.0, True, "1"])
+def test_weight_refuses_a_value_that_is_not_a_scalar(value):
+    with pytest.raises(FormatError, match="must be a Scalar"):
+        Weight({"0": value})
+    assert Weight({"0": Scalar.rational(1)})["0"] == 1
+
+
 def test_simple_reflection_examples():
     q = ahat1()
     assert simple_reflection(q, "0", E1) == DimVector.make({"0": 2, "1": 1})
@@ -79,12 +87,12 @@ def test_simple_reflection_examples():
 
 def test_dual_reflection_examples():
     q = ahat1()
-    lam = Weight({"0": 1, "1": 0})
+    lam = rational_weight({"0": 1, "1": 0})
     r0 = dual_reflection(q, "0", lam)
-    assert r0 == Weight({"0": -1, "1": 2})
-    fixed = Weight({"0": 0, "1": 5})
+    assert r0 == rational_weight({"0": -1, "1": 2})
+    fixed = rational_weight({"0": 0, "1": 5})
     assert dual_reflection(q, "0", fixed) == fixed
-    w = Weight({"0": Fraction(3, 2), "1": -5})
+    w = rational_weight({"0": Fraction(3, 2), "1": -5})
     assert dual_reflection(q, "0", dual_reflection(q, "0", w)) == w
 
 
@@ -95,7 +103,7 @@ def test_reflection_invariance_and_duality():
             for _ in range(5):
                 a = DimVector.make({v: rng.randint(-2, 3) for v in q.vertices})
                 b = DimVector.make({v: rng.randint(-2, 3) for v in q.vertices})
-                lam = Weight({v: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                lam = rational_weight({v: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
                               for v in q.vertices})
                 sa, sb = simple_reflection(q, i, a), simple_reflection(q, i, b)
                 assert symmetrized_form(q, sa, sb) == symmetrized_form(q, a, b)
@@ -107,7 +115,7 @@ def test_edge_loop_rejected():
     with pytest.raises(EdgeLoopError):
         simple_reflection(q, "0", DimVector.unit("0"))
     with pytest.raises(EdgeLoopError):
-        dual_reflection(q, "0", Weight({"0": 1}))
+        dual_reflection(q, "0", rational_weight({"0": 1}))
 
 
 def test_affine_data_ahat1():
@@ -147,29 +155,29 @@ def test_hyperbolic_not_affine():
 
 def test_validate_word_single_letter():
     q = ahat1()
-    res = validate_word(q, Weight({"0": 1, "1": 0}), ["0"])
+    res = validate_word(q, rational_weight({"0": 1, "1": 0}), ["0"])
     assert res.passed
     assert res.steps[0].pivot == Scalar.rational(1)
-    assert res.final == Weight({"0": -1, "1": 2})
+    assert res.final == rational_weight({"0": -1, "1": 2})
 
 
 def test_validate_word_fails_on_zero_pivot():
     q = ahat1()
-    res = validate_word(q, Weight({"0": 1, "1": 0}), ["1", "0"])
+    res = validate_word(q, rational_weight({"0": 1, "1": 0}), ["1", "0"])
     assert not res.passed
     assert not res.steps[0].ok
 
 
 def test_validate_word_two_letters():
     q = ahat1()
-    res = validate_word(q, Weight({"0": 1, "1": 0}), ["0", "1"])
+    res = validate_word(q, rational_weight({"0": 1, "1": 0}), ["0", "1"])
     assert res.passed
     assert [s.pivot for s in res.steps] == [Scalar.rational(1), Scalar.rational(2)]
-    assert res.final == Weight({"0": 3, "1": -2})
+    assert res.final == rational_weight({"0": 3, "1": -2})
     # pairing compatibility against the composed s-reflections on a basis
     for alpha in (E0, E1):
         moved = apply_word_dimvector(q, ["1", "0"], alpha)  # w^{-1} = s_1 s_0 read backwards
-        assert res.final.dot(alpha) == Weight({"0": 1, "1": 0}).dot(moved)
+        assert res.final.dot(alpha) == rational_weight({"0": 1, "1": 0}).dot(moved)
 
 
 def test_cartan_matrix_ahat1():

@@ -9,7 +9,7 @@ from wreathq.linalg import BlockBuilder, Mat, rank
 from wreathq.modules import (
     WreathModule, build_induced_zero_e, reorient_module, verify_relations,
 )
-from wreathq.quiver import Quiver, Weight, dual_reflection, simple_reflection, DimVector
+from wreathq.quiver import Quiver, dual_reflection, simple_reflection, DimVector
 from wreathq.reflection import (
     SinkCalculus, apply_functor_word, candidate_tuples, is_generic, reflection_functor,
 )
@@ -17,8 +17,10 @@ from wreathq.symmetric import Perm, YoungDiagram
 from wreathq import reflection
 
 from conftest import (
-    BLOCK_MAP_CORPUS, dimension_vector, make_params, mat, simple_at, whole_theta,
+    BLOCK_MAP_CORPUS, dimension_vector, make_params, mat, rational_weight, simple_at,
+    whole_theta,
 )
+import reference
 from reference import (
     NotGenericError, build_outer_tensor, canonical_key, check_intertwiner, direct_sum,
     graph_automorphism_transport, involution_witness, is_generic_oracle, reflect_morphism,
@@ -113,7 +115,7 @@ def test_reflect_simple_at_one(ahat1):
     v = simple_at(ahat1, "1", {"0": 1, "1": 0})
     out = reflection_functor(v, "0")
     w = out.module
-    assert w.params.weight == Weight({"0": -1, "1": 2})
+    assert w.params.weight == rational_weight({"0": -1, "1": 2})
     assert w.support == {("0",): 2, ("1",): 1}
     assert verify_relations(w).passed
     # dimension vector matches the simple reflection s_0(eps_1) = (2, 1)
@@ -143,7 +145,7 @@ def test_reflect_outer_tensor_dims(ahat1):
     w = out.module
     assert w.support == {("1", "1"): 1, ("0", "1"): 2, ("1", "0"): 2, ("0", "0"): 4}
     assert verify_relations(w).passed
-    assert w.params.weight == Weight({"0": -1, "1": 2})
+    assert w.params.weight == rational_weight({"0": -1, "1": 2})
 
 
 def test_reflected_module_passes_at_nu_nonzero(ahat1):
@@ -212,23 +214,38 @@ def test_involution_requires_generic(ahat1):
         involution_witness(v, "0")
 
 
-def test_involution_refuses_an_embedding_without_the_canonical_image(ahat1, monkeypatch):
-    # the second pass hands back zero embeddings of the right shapes, so the
-    # canonical map leaves their span and the witness reports failure
-    params = make_params(ahat1, 2, {"0": 1, "1": Fraction(-1, 2)}, Fraction(1, 2))
-    v = build_induced_zero_e(params, [(YoungDiagram([2]), "1")])
+def test_involution_refuses_an_embedding_without_the_canonical_image(monkeypatch):
+    # the second pass hands back its embeddings with every row outside the
+    # identity block zeroed, so the canonical map leaves their span (the 2x1
+    # embedding at (0,) is (-3/7, 1)) and solve_in_span refuses it before
+    # any intertwiner check; lambda_0 = 2*3 + 5*(-7)
+    _, v = sink_module(None, entries={
+        "lam": {"0": -29, "1": 29},
+        ("a", 1, ("1",)): mat([[2]]), ("a*", 1, ("0",)): mat([[3]]),
+        ("b", 1, ("1",)): mat([[5]]), ("b*", 1, ("0",)): mat([[-7]])})
     functor = reflection.reflection_functor
     passes = []
+
+    def misplaced(e):
+        zero = [0] * e.cols
+        rows = [e.row(r) for r in range(e.rows)]
+        return Mat.from_rows([row if sum(map(bool, row)) == 1 and 1 in row else zero
+                              for row in rows], e.order)
 
     def second_misplaced(module, vertex):
         out = functor(module, vertex)
         passes.append(vertex)
         if len(passes) == 2:
-            out.embeddings = {j: Mat.zeros(e.rows, e.cols, e.order)
-                              for j, e in out.embeddings.items()}
+            moved = {j: misplaced(e) for j, e in out.embeddings.items()}
+            assert moved != out.embeddings
+            out.embeddings = moved
         return out
 
+    def unreached(*args):
+        raise AssertionError("the intertwiner check is not reached")
+
     monkeypatch.setattr(reflection, "reflection_functor", second_misplaced)
+    monkeypatch.setattr(reference, "check_intertwiner", unreached)
     wit = involution_witness(v, "0")
     assert len(passes) == 2
     assert not wit.verified

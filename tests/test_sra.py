@@ -1,15 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from wreathq.cyclotomic import Scalar
 from wreathq.errors import FormatError
+from wreathq.linalg import Mat, rref
 from wreathq.quiver import DimVector, Weight
 from wreathq.sra import (
     GammaData, SRAParams, deformability_report, recover_sra, translate_params,
 )
 from wreathq.symmetric import YoungDiagram
 
+from conftest import rational_weight
 from reference import affine_data, mckay_quiver_cyclic
 
 
@@ -52,7 +55,7 @@ def test_translate_z3_roots_sum_to_zero():
     sra = SRAParams(one, Scalar.rational(1, 3), {"g1": one, "g2": one})
     lam, nu = translate_params(gamma, sra)
     # 1 + zeta + zeta^2 = 0 makes the nontrivial coordinates collapse
-    assert lam == Weight({"0": 3, "1": 0, "2": 0}, 3)
+    assert lam == rational_weight({"0": 3, "1": 0, "2": 0}, 3)
     assert nu == Scalar.rational(Fraction(3, 2), 3)
 
 
@@ -99,13 +102,13 @@ def test_conditions_row_diagram():
     # single 1 x 2 block at vertex 1, empty word: passes exactly when
     # lambda_1 = -nu
     q = _ahat1()
-    lam0 = Weight({"0": 1, "1": 0})
+    lam0 = rational_weight({"0": 1, "1": 0})
     nu = Scalar.rational(Fraction(1, 2))
-    good = Weight({"0": 1, "1": Fraction(-1, 2)})
+    good = rational_weight({"0": 1, "1": Fraction(-1, 2)})
     rep = deformability_report(q, lam0, good, nu, [],
                                [(YoungDiagram([2]), DimVector.unit("1"))])
     assert rep.passed
-    bad = Weight({"0": 1, "1": Fraction(1, 2)})
+    bad = rational_weight({"0": 1, "1": Fraction(1, 2)})
     rep = deformability_report(q, lam0, bad, nu, [],
                                [(YoungDiagram([2]), DimVector.unit("1"))])
     assert not rep.passed
@@ -114,9 +117,9 @@ def test_conditions_row_diagram():
 
 def test_conditions_column_diagram_flips_sign():
     q = _ahat1()
-    lam0 = Weight({"0": 1, "1": 0})
+    lam0 = rational_weight({"0": 1, "1": 0})
     nu = Scalar.rational(Fraction(1, 2))
-    good = Weight({"0": 1, "1": Fraction(1, 2)})
+    good = rational_weight({"0": 1, "1": Fraction(1, 2)})
     rep = deformability_report(q, lam0, good, nu, [],
                                [(YoungDiagram([1, 1]), DimVector.unit("1"))])
     assert rep.passed
@@ -124,7 +127,7 @@ def test_conditions_column_diagram_flips_sign():
 
 def test_conditions_non_rectangle_fails():
     q = _ahat1()
-    lam0 = Weight({"0": 1, "1": 0})
+    lam0 = rational_weight({"0": 1, "1": 0})
     rep = deformability_report(q, lam0, lam0, Scalar.rational(1), [],
                                [(YoungDiagram([2, 1]), DimVector.unit("1"))])
     assert not rep.passed
@@ -135,10 +138,10 @@ def test_conditions_transport_along_word():
     # Y = F_0(S_1) has dimension vector (2, 1); the word [0] moves it to
     # eps_1 and the trace condition becomes lambda . alpha = -nu
     q = _ahat1()
-    lam0 = Weight({"0": -1, "1": 2})
+    lam0 = rational_weight({"0": -1, "1": 2})
     alpha = DimVector.make({"0": 2, "1": 1})
     nu = Scalar.rational(Fraction(1, 3))
-    lam = Weight({"0": -1, "1": Fraction(2, 1) - Fraction(1, 3)})
+    lam = rational_weight({"0": -1, "1": Fraction(2, 1) - Fraction(1, 3)})
     # lambda . alpha = -2 + 2 - 1/3 = -1/3 = -nu
     rep = deformability_report(q, lam0, lam, nu, ["0"],
                                [(YoungDiagram([2]), alpha)])
@@ -147,7 +150,7 @@ def test_conditions_transport_along_word():
 
 def test_conditions_adjacent_vertices_reported():
     q = _ahat1()
-    lam0 = Weight({"0": 0, "1": 0})
+    lam0 = rational_weight({"0": 0, "1": 0})
     rep = deformability_report(
         q, lam0, lam0, Scalar.rational(1), [],
         [(YoungDiagram([1]), DimVector.unit("0")),
@@ -157,28 +160,42 @@ def test_conditions_adjacent_vertices_reported():
 
 def test_conditions_non_unit_transport_reported():
     q = _ahat1()
-    lam0 = Weight({"0": 1, "1": 0})
+    lam0 = rational_weight({"0": 1, "1": 0})
     rep = deformability_report(q, lam0, lam0, Scalar.zero(), ["0"],
                                [(YoungDiagram([2]), DimVector.unit("1"))])
     assert any(i.label == "transport[1]" and not i.passed for i in rep.items)
 
 
+# the character tables of the symmetric group on three letters, classes {e},
+# {three transpositions}, {two 3-cycles}, and of the dihedral group of order 8,
+# classes {e}, {r2}, {r, r3}, {s, sr2}, {sr, sr3}
+S3_DOC = {
+    "type": "table", "order": 6, "cyclotomic_order": 1,
+    "elements": ["e", "t1", "t2", "t3", "c1", "c2"],
+    "vertices": ["triv", "sgn", "std"],
+    "dims": {"triv": 1, "sgn": 1, "std": 2},
+    "table": {
+        "triv": {"e": "1", "t1": "1", "t2": "1", "t3": "1", "c1": "1", "c2": "1"},
+        "sgn": {"e": "1", "t1": "-1", "t2": "-1", "t3": "-1", "c1": "1", "c2": "1"},
+        "std": {"e": "2", "t1": "0", "t2": "0", "t3": "0", "c1": "-1", "c2": "-1"},
+    },
+}
+D4_CLASSES = (("e",), ("r2",), ("r", "r3"), ("s", "sr2"), ("sr", "sr3"))
+D4_ROWS = {"triv": (1, 1, 1, 1, 1), "a": (1, 1, 1, -1, -1), "b": (1, 1, -1, 1, -1),
+           "ab": (1, 1, -1, -1, 1), "std": (2, -2, 0, 0, 0)}
+D4_DOC = {
+    "type": "table", "order": 8, "cyclotomic_order": 1,
+    "elements": [e for cls in D4_CLASSES for e in cls],
+    "vertices": list(D4_ROWS),
+    "dims": {v: row[0] for v, row in D4_ROWS.items()},
+    "table": {v: {e: str(x) for cls, x in zip(D4_CLASSES, row) for e in cls}
+              for v, row in D4_ROWS.items()},
+}
+
+
 def test_table_gamma_with_classes():
-    # the character table of the symmetric group on three letters:
-    # classes {e}, {three transpositions}, {two 3-cycles}
     from wreathq.io import parse_gamma
-    doc = {
-        "type": "table", "order": 6, "cyclotomic_order": 1,
-        "elements": ["e", "t1", "t2", "t3", "c1", "c2"],
-        "vertices": ["triv", "sgn", "std"],
-        "dims": {"triv": 1, "sgn": 1, "std": 2},
-        "table": {
-            "triv": {"e": "1", "t1": "1", "t2": "1", "t3": "1", "c1": "1", "c2": "1"},
-            "sgn": {"e": "1", "t1": "-1", "t2": "-1", "t3": "-1", "c1": "1", "c2": "1"},
-            "std": {"e": "2", "t1": "0", "t2": "0", "t3": "0", "c1": "-1", "c2": "-1"},
-        },
-    }
-    gamma = parse_gamma(doc)
+    gamma = parse_gamma(S3_DOC)
     classes = {frozenset(c) for c in gamma.conjugacy_classes()}
     assert classes == {frozenset({"e"}), frozenset({"t1", "t2", "t3"}),
                        frozenset({"c1", "c2"})}
@@ -196,11 +213,52 @@ def test_table_gamma_with_classes():
     assert all(back.c[e] == c[e] for e in c)
 
 
+def _recover_by_elimination(gamma, weight, nu):
+    """The dictionary inverted as a linear system: one equation per vertex, one
+    unknown for t and one per nontrivial class, solved by row reduction."""
+    order = weight.order
+    nontrivial = [cls for cls in gamma.conjugacy_classes() if gamma.elements[0] not in cls]
+    rows = []
+    for v in gamma.vertices:
+        sums = [sum((gamma.table[v][e] for e in cls), Scalar.zero(order)) for cls in nontrivial]
+        rows.append([Scalar.rational(gamma.dims[v], order)] + sums + [weight[v]])
+    red, piv = rref(Mat.from_rows(rows, order))
+    width = 1 + len(nontrivial)
+    assert piv == tuple(range(width))
+    c = {e: red[k + 1, width] for k, cls in enumerate(nontrivial) for e in cls
+         if red[k + 1, width]}
+    return SRAParams(red[0, width], nu * Fraction(2, gamma.order), c)
+
+
+def _random_scalar(rng, order):
+    x = Scalar.rational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), order)
+    if order > 2:
+        x = x + Scalar.zeta(order, rng.randrange(order)) * rng.randint(-2, 2)
+    return x
+
+
+def test_orthogonality_inverts_the_dictionary_as_elimination_does():
+    from wreathq.io import parse_gamma
+    rng = random.Random(25)
+    gammas = [GammaData.cyclic(m) for m in range(1, 13)] + [parse_gamma(S3_DOC),
+                                                          parse_gamma(D4_DOC)]
+    for gamma in gammas:
+        order = gamma.scalar_order
+        for _ in range(3):
+            c = {}
+            for cls in gamma.conjugacy_classes()[1:]:
+                value = _random_scalar(rng, order) if rng.random() < 0.8 else None
+                c.update({e: value for e in cls} if value else {})
+            sra = SRAParams(_random_scalar(rng, order), _random_scalar(rng, order), c)
+            lam, nu = translate_params(gamma, sra)
+            assert recover_sra(gamma, lam, nu) == _recover_by_elimination(gamma, lam, nu) == sra
+
+
 def test_conditions_refuse_n_below_one():
     # r_0 negates lambda_0 = 0, so the coordinate clashes at p = 0 for every n >= 1
     q = _ahat1()
-    lam0 = Weight({"0": 1, "1": 0})
-    lam = Weight({"0": 0, "1": 1})
+    lam0 = rational_weight({"0": 1, "1": 0})
+    lam = rational_weight({"0": 0, "1": 1})
     blocks = [(YoungDiagram([2]), DimVector.unit("1"))]
     for n in (None, 1, 2):
         rep = deformability_report(q, lam0, lam, Scalar.rational(1), ["0"], blocks, n)
@@ -213,7 +271,7 @@ def test_conditions_refuse_n_below_one():
 def test_conditions_refuse_no_blocks_and_no_n():
     # n would be the total size of no diagrams, 0, and word-genericity would
     # check nothing and pass
-    lam0, lam = Weight({"0": 1, "1": 1}), Weight({"0": 0, "1": 1})
+    lam0, lam = rational_weight({"0": 1, "1": 1}), rational_weight({"0": 0, "1": 1})
     with pytest.raises(FormatError, match="n must be at least 1, got 0"):
         deformability_report(_ahat1(), lam0, lam, Scalar.rational(1), ["0"], [])
 
