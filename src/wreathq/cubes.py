@@ -244,7 +244,6 @@ def euler_characteristic(module: WreathModule, vertex: str) -> EulerReport:
                 # the sign of sigma on the ascending subset
                 pos = {p: k for k, p in enumerate(subset, 1)}
                 det_sign = Perm([pos[sigma(p)] for p in subset]).sign()
-                coeff = (-1) ** len(subset) * det_sign
-                value = value + tr * coeff
+                value = value - tr if (-1) ** len(subset) * det_sign < 0 else value + tr
         character.append((parts, value))
     return EulerReport(tuple(per_tuple), tuple(character))

@@ -13,7 +13,8 @@ y = prod sigma_k(x) over the units k != 1 mod m makes N(x) = x * y
 rational, and x^-1 = y / N(x) (Cohen, GTM 138, section 4.3), so inversion
 uses the same integer products and no polynomial arithmetic over Q.  For
 m = 1 and m = 2, phi(m) = 1 and a scalar is a single rational.  No
-floating point is used anywhere.
+floating point is used anywhere: a scalar is built only from ints and
+Fractions, and combines and compares only with other scalars.
 
 Orders above ``MAX_CYCLOTOMIC_ORDER`` are refused with
 :class:`ResourceLimitError` before Phi_m is built.
@@ -143,6 +144,13 @@ def _galois(x: "Scalar", k: int) -> "Scalar":
     return _mk(tuple(out), x.den, m)
 
 
+def _fraction(x) -> Fraction:
+    """An int or a Fraction as a Fraction; no other type is a rational here."""
+    if type(x) is not int and type(x) is not Fraction:
+        raise TypeError(f"a rational must be an int or a Fraction, not {x!r}")
+    return Fraction(x)
+
+
 def _mismatch(a: int, b: int) -> OrderMismatchError:
     return OrderMismatchError(f"cannot mix cyclotomic orders {a} and {b}")
 
@@ -156,10 +164,13 @@ class Scalar:
     compare it directly.  Scalars are immutable by convention: nothing
     assigns to them after construction.
 
-    ``+``, ``-``, ``*`` and ``==`` take a plain ``int`` or ``Fraction`` on
-    either side and coerce it into the same field; subtraction is addition
-    of the negation.  There is no ``/`` or ``**``: division is a product
-    with ``inverse()``.  Combining scalars of different orders raises
+    ``+``, ``-``, ``*`` and ``==`` take only another ``Scalar``: any
+    other operand, a plain ``int`` or ``Fraction`` included, raises
+    ``TypeError`` on either side, so a rational enters the field only
+    through ``Scalar.rational`` or the constructor, and both take only
+    ``int`` and ``Fraction`` values.  Subtraction is addition of the
+    negation.  There is no ``/`` or ``**``: division is a product with
+    ``inverse()``.  Combining scalars of different orders raises
     :class:`OrderMismatchError` (no implicit field embeddings).
     """
 
@@ -167,7 +178,7 @@ class Scalar:
 
     def __init__(self, coeffs, order: int = 1):
         phi = euler_phi(order)
-        c = [Fraction(x) for x in coeffs]
+        c = [_fraction(x) for x in coeffs]
         if len(c) != phi:
             raise ValueError(f"need {phi} coefficients for order {order}, got {len(c)}")
         den = lcm(*(x.denominator for x in c))
@@ -197,7 +208,7 @@ class Scalar:
         if type(value) is int:
             num, den = value, 1
         else:
-            q = Fraction(value)
+            q = _fraction(value)
             num, den = q.numerator, q.denominator
         return _mk((num,) + (0,) * (euler_phi(order) - 1), den, order)
 
@@ -205,12 +216,6 @@ class Scalar:
     def zeta(order: int, power: int = 1) -> "Scalar":
         """zeta_m^power as a reduced scalar."""
         return _mk(_power_table(order)[power % order], 1, order)
-
-    # -- coercion ----------------------------------------------------
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Scalar.rational(other, self.order)
-        return None
 
     # -- predicates --------------------------------------------------
     def __bool__(self) -> bool:
@@ -220,9 +225,8 @@ class Scalar:
         return not any(self.num[1:])
 
     # -- arithmetic --------------------------------------------------
-    def __add__(self, other):
-        o = other if type(other) is Scalar else self._coerce(other)
-        if o is None:
+    def __add__(self, o):
+        if type(o) is not Scalar:
             return NotImplemented
         if o.order != self.order:
             raise _mismatch(self.order, o.order)
@@ -240,7 +244,7 @@ class Scalar:
                 return _mk(tuple(x // g for x in num), da * fa // g, self.order)
         return _mk(tuple(num), da * fa, self.order)
 
-    __radd__ = __add__
+    __radd__ = __add__    # always NotImplemented; perfbench/spans.py wraps it
 
     def __neg__(self):
         return _mk(tuple(-x for x in self.num), self.den, self.order)
@@ -248,12 +252,8 @@ class Scalar:
     def __sub__(self, other):
         return self + -other
 
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        o = other if type(other) is Scalar else self._coerce(other)
-        if o is None:
+    def __mul__(self, o):
+        if type(o) is not Scalar:
             return NotImplemented
         if o.order != self.order:
             raise _mismatch(self.order, o.order)
@@ -287,7 +287,7 @@ class Scalar:
                         out[t] += top * c
         return _reduced(out, den, self.order)
 
-    __rmul__ = __mul__
+    __rmul__ = __mul__    # always NotImplemented; perfbench/spans.py wraps it
 
     def inverse(self) -> "Scalar":
         if not self:
@@ -313,15 +313,10 @@ class Scalar:
     # -- comparisons / hashing ----------------------------------------
     def __eq__(self, other):
         if type(other) is not Scalar:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Scalar.rational(other, self.order)
+            raise TypeError(f"cannot compare a Scalar with {type(other).__name__}")
         return self.num == other.num and self.den == other.den and self.order == other.order
 
     def __hash__(self):
-        # a rational value equals an int or Fraction, so it must hash like one
-        if self.is_rational():
-            return hash(Fraction(self.num[0], self.den))
         return hash((self.order, self.num, self.den))
 
     # -- text form ----------------------------------------------------
@@ -329,7 +324,7 @@ class Scalar:
         return format_scalar(self)
 
     def __repr__(self) -> str:
-        return f"Scalar({format_scalar(self)!r}, order={self.order})"
+        return f"<Scalar {format_scalar(self)}, order {self.order}>"
 
 
 @lru_cache(maxsize=None)

@@ -262,11 +262,16 @@ def parse_gamma(doc: Any) -> GammaData:
     vertices = _names(doc["vertices"], "vertices")
     dims = {v: _int(d, "dims value") for v, d in _object(doc["dims"], "dims").items()}
     table_doc = _object(doc["table"], "table")
+    for what, keys in (("dims", dims), ("table", table_doc)):
+        for v in keys:
+            _require(v in vertices, f"{what} names unknown vertex {v!r}")
     table = {}
     for v in vertices:
         _require(v in dims, f"missing dims entry for vertex {v!r}")
         _require(v in table_doc, f"missing table row for vertex {v!r}")
         row_doc = _object(table_doc[v], f"table row {v!r}")
+        for e in row_doc:
+            _require(e in elements, f"table row {v!r} names unknown element {e!r}")
         row = {}
         for e in elements:
             _require(e in row_doc, f"missing table entry ({v}, {e})")
@@ -284,7 +289,7 @@ def parse_gamma(doc: Any) -> GammaData:
             inner = Scalar.zero(scalar_order)
             for e, x in zip(elements, conj):
                 inner = inner + table[w][e] * x
-            _require(inner == (order if w == v else 0),
+            _require(inner == Scalar.rational(order if w == v else 0, scalar_order),
                      f"table rows {v!r} and {w!r} break the orthogonality of characters")
     return gamma
 

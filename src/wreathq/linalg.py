@@ -125,24 +125,6 @@ class Mat:
         o = Scalar.one(order)
         return _mat(n, n, [{t: o} for t in range(n)], order)
 
-    @staticmethod
-    def from_rows(rows_list, order: int = 1) -> "Mat":
-        """Build from a list of rows whose entries are Scalars or rationals."""
-        r = len(rows_list)
-        c = len(rows_list[0]) if r else 0
-        srows = []
-        for row in rows_list:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            out = {}
-            for k, x in enumerate(row):
-                if not isinstance(x, Scalar):
-                    x = Scalar.rational(x, order)
-                if x:
-                    out[k] = x
-            srows.append(out)
-        return _mat(r, c, srows, order)
-
     def scaled(self, s: Scalar) -> "Mat":
         if not s:
             return Mat.zeros(self.rows, self.cols, self.order)

@@ -178,7 +178,7 @@ class Weight:
         d = self._map
         for v, c in alpha.coords:
             if v in d:
-                total = total + d[v] * c
+                total = total + d[v] * Scalar.rational(c, self.order)
         return total
 
     def __eq__(self, other):
@@ -235,7 +235,7 @@ def dual_reflection(q: Quiver, i: str, lam: Weight) -> Weight:
     out = {}
     for j in q.vertices:
         pairing = symmetrized_form(q, DimVector.unit(i), DimVector.unit(j))
-        out[j] = lam[j] - lam_i * pairing
+        out[j] = lam[j] - lam_i * Scalar.rational(pairing, lam.order)
     return Weight(out, lam.order)
 
 

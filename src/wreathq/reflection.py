@@ -34,7 +34,6 @@ class BigSpace:
     """The space V(j, D): one summand per assignment of edges in R to D."""
 
     j: tuple
-    d_positions: tuple[int, ...]          # D, ascending
     xis: tuple[tuple[int, ...], ...]      # assignments as tuples of R-indices
     t_tuples: tuple[tuple, ...]           # t(j, xi) per assignment
     dims: tuple[int, ...]
@@ -119,7 +118,7 @@ class SinkCalculus:
             dims.append(self.module.dim(t))
             offsets.append(total)
             total += dims[-1]
-        out = BigSpace(j, d, tuple(xis), tuple(t_tuples), tuple(dims), tuple(offsets), total)
+        out = BigSpace(j, tuple(xis), tuple(t_tuples), tuple(dims), tuple(offsets), total)
         self._spaces[key] = out
         return out
 
@@ -275,9 +274,10 @@ def is_generic(params: Params, vertex: str) -> GenericityResult:
     require_loop_free(params.quiver, vertex)
     lam_i = params.weight[vertex]
     for p in range(params.n):
-        if not lam_i + params.nu * p:
+        p_nu = params.nu * Scalar.rational(p, params.order)
+        if not lam_i + p_nu:
             return GenericityResult(False, p, "plus")
-        if not lam_i - params.nu * p:
+        if not lam_i - p_nu:
             return GenericityResult(False, p, "minus")
     return GenericityResult(True)
 
@@ -287,13 +287,11 @@ class ReflectionOutput:
     """The reflected module plus the per-tuple embedding data.
 
     ``embeddings[j]`` is the basis of the new graded piece inside the top
-    space V(j, Delta(j)); ``calculus`` exposes the underlying block maps,
-    built on the input module in its own orientation.
+    space V(j, Delta(j)) of ``SinkCalculus(input module, vertex)``.
     """
 
     module: WreathModule
     embeddings: dict
-    calculus: SinkCalculus
 
 
 def candidate_tuples(calc: SinkCalculus) -> list[tuple]:
@@ -385,7 +383,7 @@ def reflection_functor(module: WreathModule, vertex: str) -> ReflectionOutput:
                 sn_actions[(m, j)] = small
 
     result = WreathModule(params, support, edge_actions, sn_actions)
-    return ReflectionOutput(result, embeddings, calc)
+    return ReflectionOutput(result, embeddings)
 
 
 @dataclass

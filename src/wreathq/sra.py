@@ -104,11 +104,11 @@ def translate_params(gamma: GammaData, sra: SRAParams) -> tuple[Weight, Scalar]:
     order = sra.t.order
     out = {}
     for v in gamma.vertices:
-        total = sra.t * gamma.dims[v]
+        total = sra.t * Scalar.rational(gamma.dims[v], order)
         for e, coeff in sra.c.items():
             total = total + coeff * gamma.table[v][e]
         out[v] = total
-    nu = sra.k * Fraction(gamma.order, 2)
+    nu = sra.k * Scalar.rational(Fraction(gamma.order, 2), order)
     return Weight(out, order), nu
 
 
@@ -121,18 +121,19 @@ def recover_sra(gamma: GammaData, weight: Weight, nu: Scalar) -> SRAParams:
     / |Gamma| and c(e) = sum_v conj(chi_v(e)) lambda_v / |Gamma| for e != 1.
     For cyclic groups this is discrete Fourier inversion.
     """
-    scale = Fraction(1, gamma.order)
-    t = Scalar.zero(weight.order)
+    order = weight.order
+    scale = Scalar.rational(Fraction(1, gamma.order), order)
+    t = Scalar.zero(order)
     for v in gamma.vertices:
-        t = t + weight[v] * gamma.dims[v]
+        t = t + weight[v] * Scalar.rational(gamma.dims[v], order)
     c = {}
     for e in gamma.elements[1:]:
-        value = Scalar.zero(weight.order)
+        value = Scalar.zero(order)
         for v in gamma.vertices:
             value = value + gamma.table[v][e].conjugate() * weight[v]
         if value:
             c[e] = value * scale
-    return SRAParams(t * scale, nu * Fraction(2, gamma.order), c)
+    return SRAParams(t * scale, nu * Scalar.rational(Fraction(2, gamma.order), order), c)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +231,7 @@ def deformability_report(q: Quiver, lambda0: Weight, lam: Weight, nu: Scalar,
                 f"trace[{k}]", False, "needs a rectangular diagram"))
             continue
         lhs = lam.dot(alpha)
-        rhs = nu * (data.rect_height - data.rect_width)
+        rhs = nu * Scalar.rational(data.rect_height - data.rect_width, lam.order)
         items.append(ConditionItem(
             f"trace[{k}]", lhs == rhs,
             f"lambda . alpha = {lhs}, (a - b) nu = {rhs}"))

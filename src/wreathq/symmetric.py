@@ -1,7 +1,7 @@
 """Symmetric groups in exact arithmetic.
 
 Contents: permutations of [1, n] with canonical adjacent-transposition
-words, Young diagrams with their cell contents, Young's seminormal form
+words, Young diagrams with their rectangle data, Young's seminormal form
 of the irreducible representations (all matrices rational, no square
 roots), and representations induced from Young subgroups with canonical
 minimal-length coset representatives.  The group-algebra invertibility
@@ -40,10 +40,6 @@ class Perm:
     @property
     def n(self) -> int:
         return len(self.img)
-
-    @staticmethod
-    def identity(n: int) -> "Perm":
-        return Perm(range(1, n + 1))
 
     @staticmethod
     def adjacent(m: int, n: int) -> "Perm":
@@ -177,10 +173,6 @@ class YoungDiagram:
     def size(self) -> int:
         return sum(self.parts)
 
-    def cells(self) -> list[tuple[int, int]]:
-        """(row, col), 1-based, row-major."""
-        return [(r + 1, c + 1) for r, width in enumerate(self.parts) for c in range(width)]
-
     def __eq__(self, other):
         if not isinstance(other, YoungDiagram):
             return NotImplemented
@@ -195,32 +187,16 @@ class YoungDiagram:
 
 @dataclass(frozen=True)
 class ContentData:
-    cell_contents: tuple[int, ...]       # content c - r per cell, row-major
-    corners: tuple[tuple[tuple[int, int], int], ...]  # (cell, content) of removable cells
-    total: int                           # sum of all cell contents
     is_rectangle: bool
     rect_height: Optional[int]           # a, when rectangular
     rect_width: Optional[int]            # b, when rectangular
 
 
 def contents(mu: YoungDiagram) -> ContentData:
-    """Cell contents, removable corners, total content, and the rectangle data."""
-    cc = tuple(c - r for (r, c) in mu.cells())
-    corners = []
+    """Whether mu is a rectangle, with its height a and width b when it is."""
     parts = mu.parts
-    for r, width in enumerate(parts, 1):
-        below = parts[r] if r < len(parts) else 0
-        if width > below:
-            corners.append(((r, width), width - r))
     rect = len(set(parts)) == 1
-    return ContentData(
-        cell_contents=cc,
-        corners=tuple(corners),
-        total=sum(cc),
-        is_rectangle=rect,
-        rect_height=len(parts) if rect else None,
-        rect_width=parts[0] if rect else None,
-    )
+    return ContentData(rect, len(parts) if rect else None, parts[0] if rect else None)
 
 
 def standard_tableaux(mu: YoungDiagram) -> list[tuple[tuple[int, ...], ...]]:
@@ -316,15 +292,15 @@ def seminormal_rep(mu: YoungDiagram, order: int = 1) -> RepMatrices:
     dim = len(tabs)
     gens = []
     for k in range(1, n):
-        builder = [[Scalar.zero(order) for _ in range(dim)] for _ in range(dim)]
+        data = [Scalar.zero(order)] * (dim * dim)
         for t_idx, tab in enumerate(tabs):
             pos = _positions(tab)
             (r1, c1), (r2, c2) = pos[k], pos[k + 1]
             if r1 == r2:
-                builder[t_idx][t_idx] = Scalar.one(order)
+                data[t_idx * (dim + 1)] = Scalar.one(order)
                 continue
             if c1 == c2:
-                builder[t_idx][t_idx] = Scalar.rational(-1, order)
+                data[t_idx * (dim + 1)] = Scalar.rational(-1, order)
                 continue
             d = (c2 - r2) - (c1 - r1)
             rho = Fraction(1, d)
@@ -333,12 +309,12 @@ def seminormal_rep(mu: YoungDiagram, order: int = 1) -> RepMatrices:
                 for row in tab
             )
             s_idx = index[swapped]
-            builder[s_idx][t_idx] = (
+            data[s_idx * dim + t_idx] = (
                 Scalar.one(order) if d < 0
                 else Scalar.rational(1 - rho * rho, order)
             )
-            builder[t_idx][t_idx] = Scalar.rational(rho, order)
-        gens.append(Mat.from_rows(builder, order))
+            data[t_idx * (dim + 1)] = Scalar.rational(rho, order)
+        gens.append(Mat(dim, dim, data, order))
     return RepMatrices(n, gens, order)
 
 

@@ -28,14 +28,11 @@ def ahat2():
 
 def rational_weight(lam, order=1):
     """The weight with the given int, Fraction or Scalar values."""
-    return Weight({v: x if isinstance(x, Scalar) else Scalar.rational(x, order)
-                   for v, x in lam.items()}, order)
+    return Weight({v: scalar(x, order) for v, x in lam.items()}, order)
 
 
 def make_params(quiver, n, lam, nu=0, order=1):
-    weight = rational_weight(lam, order)
-    nu_s = nu if isinstance(nu, Scalar) else Scalar.rational(nu, order)
-    return Params(quiver, n, weight, nu_s)
+    return Params(quiver, n, rational_weight(lam, order), scalar(nu, order))
 
 
 def simple_at(quiver, vertex, lam, nu=0):
@@ -67,8 +64,15 @@ def whole_theta(calc, r_idx, ell, j, d):
     return calc.theta(r_idx, ell, j, d, Mat.identity(calc.space(j, d).total, calc.order))
 
 
+def scalar(x, order=1):
+    """A Scalar as it is, or an int or Fraction as a rational Scalar."""
+    return x if type(x) is Scalar else Scalar.rational(x, order)
+
+
 def mat(rows, order=1):
-    return Mat.from_rows(rows, order)
+    """The matrix with the given rows of Scalars, ints and Fractions."""
+    return Mat(len(rows), len(rows[0]) if rows else 0,
+               [scalar(x, order) for row in rows for x in row], order)
 
 
 def frac(a, b=1):

@@ -81,6 +81,10 @@ def as_fraction(x: Scalar) -> Fraction:
 # The symmetric group algebra
 # ---------------------------------------------------------------------------
 
+def identity_perm(n: int) -> Perm:
+    return Perm(range(1, n + 1))
+
+
 @lru_cache(maxsize=None)
 def all_perms(n: int) -> tuple[Perm, ...]:
     if n > 7:
@@ -98,7 +102,7 @@ def regular_representation(element: dict[Perm, Scalar], r: int, order: int = 1) 
         if not coeff:
             continue
         for col, h in enumerate(perms):
-            bb.add_block(idx[g.compose(h).img], col, Mat.from_rows([[coeff]], order))
+            bb.add_block(idx[g.compose(h).img], col, Mat(1, 1, [coeff], order))
     return bb.build()
 
 
@@ -118,10 +122,10 @@ def central_sum_invertible(x, nu, r: int) -> bool:
     if not isinstance(nu, Scalar):
         nu = Scalar.rational(nu, x.order)
     order = x.order
-    for sign in (1, -1):
-        element = {Perm.identity(r): x}
+    for signed_nu in (nu, -nu):
+        element = {identity_perm(r): x}
         for m in range(2, r + 1):
-            element[Perm.transposition(1, m, r)] = sign * nu
+            element[Perm.transposition(1, m, r)] = signed_nu
         mat = regular_representation(element, r, order)
         if rank(mat) != math.factorial(r):
             return False
@@ -150,7 +154,8 @@ def _is_connected(q: Quiver) -> bool:
 def cartan_matrix(q: Quiver) -> Mat:
     """Gram matrix of the symmetrized form on the unit vectors."""
     units = [DimVector.unit(v) for v in q.vertices]
-    return Mat.from_rows([[symmetrized_form(q, u, v) for v in units] for u in units], 1)
+    return Mat(len(units), len(units),
+               [Scalar.rational(symmetrized_form(q, u, v)) for u in units for v in units], 1)
 
 
 def affine_data(q: Quiver) -> Optional[DimVector]:
@@ -489,7 +494,7 @@ def reflect_morphism(src: WreathModule, dst: WreathModule, maps: dict, vertex: s
         raise FormatError("the given maps do not intertwine the module actions")
     out_src = reflection.reflection_functor(src, vertex)
     out_dst = reflection.reflection_functor(dst, vertex)
-    calc_s, calc_d = out_src.calculus, out_dst.calculus
+    calc_s, calc_d = reflection.SinkCalculus(src, vertex), reflection.SinkCalculus(dst, vertex)
     order = src.order
 
     result = {}
@@ -531,7 +536,7 @@ def involution_witness(module: WreathModule, vertex: str) -> InvolutionWitness:
     second = reflection.reflection_functor(first.module, vertex)
     if second.module.params.weight != module.params.weight:
         raise AssertionError("double reflection must restore the weight")
-    calc1 = first.calculus
+    calc1 = reflection.SinkCalculus(module, vertex)
     order = module.order
 
     maps = {}

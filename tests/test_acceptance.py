@@ -363,7 +363,7 @@ def test_criterion_7_extension_biconditional(tmp_path):
                 if quiver.adjacent(u, v):
                     return False
         for (diagram, vertex), data in zip(blocks, datas):
-            if lam[vertex] != nu * (data.rect_height - data.rect_width):
+            if lam[vertex] != nu * Scalar.rational(data.rect_height - data.rect_width):
                 return False
         return True
 
@@ -459,7 +459,7 @@ def test_criterion_8_flat_family_sampling(tmp_path):
         module = build_induced_zero_e(ind_params, [(YoungDiagram([2]), "1")])
         assert verify_relations(module).passed, nu
         # U' genericity along the word for this sample
-        assert moved_weight["1"] == -nu
+        assert moved_weight["1"] == Scalar.rational(-nu)
         assert is_generic(ind_params, "0") or nu == 0
         mp = tmp_path / f"word{idx}.json"
         mp.write_text(wio.to_canonical_json(wio.dump_module(module)))

@@ -16,7 +16,7 @@ from wreathq.cli import main
 from wreathq.modules import MAX_N, build_induced_zero_e
 from wreathq.symmetric import YoungDiagram
 
-from conftest import make_params
+from conftest import HALF, make_params
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -124,7 +124,7 @@ def test_reflect_requires_exactly_one_mode(files, capsys):
 
 def test_cohomology_and_euler(files, capsys, tmp_path):
     tdir, qp, _ = files
-    params = make_params(wio.parse_quiver(AHAT1), 2, {"0": "1", "1": "0"}, 0)
+    params = make_params(wio.parse_quiver(AHAT1), 2, {"0": 1, "1": 0}, 0)
     module = build_induced_zero_e(params, [(YoungDiagram([2]), "1")])
     mp = tmp_path / "sq.json"
     mp.write_text(wio.to_canonical_json(wio.dump_module(module)))
@@ -259,7 +259,7 @@ def test_word_validate(files, capsys, tmp_path):
 
 def test_round_trip_canonical(files, tmp_path):
     q = wio.parse_quiver(AHAT1)
-    params = make_params(q, 2, {"0": "1", "1": "-1/2"}, "1/2")
+    params = make_params(q, 2, {"0": 1, "1": -HALF}, HALF)
     module = build_induced_zero_e(params, [(YoungDiagram([2]), "1")])
     text1 = wio.to_canonical_json(wio.dump_module(module))
     parsed = wio.parse_module(json.loads(text1), q)
@@ -567,6 +567,26 @@ NOT_CHARACTERS = [
 
 @pytest.mark.parametrize("doc,message", NOT_CHARACTERS, ids=["one-class", "identical-rows"])
 def test_translate_refuses_a_table_that_is_not_a_character_table(capsys, tmp_path, doc, message):
+    gamma, sra = tmp_path / "gamma.json", tmp_path / "sra.json"
+    gamma.write_text(json.dumps(doc))
+    sra.write_text(json.dumps({"t": "1", "k": "1/2", "c": {}}))
+    code, out, err = run(capsys, "translate", "--gamma", str(gamma), "--sra", str(sra))
+    assert (code, out, err.splitlines()) == (2, "", [f"error: {message}"])
+
+
+# every key of dims and table names a declared vertex, every table entry a declared element
+UNDECLARED = [
+    ({**TABLE_GAMMA, "dims": {"0": 1, "ghost": 1}}, "dims names unknown vertex 'ghost'"),
+    ({**TABLE_GAMMA, "table": {"0": {"e": "1"}, "ghost": {"e": "1"}}},
+     "table names unknown vertex 'ghost'"),
+    ({**TABLE_GAMMA, "table": {"0": {"e": "1", "x": "1"}}},
+     "table row '0' names unknown element 'x'"),
+]
+
+
+@pytest.mark.parametrize("doc,message", UNDECLARED, ids=["dims-vertex", "table-vertex",
+                                                         "table-element"])
+def test_translate_refuses_an_undeclared_vertex_or_element(capsys, tmp_path, doc, message):
     gamma, sra = tmp_path / "gamma.json", tmp_path / "sra.json"
     gamma.write_text(json.dumps(doc))
     sra.write_text(json.dumps({"t": "1", "k": "1/2", "c": {}}))

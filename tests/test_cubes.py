@@ -68,7 +68,7 @@ def _inverse(p):
 def _column_space_basis(m):
     red, piv = rref(m.transpose())
     rows = [red.row(k) for k in range(len(piv))]
-    return Mat.from_rows(rows, m.order).transpose() if rows else Mat.zeros(m.rows, 0, m.order)
+    return mat(rows, m.order).transpose() if rows else Mat.zeros(m.rows, 0, m.order)
 
 
 def _idempotent_cube(rng, m, dim, order=1):
@@ -77,8 +77,8 @@ def _idempotent_cube(rng, m, dim, order=1):
     pinv = _inverse(p)
     psis = []
     for _ in range(m):
-        diag = Mat.from_rows([[1 if (r == c and rng.random() < 0.6) else 0
-                               for c in range(dim)] for r in range(dim)], order)
+        diag = mat([[1 if (r == c and rng.random() < 0.6) else 0
+                     for c in range(dim)] for r in range(dim)], order)
         psis.append(p @ diag @ pinv)
     for a in psis:
         assert a @ a == a
@@ -289,7 +289,7 @@ def test_unlucky_prime_falls_back_to_exact_ranks(order, monkeypatch):
     p = _modulus(order)[0]
     # an entry that vanishes mod p, and one with no image mod p
     for entry in (p, Fraction(1, p)):
-        cube = Cube((1,), {(): 1, (1,): 1}, {((), 1): Mat.from_rows([[entry]], order)}, order)
+        cube = Cube((1,), {(): 1, (1,): 1}, {((), 1): mat([[entry]], order)}, order)
         assert cohomology(complex_from_cube(cube)) == (0, 0)
     zero = Cube((1, 2), {(): 2, (1,): 2, (2,): 2, (1, 2): 2}, {}, order)
     assert cohomology(complex_from_cube(zero)) == (2, 4, 2)
@@ -450,7 +450,7 @@ def _perturbed(module, key, row, col, delta):
     block = module.edge_actions[key]
     unit = [[delta * ((r, c) == (row % block.rows, col % block.cols)) for c in range(block.cols)]
             for r in range(block.rows)]
-    actions = dict(module.edge_actions) | {key: block + Mat.from_rows(unit, block.order)}
+    actions = dict(module.edge_actions) | {key: block + mat(unit, block.order)}
     return WreathModule(module.params, module.support, actions, module.sn_actions)
 
 

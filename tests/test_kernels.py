@@ -20,6 +20,8 @@ from wreathq.linalg import (
     solve_in_span,
 )
 
+from conftest import mat
+
 ORDERS = [1, 3, 4, 5]
 
 
@@ -156,11 +158,11 @@ def test_solve_in_span_matches_dense_reference(order):
 @pytest.mark.parametrize("order", ORDERS)
 def test_solve_in_span_rejects_escaping_column(order):
     # the certificate refuses a target off the span; a basis with no unit row is refused
-    target = Mat.from_rows([[Scalar.zeta(order) if order > 2 else 1], [1]], order)
+    target = mat([[Scalar.zeta(order) if order > 2 else 1], [1]], order)
     with pytest.raises(NotInSpanError):
-        solve_in_span(Mat.from_rows([[1], [0]], order), target)
+        solve_in_span(mat([[1], [0]], order), target)
     with pytest.raises(ValueError, match="column 0 has no unit row"):
-        solve_in_span(Mat.from_rows([[2], [0]], order), target)
+        solve_in_span(mat([[2], [0]], order), target)
 
 
 def _read_by_elimination(basis: Mat, target: Mat) -> Mat:
@@ -170,7 +172,7 @@ def _read_by_elimination(basis: Mat, target: Mat) -> Mat:
     rows = [[Scalar.zero(basis.order)] * target.cols for _ in range(basis.cols)]
     for r, c in enumerate(piv):
         rows[c] = red[r][basis.cols:]
-    return Mat.from_rows(rows, basis.order) if rows else Mat.zeros(0, target.cols, basis.order)
+    return mat(rows, basis.order) if rows else Mat.zeros(0, target.cols, basis.order)
 
 
 @st.composite
@@ -205,15 +207,15 @@ def test_unit_row_read_refuses_a_bumped_pivot_row(problem, data):
         return
     r = data.draw(st.sampled_from(piv))
     t = data.draw(st.integers(0, c.cols - 1))
-    bump = Mat.from_rows([[int((i, j) == (r, t)) for j in range(c.cols)]
-                          for i in range(k.rows)], order)
+    bump = mat([[int((i, j) == (r, t)) for j in range(c.cols)]
+                for i in range(k.rows)], order)
     with pytest.raises(NotInSpanError):
         solve_in_span(k, k @ c + bump)
 
 
 @pytest.mark.parametrize("order", [1, 3])
 def test_zero_column_basis_refuses_a_nonzero_target(order):
-    target = Mat.from_rows([[0], [1]], order)
+    target = mat([[0], [1]], order)
     with pytest.raises(NotInSpanError):
         solve_in_span(Mat.zeros(2, 0, order), target)
     assert solve_in_span(Mat.zeros(2, 0, order), Mat.zeros(2, 1, order)) == Mat.zeros(0, 1, order)
@@ -227,10 +229,10 @@ def test_a_column_without_a_unit_row_is_refused(problem):
     order, a, k, c = problem
     if not k.cols:
         return
-    scale = Mat.identity(k.cols, order) + Mat.from_rows(
+    scale = Mat.identity(k.cols, order) + mat(
         [[int(i == j == 0) for j in range(k.cols)] for i in range(k.cols)], order)
     basis = k @ scale
-    unit = [1] + [0] * (k.cols - 1)
+    unit = mat([[1] + [0] * (k.cols - 1)], order).row(0)
     if any(basis.row(r) == unit for r in range(basis.rows)):
         return
     with pytest.raises(ValueError, match="column 0 has no unit row"):
@@ -297,11 +299,11 @@ def test_cancellation_gives_canonical_zero(order):
 @pytest.mark.parametrize("order", ORDERS)
 def test_partial_cancellation_keeps_no_zero(order):
     one, zeta = Scalar.one(order), Scalar.zeta(order) if order > 2 else Scalar.rational(2)
-    a = Mat.from_rows([[one, zeta], [zeta, one]], order)
-    b = Mat.from_rows([[zeta, one], [-one, -zeta]], order)
+    a = mat([[one, zeta], [zeta, one]], order)
+    b = mat([[zeta, one], [-one, -zeta]], order)
     # row 0 of a @ b is (zeta - zeta, one - zeta^2): the first entry cancels
     prod = a @ b
-    expect = Mat.from_rows([[0, one - zeta * zeta], [zeta * zeta - one, 0]], order)
+    expect = mat([[0, one - zeta * zeta], [zeta * zeta - one, 0]], order)
     assert prod == expect and hash(prod) == hash(expect)
     assert prod.data == expect.data
     assert (a + b) - b == a and hash((a + b) - b) == hash(a)
@@ -347,6 +349,6 @@ def test_rank_mod_p_matches_dense_reference(order):
 def test_rank_mod_p_sees_the_image_over_f_p(order):
     p = _modulus(order)[0]
     # p maps to 0, 1/p has no image; a rank-2 matrix that drops to rank 1 mod p
-    assert rank_mod_p(Mat.from_rows([[p]], order)) == 0
-    assert rank_mod_p(Mat.from_rows([[Fraction(1, p)]], order)) is None
-    assert rank_mod_p(Mat.from_rows([[1, 1], [1, 1 + p]], order)) == 1
+    assert rank_mod_p(mat([[p]], order)) == 0
+    assert rank_mod_p(mat([[Fraction(1, p)]], order)) is None
+    assert rank_mod_p(mat([[1, 1], [1, 1 + p]], order)) == 1

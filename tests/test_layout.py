@@ -287,27 +287,44 @@ _DOTTED = re.compile(r"[A-Za-z_][\w.]*")
 
 
 def _reads(path: pathlib.Path) -> set[str]:
-    """Names one file reads: identifiers, attributes, imported names, and the parts of
-    dotted-name strings (quoted annotations, and the tracer's ``"Mat.__matmul__"``)."""
+    """Names one file reads: identifiers (not the ones assigned to), attributes,
+    imported names, and the parts of dotted-name strings (quoted annotations, and the
+    tracer's ``"Mat.__matmul__"``).  An attribute of a plain name, ``Mat.identity``,
+    is also read whole."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
+            if isinstance(node.value, ast.Name):
+                names.add(f"{node.value.id}.{node.attr}")
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and _DOTTED.fullmatch(node.value):
-            names.update(node.value.split("."))
+            parts = node.value.split(".")
+            names.update(parts + [f"{a}.{b}" for a, b in zip(parts, parts[1:])])
     return names
+
+
+def _members(cls: ast.ClassDef):
+    """(node, name, the name a read must match) of each method and annotated field of
+    a class; a static method is read only through its class, as ``Cls.name``."""
+    for m in cls.body:
+        if isinstance(m, ast.AnnAssign) and isinstance(m.target, ast.Name):
+            yield m, m.target.id, m.target.id
+        elif isinstance(m, ast.FunctionDef):
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in m.decorator_list)
+            yield m, m.name, f"{cls.name}.{m.name}" if static else m.name
 
 
 def _unread_public_names(package: pathlib.Path, readers: list[pathlib.Path]) -> list[str]:
     """Public top-level functions and classes of a package's modules, and public
-    methods and properties of those classes, that their own module does not read
-    again, and no other module of the package and no file of ``readers`` reads.
-    A re-export from ``__init__`` is not a read."""
+    methods, properties and annotated fields of those classes, that their own
+    module does not read again, and no other module of the package and no file of
+    ``readers`` reads.  A re-export from ``__init__`` is not a read."""
     modules = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
     read = set().union(*map(_reads, modules + list(readers)))
     found = []
@@ -316,10 +333,10 @@ def _unread_public_names(package: pathlib.Path, readers: list[pathlib.Path]) -> 
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
-            members = [m for m in node.body if isinstance(m, ast.FunctionDef)] \
-                if isinstance(node, ast.ClassDef) else []
-            found += [f"{path.name}:{n.lineno}: {n.name}" for n in [node] + members
-                      if not n.name.startswith("_") and n.name not in read]
+            members = list(_members(node)) if isinstance(node, ast.ClassDef) else []
+            found += [f"{path.name}:{n.lineno}: {name}"
+                      for n, name, key in [(node, node.name, node.name)] + members
+                      if not name.startswith("_") and key not in read]
     return found
 
 
@@ -342,12 +359,20 @@ def test_the_guard_sees_an_unread_name(tmp_path):
                               "    def __init__(self):\n        self.x = 6\n"
                               "    def used(self):\n        return self.x\n"
                               "    @property\n    def unused(self):\n        return 7\n"
-                              "    def _hidden(self):\n        return 8\n")
-    (pkg / "b.py").write_text("from .a import Read, shared\n\nVALUE = Read().used()\n")
+                              "    def _hidden(self):\n        return 8\n\n"
+                              "class Record:\n    kept: int\n    dropped: int\n"
+                              "    @staticmethod\n    def build():\n        return Record()\n"
+                              "    @staticmethod\n    def used():\n        return 9\n")
+    (pkg / "b.py").write_text("from .a import Read, Record, shared\n\n"
+                              "VALUE = Read().used() + Record.build().kept\n"
+                              "dropped = 0\n")
     bench = tmp_path / "bench.py"
     bench.write_text("SPANS = (('a', 'traced', 'a.traced'),)\n")
+    # Record.used is hidden by Read().used only when reads are matched by bare name,
+    # and b.py's variable dropped assigns, it does not read
     assert _unread_public_names(pkg, [bench]) == \
-        ["a.py:1: exported", "a.py:13: Unread", "a.py:16: unread", "a.py:28: unused"]
+        ["a.py:1: exported", "a.py:13: Unread", "a.py:16: unread", "a.py:28: unused",
+         "a.py:35: dropped", "a.py:40: used"]
 
 
 # -- the package namespace loads nothing ----------------------------------------------

@@ -10,9 +10,10 @@ from wreathq.linalg import (
     rank, rref, solve_in_span, vstack,
 )
 
+from conftest import mat
 
-def M(rows, order=1):
-    return Mat.from_rows(rows, order)
+
+M = mat
 
 
 def test_mat_refuses_entries_it_cannot_hold():
@@ -42,7 +43,7 @@ def test_rref_zeta_diagonal():
     # check of the scalar inverse used for the pivot: z * (-z) = 1.
     z = Scalar.zeta(4)
     assert z * (-z) == Scalar.one(4)
-    a = Mat.from_rows([[z, Scalar.zero(4)], [Scalar.zero(4), Scalar.one(4)]], 4)
+    a = mat([[z, Scalar.zero(4)], [Scalar.zero(4), Scalar.one(4)]], 4)
     red, piv = rref(a)
     assert red == Mat.identity(2, 4)
     assert piv == (0, 1)

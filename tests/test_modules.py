@@ -22,7 +22,7 @@ from conftest import (
 )
 from reference import (
     build_outer_tensor, canonical_key, check_intertwiner, direct_sum, edge_matrix,
-    graph_automorphism_transport, induced_module, module_character, perm_matrix,
+    graph_automorphism_transport, identity_perm, induced_module, module_character, perm_matrix,
     point_module, sn_matrix,
 )
 
@@ -407,7 +407,7 @@ def test_simple_smash_module_needs_zero_edge_actions(ahat1):
 def test_module_character(ahat1):
     params = make_params(ahat1, 2, {"0": 0, "1": 0}, 0)
     m = build_induced_zero_e(params, [(YoungDiagram([1]), "0"), (YoungDiagram([1]), "1")])
-    assert module_character(m, Perm.identity(2)) == Scalar.rational(2)
+    assert module_character(m, identity_perm(2)) == Scalar.rational(2)
     assert module_character(m, Perm.adjacent(1, 2)) == Scalar.zero()
 
 
@@ -435,14 +435,14 @@ def test_perm_matrix_is_none_where_a_factor_is_not_stored(ahat1):
     assert m.perm_matrix(swap, ("0", "1")) == one
     assert m.perm_matrix(swap, ("0", "0")) is None
     assert m.perm_matrix(swap, ("0", "0")) is None
-    assert m.perm_matrix(Perm.identity(2), ("0", "0")) == one
+    assert m.perm_matrix(identity_perm(2), ("0", "0")) == one
 
 
 def test_the_identity_out_of_a_zero_piece_is_none(ahat1):
     # no 0x0 identity: outside the support even the empty word is a zero map
     m = WreathModule(make_params(ahat1, 2, {"0": 1, "1": 1}), {("0", "1"): 2}, {}, {})
-    assert m.perm_matrix(Perm.identity(2), ("1", "1")) is None
-    assert m.perm_matrix(Perm.identity(2), ("0", "1")) == Mat.identity(2)
+    assert m.perm_matrix(identity_perm(2), ("1", "1")) is None
+    assert m.perm_matrix(identity_perm(2), ("0", "1")) == Mat.identity(2)
 
 
 def test_perm_matrix_is_a_homomorphism(corpus):
@@ -773,7 +773,7 @@ def test_orbit_walk_matches_full_walk_on_non_rectangular_modules():
 def _bumped(block, row=0, col=0):
     """The block with 1 added to its entry at (row, col), the first by default."""
     unit = [[int((r, c) == (row, col)) for c in range(block.cols)] for r in range(block.rows)]
-    return block + Mat.from_rows(unit, block.order)
+    return block + mat(unit, block.order)
 
 
 def test_orbit_walk_matches_full_walk_on_mutants_at_skipped_tuples(mixed_modules):

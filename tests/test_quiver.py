@@ -6,13 +6,12 @@ import pytest
 
 from wreathq.cyclotomic import Scalar
 from wreathq.errors import EdgeLoopError, FormatError
-from wreathq.linalg import Mat
 from wreathq.quiver import (
     DimVector, Quiver, Weight, apply_word_dimvector, dual_reflection, ringel_form,
     simple_reflection, symmetrized_form, validate_word,
 )
 
-from conftest import rational_weight
+from conftest import mat, rational_weight
 from reference import affine_data, as_fraction, cartan_matrix
 
 
@@ -75,7 +74,7 @@ def test_dimvector_make_refuses_a_coefficient_that_is_not_an_int(coefficient):
 def test_weight_refuses_a_value_that_is_not_a_scalar(value):
     with pytest.raises(FormatError, match="must be a Scalar"):
         Weight({"0": value})
-    assert Weight({"0": Scalar.rational(1)})["0"] == 1
+    assert Weight({"0": Scalar.rational(1)})["0"] == Scalar.one()
 
 
 def test_simple_reflection_examples():
@@ -329,7 +328,7 @@ def test_affine_data_agrees_with_the_semidefinite_test():
         rows = [[Fraction(2 * (u == v) - sum({e.tail, e.head} == {u, v} for e in q.edges))
                  for v in q.vertices] for u in q.vertices]
         psd, corank = _psd_corank(rows)
-        assert cartan_matrix(q) == Mat.from_rows(
+        assert cartan_matrix(q) == mat(
             [[symmetrized_form(q, DimVector.unit(u), DimVector.unit(v)) for v in q.vertices]
              for u in q.vertices]), q
         delta = affine_data(q)

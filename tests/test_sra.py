@@ -5,14 +5,14 @@ import pytest
 
 from wreathq.cyclotomic import Scalar
 from wreathq.errors import FormatError
-from wreathq.linalg import Mat, rref
+from wreathq.linalg import rref
 from wreathq.quiver import DimVector, Weight
 from wreathq.sra import (
     GammaData, SRAParams, deformability_report, recover_sra, translate_params,
 )
 from wreathq.symmetric import YoungDiagram
 
-from conftest import rational_weight
+from conftest import mat, rational_weight
 from reference import affine_data, mckay_quiver_cyclic
 
 
@@ -205,9 +205,9 @@ def test_table_gamma_with_classes():
                                                                for e in ("c1", "c2")}
     lam, nu = translate_params(gamma, SRAParams(t, k, c))
     # trace of t + c on the sign representation: t - 3*2 + 2*(-1)... with signs
-    assert lam["triv"] == t + 6 - 2
-    assert lam["sgn"] == t - 6 - 2
-    assert lam["std"] == 2 * t + 0 + 2
+    assert lam["triv"] == t + Scalar.rational(6 - 2)
+    assert lam["sgn"] == t - Scalar.rational(6 + 2)
+    assert lam["std"] == t + t + Scalar.rational(2)
     back = recover_sra(gamma, lam, nu)
     assert back.t == t and back.k == k
     assert all(back.c[e] == c[e] for e in c)
@@ -222,18 +222,19 @@ def _recover_by_elimination(gamma, weight, nu):
     for v in gamma.vertices:
         sums = [sum((gamma.table[v][e] for e in cls), Scalar.zero(order)) for cls in nontrivial]
         rows.append([Scalar.rational(gamma.dims[v], order)] + sums + [weight[v]])
-    red, piv = rref(Mat.from_rows(rows, order))
+    red, piv = rref(mat(rows, order))
     width = 1 + len(nontrivial)
     assert piv == tuple(range(width))
     c = {e: red[k + 1, width] for k, cls in enumerate(nontrivial) for e in cls
          if red[k + 1, width]}
-    return SRAParams(red[0, width], nu * Fraction(2, gamma.order), c)
+    return SRAParams(red[0, width], nu * Scalar.rational(Fraction(2, gamma.order), order), c)
 
 
 def _random_scalar(rng, order):
     x = Scalar.rational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), order)
     if order > 2:
-        x = x + Scalar.zeta(order, rng.randrange(order)) * rng.randint(-2, 2)
+        power = rng.randrange(order)
+        x = x + Scalar.zeta(order, power) * Scalar.rational(rng.randint(-2, 2), order)
     return x
 
 
