@@ -14,10 +14,20 @@ maps; degree-zero cohomology recovers the reflection functor.  Its
 squares commute by relation (ii), so ``module_cube`` stores the
 module's passed ``verify_relations`` report, computed once per module,
 on each cube as that certificate.
+``module_cohomology`` first tries a mapping cone (Weibel, Homological
+Algebra, 1.5).  For q in Delta(j) the total complex is the cone of phi_q
+from the face of the J without q to the face of the J with q, and phi_q
+is a chain map because the squares commute (the certificate).  Its
+blocks pi_q are block diagonal, with the sink maps B_{t,q} as blocks.
+If each is square of full rank mod p, it is invertible over Q(zeta_m),
+as reduction mod p is a ring map (rank_p <= rank_Q, so dim H^r_Q <=
+dim H^r_p); then phi_q is an isomorphism and the cone is acyclic.  The
+other cubes (listed in ``module_cohomology``) are ranked through their complex.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -159,10 +169,19 @@ def cohomology(cx: ChainComplex) -> tuple[int, ...]:
 # The module cube of a reflection vertex
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _levels(delta: tuple):
-    """(J, Delta - J) for every subset J of Delta, in cube order."""
-    for subset in _subsets(delta):
-        yield subset, tuple(p for p in delta if p not in subset)
+    """(J, Delta - J) for every subset J of Delta, in cube order; kept per Delta."""
+    return tuple((s, tuple(p for p in delta if p not in s)) for s in _subsets(delta))
+
+
+def _cube(calc: SinkCalculus, j: tuple, delta: tuple, spaces: dict, certificate) -> Cube:
+    maps = {(subset, p): calc.pi(j, level, p) for subset, level in _levels(delta) for p in level}
+    return Cube(delta, spaces, maps, calc.order, certificate)
+
+
+def _level_dims(calc: SinkCalculus, j: tuple, delta: tuple) -> dict:
+    return {subset: calc.space(j, level).total for subset, level in _levels(delta)}
 
 
 def module_cube(module: WreathModule, vertex: str) -> dict:
@@ -183,26 +202,55 @@ def module_cube(module: WreathModule, vertex: str) -> dict:
     cubes = {}
     for j in candidate_tuples(calc):
         delta = calc.delta(j)
-        spaces = {}
-        maps = {}
-        for subset, level in _levels(delta):
-            spaces[subset] = calc.space(j, level).total
-            for p in level:
-                maps[(subset, p)] = calc.pi(j, level, p)
-        cubes[j] = Cube(delta, spaces, maps, module.order, certificate)
+        cubes[j] = _cube(calc, j, delta, _level_dims(calc, j, delta), certificate)
     return cubes
+
+
+def _cone_acyclic(calc: SinkCalculus, j: tuple, delta: tuple, spaces: dict, invertible: dict):
+    """Whether the Euler total is 0 and each B_{t,q}, q = min Delta(j), t a tuple of a
+    level inside Delta(j) - q, is square (checked first) and invertible mod p."""
+    if sum((-1) ** len(subset) * dim for subset, dim in spaces.items()):
+        return False
+    q = delta[0]
+    reached = dict.fromkeys(t for _, level in _levels(delta[1:])
+                            for t in calc.space(j, level).t_tuples)
+    if any(calc.space(t, (q,)).total != calc.space(t, ()).total for t in reached):
+        return False
+    for t in reached:
+        if (t, q) not in invertible:
+            invertible[t, q] = rank_mod_p(calc.sink_map(t, q)) == calc.space(t, ()).total
+        if not invertible[t, q]:
+            return False
+    return True
 
 
 def module_cohomology(module: WreathModule, vertex: str) -> dict:
     """Per-tuple cohomology dimensions of the associated complex.
 
-    d^2 = 0 on every cube is certified by the module's passed
-    ``verify_relations`` report.  If the report fails,
-    ``complex_from_cube`` walks the squares of each cube, and its
-    ``FormatError`` names the first one that does not commute.
+    A cube with empty Delta(j) is V_j in degree 0.  With a passed report
+    (phi_q a chain map), a cube with Euler total 0 whose sink maps
+    B_{t,q}, q = min Delta(j), are square of full rank mod p has H = 0
+    (the cone mod p is acyclic, and dim H^r_Q <= dim H^r_p), and no pi
+    block or complex is built for it.  The fallback ``cohomology(complex_from_cube(cube))``,
+    from the same calculus, takes a failed report (its ``FormatError``
+    names the first square that does not commute), an unlucky p, a
+    nonzero Euler total, and a non-square or singular sink map.
     """
-    return {j: cohomology(complex_from_cube(cube))
-            for j, cube in module_cube(module, vertex).items()}
+    calc = SinkCalculus(module, vertex)
+    report = verify_relations(module)
+    invertible: dict = {}
+    out = {}
+    for j in candidate_tuples(calc):
+        delta = calc.delta(j)
+        spaces = _level_dims(calc, j, delta)
+        if not delta:
+            out[j] = (spaces[()],)
+        elif report.passed and _cone_acyclic(calc, j, delta, spaces, invertible):
+            out[j] = (0,) * (len(delta) + 1)
+        else:
+            cube = _cube(calc, j, delta, spaces, report if report.passed else None)
+            out[j] = cohomology(complex_from_cube(cube))
+    return out
 
 
 @dataclass(frozen=True)

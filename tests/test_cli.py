@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from wreathq import io as wio
 from wreathq.cli import main
 from wreathq.modules import MAX_N, build_induced_zero_e
+from wreathq.reflection import SinkCalculus
 from wreathq.symmetric import YoungDiagram
 
 from conftest import HALF, make_params
@@ -159,13 +160,17 @@ NONCOMMUTING_MODULE = {
 }
 
 
-def test_cohomology_refuses_a_module_breaking_relation_ii(files, capsys, tmp_path):
+def test_cohomology_refuses_a_module_breaking_relation_ii(files, capsys, tmp_path, monkeypatch):
     _, qp, _ = files
     mp = tmp_path / "noncommuting.json"
     mp.write_text(json.dumps(NONCOMMUTING_MODULE))
+    # a failed report never takes the mapping-cone route
+    sinks = []
+    sink_map = SinkCalculus.sink_map
+    monkeypatch.setattr(SinkCalculus, "sink_map", lambda *a: sinks.append(a) or sink_map(*a))
     code, out, err = run(capsys, "cohomology", "--quiver", qp, "--module", str(mp),
                          "--vertex", "1")
-    assert code == 2 and out == ""
+    assert code == 2 and out == "" and sinks == []
     assert err.splitlines() == ["error: cube square at () with 1, 2 does not commute"]
 
 

@@ -8,17 +8,17 @@ from hypothesis import given, settings, strategies as st
 from wreathq import cubes
 from wreathq.cyclotomic import Scalar, euler_phi
 from wreathq.errors import FormatError
-from wreathq.linalg import Mat, _modulus, hstack, rank, rref, solve_in_span
+from wreathq.linalg import Mat, _modulus, hstack, rank, rank_mod_p, rref, solve_in_span
 from wreathq.modules import Params, WreathModule, build_induced_zero_e, verify_relations
 from wreathq.cubes import (
     Cube, cohomology, complex_from_cube, euler_characteristic, module_cohomology,
     module_cube,
 )
 from wreathq.quiver import Quiver, Weight
-from wreathq.reflection import SinkCalculus, candidate_tuples, reflection_functor
+from wreathq.reflection import SinkCalculus, candidate_tuples, is_generic, reflection_functor
 from wreathq.symmetric import Perm, YoungDiagram
 
-from conftest import AHAT1, make_params, mat, simple_at, unverified_copy
+from conftest import AHAT1, AHAT2, HALF, THIRD, make_params, mat, simple_at, unverified_copy
 from reference import build_outer_tensor, edge_matrix, module_character
 
 
@@ -555,24 +555,24 @@ def test_a_module_failing_relation_i_only_is_not_certified(kronecker_f0v):
     assert module_cohomology(shifted, "0") == module_cohomology(kronecker_f0v, "0")
 
 
-def test_module_cohomology_assembles_each_cube_once(corpus, monkeypatch):
-    # complex_from_cube is the one path from a cube to its complex, and the
-    # certified module cubes go through it
+def test_module_cohomology_assembles_each_fallback_cube_once(corpus, monkeypatch):
+    # complex_from_cube is the one path from a cube to its complex: every cube
+    # the cone test declines is module_cube's certified cube, assembled once
+    assembled = 0
     for name, module in corpus:
         for vertex in module.params.quiver.vertices:
-            seen = {}
-            build, assemble = cubes.module_cube, cubes.complex_from_cube
-            monkeypatch.setattr(cubes, "module_cube",
-                                lambda *a: seen.setdefault("cubes", build(*a)))
             calls = []
+            assemble = cubes.complex_from_cube
             monkeypatch.setattr(cubes, "complex_from_cube",
                                 lambda cube: calls.append(cube) or assemble(cube))
             coh = module_cohomology(module, vertex)
             monkeypatch.undo()
-            made = list(seen["cubes"].values())
-            assert [id(c) for c in calls] == [id(c) for c in made], (name, vertex)
+            made = list(module_cube(module, vertex).values())
             assert len(coh) == len(made)
-            assert all(c.certificate is not None for c in made), (name, vertex)
+            assert len({id(c) for c in calls}) == len(calls), (name, vertex)
+            assert all(c in made and c.certificate is not None for c in calls), (name, vertex)
+            assembled += len(calls)
+    assert assembled > 20
 
 
 def test_euler_traces_agree_with_the_assembled_action(corpus):
@@ -602,3 +602,191 @@ def test_sigma_trace_refuses_a_moved_level(ahat1):
         calc.sigma_trace(("0", "0"), (1,), swap)
     with pytest.raises(FormatError):
         calc.sigma_trace(("0", "1"), (), swap)
+
+
+# -- the mapping-cone certificate ------------------------------------------------------
+
+def _full_path(module, vertex):
+    """Every module cube through its assembled complex and certified ranks."""
+    return {j: cohomology(complex_from_cube(cube))
+            for j, cube in module_cube(module, vertex).items()}
+
+
+def _totals(coh):
+    return tuple(map(sum, itertools.zip_longest(*coh.values(), fillvalue=0)))
+
+
+def _counting(monkeypatch, owner, name):
+    """Count the calls of ``owner.name``, which still runs."""
+    calls = []
+    fn = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a: calls.append(a) or fn(*a))
+    return calls
+
+
+def _kronecker_f0v(n, shape, lam0, nu=HALF, order=1):
+    """F_0 of the zero-edge module of a rectangle at vertex 1, lambda_1 = nu (h - w)."""
+    diagram = YoungDiagram(shape)
+    lam1 = nu * (len(diagram.parts) - diagram.parts[0])
+    params = make_params(AHAT1, n, {"0": lam0, "1": lam1}, nu, order)
+    return reflection_functor(build_induced_zero_e(params, [(diagram, "1")]), "0").module
+
+
+def _kronecker_z3():
+    return _kronecker_f0v(4, [2, 2], Scalar.one(3) + Scalar.zeta(3), order=3)
+
+
+def _a2_word_modules():
+    """V and its reflections along 0, 2, 1 on A2-hat, with the vertex each is reflected at."""
+    nu = THIRD
+    params = make_params(AHAT2, 3, {"0": Fraction(2, 5), "1": 2 * nu, "2": Fraction(-3, 7)}, nu)
+    cur = build_induced_zero_e(params, [(YoungDiagram([1, 1, 1]), "1")])
+    out = []
+    for letter in ("0", "2", "1"):
+        assert is_generic(cur.params, letter), letter
+        out.append((cur, letter))
+        cur = reflection_functor(cur, letter).module
+    return out
+
+
+def test_cone_route_equals_the_full_ranks_on_every_tested_input(corpus, kronecker_f0v, ahat1):
+    inputs = [(module, vertex) for _, module in corpus for vertex in module.params.quiver.vertices]
+    nu = Fraction(1, 2)
+    ind = build_induced_zero_e(make_params(ahat1, 2, {"0": 1, "1": -nu}, nu),
+                               [(YoungDiagram([2]), "1")])
+    inputs += [(simple_at(ahat1, "0", {"0": 0, "1": 1}), "0"), (_outer_square(ahat1), "0"),
+               (ind, "0"), (kronecker_f0v, "0"), (unverified_copy(kronecker_f0v), "0"),
+               (_kronecker_z3(), "0"), (_kronecker_f0v(4, [2, 2], HALF), "0")]
+    inputs += _a2_word_modules()
+    for module, vertex in inputs:
+        assert module_cohomology(module, vertex) == _full_path(module, vertex), vertex
+    assert {m.order for m, _ in inputs} == {1, 3}
+
+
+@pytest.mark.parametrize("order", (1, 3))
+def test_generic_kronecker_cubes_never_reach_the_fallback(kronecker_f0v, order, monkeypatch):
+    f = kronecker_f0v if order == 1 else _kronecker_z3()
+    expected = _full_path(f, "0")
+    pis = _counting(monkeypatch, SinkCalculus, "pi")
+    assembled = _counting(monkeypatch, cubes, "complex_from_cube")
+    ranked = _counting(monkeypatch, cubes, "cohomology")
+    sinks = _counting(monkeypatch, SinkCalculus, "sink_map")
+    assert module_cohomology(f, "0") == expected
+    assert (pis, assembled, ranked) == ([], [], [])
+    # one sink map per (t, q): every candidate tuple but the one with empty Delta
+    assert len(sinks) == len({a[1:] for a in sinks}) == len(expected) - 1
+
+
+def test_the_n5_column_needs_no_fallback(monkeypatch):
+    f = _kronecker_f0v(5, [1] * 5, Fraction(2, 7))
+    assert sum(f.support.values()) == 243 and len(f.support) == 32
+    expected = _full_path(f, "0")
+    assembled = _counting(monkeypatch, cubes, "complex_from_cube")
+    coh = module_cohomology(f, "0")
+    assert assembled == []
+    assert coh == expected and _totals(coh) == (1, 0, 0, 0, 0, 0)
+
+
+def test_non_generic_kronecker_sends_eleven_cubes_to_the_fallback(monkeypatch):
+    # nu = lambda_0 = 1/2: the 11 declined cubes carry the higher classes
+    f = _kronecker_f0v(4, [2, 2], HALF)
+    expected = _full_path(f, "0")
+    assembled = _counting(monkeypatch, cubes, "complex_from_cube")
+    coh = module_cohomology(f, "0")
+    assert len(assembled) == 11
+    assert coh == expected and _totals(coh) == (2, 79, 79, 0, 0)
+
+
+def test_a2_word_cubes_are_declined_by_their_euler_totals(monkeypatch):
+    # every cube of the A2-hat word carries H^0, so no sink map is ever ranked
+    for module, letter in _a2_word_modules():
+        euler = dict(euler_characteristic(module, letter).per_tuple)
+        calc = SinkCalculus(module, letter)
+        nonempty = [j for j in candidate_tuples(calc) if calc.delta(j)]
+        assert nonempty and all(euler[j] for j in nonempty)
+        with pytest.MonkeyPatch.context() as patch:
+            sinks = _counting(patch, SinkCalculus, "sink_map")
+            ranks = _counting(patch, cubes, "rank_mod_p")
+            assembled = _counting(patch, cubes, "complex_from_cube")
+            coh = module_cohomology(module, letter)
+        assert sinks == [] and len(assembled) == len(nonempty)
+        # the fallback's own ranks: one per differential of each assembled complex
+        assert len(ranks) == sum(len(cube.delta) for cube, in assembled)
+        assert coh == _full_path(module, letter)
+
+
+def test_pi_q_ranks_are_the_sums_of_the_sink_map_ranks(corpus, kronecker_f0v):
+    checked = 0
+    for _, module in corpus + [("kronecker F0V", kronecker_f0v)]:
+        for vertex in module.params.quiver.vertices:
+            calc = SinkCalculus(module, vertex)
+            for j in candidate_tuples(calc):
+                delta = calc.delta(j)
+                for q in delta:
+                    for _, level in cubes._levels(delta):
+                        if q not in level:
+                            continue
+                        below = tuple(p for p in level if p != q)
+                        blocks = [rank_mod_p(calc.sink_map(t, q))
+                                  for t in calc.space(j, below).t_tuples]
+                        assert rank_mod_p(calc.pi(j, level, q)) == sum(blocks), (vertex, j, level)
+                        checked += 1
+    assert checked > 400
+
+
+def test_a_singular_sink_map_sends_its_cubes_to_the_fallback(kronecker_f0v, monkeypatch):
+    t0, q0 = ("0", "1", "1", "1"), 1
+    sink_map = SinkCalculus.sink_map
+
+    def mutant(calc, t, q):
+        real = sink_map(calc, t, q)
+        return Mat.zeros(real.rows, real.cols, real.order) if (t, q) == (t0, q0) else real
+
+    calc = SinkCalculus(kronecker_f0v, "0")
+    expected_fallback = []
+    for j in candidate_tuples(calc):
+        delta = calc.delta(j)
+        if delta and delta[0] == q0 and any(
+                t0 in calc.space(j, level).t_tuples for _, level in cubes._levels(delta[1:])):
+            expected_fallback.append(j)
+    assert len(expected_fallback) == 8
+    assert sink_map(calc, t0, q0).rows == sink_map(calc, t0, q0).cols > 0
+    expected = _full_path(kronecker_f0v, "0")
+    monkeypatch.setattr(SinkCalculus, "sink_map", mutant)
+    assembled = _counting(monkeypatch, cubes, "complex_from_cube")
+    assert module_cohomology(kronecker_f0v, "0") == expected
+    cubes_of = module_cube(kronecker_f0v, "0")
+    assert [a[0] for a in assembled] == [cubes_of[j] for j in expected_fallback]
+
+
+def test_a_failed_relation_ii_report_never_takes_the_cone_route(ahat1, monkeypatch):
+    sinks = _counting(monkeypatch, SinkCalculus, "sink_map")
+    with pytest.raises(FormatError, match=r"^cube square at \(\) with 1, 2 does not commute$"):
+        module_cohomology(_noncommuting_module(ahat1), "1")
+    assert sinks == []
+
+
+_RECTANGLES = {1: ([1],), 2: ([2], [1, 1]), 3: ([3], [1, 1, 1])}
+_WEIGHTS = tuple(Fraction(p, q) * s for q in (2, 3, 5) for p in range(1, q + 1) for s in (1, -1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_cone_route_equals_the_full_ranks_on_random_generic_modules(data):
+    quiver = data.draw(st.sampled_from((AHAT1, AHAT2)))
+    n = data.draw(st.integers(1, 3))
+    shape = data.draw(st.sampled_from(_RECTANGLES[n]))
+    block = data.draw(st.sampled_from(quiver.vertices))
+    order = data.draw(st.sampled_from((1, 3)))
+    nu = data.draw(st.sampled_from((Fraction(0), HALF, THIRD)))
+    lam = {v: data.draw(st.sampled_from(_WEIGHTS)) for v in quiver.vertices}
+    lam[block] = nu * (len(shape) - shape[0])
+    params = make_params(quiver, n, lam, nu, order)
+    module = build_induced_zero_e(params, [(YoungDiagram(shape), block)])
+    assert verify_relations(module).passed
+    generic = [v for v in quiver.vertices if is_generic(params, v)]
+    if generic and data.draw(st.booleans()):
+        module = reflection_functor(module, data.draw(st.sampled_from(generic))).module
+    for vertex in quiver.vertices:
+        if is_generic(module.params, vertex):
+            assert module_cohomology(module, vertex) == _full_path(module, vertex), vertex
