@@ -208,7 +208,15 @@ def module_cube(module: WreathModule, vertex: str) -> dict:
 
 def _cone_acyclic(calc: SinkCalculus, j: tuple, delta: tuple, spaces: dict, invertible: dict):
     """Whether the Euler total is 0 and each B_{t,q}, q = min Delta(j), t a tuple of a
-    level inside Delta(j) - q, is square (checked first) and invertible mod p."""
+    level inside Delta(j) - q, is square (checked first) and invertible.
+
+    ``invertible`` is kept per S_n-orbit of (t, q), keyed by sorted t: t_q
+    is the vertex, so (t, q) and (t', q') lie in one orbit exactly when t
+    and t' sort alike.  Under the passed report the stored s_m represent
+    S_n and the edge actions are equivariant, so B_{sigma t, sigma q} =
+    rho(sigma) B_{t,q} rho(sigma)^-1, and one is invertible over Q(zeta_m)
+    exactly when the other is; the first of the orbit that the walk meets
+    is ranked mod p, and a full rank there certifies the whole orbit."""
     if sum((-1) ** len(subset) * dim for subset, dim in spaces.items()):
         return False
     q = delta[0]
@@ -217,9 +225,10 @@ def _cone_acyclic(calc: SinkCalculus, j: tuple, delta: tuple, spaces: dict, inve
     if any(calc.space(t, (q,)).total != calc.space(t, ()).total for t in reached):
         return False
     for t in reached:
-        if (t, q) not in invertible:
-            invertible[t, q] = rank_mod_p(calc.sink_map(t, q)) == calc.space(t, ()).total
-        if not invertible[t, q]:
+        orbit = tuple(sorted(t))
+        if orbit not in invertible:
+            invertible[orbit] = rank_mod_p(calc.sink_map(t, q)) == calc.space(t, ()).total
+        if not invertible[orbit]:
             return False
     return True
 

@@ -21,7 +21,10 @@ from .cyclotomic import Scalar
 from .errors import FormatError, ResourceLimitError
 from .linalg import Mat, kron
 from .quiver import Quiver, Weight, star_name
-from .symmetric import Perm, YoungDiagram, seminormal_rep, young_cosets
+from .symmetric import (
+    Perm, YoungDiagram, is_orbit_root, seminormal_rep, spanning_tree, swap_position, swap_tuple,
+    young_cosets,
+)
 
 
 MAX_N = 10     # the largest n accepted: S_n orbits of tuples grow as n!
@@ -54,13 +57,6 @@ class Params:
     @property
     def order(self) -> int:
         return self.nu.order
-
-
-def swap_tuple(j: tuple, m: int) -> tuple:
-    """The tuple after the adjacent transposition (m, m+1)."""
-    out = list(j)
-    out[m - 1], out[m] = out[m], out[m - 1]
-    return tuple(out)
 
 
 class WreathModule:
@@ -148,6 +144,11 @@ class WreathModule:
     @property
     def order(self) -> int:
         return self.params.order
+
+    @property
+    def stored_report(self) -> Optional[VerifyReport]:
+        """The report ``verify_relations`` kept on this module, or None; never computes one."""
+        return self._report
 
     def dim(self, j: tuple) -> int:
         return self.support.get(j, 0)
@@ -311,12 +312,7 @@ def structural_report(mod: WreathModule) -> list[StructuralIssue]:
 def _equivariant(mod: WreathModule, edge: str, pos: int, j: tuple, m: int) -> bool:
     """Whether s_m E = E' s_m out of V_j, E the edge acting in position pos
     and E' the same edge in position s_m pos."""
-    return _residual(mod, j, (m, (edge, pos)), ((edge, _swap_position(pos, m)), m)) is None
-
-
-def _swap_position(pos: int, m: int) -> int:
-    """The image of a position under the adjacent transposition (m, m+1)."""
-    return {m: m + 1, m + 1: m}.get(pos, pos)
+    return _residual(mod, j, (m, (edge, pos)), ((edge, swap_position(pos, m)), m)) is None
 
 
 def _equivariance_certified(mod: WreathModule) -> bool:
@@ -327,36 +323,17 @@ def _equivariance_certified(mod: WreathModule) -> bool:
     """
     q, n = mod.params.quiver, mod.n
     for r in mod.tuples():
-        if r != tuple(sorted(r)):
-            continue
         for p0, v in enumerate(r, 1):
-            if v in r[:p0 - 1]:
+            if not is_orbit_root(p0, r):
                 continue
             stabiliser = [m for m in range(1, n) if r[m - 1] == r[m] and p0 not in (m, m + 1)]
-            tree = _spanning_tree(n, p0, r)
+            tree = spanning_tree(n, p0, r)
             for e in q.out_edges(v):
                 if not all(_equivariant(mod, e.name, pos, j, m) for pos, j, m in tree):
                     return False
                 if not all(_equivariant(mod, e.name, p0, r, m) for m in stabiliser):
                     return False
     return True
-
-
-def _spanning_tree(n: int, root_pos: int, root: tuple) -> list[tuple]:
-    """The edges (pos, j, m) of a breadth-first spanning tree of the S_n-orbit
-    of (root_pos, root) under s_m (pos, j) = (s_m pos, s_m j): the tree first
-    reaches (s_m pos, s_m j) from (pos, j), through s_m."""
-    seen = {(root_pos, root)}
-    queue = [(root_pos, root)]
-    edges = []
-    for pos, j in queue:        # the loop reaches the points it appends
-        for m in range(1, n):
-            y = (_swap_position(pos, m), swap_tuple(j, m))
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-                edges.append((pos, j, m))
-    return edges
 
 
 def _word(mod: WreathModule, j: tuple, word: Sequence) -> Optional[Mat]:

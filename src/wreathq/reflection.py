@@ -24,9 +24,9 @@ from typing import Iterable, Optional, Sequence
 from .cyclotomic import Scalar
 from .errors import FormatError
 from .linalg import BlockBuilder, Mat, intersect_kernels, solve_in_span
-from .modules import Params, WreathModule, swap_tuple
+from .modules import Params, WreathModule
 from .quiver import dual_reflection, require_loop_free, star_name
-from .symmetric import Perm
+from .symmetric import Perm, is_orbit_root, spanning_tree, swap_position, swap_tuple
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,8 @@ class SinkCalculus:
     D as an ascending tuple of positions; ``space`` refuses any other D.
     A block is the module's stored action or None where none is stored,
     and ``_assemble`` places only the blocks that exist.  pi, mu and
-    sigma_perm are cached per (map, j, D, argument).
+    sigma_perm are cached per (map, j, D, argument), the traces of
+    sigma_trace per (perm, graded piece).
     """
 
     def __init__(self, module: WreathModule, vertex: str):
@@ -201,19 +202,21 @@ class SinkCalculus:
 
         Only the summands whose assignment ``perm`` fixes lie on the
         diagonal, so the trace is the sum of the traces of the module's
-        action of ``perm`` on their graded pieces.
+        action of ``perm`` on their graded pieces, each kept per (perm,
+        piece).
         """
         if perm.act_tuple(j) != j or tuple(sorted(perm(p) for p in d)) != d:
             raise FormatError(f"the permutation does not fix {j} and D = {d}")
         src = self.space(j, d)
         slots = sorted(range(len(d)), key=lambda s: perm(d[s]))
-        perm_matrix = self.module.perm_matrix
-        out = Scalar.zero(self.order)
+        out = zero = Scalar.zero(self.order)
         for k, xi in enumerate(src.xis):
             if src.dims[k] and tuple(xi[s] for s in slots) == xi:
-                block = perm_matrix(perm, src.t_tuples[k])
-                if block is not None:
-                    out = out + block.trace()
+                key = ("trace", perm, src.t_tuples[k])
+                if key not in self._maps:
+                    block = self.module.perm_matrix(perm, key[2])
+                    self._maps[key] = zero if block is None else block.trace()
+                out = out + self._maps[key]
         return out
 
     def tau_project(self, r_index: int, ell: int, j: tuple, d: tuple[int, ...]) -> Mat:
@@ -341,6 +344,23 @@ def reflection_functor(module: WreathModule, vertex: str) -> ReflectionOutput:
     other rows with one exact product: that is the certificate that the
     case maps preserve the kernels, so a NotInSpanError here would
     indicate a genuine bug.
+
+    The kernels and the s_m are computed at every tuple.  When the module
+    carries a stored ``verify_relations`` report with a clean structural
+    part (none is computed here), an edge action is computed only at the
+    root x0 = (e, p0, r) of each S_n-orbit of triples x = (e, l, j)
+    (``is_orbit_root``: r sorted, p0 the first position of j_l in r), and
+    filled along the root's breadth-first spanning tree by E_{s_m x} =
+    S_m E_x S_m, with the output's own s_m.  This is what the full walk
+    computes: the report says the stored s_m represent S_n and the edge
+    actions are equivariant, so the big-space involution sigma = s_m
+    commutes with pi, mu, tau and the away-edge maps, and carries theta at
+    x to theta at s_m x (its nu-sum over the transpositions (m', l), m' in
+    D, goes to the sum over s_m D).  So sigma B_j = B_{s_m j} S_m for the kernel
+    bases B, the case map C satisfies C_{s_m x} = sigma C_x sigma, and
+    C_{s_m x} B_{s_m j} = sigma C_x B_j S_m = B_{s_m t} S_m E_x S_m, t the
+    target of x.  Without such a report every triple is its own root with
+    an empty tree, which is the full walk.
     """
     calc = SinkCalculus(module, vertex)
     n, order = module.n, module.order
@@ -366,16 +386,26 @@ def reflection_functor(module: WreathModule, vertex: str) -> ReflectionOutput:
             e_tgt = Mat.zeros(calc.space(tgt, calc.delta(tgt)).total, 0, order)
         return solve_in_span(e_tgt, image)
 
-    edge_actions = {}
     sn_actions = {}
+    for j in sorted(embeddings):
+        for m in range(1, n):
+            small = restricted(calc.sigma_adjacent(j, calc.delta(j), m) @ embeddings[j],
+                               swap_tuple(j, m))
+            if small:
+                sn_actions[(m, j)] = small
+
+    report = module.stored_report
+    by_orbit = report is not None and not report.structural
+    edge_actions = {}
     r_names = {e.name: k for k, e in enumerate(calc.R)}
     for j in sorted(embeddings):
         delta = calc.delta(j)
         e_src = embeddings[j]
-        for ell in range(1, n + 1):
-            v = j[ell - 1]
+        for ell, v in enumerate(j, 1):
+            if by_orbit and not is_orbit_root(ell, j):
+                continue        # filled along the tree of its orbit's root
+            tree = spanning_tree(n, ell, j) if by_orbit else ()
             for e in calc.quiver.out_edges(v):
-                j2 = module.edge_target(e.name, ell, j)
                 if e.head == vertex:
                     image = calc.theta(r_names[e.name], ell, j, delta, e_src)
                 elif e.tail == vertex:
@@ -385,13 +415,15 @@ def reflection_functor(module: WreathModule, vertex: str) -> ReflectionOutput:
                         image = -image
                 else:
                     image = calc.away_edge_action(e.name, ell, j, delta) @ e_src
-                small = restricted(image, j2)
+                small = restricted(image, module.edge_target(e.name, ell, j))
                 if small:
                     edge_actions[(e.name, ell, j)] = small
-        for m in range(1, n):
-            small = restricted(calc.sigma_adjacent(j, delta, m) @ e_src, swap_tuple(j, m))
-            if small:
-                sn_actions[(m, j)] = small
+                for pos, i, m in tree:
+                    x = edge_actions.get((e.name, pos, i))
+                    if x is not None:
+                        target = module.edge_target(e.name, pos, i)
+                        edge_actions[(e.name, swap_position(pos, m), swap_tuple(i, m))] = \
+                            sn_actions[(m, target)] @ x @ sn_actions[(m, swap_tuple(i, m))]
 
     result = WreathModule(params, support, edge_actions, sn_actions)
     return ReflectionOutput(result, embeddings)

@@ -149,6 +149,40 @@ def partitions(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def swap_tuple(j: tuple, m: int) -> tuple:
+    """The tuple after the adjacent transposition (m, m+1)."""
+    return j[:m - 1] + (j[m], j[m - 1]) + j[m + 1:]
+
+
+def swap_position(pos: int, m: int) -> int:
+    """The image of a position under the adjacent transposition (m, m+1)."""
+    return {m: m + 1, m + 1: m}.get(pos, pos)
+
+
+def is_orbit_root(pos: int, j: tuple) -> bool:
+    """Whether (pos, j) is the root of its S_n-orbit: j sorted, and pos the first
+    position of the entry j_pos."""
+    return j == tuple(sorted(j)) and j.index(j[pos - 1]) == pos - 1
+
+
+def spanning_tree(n: int, root_pos: int, root: tuple) -> list[tuple]:
+    """The edges (pos, j, m) of a breadth-first spanning tree (a Schreier tree) of
+    the S_n-orbit of (root_pos, root) under s_m (pos, j) = (s_m pos, s_m j): the
+    tree first reaches (s_m pos, s_m j) from (pos, j), through s_m, and lists
+    each edge after the edge that reaches (pos, j)."""
+    seen = {(root_pos, root)}
+    queue = [(root_pos, root)]
+    edges = []
+    for pos, j in queue:        # the loop reaches the points it appends
+        for m in range(1, n):
+            y = (swap_position(pos, m), swap_tuple(j, m))
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+                edges.append((pos, j, m))
+    return edges
+
+
 # ---------------------------------------------------------------------------
 # Young diagrams and contents
 # ---------------------------------------------------------------------------

@@ -32,9 +32,9 @@ from wreathq import reflection
 from wreathq.cyclotomic import Scalar
 from wreathq.errors import FormatError, NotInSpanError, ResourceLimitError, WreathqError
 from wreathq.linalg import BlockBuilder, Mat, kernel_basis, kron, rank, solve_in_span
-from wreathq.modules import Params, WreathModule, reorient_module, swap_tuple
+from wreathq.modules import Params, WreathModule, reorient_module
 from wreathq.quiver import DimVector, Edge, Quiver, Weight, require_loop_free, symmetrized_form
-from wreathq.symmetric import Perm, YoungCosetAction, YoungDiagram, seminormal_rep
+from wreathq.symmetric import Perm, YoungCosetAction, YoungDiagram, seminormal_rep, swap_tuple
 
 
 class NotGenericError(WreathqError):

@@ -673,8 +673,9 @@ def test_generic_kronecker_cubes_never_reach_the_fallback(kronecker_f0v, order, 
     sinks = _counting(monkeypatch, SinkCalculus, "sink_map")
     assert module_cohomology(f, "0") == expected
     assert (pis, assembled, ranked) == ([], [], [])
-    # one sink map per (t, q): every candidate tuple but the one with empty Delta
-    assert len(sinks) == len({a[1:] for a in sinks}) == len(expected) - 1
+    # one sink map per S_n-orbit of (t, q), t_q = "0": the sorted candidate tuples with a "0"
+    orbits = {tuple(sorted(j)) for j in expected if "0" in j}
+    assert len(sinks) == len({tuple(sorted(a[1])) for a in sinks}) == len(orbits) == 4
 
 
 def test_the_n5_column_needs_no_fallback(monkeypatch):
@@ -735,28 +736,50 @@ def test_pi_q_ranks_are_the_sums_of_the_sink_map_ranks(corpus, kronecker_f0v):
 
 
 def test_a_singular_sink_map_sends_its_cubes_to_the_fallback(kronecker_f0v, monkeypatch):
-    t0, q0 = ("0", "1", "1", "1"), 1
+    # the sink maps of one S_n-orbit of (t, q), the tuples with three "0"s, made
+    # singular: conjugate maps are singular together, and the cone ranks one per orbit
+    orbit = ("0", "0", "0", "1")
     sink_map = SinkCalculus.sink_map
 
     def mutant(calc, t, q):
         real = sink_map(calc, t, q)
-        return Mat.zeros(real.rows, real.cols, real.order) if (t, q) == (t0, q0) else real
+        return Mat.zeros(real.rows, real.cols, real.order) if tuple(sorted(t)) == orbit else real
 
     calc = SinkCalculus(kronecker_f0v, "0")
     expected_fallback = []
     for j in candidate_tuples(calc):
         delta = calc.delta(j)
-        if delta and delta[0] == q0 and any(
-                t0 in calc.space(j, level).t_tuples for _, level in cubes._levels(delta[1:])):
+        reached = [t for _, level in cubes._levels(delta[1:]) for t in calc.space(j, level).t_tuples]
+        if delta and any(tuple(sorted(t)) == orbit for t in reached):
+            assert all(sink_map(calc, t, delta[0]).rows == sink_map(calc, t, delta[0]).cols > 0
+                       for t in reached if tuple(sorted(t)) == orbit)
             expected_fallback.append(j)
-    assert len(expected_fallback) == 8
-    assert sink_map(calc, t0, q0).rows == sink_map(calc, t0, q0).cols > 0
+    # the cubes with at least three positions at "0"
+    assert len(expected_fallback) == 5
     expected = _full_path(kronecker_f0v, "0")
     monkeypatch.setattr(SinkCalculus, "sink_map", mutant)
     assembled = _counting(monkeypatch, cubes, "complex_from_cube")
     assert module_cohomology(kronecker_f0v, "0") == expected
     cubes_of = module_cube(kronecker_f0v, "0")
     assert [a[0] for a in assembled] == [cubes_of[j] for j in expected_fallback]
+
+
+def test_the_cone_ranks_one_sink_map_per_orbit(corpus, kronecker_f0v):
+    # kronecker F_0V: 15 (t, q) reached in 4 S_n-orbits, and no fallback rank
+    for module in (kronecker_f0v, _kronecker_z3()):
+        with pytest.MonkeyPatch.context() as patch:
+            sinks = _counting(patch, SinkCalculus, "sink_map")
+            ranks = _counting(patch, cubes, "rank_mod_p")
+            module_cohomology(module, "0")
+        assert [a[1:] for a in sinks] == [(("0",) * k + ("1",) * (4 - k), 1) for k in (1, 2, 3, 4)]
+        assert len(ranks) == 4
+    # elsewhere, at most one sink map of each orbit is ever built
+    for _, module in corpus:
+        for vertex in module.params.quiver.vertices:
+            with pytest.MonkeyPatch.context() as patch:
+                sinks = _counting(patch, SinkCalculus, "sink_map")
+                module_cohomology(module, vertex)
+            assert len(sinks) == len({tuple(sorted(t)) for _, t, _ in sinks}), vertex
 
 
 def test_a_failed_relation_ii_report_never_takes_the_cone_route(ahat1, monkeypatch):

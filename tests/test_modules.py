@@ -11,11 +11,13 @@ from wreathq.linalg import Mat
 from wreathq.modules import (
     Params, RelationFailure, StructuralIssue, VerifyReport, WreathModule,
     build_induced_zero_e, reorient_module,
-    structural_report, swap_tuple, verify_relations,
+    structural_report, verify_relations,
 )
 from wreathq.quiver import Weight, star_name
 from wreathq.reflection import reflection_functor
-from wreathq.symmetric import Perm, YoungDiagram, partitions
+from wreathq.symmetric import (
+    Perm, YoungDiagram, partitions, spanning_tree, swap_position, swap_tuple,
+)
 
 from conftest import (
     AHAT1, AHAT2, frac, make_params, mat, rational_weight, simple_at, unverified_copy,
@@ -933,8 +935,8 @@ def _stabiliser_breaking_mutant(mod):
                     else:
                         continue
                     delta = {(p0, r): unit}
-                    for pos, j, k in modules._spanning_tree(mod.n, p0, r):
-                        y = (modules._swap_position(pos, k), swap_tuple(j, k))
+                    for pos, j, k in spanning_tree(mod.n, p0, r):
+                        y = (swap_position(pos, k), swap_tuple(j, k))
                         target = mod.edge_target(e.name, pos, j)
                         delta[y] = sn[(k, target)] @ delta[(pos, j)] @ sn[(k, y[1])]
                     edges = dict(mod.edge_actions) | {
@@ -951,7 +953,7 @@ def test_the_root_checks_are_needed(kronecker_f0v):
     import wreathq.modules as modules
     mutant, (edge, p0, r, m) = _stabiliser_breaking_mutant(kronecker_f0v)
     assert all(modules._equivariant(mutant, edge, pos, j, k)
-               for pos, j, k in modules._spanning_tree(mutant.n, p0, r))
+               for pos, j, k in spanning_tree(mutant.n, p0, r))
     assert not modules._equivariant(mutant, edge, p0, r, m)
     issues = structural_report(mutant)
     assert issues == _full_structural(mutant)

@@ -2,9 +2,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wreathq.cyclotomic import Scalar
-from wreathq.errors import EdgeLoopError, FormatError, NotInSpanError
+from wreathq.errors import EdgeLoopError, FormatError, NotInSpanError, WreathqError
 from wreathq.linalg import BlockBuilder, Mat, rank
 from wreathq.modules import (
     WreathModule, build_induced_zero_e, reorient_module, verify_relations,
@@ -17,10 +18,11 @@ from wreathq.symmetric import Perm, YoungDiagram
 from wreathq import reflection
 
 from conftest import (
-    BLOCK_MAP_CORPUS, dimension_vector, make_params, mat, rational_weight, simple_at,
-    whole_theta,
+    AHAT1, AHAT2, BLOCK_MAP_CORPUS, HALF, THIRD, dimension_vector, make_params, mat,
+    rational_weight, simple_at, unverified_copy, whole_theta,
 )
 import reference
+from test_cubes import _a2_word_modules, _counting, _perturbed
 from reference import (
     NotGenericError, build_outer_tensor, canonical_key, check_intertwiner, direct_sum,
     graph_automorphism_transport, involution_witness, is_generic_oracle, reflect_morphism,
@@ -569,6 +571,90 @@ def test_a_perturbed_theta_block_is_refused(kronecker_f0v, monkeypatch):
         return out + mat(unit, out.order)
 
     monkeypatch.setattr(SinkCalculus, "theta", perturbed)
-    with pytest.raises(NotInSpanError):
-        reflection_functor(kronecker_f0v, "0")
-    assert bumped
+    # the full walk and the orbit walk, whatever report the shared fixture carries
+    for module in (unverified_copy(kronecker_f0v), _verified(kronecker_f0v)):
+        bumped.clear()
+        with pytest.raises(NotInSpanError):
+            reflection_functor(module, "0")
+        assert bumped
+
+
+# -- one S_n-orbit of edge actions at a time --------------------------------------------
+
+def _outcome(module, vertex):
+    """The functor's module fields and embeddings, or its error."""
+    try:
+        out = reflection_functor(module, vertex)
+    except WreathqError as exc:
+        return type(exc), str(exc)
+    m = out.module
+    return m.params, m.support, m.edge_actions, m.sn_actions, out.embeddings
+
+
+def _verified(module):
+    """A fresh instance of ``module`` carrying its own verify_relations report, with a
+    clean structural part."""
+    copy = unverified_copy(module)
+    assert not verify_relations(copy).structural
+    return copy
+
+
+def test_the_orbit_walk_equals_the_full_walk(corpus, kronecker_v):
+    inputs = [(m, v) for _, m in corpus for v in m.params.quiver.vertices]
+    inputs += [(kronecker_v, "0"), (reflection_functor(kronecker_v, "0").module, "0")]
+    inputs += _a2_word_modules()
+    last, letter = inputs[-1]
+    inputs.append((reflection_functor(last, letter).module, "0"))     # the word 0 2 1 0
+    for module, vertex in inputs:
+        assert _outcome(_verified(module), vertex) == _outcome(unverified_copy(module), vertex)
+    assert len(inputs) > 30
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_the_orbit_walk_equals_the_full_walk_on_random_modules(data):
+    quiver = data.draw(st.sampled_from((AHAT1, AHAT2)))
+    n = data.draw(st.integers(1, 3))
+    shape = data.draw(st.sampled_from(([n], [1] * n)))
+    block = data.draw(st.sampled_from(quiver.vertices))
+    order = data.draw(st.sampled_from((1, 3)))
+    nu = data.draw(st.sampled_from((Fraction(0), HALF, THIRD)))
+    lam = {v: data.draw(st.sampled_from((Fraction(2, 5), Fraction(-3, 7), HALF, -1)))
+           for v in quiver.vertices}
+    lam[block] = nu * (len(shape) - shape[0])
+    module = build_induced_zero_e(make_params(quiver, n, lam, nu, order),
+                                  [(YoungDiagram(shape), block)])
+    # the first letter away from the block, where the reflection acts by nonzero edges
+    word = [data.draw(st.sampled_from([v for v in quiver.vertices if v != block]))]
+    word += data.draw(st.lists(st.sampled_from(quiver.vertices), max_size=1))
+    for letter in word:
+        module = reflection_functor(module, letter).module
+    for vertex in quiver.vertices:
+        assert _outcome(_verified(module), vertex) == _outcome(unverified_copy(module), vertex)
+
+
+def test_a_kronecker_pass_evaluates_theta_ten_times(kronecker_v, monkeypatch):
+    # the pass reflects V and F_0V at 0; the full walk evaluates theta 64 + 8 times
+    thetas = _counting(monkeypatch, SinkCalculus, "theta")
+    f = reflection_functor(_verified(kronecker_v), "0").module
+    reflection_functor(_verified(f), "0")
+    assert len(thetas) == 10
+    thetas.clear()
+    reflection_functor(unverified_copy(f), "0")
+    reflection_functor(unverified_copy(kronecker_v), "0")
+    assert len(thetas) == 72
+
+
+def test_a_structurally_unclean_report_takes_the_full_walk(monkeypatch):
+    # A2-hat, before the letter 2 of 0 2 1 0: the away edge a0 bumped at one entry of
+    # a triple off its orbit's root, so s_m-equivariance fails; trusting the stored
+    # report would fill that triple from the root, and the functor must not
+    module, letter = _a2_word_modules()[1]
+    mutant = _perturbed(module, ("a0", 1, ("0", "1", "0")), 0, 0, 1)
+    assert letter == "2" and verify_relations(mutant).structural
+    thetas = _counting(monkeypatch, SinkCalculus, "theta")
+    got = _outcome(mutant, letter)
+    full = len(thetas)
+    thetas.clear()
+    assert got == _outcome(unverified_copy(mutant), letter)
+    assert full == len(thetas) > 0
