@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cyclotomic import Scalar
 from .errors import FormatError
@@ -40,8 +39,7 @@ from .reflection import SinkCalculus, candidate_tuples
 from .symmetric import Perm, partitions
 
 
-@dataclass(frozen=True)
-class Cube:
+class Cube(NamedTuple):
     """A cube over an ascending index set ``delta``, as a plain record.
 
     ``spaces`` maps an ascending subset tuple to its dimension and ``maps``
@@ -80,15 +78,13 @@ def _validate(cube: Cube) -> None:
                 raise FormatError(f"cube square at {subset} with {p}, {q} does not commute")
 
 
-@dataclass(frozen=True)
-class ComplexTerm:
+class ComplexTerm(NamedTuple):
     subsets: tuple          # the size-r subsets in canonical order
     offsets: tuple[int, ...]
     total: int
 
 
-@dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(NamedTuple):
     """Terms C^0 .. C^len(delta) and differentials d_r: C^r -> C^{r+1}.
 
     A plain record, built only by ``complex_from_cube``, which checks the
@@ -262,8 +258,7 @@ def module_cohomology(module: WreathModule, vertex: str) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class EulerReport:
+class EulerReport(NamedTuple):
     per_tuple: tuple                     # ((tuple, integer), ...)
     character: tuple                     # ((partition, Scalar), ...)
 

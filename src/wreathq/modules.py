@@ -14,8 +14,7 @@ checks, which only the tests use, are in ``tests/reference.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .cyclotomic import Scalar
 from .errors import FormatError, ResourceLimitError
@@ -30,20 +29,18 @@ from .symmetric import (
 MAX_N = 10     # the largest n accepted: S_n orbits of tuples grow as n!
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(NamedTuple("_Params", [("quiver", Quiver), ("n", int), ("weight", Weight),
+                                     ("nu", Scalar)])):
     """The data (quiver, n, lambda, nu) defining one algebra.
 
     An n above ``MAX_N`` is refused with ``ResourceLimitError`` before any
     tuple, partition or matrix is enumerated.
     """
 
-    quiver: Quiver
-    n: int
-    weight: Weight
-    nu: Scalar
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, quiver: Quiver, n: int, weight: Weight, nu: Scalar):
+        self = super().__new__(cls, quiver, n, weight, nu)
         if self.n < 1:
             raise FormatError("n must be a positive integer")
         if self.n > MAX_N:
@@ -53,6 +50,7 @@ class Params:
         for v, _ in self.weight.coords:
             if not self.quiver.has_vertex(v):
                 raise FormatError(f"weight uses unknown vertex {v!r}")
+        return self
 
     @property
     def order(self) -> int:
@@ -181,8 +179,7 @@ class WreathModule:
 # Structural checks and the relation verifier
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StructuralIssue:
+class StructuralIssue(NamedTuple):
     where: str
     message: str
 
@@ -190,8 +187,7 @@ class StructuralIssue:
         return f"{self.where}: {self.message}"
 
 
-@dataclass(frozen=True)
-class RelationFailure:
+class RelationFailure(NamedTuple):
     relation: str                 # "i" or "ii"
     j: tuple
     ell: int
@@ -207,8 +203,7 @@ class RelationFailure:
         return f"relation ({self.relation}) fails at {loc}"
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     structural: tuple[StructuralIssue, ...]
     failures: tuple[RelationFailure, ...]
 

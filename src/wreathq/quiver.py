@@ -8,7 +8,6 @@ detection of affine quivers, which only the tests use, are in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
 from .cyclotomic import Scalar
@@ -105,15 +104,15 @@ class Quiver:
         return f"Quiver({list(self.vertices)}; {es})"
 
 
-@dataclass(frozen=True)
 class DimVector:
-    """An element of Z^I, stored sparsely."""
+    """An element of Z^I, stored sparsely, immutable by convention."""
 
+    __slots__ = ("coords", "_map")
     coords: tuple[tuple[str, int], ...]
-    _map: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_map", dict(self.coords))
+    def __init__(self, coords: tuple[tuple[str, int], ...]):
+        self.coords = coords
+        self._map = dict(coords)
 
     @staticmethod
     def make(mapping: dict[str, int]) -> "DimVector":
@@ -148,6 +147,17 @@ class DimVector:
         if len(self.coords) == 1 and self.coords[0][1] == 1:
             return self.coords[0][0]
         return None
+
+    def __eq__(self, other):
+        if not isinstance(other, DimVector):
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return hash(self.coords)
+
+    def __repr__(self):
+        return f"DimVector(coords={self.coords!r})"
 
 
 class Weight:
@@ -243,15 +253,13 @@ def dual_reflection(q: Quiver, i: str, lam: Weight) -> Weight:
 # Weyl words on weights
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WordStep:
+class WordStep(NamedTuple):
     letter: str
     pivot: Scalar          # coordinate at the letter before reflecting
     ok: bool
 
 
-@dataclass(frozen=True)
-class WordValidation:
+class WordValidation(NamedTuple):
     steps: tuple[WordStep, ...]
     passed: bool
     final: Weight

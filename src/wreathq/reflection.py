@@ -18,8 +18,7 @@ witness F_i F_i V = V are test-side references in ``tests/reference.py``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .cyclotomic import Scalar
 from .errors import FormatError
@@ -29,10 +28,11 @@ from .quiver import dual_reflection, require_loop_free, star_name
 from .symmetric import Perm, is_orbit_root, spanning_tree, swap_position, swap_tuple
 
 
-@dataclass(frozen=True)
 class BigSpace:
-    """The space V(j, D): one summand per assignment of edges in R to D."""
+    """The space V(j, D): one summand per assignment of edges in R to D,
+    immutable by convention."""
 
+    __slots__ = ("j", "xis", "t_tuples", "dims", "offsets", "total", "_index")
     j: tuple
     xis: tuple[tuple[int, ...], ...]      # assignments as tuples of R-indices
     t_tuples: tuple[tuple, ...]           # t(j, xi) per assignment
@@ -40,11 +40,21 @@ class BigSpace:
     offsets: tuple[int, ...]
     total: int
 
+    def __init__(self, j: tuple, xis: tuple, t_tuples: tuple, dims: tuple, offsets: tuple,
+                 total: int):
+        self.j = j
+        self.xis = xis
+        self.t_tuples = t_tuples
+        self.dims = dims
+        self.offsets = offsets
+        self.total = total
+        self.__post_init__()
+
     def index_of(self, xi: tuple[int, ...]) -> int:
         return self._index[xi]
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {xi: k for k, xi in enumerate(self.xis)})
+    def __post_init__(self):     # perfbench/spans.py gauges every space through it
+        self._index = {xi: k for k, xi in enumerate(self.xis)}
 
 
 def _assemble(tgt: BigSpace, src: BigSpace, blocks: Iterable[tuple[int, int, Optional[Mat]]],
@@ -273,8 +283,7 @@ class SinkCalculus:
         return out
 
 
-@dataclass(frozen=True)
-class GenericityResult:
+class GenericityResult(NamedTuple):
     ok: bool
     failing_p: Optional[int] = None
     failing_branch: Optional[str] = None
@@ -296,8 +305,7 @@ def is_generic(params: Params, vertex: str) -> GenericityResult:
     return GenericityResult(True)
 
 
-@dataclass
-class ReflectionOutput:
+class ReflectionOutput(NamedTuple):
     """The reflected module plus the per-tuple embedding data.
 
     ``embeddings[j]`` is the basis of the new graded piece inside the top
@@ -429,8 +437,7 @@ def reflection_functor(module: WreathModule, vertex: str) -> ReflectionOutput:
     return ReflectionOutput(result, embeddings)
 
 
-@dataclass
-class WordResult:
+class WordResult(NamedTuple):
     module: WreathModule
     trace: tuple   # (vertex, weight, dims) per applied letter
 

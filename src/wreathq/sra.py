@@ -11,20 +11,20 @@ quivers, which only the tests build, are in ``tests/reference.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cyclotomic import Scalar
 from .errors import FormatError
 from .modules import Params
 from .quiver import DimVector, Quiver, Weight, apply_word_dimvector, dual_reflection, validate_word
 from .reflection import is_generic
-from .symmetric import YoungDiagram, contents
+from .symmetric import YoungDiagram, rectangle
 
 
-@dataclass(frozen=True)
-class GammaData:
+class GammaData(NamedTuple("_GammaData", [
+        ("order", int), ("elements", tuple[str, ...]), ("vertices", tuple[str, ...]),
+        ("table", dict), ("dims", dict), ("scalar_order", int)])):
     """Exact character data of a finite group, indexed by quiver vertices.
 
     ``table[vertex][element]`` is the character value; the identity
@@ -33,12 +33,7 @@ class GammaData:
     (characters separate classes).
     """
 
-    order: int
-    elements: tuple[str, ...]
-    vertices: tuple[str, ...]
-    table: dict
-    dims: dict
-    scalar_order: int
+    __slots__ = ()
 
     @staticmethod
     def cyclic(m: int) -> "GammaData":
@@ -54,7 +49,9 @@ class GammaData:
         dims = {v: 1 for v in vertices}
         return GammaData(m, elements, vertices, table, dims, m)
 
-    def __post_init__(self):
+    def __new__(cls, order: int, elements: tuple[str, ...], vertices: tuple[str, ...],
+                table: dict, dims: dict, scalar_order: int):
+        self = super().__new__(cls, order, elements, vertices, table, dims, scalar_order)
         if self.order < 1:
             raise FormatError(f"group order must be at least 1, got {self.order}")
         if len(set(self.elements)) != len(self.elements) or len(self.elements) != self.order:
@@ -67,6 +64,7 @@ class GammaData:
                 raise FormatError(f"identity column disagrees with dims at vertex {v!r}")
         if sum(self.dims[v] ** 2 for v in self.vertices) != self.order:
             raise FormatError("squared dimensions must sum to the group order")
+        return self
 
     def conjugacy_classes(self) -> list[tuple[str, ...]]:
         """Group elements by their full character column."""
@@ -77,8 +75,7 @@ class GammaData:
         return [tuple(v) for v in seen.values()]
 
 
-@dataclass(frozen=True)
-class SRAParams:
+class SRAParams(NamedTuple):
     """(t, k, c) with c supported on nonidentity elements, a class function."""
 
     t: Scalar
@@ -140,8 +137,7 @@ def recover_sra(gamma: GammaData, weight: Weight, nu: Scalar) -> SRAParams:
 # The deformability report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConditionItem:
+class ConditionItem(NamedTuple):
     label: str
     passed: bool
     detail: str
@@ -150,8 +146,7 @@ class ConditionItem:
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.label}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     items: tuple[ConditionItem, ...]
 
     @property
@@ -188,14 +183,13 @@ def deformability_report(q: Quiver, lambda0: Weight, lam: Weight, nu: Scalar,
         "pivots " + ", ".join(str(s.pivot) for s in word_check.steps) if word_check.steps
         else "empty word"))
 
-    rect_data = []
+    rects = []
     for k, (diagram, alpha) in enumerate(blocks, 1):
-        data = contents(diagram)
-        rect_data.append(data)
-        if data.is_rectangle:
+        rect = rectangle(diagram)
+        rects.append(rect)
+        if rect:
             items.append(ConditionItem(
-                f"rectangle[{k}]", True,
-                f"diagram {diagram.parts} is {data.rect_height} x {data.rect_width}"))
+                f"rectangle[{k}]", True, f"diagram {diagram.parts} is {rect[0]} x {rect[1]}"))
         else:
             items.append(ConditionItem(
                 f"rectangle[{k}]", False, f"diagram {diagram.parts} is not a rectangle"))
@@ -225,13 +219,14 @@ def deformability_report(q: Quiver, lambda0: Weight, lam: Weight, nu: Scalar,
         + ("loop-free" if loop_free else "edge-loop present") + ", "
         + ("pairwise non-adjacent" if non_adjacent else "adjacent pair present")))
 
-    for k, ((diagram, alpha), data) in enumerate(zip(blocks, rect_data), 1):
-        if not data.is_rectangle:
+    for k, ((_, alpha), rect) in enumerate(zip(blocks, rects), 1):
+        if not rect:
             items.append(ConditionItem(
                 f"trace[{k}]", False, "needs a rectangular diagram"))
             continue
+        height, width = rect
         lhs = lam.dot(alpha)
-        rhs = nu * Scalar.rational(data.rect_height - data.rect_width, lam.order)
+        rhs = nu * Scalar.rational(height - width, lam.order)
         items.append(ConditionItem(
             f"trace[{k}]", lhs == rhs,
             f"lambda . alpha = {lhs}, (a - b) nu = {rhs}"))

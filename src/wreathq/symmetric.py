@@ -12,7 +12,6 @@ of x +- nu * (s_12 + ... + s_1r), which only the tests decide, is in
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -219,18 +218,10 @@ class YoungDiagram:
         return f"YoungDiagram{self.parts}"
 
 
-@dataclass(frozen=True)
-class ContentData:
-    is_rectangle: bool
-    rect_height: Optional[int]           # a, when rectangular
-    rect_width: Optional[int]            # b, when rectangular
-
-
-def contents(mu: YoungDiagram) -> ContentData:
-    """Whether mu is a rectangle, with its height a and width b when it is."""
+def rectangle(mu: YoungDiagram) -> Optional[tuple[int, int]]:
+    """(height a, width b) when mu is an a x b rectangle, else None."""
     parts = mu.parts
-    rect = len(set(parts)) == 1
-    return ContentData(rect, len(parts) if rect else None, parts[0] if rect else None)
+    return (len(parts), parts[0]) if len(set(parts)) == 1 else None
 
 
 def standard_tableaux(mu: YoungDiagram) -> list[tuple[tuple[int, ...], ...]]:

@@ -23,7 +23,7 @@ from wreathq.quiver import (
     DimVector, dual_reflection, simple_reflection,
 )
 from wreathq.reflection import SinkCalculus, is_generic, reflection_functor
-from wreathq.symmetric import Perm, YoungDiagram, contents, partitions, seminormal_rep
+from wreathq.symmetric import Perm, YoungDiagram, partitions, rectangle, seminormal_rep
 
 from conftest import (
     AHAT1, AHAT2, BLOCK_MAP_CORPUS, HALF, THIRD, dimension_vector, make_params, rational_weight,
@@ -317,9 +317,9 @@ def test_criterion_6_corner_rectangles():
             c_mat = Mat.zeros(rep.dim, rep.dim)
             for m in range(2, n + 1):
                 c_mat = c_mat + rep.matrix_of(Perm.transposition(1, m, n))
-            data = contents(YoungDiagram(parts))
-            if data.is_rectangle:
-                scalar = data.rect_width - data.rect_height
+            rect = rectangle(YoungDiagram(parts))
+            if rect:
+                scalar = rect[1] - rect[0]
                 assert c_mat == Mat.identity(rep.dim).scaled(Scalar.rational(scalar)), parts
             else:
                 assert not _is_scalar_matrix(c_mat), parts
@@ -352,8 +352,8 @@ def test_criterion_7_extension_biconditional(tmp_path):
     started = time.perf_counter()
 
     def predicted(quiver, blocks, lam, nu):
-        datas = [contents(d) for d, _ in blocks]
-        if any(not d.is_rectangle for d in datas):
+        rects = [rectangle(d) for d, _ in blocks]
+        if None in rects:
             return False
         vertices = [v for _, v in blocks]
         if len(set(vertices)) != len(vertices):
@@ -362,8 +362,8 @@ def test_criterion_7_extension_biconditional(tmp_path):
             for v in vertices[a + 1:]:
                 if quiver.adjacent(u, v):
                     return False
-        for (diagram, vertex), data in zip(blocks, datas):
-            if lam[vertex] != nu * Scalar.rational(data.rect_height - data.rect_width):
+        for (_, vertex), (height, width) in zip(blocks, rects):
+            if lam[vertex] != nu * Scalar.rational(height - width):
                 return False
         return True
 

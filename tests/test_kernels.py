@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wreathq import kernels
 from wreathq.cyclotomic import MAX_CYCLOTOMIC_ORDER, Scalar, cyclotomic_polynomial, euler_phi
@@ -185,16 +185,26 @@ def kernel_problems(draw):
     return order, a, k, random_mat(rng, k.cols, rng.randint(1, 3), order)
 
 
+# K = [[1/2], [1]]: twice K keeps a unit row, so the read succeeds
+HALF_ROW = mat([[0, 0], [1, Fraction(-1, 2)], [0, 0]])
+
+
 @settings(max_examples=60, deadline=None)
 @given(kernel_problems())
+@example((1, HALF_ROW, kernel_basis(HALF_ROW), mat([[0]])))
 def test_unit_row_read_matches_elimination(problem):
     order, a, k, c = problem
     target = k @ c
     assert solve_in_span(k, target) == c == _read_by_elimination(k, target)
-    if k.cols:
-        # twice the basis has no unit row
+    # twice the basis is refused exactly when some column lost every unit row {c: 1}
+    twice = k.scaled(Scalar.rational(2, order))
+    one = Scalar.one(order)
+    units = {row.index(one) for row in dense(twice) if sum(map(bool, row)) == 1 and one in row}
+    if len(units) < k.cols:
         with pytest.raises(ValueError, match="has no unit row"):
-            solve_in_span(k.scaled(Scalar.rational(2, order)), target)
+            solve_in_span(twice, target)
+    else:
+        assert solve_in_span(twice, target) == c.scaled(Scalar.rational(Fraction(1, 2), order))
 
 
 @settings(max_examples=60, deadline=None)

@@ -204,6 +204,7 @@ def test_the_tracer_sees_theta_and_the_certificate_products():
     module = reflection.reflection_functor(
         build_induced_zero_e(params, [(YoungDiagram([2]), "1")]), "0").module
     tracer = spans.Tracer()
+    tracer.begin_pass(0)
     certified = []
     tracer.install_spans()
     try:
@@ -218,7 +219,10 @@ def test_the_tracer_sees_theta_and_the_certificate_products():
     finally:
         tracer.uninstall()
     names = tracer.names
-    assert spans.aggregate(tracer.export())[0]["reflection.theta.calls"] > 0
+    counters = spans.aggregate(tracer.export())[0]
+    assert counters["reflection.theta.calls"] > 0
+    # every BigSpace construction passes through the gauged __post_init__
+    assert counters["reflection.space.sum_dim"] > 0
     solves = [k for k, (nid, *_) in enumerate(tracer.spans)
               if names[nid] == "linalg.solve_in_span"]
     products = {parent for nid, _, _, parent, _ in tracer.spans
@@ -286,13 +290,26 @@ def test_the_guard_sees_an_unused_import(tmp_path):
 _DOTTED = re.compile(r"[A-Za-z_][\w.]*")
 
 
+def _named_fields(node: ast.AST) -> list:
+    """The ``(name, type)`` pairs of a functional ``NamedTuple("_X", [...])`` call, or []."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and node.func.id == "NamedTuple" and len(node.args) == 2 \
+            and isinstance(node.args[1], ast.List):
+        return node.args[1].elts
+    return []
+
+
 def _reads(path: pathlib.Path) -> set[str]:
     """Names one file reads: identifiers (not the ones assigned to), attributes,
     imported names, and the parts of dotted-name strings (quoted annotations, and the
-    tracer's ``"Mat.__matmul__"``).  An attribute of a plain name, ``Mat.identity``,
-    is also read whole."""
+    tracer's ``"Mat.__matmul__"``), but not the field names a functional ``NamedTuple``
+    declares.  An attribute of a plain name, ``Mat.identity``, is also read whole."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    declared = {id(pair.elts[0]) for node in ast.walk(tree) for pair in _named_fields(node)}
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+    for node in ast.walk(tree):
+        if id(node) in declared:
+            continue
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -310,7 +327,11 @@ def _reads(path: pathlib.Path) -> set[str]:
 
 def _members(cls: ast.ClassDef):
     """(node, name, the name a read must match) of each method and annotated field of
-    a class; a static method is read only through its class, as ``Cls.name``."""
+    a class, and of each field of a functional ``NamedTuple("_X", [(name, type), ...])``
+    base; a static method is read only through its class, as ``Cls.name``."""
+    for base in cls.bases:
+        for pair in _named_fields(base):
+            yield pair, pair.elts[0].value, pair.elts[0].value
     for m in cls.body:
         if isinstance(m, ast.AnnAssign) and isinstance(m.target, ast.Name):
             yield m, m.target.id, m.target.id
@@ -362,9 +383,12 @@ def test_the_guard_sees_an_unread_name(tmp_path):
                               "    def _hidden(self):\n        return 8\n\n"
                               "class Record:\n    kept: int\n    dropped: int\n"
                               "    @staticmethod\n    def build():\n        return Record()\n"
-                              "    @staticmethod\n    def used():\n        return 9\n")
-    (pkg / "b.py").write_text("from .a import Read, Record, shared\n\n"
-                              "VALUE = Read().used() + Record.build().kept\n"
+                              "    @staticmethod\n    def used():\n        return 9\n\n"
+                              "class Checked(NamedTuple('_Checked', [('seen', int),\n"
+                              "                                      ('missed', int)])):\n"
+                              "    __slots__ = ()\n")
+    (pkg / "b.py").write_text("from .a import Checked, Read, Record, shared\n\n"
+                              "VALUE = Read().used() + Record.build().kept + Checked(1, 2).seen\n"
                               "dropped = 0\n")
     bench = tmp_path / "bench.py"
     bench.write_text("SPANS = (('a', 'traced', 'a.traced'),)\n")
@@ -372,7 +396,7 @@ def test_the_guard_sees_an_unread_name(tmp_path):
     # and b.py's variable dropped assigns, it does not read
     assert _unread_public_names(pkg, [bench]) == \
         ["a.py:1: exported", "a.py:13: Unread", "a.py:16: unread", "a.py:28: unused",
-         "a.py:35: dropped", "a.py:40: used"]
+         "a.py:35: dropped", "a.py:40: used", "a.py:44: missed"]
 
 
 # -- the package namespace loads nothing ----------------------------------------------
@@ -388,6 +412,15 @@ def test_the_package_imports_only_what_is_asked_for():
     loaded = ast.literal_eval(proc.stdout)
     assert {"wreathq.cubes", "wreathq.modules", "wreathq.reflection"} <= set(loaded)
     assert not {"wreathq.sra", "wreathq.io", "wreathq.cli"} & set(loaded)
+
+
+def test_the_cli_imports_no_dataclasses():
+    # records are NamedTuples or slotted classes: building dataclasses would pull in
+    # inspect, ast and dis on every cold start of the CLI
+    probe = "import sys\nimport wreathq.cli\nprint('dataclasses' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_fresh_env(), check=True)
+    assert proc.stdout.strip() == "False"
 
 
 # -- exception classes that nothing raises ---------------------------------------------

@@ -249,7 +249,7 @@ def test_involution_refuses_an_embedding_without_the_canonical_image(monkeypatch
         if len(passes) == 2:
             moved = {j: misplaced(e) for j, e in out.embeddings.items()}
             assert moved != out.embeddings
-            out.embeddings = moved
+            out = out._replace(embeddings=moved)
         return out
 
     def unreached(*args):

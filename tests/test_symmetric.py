@@ -8,7 +8,7 @@ from wreathq.cyclotomic import Scalar
 from wreathq.errors import FormatError, ResourceLimitError
 from wreathq.linalg import Mat
 from wreathq.symmetric import (
-    Perm, YoungDiagram, contents, induce_rep, partitions, seminormal_rep,
+    Perm, YoungDiagram, induce_rep, partitions, rectangle, seminormal_rep,
     standard_tableaux, young_cosets,
 )
 
@@ -59,19 +59,16 @@ def test_partitions_list():
     assert partitions(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
 
 
-def test_contents_two_by_two():
-    data = contents(YoungDiagram([2, 2]))
-    assert data.is_rectangle and data.rect_height == 2 and data.rect_width == 2
+def test_rectangle_two_by_two():
+    assert rectangle(YoungDiagram([2, 2])) == (2, 2)
 
 
-def test_contents_row():
-    data = contents(YoungDiagram([3]))
-    assert data.is_rectangle and data.rect_height == 1 and data.rect_width == 3
+def test_rectangle_row():
+    assert rectangle(YoungDiagram([3])) == (1, 3)
 
 
-def test_contents_hook():
-    data = contents(YoungDiagram([2, 1]))
-    assert not data.is_rectangle and data.rect_height is None and data.rect_width is None
+def test_rectangle_hook():
+    assert rectangle(YoungDiagram([2, 1])) is None
 
 
 def test_standard_tableaux_order():
