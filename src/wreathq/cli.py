@@ -71,6 +71,7 @@ def cmd_reflect(args) -> int:
         raise FormatError("reflect needs exactly one of --vertex or --word")
     quiver = _load_quiver(args)
     module = _load_module(args, quiver)
+    _require_structure(verify_relations(module))
     if args.vertex is not None:
         word = [args.vertex]
     else:

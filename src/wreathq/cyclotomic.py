@@ -7,14 +7,16 @@ standard representation of number-field elements; Cohen, GTM 138,
 section 4.2.2).  Phi_m is monic with integer coefficients, so products
 reduce without leaving the integers and only the denominators multiply;
 one cached table of the powers zeta^e (e < m), reduced mod Phi_m, serves
-products, ``Scalar.zeta`` and the Galois conjugates.  An irrational x is
-inverted through its Galois norm: with sigma_k(zeta) = zeta^k,
-y = prod sigma_k(x) over the units k != 1 mod m makes N(x) = x * y
-rational, and x^-1 = y / N(x) (Cohen, GTM 138, section 4.3), so inversion
-uses the same integer products and no polynomial arithmetic over Q.  For
-m = 1 and m = 2, phi(m) = 1 and a scalar is a single rational.  No
-floating point is used anywhere: a scalar is built only from ints and
-Fractions, and combines and compares only with other scalars.
+products, ``Scalar.zeta`` and the Galois conjugates.  For m = 1 and
+m = 2, phi(m) = 1 and a scalar is a single rational.  No floating point
+is used anywhere: a scalar is built only from ints and Fractions, and
+combines and compares only with other scalars.
+
+The integer arithmetic is one set of helpers (``num_mul``, ``num_add``,
+``num_content``, ``num_div``, ``num_inverse``) on numerators: an int for
+a rational, else the tuple of the coefficients of 1, zeta, ...,
+zeta^(phi - 1), whose zeta-part is not zero.  ``Scalar`` and the matrix
+rows of ``linalg`` both call them, and their results keep that form.
 
 Orders above ``MAX_CYCLOTOMIC_ORDER`` are refused with
 :class:`ResourceLimitError` before Phi_m is built.
@@ -27,6 +29,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add
 
 from .errors import FormatError, OrderMismatchError, ResourceLimitError
 
@@ -99,6 +102,69 @@ def _high_power_table(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
                  for k in range(phi, 2 * phi - 1))
 
 
+def _num(coeffs: list):
+    """A numerator from its coefficients: the int coeffs[0] when the zeta-part is zero."""
+    return tuple(coeffs) if any(coeffs[1:]) else coeffs[0]
+
+
+def num_mul(order: int, x, y):
+    """x * y for numerators of Q(zeta_order), reduced mod Phi_order."""
+    if type(x) is int:
+        if type(y) is int:
+            return x * y
+        x, y = y, x
+    if type(y) is int:
+        return tuple([c * y for c in x])
+    phi = len(x)
+    prod = [0] * (2 * phi - 1)
+    for s, a in enumerate(x):
+        if a:
+            for t, b in enumerate(y, s):
+                prod[t] += a * b
+    out = prod[:phi]
+    for top, row in zip(prod[phi:], _high_power_table(order)):
+        if top:
+            for t, c in row:
+                out[t] += top * c
+    return _num(out)
+
+
+def num_add(x, y):
+    """x + y for numerators."""
+    if type(x) is int:
+        if type(y) is int:
+            return x + y
+        x, y = y, x
+    return _num([x[0] + y, *x[1:]] if type(y) is int else list(map(add, x, y)))
+
+
+def num_content(x) -> int:
+    """The gcd of a numerator's coefficients."""
+    return abs(x) if type(x) is int else gcd(*x)
+
+
+def num_div(x, g: int):
+    """A numerator divided exactly by the int g."""
+    return x // g if type(x) is int else tuple(c // g for c in x)
+
+
+def num_inverse(order: int, x) -> tuple:
+    """(y, d) with y / d = 1 / x for a nonzero numerator x and an int d > 0.
+
+    With sigma_k(zeta) = zeta^k, y = prod sigma_k(x) over the units
+    k != 1 mod m makes d = x * y, the Galois norm, rational (Cohen,
+    GTM 138, section 4.3): no polynomial arithmetic over Q is needed."""
+    y = 1
+    if type(x) is not int:
+        for k in range(2, order):
+            if gcd(k, order) == 1:
+                y = num_mul(order, y, _galois(order, x, k))
+    d = num_mul(order, x, y)
+    if type(d) is not int:
+        raise AssertionError("the Galois norm of a cyclotomic scalar must be rational")
+    return (y, d) if d > 0 else (num_mul(order, -1, y), -d)
+
+
 _new = object.__new__
 
 
@@ -112,36 +178,28 @@ def _mk(num: tuple, den: int, order: int) -> "Scalar":
 
 
 def _reduced(num, den: int, order: int) -> "Scalar":
-    """Scale ``num / den`` (den > 0) to lowest terms and wrap it."""
+    """Wrap ``num / den`` (den > 0, num a numerator) in lowest terms."""
+    if type(num) is int:
+        g = gcd(den, num)
+        return _mk((num // g,) + _power_table(order)[0][1:], den // g, order)
     if den != 1:
-        g = gcd(den, *num)
+        g = gcd(den, num_content(num))
         if g != 1:
-            num = [x // g for x in num]
-            den //= g
-    return _mk(tuple(num), den, order)
+            num, den = num_div(num, g), den // g
+    return _mk(num, den, order)
 
 
-def _rational_inverse(x: "Scalar") -> "Scalar":
-    """1/x for a nonzero rational x: its one numerator and its denominator swap."""
-    n, den = x.num[0], x.den
-    if n < 0:
-        n, den = -n, -den
-    return _mk((den,) + x.num[1:], n, x.order)
-
-
-def _galois(x: "Scalar", k: int) -> "Scalar":
-    """sigma_k(x) for k prime to the order m: zeta^i -> zeta^(k i).  It
-    permutes Z[zeta], so the numerators keep their gcd with the
-    denominator and stay in lowest terms."""
-    m = x.order
+def _galois(m: int, num: tuple, k: int) -> tuple:
+    """sigma_k of the coefficients num, for k prime to m: zeta^i -> zeta^(k i).
+    It permutes Z[zeta], so the numerators keep their gcd with a denominator."""
     rows = _power_table(m)
-    out = [0] * len(x.num)
-    for i, a in enumerate(x.num):
+    out = [0] * len(num)
+    for i, a in enumerate(num):
         if a:
             for t, c in enumerate(rows[k * i % m]):
                 if c:
                     out[t] += a * c
-    return _mk(tuple(out), x.den, m)
+    return tuple(out)
 
 
 def _fraction(x) -> Fraction:
@@ -213,6 +271,11 @@ class Scalar:
         return _mk((num,) + (0,) * (euler_phi(order) - 1), den, order)
 
     @staticmethod
+    def quotient(num, den: int, order: int) -> "Scalar":
+        """num / den for a numerator num and an int den > 0."""
+        return _reduced(num, den, order)
+
+    @staticmethod
     def zeta(order: int, power: int = 1) -> "Scalar":
         """zeta_m^power as a reduced scalar."""
         return _mk(_power_table(order)[power % order], 1, order)
@@ -221,8 +284,10 @@ class Scalar:
     def __bool__(self) -> bool:
         return any(self.num)
 
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
+    @property
+    def numerator(self):
+        """The numerator over ``den`` as the helpers take it: an int when rational."""
+        return self.num if any(self.num[1:]) else self.num[0]
 
     # -- arithmetic --------------------------------------------------
     def __add__(self, o):
@@ -230,19 +295,10 @@ class Scalar:
             return NotImplemented
         if o.order != self.order:
             raise _mismatch(self.order, o.order)
-        da, db = self.den, o.den
-        if da == db:
-            return _reduced([x + y for x, y in zip(self.num, o.num)], da, self.order)
-        # over the lcm only the primes of gcd(da, db) can cancel (Knuth,
-        # TAOCP 4.5.1), so the lowest-terms factor divides g
+        m, da, db = self.order, self.den, o.den
         g = gcd(da, db)
-        fa, fb = db // g, da // g
-        num = [x * fa + y * fb for x, y in zip(self.num, o.num)]
-        if g != 1:
-            g = gcd(g, *num)
-            if g != 1:
-                return _mk(tuple(x // g for x in num), da * fa // g, self.order)
-        return _mk(tuple(num), da * fa, self.order)
+        return _reduced(num_add(num_mul(m, self.numerator, db // g), num_mul(m, o.numerator, da // g)),
+                        da // g * db, m)
 
     __radd__ = __add__    # always NotImplemented; perfbench/spans.py wraps it
 
@@ -257,58 +313,22 @@ class Scalar:
             return NotImplemented
         if o.order != self.order:
             raise _mismatch(self.order, o.order)
-        a, b = self.num, o.num
-        den = self.den * o.den
-        phi = len(a)
-        if phi == 1:
-            n = a[0] * b[0]
-            if den != 1:
-                g = gcd(n, den)
-                if g != 1:
-                    return _mk((n // g,), den // g, self.order)
-            return _mk((n,), den, self.order)
-        # most factors in the pipeline are rational even over Q(zeta_m)
-        if not any(b[1:]):
-            y = b[0]
-            out = [x * y for x in a]
-        elif not any(a[1:]):
-            x = a[0]
-            out = [x * y for y in b]
-        else:
-            prod = [0] * (2 * phi - 1)
-            for s, x in enumerate(a):
-                if x:
-                    for t, y in enumerate(b, s):
-                        prod[t] += x * y
-            out = prod[:phi]
-            for top, row in zip(prod[phi:], _high_power_table(self.order)):
-                if top:
-                    for t, c in row:
-                        out[t] += top * c
-        return _reduced(out, den, self.order)
+        return _reduced(num_mul(self.order, self.numerator, o.numerator), self.den * o.den,
+                        self.order)
 
     __rmul__ = __mul__    # always NotImplemented; perfbench/spans.py wraps it
 
     def inverse(self) -> "Scalar":
         if not self:
             raise ZeroDivisionError("scalar is zero")
-        if self.is_rational():
-            return _rational_inverse(self)
-        # x^-1 = y / N(x) with y = prod_{k != 1} sigma_k(x), N(x) = x * y
-        m = self.order
-        y = None
-        for k in range(2, m):
-            if gcd(k, m) == 1:
-                conj = _galois(self, k)
-                y = conj if y is None else y * conj
-        norm = self * y
-        if not norm.is_rational():
-            raise AssertionError("the Galois norm of a cyclotomic scalar must be rational")
-        return y * _rational_inverse(norm)
+        y, d = num_inverse(self.order, self.numerator)
+        return _reduced(num_mul(self.order, y, self.den), d, self.order)
 
     def conjugate(self) -> "Scalar":
         """The complex conjugate: sigma_-1, which sends zeta to zeta^-1."""
-        return self if self.is_rational() else _galois(self, -1)
+        if type(self.numerator) is int:
+            return self
+        return _mk(_galois(self.order, self.num, -1), self.den, self.order)
 
     # -- comparisons / hashing ----------------------------------------
     def __eq__(self, other):

@@ -1,18 +1,20 @@
 """Sparse exact matrices over Q(zeta_m) and the kernel/solve primitives.
 
-A matrix stores one dict per row, mapping a column index to a nonzero
-``Scalar``; zeros are never stored.  The block maps of the reflection
-functor and of the cube complexes are under a tenth nonzero, so every
-operation here works on the nonzero entries only.  Row dicts are never
-mutated once a matrix is built, which lets results share unchanged rows
-with their operands.
+A row is one positive int den and a dict {column: nonzero numerator of
+``cyclotomic``}, canonical: no tuple with a zero zeta-part (a rational
+entry is an int at every order), gcd(den, every coefficient) 1, and den
+1 when empty, so ``==`` and ``hash`` compare values.  The block maps are
+under a tenth nonzero, so every operation works on the nonzero entries
+only, in integers; ``Scalar`` appears only at the boundary (the
+constructor, indexing, ``row``, ``data``, ``trace`` and the factor of
+``scaled``).  Rows are never mutated once built, so results share rows.
 
 Matrices with zero rows or zero columns are first-class citizens: they
 represent maps to or from the zero space and show up constantly in
 graded modules.
 
 A ``kernel_basis`` result carries an identity block: the row of each
-free column is a unit row, {k: 1} for its own basis column k.
+free column is a unit row, {k: 1} over 1 for its own basis column k.
 ``solve_in_span`` reads the coordinates of a vector in such a basis off
 those rows, with no elimination, and certifies them by one product of
 the other rows with them, compared exactly; ``NotInSpanError`` is the
@@ -26,18 +28,22 @@ from above certify it without exact elimination.
 from __future__ import annotations
 
 import heapq
-from functools import lru_cache
-from math import isqrt
-from operator import mul
+from functools import lru_cache, partial, reduce
+from math import gcd, isqrt, lcm
+from operator import add, floordiv, itemgetter, mul
 
-from .cyclotomic import Scalar, euler_phi
+from .cyclotomic import (
+    Scalar, euler_phi, num_add, num_content, num_div, num_inverse, num_mul,
+)
 from .errors import NotInSpanError, OrderMismatchError
 
 _new = object.__new__
+_EMPTY = (1, {})        # the zero row; rows are never mutated, so all share it
+_ROW = itemgetter(1)
 
 
 def _mat(rows: int, cols: int, srows: list, order: int) -> "Mat":
-    """Wrap row dicts (already free of zeros, and not shared with a builder)."""
+    """Wrap canonical rows (not shared with a builder)."""
     m = _new(Mat)
     m.rows = rows
     m.cols = cols
@@ -46,52 +52,83 @@ def _mat(rows: int, cols: int, srows: list, order: int) -> "Mat":
     return m
 
 
-def _add_into(dst: dict, src: dict, offset: int = 0) -> None:
-    """dst += src shifted by ``offset`` columns, deleting entries that cancel."""
-    for c, x in src.items():
-        c += offset
-        y = dst.get(c)
-        if y is None:
-            dst[c] = x
-        else:
-            s = y + x
-            if s:
-                dst[c] = s
-            else:
-                del dst[c]
+@lru_cache(maxsize=None)
+def _ops(order: int) -> tuple:
+    """Product, sum, content and exact division of numerators at this order:
+    the int operators when phi(order) = 1, else the ``cyclotomic`` helpers."""
+    if euler_phi(order) == 1:
+        return mul, add, abs, floordiv
+    return partial(num_mul, order), num_add, num_content, num_div
 
 
-def _add_multiple(dst: dict, f: Scalar, src: dict, skip: int) -> None:
-    """dst += f * src outside column ``skip``, deleting entries that cancel."""
-    for j, x in src.items():
-        if j == skip:
+def _reduce(den: int, row: dict, ops: tuple) -> tuple:
+    """The canonical (den, row) of the nonzero numerators ``row`` over den > 0;
+    den 0 asks for the primitive multiple of the row (over 0) instead."""
+    if den == 1 or not row:
+        return 1, row
+    g = gcd(den, *map(ops[2], row.values()))
+    if g == 1:
+        return den, row
+    div = ops[3]
+    return den // g, {c: div(x, g) for c, x in row.items()}
+
+
+def _lincomb(den: int, coef: dict, rows, ops: tuple) -> tuple:
+    """The canonical row of (sum of coef[t] * rows[t]) / den, coef[t] nonzero:
+    one common den, an integer inner loop, one gcd.  A lone coefficient +-1
+    over 1 shares or negates its row; den 0 asks for the primitive multiple."""
+    times, plus = ops[0], ops[1]
+    if len(coef) == 1:
+        (t, f), = coef.items()
+        d, row = rows[t]
+        if den == 1 and f == 1:
+            return d, row
+        # a field has no zero divisors, so no product of nonzeros cancels
+        row = {c: times(f, x) for c, x in row.items()}
+        return (d, row) if den == 1 and f == -1 else _reduce(den * d, row, ops)
+    big = lcm(*[rows[t][0] for t in coef])
+    acc: dict = {}
+    get = acc.get
+    for t, f in coef.items():
+        d, row = rows[t]
+        if d != big:
+            f = times(f, big // d)
+        if f == 1 and not acc:
+            acc.update(row)
             continue
-        y = dst.get(j)
-        if y is None:
-            dst[j] = f * x
-        else:
-            s = y + f * x
-            if s:
-                dst[j] = s
-            else:
-                del dst[j]
+        for c, x in row.items():
+            acc[c] = plus(get(c, 0), times(f, x))
+    if 0 in acc.values():
+        acc = {c: x for c, x in acc.items() if x}
+    return _reduce(den * big, acc, ops)
 
 
-def _sum_rows(a: dict, b: dict) -> dict:
-    if not b:
-        return a
-    if not a:
-        return b
-    if len(a) < len(b):
-        a, b = b, a
-    out = dict(a)
-    _add_into(out, b)
-    return out
+def _plus(x: tuple, y: tuple, ops: tuple) -> tuple:
+    """The canonical sum of two nonempty canonical rows."""
+    if not x[1].keys().isdisjoint(y[1]):
+        return _lincomb(1, {0: 1, 1: 1}, (x, y), ops)
+    # no common column: over the lcm of the dens there is no gcd to divide out
+    big, times = lcm(x[0], y[0]), ops[0]
+    return big, {c: v if d == big else times(v, big // d) for d, row in (x, y) for c, v in row.items()}
+
+
+def _eliminate(c: int, p: dict, inv: tuple, row: dict, ops: tuple) -> dict:
+    """The primitive multiple of d * row - row[c] * y * p, clearing column c
+    (fraction-free: Bareiss, Math. Comp. 22, 1968), for (y, d) =
+    ``num_inverse`` of p[c].  Row is multiplied only by the int d, so it
+    stays the primitive multiple of the exact row and does not grow."""
+    if len(p) == 1:
+        return {j: x for j, x in row.items() if j != c}
+    a, b = inv[1], ops[0](row[c], inv[0])
+    if type(b) is int:
+        g = gcd(a, b)
+        a, b = a // g, b // g
+    return _lincomb(0, {0: a, 1: ops[0](-1, b)}, ((1, row), (1, p)), ops)[1]
 
 
 class Mat:
     """Sparse matrix with entries in Q(zeta_order), immutable by convention:
-    nothing assigns to it or to its row dicts after construction.
+    nothing assigns to it or to its rows after construction.
 
     ``Mat(rows, cols, data, order)`` takes the entries densely, row-major,
     each a ``Scalar`` of cyclotomic order ``order``; ``data`` gives them
@@ -112,55 +149,58 @@ class Mat:
         self.rows = rows
         self.cols = cols
         self.order = order
-        self._rows = [{c: x for c, x in enumerate(data[r * cols:(r + 1) * cols]) if x}
-                      for r in range(rows)]
+        ops, self._rows = _ops(order), []
+        for r in range(rows):
+            row = {c: x for c, x in enumerate(data[r * cols:(r + 1) * cols]) if x}
+            self._rows.append(_lincomb(1, {c: x.numerator for c, x in row.items()},
+                                       {c: (x.den, {c: 1}) for c, x in row.items()}, ops))
 
     # -- constructors ---------------------------------------------------
     @staticmethod
     def zeros(rows: int, cols: int, order: int = 1) -> "Mat":
-        return _mat(rows, cols, [{} for _ in range(rows)], order)
+        return _mat(rows, cols, [_EMPTY] * rows, order)
 
     @staticmethod
     def identity(n: int, order: int = 1) -> "Mat":
-        o = Scalar.one(order)
-        return _mat(n, n, [{t: o} for t in range(n)], order)
+        return _mat(n, n, [(1, {t: 1}) for t in range(n)], order)
 
     def scaled(self, s: Scalar) -> "Mat":
         if not s:
             return Mat.zeros(self.rows, self.cols, self.order)
+        ops = _ops(self.order)
+        f, times = s.numerator, ops[0]
         # a field has no zero divisors, so no product of nonzeros cancels
-        return _mat(self.rows, self.cols,
-                    [{c: s * x for c, x in row.items()} for row in self._rows], self.order)
+        return _mat(self.rows, self.cols, [_reduce(s.den * d, {c: times(f, x) for c, x in row.items()},
+                                                   ops) if row else _EMPTY
+                                           for d, row in self._rows], self.order)
 
     # -- access ----------------------------------------------------------
     @property
     def data(self) -> list:
         """The entries, dense and row-major: a fresh list on every access."""
-        cols = self.cols
-        out = [Scalar.zero(self.order)] * (self.rows * cols)
-        for r, row in enumerate(self._rows):
-            base = r * cols
+        cols, order = self.cols, self.order
+        out = [Scalar.zero(order)] * (self.rows * cols)
+        for r, (d, row) in enumerate(self._rows):
             for c, x in row.items():
-                out[base + c] = x
+                out[r * cols + c] = Scalar.quotient(x, d, order)
         return out
 
     def __getitem__(self, rc):
         r, c = rc
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise IndexError(f"entry {rc} outside a {self.rows}x{self.cols} matrix")
-        x = self._rows[r].get(c)
-        return Scalar.zero(self.order) if x is None else x
+        d, row = self._rows[r]
+        x = row.get(c)
+        return Scalar.zero(self.order) if x is None else Scalar.quotient(x, d, self.order)
 
     def row(self, r: int) -> list:
+        d, row = self._rows[r]
         z = Scalar.zero(self.order)
-        row = self._rows[r]
-        return [row.get(c, z) for c in range(self.cols)]
-
-    def is_zero(self) -> bool:
-        return not any(self._rows)
+        return [z if c not in row else Scalar.quotient(row[c], d, self.order)
+                for c in range(self.cols)]
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(map(_ROW, self._rows))
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
@@ -170,7 +210,7 @@ class Mat:
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.order,
-                     tuple(tuple(sorted(row.items())) for row in self._rows)))
+                     tuple((d, tuple(sorted(row.items()))) for d, row in self._rows)))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in self.row(r)) for r in range(self.rows))
@@ -185,49 +225,45 @@ class Mat:
         self._check_order(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        return _mat(self.rows, self.cols,
-                    [_sum_rows(a, b) for a, b in zip(self._rows, other._rows)], self.order)
+        ops = _ops(self.order)
+        return _mat(self.rows, self.cols, [b if not a[1] else a if not b[1] else _plus(a, b, ops)
+                                           for a, b in zip(self._rows, other._rows)], self.order)
 
     def __sub__(self, other: "Mat") -> "Mat":
         return self + -other
 
     def __neg__(self) -> "Mat":
-        return _mat(self.rows, self.cols,
-                    [{c: -x for c, x in row.items()} for row in self._rows], self.order)
+        times = _ops(self.order)[0]
+        return _mat(self.rows, self.cols, [(d, {c: times(-1, x) for c, x in row.items()})
+                                           for d, row in self._rows], self.order)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         self._check_order(other)
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        brows = other._rows
-        srows = []
-        for arow in self._rows:
-            acc: dict = {}
-            for t, x in arow.items():
-                for j, y in brows[t].items():
-                    v = acc.get(j)
-                    acc[j] = x * y if v is None else v + x * y
-            if len(arow) > 1:
-                acc = {j: v for j, v in acc.items() if v}
-            srows.append(acc)
-        return _mat(self.rows, other.cols, srows, self.order)
+        b, ops = other._rows, _ops(self.order)
+        return _mat(self.rows, other.cols, [_lincomb(d, row, b, ops) if row else _EMPTY
+                                            for d, row in self._rows], self.order)
 
     def transpose(self) -> "Mat":
-        srows = [{} for _ in range(self.cols)]
-        for r, row in enumerate(self._rows):
+        # column c goes over the lcm of the denominators of its entries
+        dens, cols, ops = [1] * self.cols, [{} for _ in range(self.cols)], _ops(self.order)
+        for d, row in self._rows:
+            for c in row if d != 1 else ():
+                dens[c] = lcm(dens[c], d)
+        for r, (d, row) in enumerate(self._rows):
             for c, x in row.items():
-                srows[c][r] = x
-        return _mat(self.cols, self.rows, srows, self.order)
+                cols[c][r] = x if d == dens[c] else ops[0](x, dens[c] // d)
+        return _mat(self.cols, self.rows, [(1, col) if d == 1 else _reduce(d, col, ops)
+                                           for d, col in zip(dens, cols)], self.order)
 
     def trace(self) -> Scalar:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        t = Scalar.zero(self.order)
-        for r, row in enumerate(self._rows):
-            x = row.get(r)
-            if x is not None:
-                t = t + x
-        return t
+        diag = [(row[r], d) for r, (d, row) in enumerate(self._rows) if r in row]
+        big, (times, plus) = lcm(*[d for _, d in diag]), _ops(self.order)[:2]
+        total = reduce(plus, [times(x, big // d) for x, d in diag], 0)
+        return Scalar.quotient(total, big, self.order)
 
 
 def hstack(mats: list[Mat]) -> Mat:
@@ -235,14 +271,11 @@ def hstack(mats: list[Mat]) -> Mat:
     order = mats[0].order
     if any(m.rows != rows for m in mats):
         raise ValueError("hstack row mismatch")
-    srows = [{} for _ in range(rows)]
-    offset = 0
+    bb, off = BlockBuilder(rows, sum(m.cols for m in mats), order), 0
     for m in mats:
-        for dst, src in zip(srows, m._rows):
-            for c, x in src.items():
-                dst[c + offset] = x
-        offset += m.cols
-    return _mat(rows, offset, srows, order)
+        bb.add_block(0, off, m)
+        off += m.cols
+    return bb.build()
 
 
 def vstack(mats: list[Mat]) -> Mat:
@@ -259,20 +292,18 @@ def vstack(mats: list[Mat]) -> Mat:
 def kron(a: Mat, b: Mat) -> Mat:
     """Kronecker product; index (i1*b.rows+i2, j1*b.cols+j2) = a[i1,j1]*b[i2,j2]."""
     a._check_order(b)
-    bc = b.cols
-    srows = []
-    for arow in a._rows:
-        for brow in b._rows:
-            srows.append({j1 * bc + j2: x * y for j1, x in arow.items()
-                          for j2, y in brow.items()})
-    return _mat(a.rows * b.rows, a.cols * bc, srows, a.order)
+    bc, ops = b.cols, _ops(a.order)
+    return _mat(a.rows * b.rows, a.cols * bc,
+                [_lincomb(d, arow, {j: (bd, {j * bc + c: y for c, y in brow.items()}) for j in arow},
+                          ops) for d, arow in a._rows for bd, brow in b._rows], a.order)
 
 
 class BlockBuilder:
     """Mutable scratch matrix used to assemble block maps, then frozen.
 
-    Blocks added to the same place are summed.  ``build``
-    hands the rows over to the result, so the builder is spent after it.
+    Each row holds the canonical sum of the block rows moved to it, so
+    blocks added to the same place are summed.  ``build`` hands the rows
+    over to the result, so the builder is spent after it.
     """
 
     __slots__ = ("rows", "cols", "order", "_rows")
@@ -281,13 +312,14 @@ class BlockBuilder:
         self.rows = rows
         self.cols = cols
         self.order = order
-        self._rows = [{} for _ in range(rows)]
+        self._rows = [_EMPTY] * rows
 
     def add_block(self, r0: int, c0: int, m: Mat):
         dst = self._rows
-        for r, row in enumerate(m._rows, r0):
+        for r, (d, row) in enumerate(m._rows, r0):
             if row:
-                _add_into(dst[r], row, c0)
+                piece = (d, {c + c0: x for c, x in row.items()} if c0 else row)
+                dst[r] = _plus(dst[r], piece, _ops(self.order)) if dst[r][1] else piece
 
     def build(self) -> Mat:
         out = _mat(self.rows, self.cols, self._rows, self.order)
@@ -298,12 +330,12 @@ class BlockBuilder:
 def _forward(rows: list, clear) -> tuple[list[int], list[dict]]:
     """The forward elimination shared by ``rref``, ``rank`` and ``rank_mod_p``.
 
-    Rows (nonzero dicts, consumed) wait in buckets keyed by their leading
-    column.  The bucket of the leftmost leading column holds every
-    remaining row with an entry there; the shortest of them becomes the
-    pivot row, which limits fill, and ``clear(c, pivot, others)`` clears
-    column c out of the others in place and returns the pivot row to
-    keep.  Returns the pivot columns, strictly increasing, and rows.
+    Rows (nonzero dicts) wait in buckets keyed by their leading column.
+    The bucket of the leftmost leading column holds every remaining row
+    with an entry there; the shortest of them becomes the pivot row, which
+    limits fill, and ``clear(c, pivot, others)`` clears column c out of
+    the others, in the list, and returns the pivot row to keep.  Returns
+    the pivot columns, strictly increasing, and rows.
     """
     buckets: dict[int, list] = {}
     for row in rows:
@@ -330,41 +362,43 @@ def _forward(rows: list, clear) -> tuple[list[int], list[dict]]:
     return piv, prow
 
 
-def _clear_exact(c: int, p: dict, others: list) -> dict:
-    """Scale the pivot row to a leading 1 and clear column c out of the others."""
-    pv = p[c]
-    one = Scalar.one(pv.order)
-    if pv != one:
-        inv = pv.inverse()
-        p = {j: x * inv for j, x in p.items()}
-        p[c] = one
-    for row in others:
-        _add_multiple(row, -row.pop(c), p, c)
-    return p
+def _exact_forward(a: Mat) -> tuple[list[int], list[dict]]:
+    """``_forward`` on the numerators of a's rows, clearing by ``_eliminate``."""
+    ops = _ops(a.order)
+
+    def clear(c, p, others):
+        if others:
+            inv = num_inverse(a.order, p[c])
+            others[:] = [_eliminate(c, p, inv, row, ops) for row in others]
+        return p
+    return _forward([row for _, row in a._rows if row], clear)
 
 
 def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Unique reduced row-echelon form and its strictly increasing pivot columns.
 
-    Sparse Gauss-Jordan elimination: the forward pass of ``_forward``,
-    each pivot row scaled to a leading 1, then back-substitution from the
-    last pivot, which clears each pivot column above its pivot.
+    Sparse fraction-free Gauss-Jordan elimination: the forward pass of
+    ``_exact_forward``, then back-substitution from the last pivot by the
+    same row operation, which clears each pivot column above its pivot,
+    and last each pivot row divided by its pivot.
     """
-    piv, prow = _forward([dict(row) for row in a._rows if row], _clear_exact)
-    pivpos = {c: k for k, c in enumerate(piv)}
-    for k in range(len(piv) - 2, -1, -1):
-        p, c = prow[k], piv[k]
-        for cl in [j for j in p if j in pivpos and j != c]:
+    piv, prow = _exact_forward(a)
+    pivpos, invs, ops = {c: k for k, c in enumerate(piv)}, [None] * len(piv), _ops(a.order)
+    for k in range(len(piv) - 1, -1, -1):
+        for cl in [j for j in prow[k] if j in pivpos and j != piv[k]]:
             # the later pivot rows are reduced already: beyond their pivot
             # they hold only free columns, so no pivot column comes back
-            _add_multiple(p, -p.pop(cl), prow[pivpos[cl]], cl)
-    prow.extend({} for _ in range(a.rows - len(piv)))
-    return _mat(a.rows, a.cols, prow, a.order), tuple(piv)
+            q = pivpos[cl]
+            prow[k] = _eliminate(cl, prow[q], invs[q], prow[k], ops)
+        invs[k] = num_inverse(a.order, prow[k][piv[k]])
+    out = [_lincomb(d, {0: y}, ((1, p),), ops) for (y, d), p in zip(invs, prow)]
+    out += [_EMPTY] * (a.rows - len(piv))
+    return _mat(a.rows, a.cols, out, a.order), tuple(piv)
 
 
 def rank(a: Mat) -> int:
     """The pivot count of the forward pass of ``rref``, with no back-substitution."""
-    return len(_forward([dict(row) for row in a._rows if row], _clear_exact)[0])
+    return len(_exact_forward(a)[0])
 
 
 def _is_prime(n: int) -> bool:
@@ -397,23 +431,21 @@ def rank_mod_p(a: Mat) -> int | None:
     sum(num_i zeta^i) / den maps to sum(num_i g^i) * den^-1 mod p; this
     is a ring homomorphism from Z[zeta][1/den] to F_p, so a minor that is
     nonzero mod p is nonzero exactly.  Returns None if p divides a
-    denominator.  The forward pass of ``rref`` (``_forward``), on rows
-    of ``{col: int}``.
+    row denominator, with one inverse per row.  The forward pass of ``rref``
+    (``_forward``), on rows of ``{col: int}``.
     """
     p, g = _modulus(a.order)
     powers = [pow(g, i, p) for i in range(euler_phi(a.order))]
-    inverses = {1: 1}
-    rows = []
-    for row in a._rows:
+    rows, inverses = [], {1: 1}
+    for den, row in a._rows:
+        s = inverses.get(den)
+        if s is None:
+            if den % p == 0:
+                return None
+            s = inverses[den] = pow(den, -1, p)
         out = {}
         for c, x in row.items():
-            s = inverses.get(x.den)
-            if s is None:
-                if x.den % p == 0:
-                    return None
-                s = inverses[x.den] = pow(x.den, -1, p)
-            num = x.num
-            v = (num[0] if len(num) == 1 else sum(map(mul, num, powers))) * s % p
+            v = (x if type(x) is int else sum(map(mul, x, powers))) * s % p
             if v:
                 out[c] = v
         if out:
@@ -450,10 +482,10 @@ def kernel_basis(a: Mat) -> Mat:
     red, piv = rref(a)
     pivset = set(piv)
     free = {f: k for k, f in enumerate(c for c in range(a.cols) if c not in pivset)}
-    o = Scalar.one(a.order)
-    srows = [{free[f]: o} if f in free else None for f in range(a.cols)]
-    for c, row in zip(piv, red._rows):
-        srows[c] = {free[f]: -x for f, x in row.items() if f != c}
+    srows = [(1, {free[f]: 1}) if f in free else None for f in range(a.cols)]
+    for c, (d, row) in zip(piv, red._rows):
+        # without its pivot numerator d the row keeps gcd 1 with d
+        srows[c] = (d, {free[f]: num_mul(a.order, -1, x) for f, x in row.items() if f != c})
     return _mat(a.cols, len(free), srows, a.order)
 
 
@@ -471,12 +503,11 @@ def solve_in_span(basis: Mat, target: Mat) -> Mat:
     basis._check_order(target)
     if basis.rows != target.rows:
         raise ValueError("solve_in_span row mismatch")
-    one = Scalar.one(basis.order)
     unit = [None] * basis.cols
-    for r, row in enumerate(basis._rows):
-        if len(row) == 1:
+    for r, (d, row) in enumerate(basis._rows):
+        if d == 1 and len(row) == 1:
             c, x = next(iter(row.items()))
-            if unit[c] is None and x == one:
+            if unit[c] is None and x == 1:
                 unit[c] = r
     if None in unit:
         raise ValueError(f"basis column {unit.index(None)} has no unit row")

@@ -227,7 +227,9 @@ def structural_report(mod: WreathModule) -> list[StructuralIssue]:
     * once no involution issue was found, the braid check at w j,
       w = s_m s_{m+1} s_m, is skipped when the check at j passed: each
       word out of w j is then the two-sided inverse of the same word out
-      of j, so the two checks are equivalent.
+      of j, so the two checks are equivalent;
+    * likewise the check that s_m, s_k (k >= m + 2) commute at s_m s_k j: each
+      side out of it is then the inverse of the other side out of j.
 
     The equivariance check at a triple x = (e, pos, j), edge e of the
     double acting in position pos out of V_j, and a generator s_m is
@@ -258,7 +260,7 @@ def structural_report(mod: WreathModule) -> list[StructuralIssue]:
     found: dict = {j: [] for j in mod.tuples()}     # issues per tuple, in check order
 
     # group relations for the stored S_n generators, chased along tuples;
-    # the involutions first, as the braid skip needs all of them to pass
+    # the involutions first, as the braid and commuting skips need all of them
     involutive = set()      # (m, j) whose involution check passed
     for j in mod.tuples():
         for m in range(1, n):
@@ -273,6 +275,7 @@ def structural_report(mod: WreathModule) -> list[StructuralIssue]:
     involutions = not any(found.values())
 
     braided = set()         # (m, j) whose braid check passed
+    commuting = set()       # (m, k, j) whose commuting check passed
     for j in mod.tuples():
         at = f"tuple ({','.join(j)})"
         for m in range(1, n - 1):
@@ -286,7 +289,11 @@ def structural_report(mod: WreathModule) -> list[StructuralIssue]:
                 found[j].append(StructuralIssue(at, f"braid relation fails at s_{m}, s_{m + 1}"))
         for m in range(1, n):
             for k in range(m + 2, n):
-                if _residual(mod, j, (m, k), (k, m)) is not None:
+                if involutions and (m, k, swap_tuple(swap_tuple(j, k), m)) in commuting:
+                    continue
+                if _residual(mod, j, (m, k), (k, m)) is None:
+                    commuting.add((m, k, j))
+                else:
                     found[j].append(StructuralIssue(at, f"s_{m} and s_{k} do not commute"))
     issues = [x for j in mod.tuples() for x in found[j]]
     if not issues and _equivariance_certified(mod):

@@ -226,7 +226,8 @@ class SinkCalculus:
                 if key not in self._maps:
                     block = self.module.perm_matrix(perm, key[2])
                     self._maps[key] = zero if block is None else block.trace()
-                out = out + self._maps[key]
+                if self._maps[key]:
+                    out = out + self._maps[key]
         return out
 
     def tau_project(self, r_index: int, ell: int, j: tuple, d: tuple[int, ...]) -> Mat:

@@ -72,7 +72,7 @@ def canonical_key(mod: WreathModule) -> tuple:
 
 
 def as_fraction(x: Scalar) -> Fraction:
-    if not x.is_rational():
+    if type(x.numerator) is not int:
         raise ValueError(f"{x} is not rational")
     return Fraction(x.num[0], x.den)
 

@@ -513,6 +513,7 @@ MALFORMED = [
     ("verify", _with(S1_MODULE, ["params", "lambda", "0"], 1), 2),
     ("verify", _with(S1_MODULE, ["params", "nu"], True), 2),
     ("verify", _with(SN_MODULE, ["sn_actions", 0, "matrix"], [[1]]), 2),
+    ("reflect", NOT_INVOLUTION, 2),
 ]
 
 
@@ -540,6 +541,7 @@ def test_malformed_input_exits_with_one_error_line(files, capsys, tmp_path, comm
         "verify": ["verify", "--quiver", qp, "--module", str(path)],
         "cohomology": ["cohomology", "--quiver", qp, "--module", str(path), "--vertex", vertex],
         "euler": ["euler", "--quiver", qp, "--module", str(path), "--vertex", vertex],
+        "reflect": ["reflect", "--quiver", qp, "--module", str(path), "--vertex", vertex],
         "translate": ["translate", "--gamma", str(path), "--sra", str(sra)],
         "sra": ["translate", "--gamma", str(gamma), "--sra", str(path)],
         "quiver": ["generic", "--quiver", str(path), "--params", str(params), "--vertex", vertex],

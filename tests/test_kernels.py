@@ -8,6 +8,7 @@ so both must agree exactly.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,8 +17,8 @@ from wreathq import kernels
 from wreathq.cyclotomic import MAX_CYCLOTOMIC_ORDER, Scalar, cyclotomic_polynomial, euler_phi
 from wreathq.errors import NotInSpanError
 from wreathq.linalg import (
-    BlockBuilder, Mat, _is_prime, _modulus, kernel_basis, kron, rank, rank_mod_p, rref,
-    solve_in_span,
+    BlockBuilder, Mat, _is_prime, _modulus, hstack, kernel_basis, kron, rank, rank_mod_p, rref,
+    solve_in_span, vstack,
 )
 
 from conftest import mat
@@ -299,7 +300,7 @@ def test_cancellation_gives_canonical_zero(order):
         results.append(bb.build())
         for got in results:
             assert got == zero and hash(got) == hash(zero)
-            assert got.is_zero() and not got
+            assert not got
         k = kernel_basis(a)
         prod = a @ k
         assert prod == Mat.zeros(rows, k.cols, order)
@@ -317,6 +318,86 @@ def test_partial_cancellation_keeps_no_zero(order):
     assert prod == expect and hash(prod) == hash(expect)
     assert prod.data == expect.data
     assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+
+
+# -- the canonical row form --------------------------------------------------------
+
+def assert_canonical(m: Mat):
+    """Each stored row is (den, {col: numerator}): no zero, no tuple with a zero
+    zeta-part (a rational entry is an int at every order), gcd(den, every
+    coefficient) = 1, and den 1 for an empty row."""
+    phi = euler_phi(m.order)
+    assert len(m._rows) == m.rows
+    for den, row in m._rows:
+        assert type(den) is int and den >= 1 and (row or den == 1)
+        coeffs = []
+        for c, x in row.items():
+            assert 0 <= c < m.cols
+            if type(x) is int:
+                assert x
+                coeffs.append(x)
+            else:
+                assert type(x) is tuple and len(x) == phi and any(x[1:])
+                assert all(type(v) is int for v in x)
+                coeffs.extend(x)
+        assert gcd(den, *coeffs) == 1
+
+
+def mixed_scalar(rng, order):
+    """Zero, a rational or an irrational scalar (a rational one as often as not)."""
+    kind = rng.random()
+    if kind < 0.3:
+        return Scalar.zero(order)
+    if kind < 0.65 or order < 3:
+        return Scalar.rational(Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 12)), order)
+    return random_scalar(rng, order)
+
+
+def mixed_mat(rng, rows, cols, order):
+    return Mat(rows, cols, [mixed_scalar(rng, order) for _ in range(rows * cols)], order)
+
+
+@st.composite
+def operands(draw):
+    """(order, a, a2, b, c, s, the entries of a): a and a2 n x k, b k x l, c l x p,
+    s a nonzero scalar."""
+    order = draw(st.sampled_from(ORDERS))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    n, k, l, p = (rng.randint(0, 4) for _ in range(4))
+    entries = [mixed_scalar(rng, order) for _ in range(n * k)]
+    s = mixed_scalar(rng, order)
+    return (order, Mat(n, k, entries, order), mixed_mat(rng, n, k, order),
+            mixed_mat(rng, k, l, order), mixed_mat(rng, l, p, order),
+            s if s else Scalar.rational(Fraction(-3, 4), order), entries)
+
+
+@settings(max_examples=80, deadline=None)
+@given(operands())
+def test_values_equal_by_different_routes_store_equal_rows(ops):
+    order, a, a2, b, c, s, _ = ops
+    for x, y in [((a @ b) @ c, a @ (b @ c)), ((a + a2) - a2, a),
+                 (a.scaled(s).scaled(s.inverse()), a), (a.transpose().transpose(), a)]:
+        assert_canonical(x)
+        assert_canonical(y)
+        assert x == y and hash(x) == hash(y)
+
+
+@settings(max_examples=80, deadline=None)
+@given(operands())
+def test_every_result_keeps_the_canonical_rows(ops):
+    order, a, a2, b, c, s, entries = ops
+    # the boundary gives back the scalars the matrix was built from
+    assert [a[r, col] for r in range(a.rows) for col in range(a.cols)] == entries == a.data
+    assert [x for r in range(a.rows) for x in a.row(r)] == entries
+    if a.rows == a.cols:
+        assert a.trace() == sum((a[t, t] for t in range(a.rows)), Scalar.zero(order))
+    bb = BlockBuilder(a.rows + b.rows, a.cols + b.cols, order)
+    bb.add_block(0, 0, a)
+    bb.add_block(0, 0, a2)
+    bb.add_block(a.rows, a.cols, b)
+    for m in (a, a @ b, a + a2, a - a2, -a, a.scaled(s), a.transpose(), kron(a, b),
+              hstack([a, a2]), vstack([a, a2]), bb.build(), rref(a)[0], kernel_basis(a)):
+        assert_canonical(m)
 
 
 # -- ranks mod p ---------------------------------------------------------------------

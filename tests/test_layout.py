@@ -161,6 +161,41 @@ def test_the_guard_sees_a_stray_product(tmp_path):
         {"_word": [2], "verify_relations": [5, 6]}
 
 
+# -- Scalar only at the boundary of the matrix core -----------------------------------
+
+# the methods of Mat that take or give Scalars; every kernel runs on integer numerators
+BOUNDARY = ("__init__", "__getitem__", "row", "data", "trace", "scaled")
+
+
+def _stray_names(path: pathlib.Path, name: str, cls: str, owners: tuple) -> list[str]:
+    """Reads of ``name`` (a bare name or an attribute) in one file outside the
+    methods ``owners`` of class ``cls``; the import that binds it is not a read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    inside = {id(node) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == cls
+              for fn in c.body if isinstance(fn, ast.FunctionDef) and fn.name in owners
+              for node in ast.walk(fn)}
+    lines = sorted(node.lineno for node in ast.walk(tree)
+                   if id(node) not in inside and ((isinstance(node, ast.Name) and node.id == name)
+                                                  or (isinstance(node, ast.Attribute)
+                                                      and node.attr == name)))
+    return [f"{path.name}:{line}: {name}" for line in lines]
+
+
+def test_linalg_names_scalar_only_at_the_boundary():
+    assert _stray_names(PACKAGE / "linalg.py", "Scalar", "Mat", BOUNDARY) == []
+
+
+def test_the_guard_sees_a_stray_scalar(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from . import cyclotomic\nfrom .cyclotomic import Scalar\n"
+                     "class Mat:\n    def row(self, r) -> Scalar:\n        return Scalar.zero(1)\n"
+                     "    def __matmul__(self, other):\n        return Scalar.one(1)\n"
+                     "def kernel(a: Scalar):\n    return cyclotomic.Scalar\n"
+                     "class Other:\n    def row(self):\n        return Scalar\n")
+    assert _stray_names(probe, "Scalar", "Mat", BOUNDARY) == \
+        ["probe.py:7: Scalar", "probe.py:8: Scalar", "probe.py:9: Scalar", "probe.py:12: Scalar"]
+
+
 # -- the benchmark tracer's hooks ------------------------------------------------
 
 REPO = PACKAGE.parents[1]

@@ -864,6 +864,40 @@ def test_braid_checks_skip_the_partner_tuple(kronecker_f0v, monkeypatch):
     assert 0 < len(braids) < full
 
 
+def test_commuting_checks_skip_the_partner_tuple(kronecker_f0v, monkeypatch):
+    # s_1 s_3 pairs the tuples; a passed check covers its partner: 10 of 16
+    import wreathq.modules as modules
+    commuting = []
+    residual = modules._residual
+    monkeypatch.setattr(modules, "_residual", lambda mod, j, lhs, rhs: (
+        commuting.append(j) if len(lhs) == 2 and lhs[1] == lhs[0] + 2 else None)
+        or residual(mod, j, lhs, rhs))
+    assert structural_report(unverified_copy(kronecker_f0v)) == []
+    assert (len(commuting), len(kronecker_f0v.support)) == (10, 16)
+
+
+def test_walks_agree_on_a_commuting_relation_broken_at_one_tuple(kronecker_f0v):
+    # conjugating s_1 at one tuple it fixes keeps every involution, and breaks
+    # s_1 s_3 = s_3 s_1 at that tuple and at its partner under s_1 s_3
+    mod = kronecker_f0v
+    for (m, x), block in sorted(mod.sn_actions.items()):
+        if m != 1 or swap_tuple(x, 1) != x or block.rows < 2:
+            continue
+        one = Mat.identity(block.rows, block.order)
+        shear = _bumped(one, 0, 1)          # its inverse is 2 - shear
+        sns = dict(mod.sn_actions) | {(1, x): shear @ block @ (one + one - shear)}
+        mutant = WreathModule(mod.params, mod.support, mod.edge_actions, sns)
+        issues = [str(i) for i in _assert_walks_agree(mutant).structural]
+        if any("commute" in i for i in issues):
+            break
+    else:
+        raise AssertionError("no tuple where the conjugated s_1 breaks the commuting check")
+    assert not any("involution" in i for i in issues)
+    partner = swap_tuple(swap_tuple(x, 3), 1)
+    assert {f"tuple ({','.join(j)}): s_1 and s_3 do not commute" for j in (x, partner)} \
+        <= set(issues)
+
+
 def test_one_sided_inverse_is_not_an_involution(ahat1):
     # s(1,0) s(0,1) = 1 but s(0,1) s(1,0) is a rank-one idempotent of size 2
     params = make_params(ahat1, 2, {"0": 0, "1": 0})
