@@ -149,11 +149,9 @@ def num_div(x, g: int):
 
 
 def num_inverse(order: int, x) -> tuple:
-    """(y, d) with y / d = 1 / x for a nonzero numerator x and an int d > 0.
-
-    With sigma_k(zeta) = zeta^k, y = prod sigma_k(x) over the units
-    k != 1 mod m makes d = x * y, the Galois norm, rational (Cohen,
-    GTM 138, section 4.3): no polynomial arithmetic over Q is needed."""
+    """(y, d) with y / d = 1 / x for a nonzero numerator x and an int d > 0: with
+    sigma_k(zeta) = zeta^k, y = prod sigma_k(x) over the units k != 1 mod m makes
+    d = x * y, the Galois norm, rational (Cohen, GTM 138, section 4.3)."""
     y = 1
     if type(x) is not int:
         for k in range(2, order):
@@ -296,9 +294,11 @@ class Scalar:
         if o.order != self.order:
             raise _mismatch(self.order, o.order)
         m, da, db = self.order, self.den, o.den
+        if da == db:
+            return _reduced(num_add(self.numerator, o.numerator), da, m)
         g = gcd(da, db)
-        return _reduced(num_add(num_mul(m, self.numerator, db // g), num_mul(m, o.numerator, da // g)),
-                        da // g * db, m)
+        x, y = num_mul(m, self.numerator, db // g), num_mul(m, o.numerator, da // g)
+        return _reduced(num_add(x, y), da // g * db, m)
 
     __radd__ = __add__    # always NotImplemented; perfbench/spans.py wraps it
 

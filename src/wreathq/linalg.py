@@ -39,7 +39,6 @@ from .errors import NotInSpanError, OrderMismatchError
 
 _new = object.__new__
 _EMPTY = (1, {})        # the zero row; rows are never mutated, so all share it
-_ROW = itemgetter(1)
 
 
 def _mat(rows: int, cols: int, srows: list, order: int) -> "Mat":
@@ -67,10 +66,7 @@ def _reduce(den: int, row: dict, ops: tuple) -> tuple:
     if den == 1 or not row:
         return 1, row
     g = gcd(den, *map(ops[2], row.values()))
-    if g == 1:
-        return den, row
-    div = ops[3]
-    return den // g, {c: div(x, g) for c, x in row.items()}
+    return (den, row) if g == 1 else (den // g, {c: ops[3](x, g) for c, x in row.items()})
 
 
 def _lincomb(den: int, coef: dict, rows, ops: tuple) -> tuple:
@@ -109,7 +105,8 @@ def _plus(x: tuple, y: tuple, ops: tuple) -> tuple:
         return _lincomb(1, {0: 1, 1: 1}, (x, y), ops)
     # no common column: over the lcm of the dens there is no gcd to divide out
     big, times = lcm(x[0], y[0]), ops[0]
-    return big, {c: v if d == big else times(v, big // d) for d, row in (x, y) for c, v in row.items()}
+    return big, {c: v if d == big else times(v, big // d)
+                 for d, row in (x, y) for c, v in row.items()}
 
 
 def _eliminate(c: int, p: dict, inv: tuple, row: dict, ops: tuple) -> dict:
@@ -149,11 +146,12 @@ class Mat:
         self.rows = rows
         self.cols = cols
         self.order = order
-        ops, self._rows = _ops(order), []
+        times, self._rows = _ops(order)[0], []
         for r in range(rows):
+            # entries in lowest terms leave no gcd over the lcm of their dens
             row = {c: x for c, x in enumerate(data[r * cols:(r + 1) * cols]) if x}
-            self._rows.append(_lincomb(1, {c: x.numerator for c, x in row.items()},
-                                       {c: (x.den, {c: 1}) for c, x in row.items()}, ops))
+            d = lcm(*[x.den for x in row.values()])
+            self._rows.append((d, {c: times(x.numerator, d // x.den) for c, x in row.items()}))
 
     # -- constructors ---------------------------------------------------
     @staticmethod
@@ -170,9 +168,9 @@ class Mat:
         ops = _ops(self.order)
         f, times = s.numerator, ops[0]
         # a field has no zero divisors, so no product of nonzeros cancels
-        return _mat(self.rows, self.cols, [_reduce(s.den * d, {c: times(f, x) for c, x in row.items()},
-                                                   ops) if row else _EMPTY
-                                           for d, row in self._rows], self.order)
+        return _mat(self.rows, self.cols,
+                    [_reduce(s.den * d, {c: times(f, x) for c, x in row.items()}, ops)
+                     if row else _EMPTY for d, row in self._rows], self.order)
 
     # -- access ----------------------------------------------------------
     @property
@@ -200,7 +198,7 @@ class Mat:
                 for c in range(self.cols)]
 
     def __bool__(self) -> bool:
-        return any(map(_ROW, self._rows))
+        return any(map(itemgetter(1), self._rows))
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
@@ -293,9 +291,9 @@ def kron(a: Mat, b: Mat) -> Mat:
     """Kronecker product; index (i1*b.rows+i2, j1*b.cols+j2) = a[i1,j1]*b[i2,j2]."""
     a._check_order(b)
     bc, ops = b.cols, _ops(a.order)
-    return _mat(a.rows * b.rows, a.cols * bc,
-                [_lincomb(d, arow, {j: (bd, {j * bc + c: y for c, y in brow.items()}) for j in arow},
-                          ops) for d, arow in a._rows for bd, brow in b._rows], a.order)
+    return _mat(a.rows * b.rows, a.cols * bc, [
+        _lincomb(d, arow, {j: (bd, {j * bc + c: y for c, y in brow.items()}) for j in arow}, ops)
+        for d, arow in a._rows for bd, brow in b._rows], a.order)
 
 
 class BlockBuilder:
@@ -364,11 +362,9 @@ def _forward(rows: list, clear) -> tuple[list[int], list[dict]]:
 
 def _exact_forward(a: Mat) -> tuple[list[int], list[dict]]:
     """``_forward`` on the numerators of a's rows, clearing by ``_eliminate``."""
-    ops = _ops(a.order)
-
     def clear(c, p, others):
         if others:
-            inv = num_inverse(a.order, p[c])
+            inv, ops = num_inverse(a.order, p[c]), _ops(a.order)
             others[:] = [_eliminate(c, p, inv, row, ops) for row in others]
         return p
     return _forward([row for _, row in a._rows if row], clear)

@@ -223,11 +223,12 @@ class SinkCalculus:
         for k, xi in enumerate(src.xis):
             if src.dims[k] and tuple(xi[s] for s in slots) == xi:
                 key = ("trace", perm, src.t_tuples[k])
-                if key not in self._maps:
+                tr = self._maps.get(key)
+                if tr is None:
                     block = self.module.perm_matrix(perm, key[2])
-                    self._maps[key] = zero if block is None else block.trace()
-                if self._maps[key]:
-                    out = out + self._maps[key]
+                    tr = self._maps[key] = zero if block is None else block.trace()
+                if tr:
+                    out = out + tr
         return out
 
     def tau_project(self, r_index: int, ell: int, j: tuple, d: tuple[int, ...]) -> Mat:

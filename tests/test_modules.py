@@ -852,6 +852,18 @@ def test_a_failed_involution_keeps_the_partner_braid_check(kronecker_f0v):
     assert "tuple (0,0,1,0): braid relation fails at s_1, s_2" not in issues
 
 
+def test_a_failed_involution_keeps_the_partner_commuting_check(kronecker_f0v):
+    # s_1 bumped at (1,0,0,1): the commuting check at (0,1,0,1) passes, and at its
+    # partner (1,0,1,0) under s_1 s_3 it fails through the broken involution
+    key = (1, ("1", "0", "0", "1"))
+    sns = dict(kronecker_f0v.sn_actions) | {key: _bumped(kronecker_f0v.sn_actions[key])}
+    mutant = WreathModule(kronecker_f0v.params, kronecker_f0v.support,
+                          kronecker_f0v.edge_actions, sns)
+    issues = [str(i) for i in _assert_walks_agree(mutant).structural]
+    assert "tuple (1,0,1,0): s_1 and s_3 do not commute" in issues
+    assert "tuple (0,1,0,1): s_1 and s_3 do not commute" not in issues
+
+
 def test_braid_checks_skip_the_partner_tuple(kronecker_f0v, monkeypatch):
     # w = s_m s_{m+1} s_m pairs the tuples; a passed check covers its partner
     import wreathq.modules as modules
