@@ -14,9 +14,8 @@ combines and compares only with other scalars.
 
 The integer arithmetic is one set of helpers (``num_mul``, ``num_add``,
 ``num_content``, ``num_div``, ``num_inverse``) on numerators: an int for
-a rational, else the tuple of the coefficients of 1, zeta, ...,
-zeta^(phi - 1), whose zeta-part is not zero.  ``Scalar`` and the matrix
-rows of ``linalg`` both call them, and their results keep that form.
+a rational, else the phi(m) coefficients of 1, zeta, ..., with a nonzero
+zeta-part.  ``Scalar`` and the matrix rows of ``linalg`` both call them.
 
 Orders above ``MAX_CYCLOTOMIC_ORDER`` are refused with
 :class:`ResourceLimitError` before Phi_m is built.
@@ -268,10 +267,7 @@ class Scalar:
             num, den = q.numerator, q.denominator
         return _mk((num,) + (0,) * (euler_phi(order) - 1), den, order)
 
-    @staticmethod
-    def quotient(num, den: int, order: int) -> "Scalar":
-        """num / den for a numerator num and an int den > 0."""
-        return _reduced(num, den, order)
+    quotient = staticmethod(_reduced)     # num / den, num a numerator and den > 0
 
     @staticmethod
     def zeta(order: int, power: int = 1) -> "Scalar":
@@ -285,7 +281,8 @@ class Scalar:
     @property
     def numerator(self):
         """The numerator over ``den`` as the helpers take it: an int when rational."""
-        return self.num if any(self.num[1:]) else self.num[0]
+        num = self.num
+        return num if any(num[1:]) else num[0]
 
     # -- arithmetic --------------------------------------------------
     def __add__(self, o):
@@ -293,12 +290,11 @@ class Scalar:
             return NotImplemented
         if o.order != self.order:
             raise _mismatch(self.order, o.order)
-        m, da, db = self.order, self.den, o.den
-        if da == db:
-            return _reduced(num_add(self.numerator, o.numerator), da, m)
-        g = gcd(da, db)
-        x, y = num_mul(m, self.numerator, db // g), num_mul(m, o.numerator, da // g)
-        return _reduced(num_add(x, y), da // g * db, m)
+        m, x, y, da, db = self.order, self.numerator, o.numerator, self.den, o.den
+        if da != db:
+            g = gcd(da, db)
+            x, y, da = num_mul(m, x, db // g), num_mul(m, y, da // g), da // g * db
+        return _reduced(num_add(x, y), da, m)
 
     __radd__ = __add__    # always NotImplemented; perfbench/spans.py wraps it
 
@@ -326,9 +322,8 @@ class Scalar:
 
     def conjugate(self) -> "Scalar":
         """The complex conjugate: sigma_-1, which sends zeta to zeta^-1."""
-        if type(self.numerator) is int:
-            return self
-        return _mk(_galois(self.order, self.num, -1), self.den, self.order)
+        m = self.order
+        return self if type(self.numerator) is int else _mk(_galois(m, self.num, -1), self.den, m)
 
     # -- comparisons / hashing ----------------------------------------
     def __eq__(self, other):

@@ -30,7 +30,7 @@ from __future__ import annotations
 import heapq
 from functools import lru_cache, partial, reduce
 from math import gcd, isqrt, lcm
-from operator import add, floordiv, itemgetter, mul
+from operator import add, floordiv, mul
 
 from .cyclotomic import (
     Scalar, euler_phi, num_add, num_content, num_div, num_inverse, num_mul,
@@ -82,18 +82,24 @@ def _lincomb(den: int, coef: dict, rows, ops: tuple) -> tuple:
         # a field has no zero divisors, so no product of nonzeros cancels
         row = {c: times(f, x) for c, x in row.items()}
         return (d, row) if den == 1 and f == -1 else _reduce(den * d, row, ops)
-    big = lcm(*[rows[t][0] for t in coef])
+    big = 1
+    for t in coef:
+        if rows[t][0] != 1:
+            big = lcm(big, rows[t][0])
     acc: dict = {}
     get = acc.get
     for t, f in coef.items():
         d, row = rows[t]
         if d != big:
             f = times(f, big // d)
-        if f == 1 and not acc:
+        if f != 1:
+            for c, x in row.items():
+                acc[c] = plus(get(c, 0), times(f, x))
+        elif acc:
+            for c, x in row.items():
+                acc[c] = plus(get(c, 0), x)
+        else:
             acc.update(row)
-            continue
-        for c, x in row.items():
-            acc[c] = plus(get(c, 0), times(f, x))
     if 0 in acc.values():
         acc = {c: x for c, x in acc.items() if x}
     return _reduce(den * big, acc, ops)
@@ -104,6 +110,8 @@ def _plus(x: tuple, y: tuple, ops: tuple) -> tuple:
     if not x[1].keys().isdisjoint(y[1]):
         return _lincomb(1, {0: 1, 1: 1}, (x, y), ops)
     # no common column: over the lcm of the dens there is no gcd to divide out
+    if x[0] == y[0]:
+        return x[0], {**x[1], **y[1]}
     big, times = lcm(x[0], y[0]), ops[0]
     return big, {c: v if d == big else times(v, big // d)
                  for d, row in (x, y) for c, v in row.items()}
@@ -198,7 +206,10 @@ class Mat:
                 for c in range(self.cols)]
 
     def __bool__(self) -> bool:
-        return any(map(itemgetter(1), self._rows))
+        for _, row in self._rows:
+            if row:
+                return True
+        return False
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
@@ -299,9 +310,8 @@ def kron(a: Mat, b: Mat) -> Mat:
 class BlockBuilder:
     """Mutable scratch matrix used to assemble block maps, then frozen.
 
-    Each row holds the canonical sum of the block rows moved to it, so
-    blocks added to the same place are summed.  ``build`` hands the rows
-    over to the result, so the builder is spent after it.
+    Blocks added to the same place are summed.  ``build``
+    hands the rows over to the result, so the builder is spent after it.
     """
 
     __slots__ = ("rows", "cols", "order", "_rows")
@@ -317,7 +327,7 @@ class BlockBuilder:
         for r, (d, row) in enumerate(m._rows, r0):
             if row:
                 piece = (d, {c + c0: x for c, x in row.items()} if c0 else row)
-                dst[r] = _plus(dst[r], piece, _ops(self.order)) if dst[r][1] else piece
+                dst[r] = piece if dst[r] is _EMPTY else _plus(dst[r], piece, _ops(self.order))
 
     def build(self) -> Mat:
         out = _mat(self.rows, self.cols, self._rows, self.order)
@@ -432,13 +442,11 @@ def rank_mod_p(a: Mat) -> int | None:
     """
     p, g = _modulus(a.order)
     powers = [pow(g, i, p) for i in range(euler_phi(a.order))]
-    rows, inverses = [], {1: 1}
+    rows = []
     for den, row in a._rows:
-        s = inverses.get(den)
-        if s is None:
-            if den % p == 0:
-                return None
-            s = inverses[den] = pow(den, -1, p)
+        if den % p == 0:
+            return None
+        s = 1 if den == 1 else pow(den, -1, p)
         out = {}
         for c, x in row.items():
             v = (x if type(x) is int else sum(map(mul, x, powers))) * s % p

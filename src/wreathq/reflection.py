@@ -223,12 +223,10 @@ class SinkCalculus:
         for k, xi in enumerate(src.xis):
             if src.dims[k] and tuple(xi[s] for s in slots) == xi:
                 key = ("trace", perm, src.t_tuples[k])
-                tr = self._maps.get(key)
-                if tr is None:
+                if key not in self._maps:
                     block = self.module.perm_matrix(perm, key[2])
-                    tr = self._maps[key] = zero if block is None else block.trace()
-                if tr:
-                    out = out + tr
+                    self._maps[key] = zero if block is None else block.trace()
+                out = out + self._maps[key]
         return out
 
     def tau_project(self, r_index: int, ell: int, j: tuple, d: tuple[int, ...]) -> Mat:
