@@ -106,7 +106,7 @@ def _lincomb(den: int, coef: dict, rows, ops: tuple) -> tuple:
 
 
 def _plus(x: tuple, y: tuple, ops: tuple) -> tuple:
-    """The canonical sum of two nonempty canonical rows."""
+    """The canonical sum of two canonical rows (the first may be empty)."""
     if not x[1].keys().isdisjoint(y[1]):
         return _lincomb(1, {0: 1, 1: 1}, (x, y), ops)
     # no common column: over the lcm of the dens there is no gcd to divide out
