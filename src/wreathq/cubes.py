@@ -18,11 +18,15 @@ on each cube as that certificate.
 Algebra, 1.5).  For q in Delta(j) the total complex is the cone of phi_q
 from the face of the J without q to the face of the J with q, and phi_q
 is a chain map because the squares commute (the certificate).  Its
-blocks pi_q are block diagonal, with the sink maps B_{t,q} as blocks.
-If each is square of full rank mod p, it is invertible over Q(zeta_m),
-as reduction mod p is a ring map (rank_p <= rank_Q, so dim H^r_Q <=
-dim H^r_p); then phi_q is an isomorphism and the cone is acyclic.  The
-other cubes (listed in ``module_cohomology``) are ranked through their complex.
+blocks pi_q(j, D) are block diagonal over the assignments of D - q, with
+the sink maps B_{t,q} = pi_q(t, (q,)) into V_t as blocks.  Relation (i)
+at (t, q) says that B_{t,q} after the signed reverse edges is lambda_i +
+nu sum_{m in P-q} s_{qm} on V_t, P the positions of t at the vertex: a
+Jucys-Murphy element of S_P, with eigenvalues the contents c, |c| < n
+(Okounkov-Vershik, Selecta Math. 2, 1996).  ``is_generic`` rules out
+lambda_i + c nu = 0, so each B_{t,q} is onto; a square one is invertible,
+phi_q is an isomorphism and the cone is acyclic.  The other cubes
+(listed in ``module_cohomology``) are ranked through their complex.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .cyclotomic import Scalar
 from .errors import FormatError
 from .linalg import BlockBuilder, Mat, rank, rank_mod_p
 from .modules import VerifyReport, WreathModule, verify_relations
-from .reflection import SinkCalculus, candidate_tuples
+from .reflection import SinkCalculus, candidate_tuples, is_generic
 from .symmetric import Perm, partitions
 
 
@@ -202,55 +206,39 @@ def module_cube(module: WreathModule, vertex: str) -> dict:
     return cubes
 
 
-def _cone_acyclic(calc: SinkCalculus, j: tuple, delta: tuple, spaces: dict, invertible: dict):
+def _cone_acyclic(calc: SinkCalculus, j: tuple, delta: tuple, spaces: dict) -> bool:
     """Whether the Euler total is 0 and each B_{t,q}, q = min Delta(j), t a tuple of a
-    level inside Delta(j) - q, is square (checked first) and invertible.
-
-    ``invertible`` is kept per S_n-orbit of (t, q), keyed by sorted t: t_q
-    is the vertex, so (t, q) and (t', q') lie in one orbit exactly when t
-    and t' sort alike.  Under the passed report the stored s_m represent
-    S_n and the edge actions are equivariant, so B_{sigma t, sigma q} =
-    rho(sigma) B_{t,q} rho(sigma)^-1, and one is invertible over Q(zeta_m)
-    exactly when the other is; the first of the orbit that the walk meets
-    is ranked mod p, and a full rank there certifies the whole orbit."""
+    level inside Delta(j) - q, is square: at a generic vertex, then, invertible."""
     if sum((-1) ** len(subset) * dim for subset, dim in spaces.items()):
         return False
     q = delta[0]
-    reached = dict.fromkeys(t for _, level in _levels(delta[1:])
-                            for t in calc.space(j, level).t_tuples)
-    if any(calc.space(t, (q,)).total != calc.space(t, ()).total for t in reached):
-        return False
-    for t in reached:
-        orbit = tuple(sorted(t))
-        if orbit not in invertible:
-            invertible[orbit] = rank_mod_p(calc.sink_map(t, q)) == calc.space(t, ()).total
-        if not invertible[orbit]:
-            return False
-    return True
+    return all(calc.space(t, (q,)).total == calc.space(t, ()).total
+               for _, level in _levels(delta[1:]) for t in calc.space(j, level).t_tuples)
 
 
 def module_cohomology(module: WreathModule, vertex: str) -> dict:
     """Per-tuple cohomology dimensions of the associated complex.
 
     A cube with empty Delta(j) is V_j in degree 0.  With a passed report
-    (phi_q a chain map), a cube with Euler total 0 whose sink maps
-    B_{t,q}, q = min Delta(j), are square of full rank mod p has H = 0
-    (the cone mod p is acyclic, and dim H^r_Q <= dim H^r_p), and no pi
-    block or complex is built for it.  The fallback ``cohomology(complex_from_cube(cube))``,
-    from the same calculus, takes a failed report (its ``FormatError``
-    names the first square that does not commute), an unlucky p, a
-    nonzero Euler total, and a non-square or singular sink map.
+    (phi_q a chain map, and relation (i) on every V_t) at a vertex where
+    ``is_generic`` holds, every sink map B_{t,q} is surjective, so a cube
+    with Euler total 0 whose sink maps, q = min Delta(j), are square has
+    H = 0, and no pi block, rank or complex is built for it.  The fallback
+    ``cohomology(complex_from_cube(cube))``, from the same calculus, takes
+    a failed report (its ``FormatError`` names the first square that does
+    not commute), a non-generic vertex, a nonzero Euler total and a
+    non-square sink map.
     """
     calc = SinkCalculus(module, vertex)
     report = verify_relations(module)
-    invertible: dict = {}
+    certified = report.passed and is_generic(module.params, vertex)
     out = {}
     for j in candidate_tuples(calc):
         delta = calc.delta(j)
         spaces = _level_dims(calc, j, delta)
         if not delta:
             out[j] = (spaces[()],)
-        elif report.passed and _cone_acyclic(calc, j, delta, spaces, invertible):
+        elif certified and _cone_acyclic(calc, j, delta, spaces):
             out[j] = (0,) * (len(delta) + 1)
         else:
             cube = _cube(calc, j, delta, spaces, report if report.passed else None)

@@ -146,24 +146,13 @@ class SinkCalculus:
         key = ("pi", j, d, p)
         out = self._maps.get(key)
         if out is None:
-            out = self._maps[key] = self._pi(j, d, p)
+            src, tgt, slot = self._drop(j, d, p)
+            actions = self.module.edge_actions
+            out = self._maps[key] = _assemble(tgt, src, (
+                (tgt.index_of(xi[:slot] + xi[slot + 1:]), k,
+                 actions.get((self.R[xi[slot]].name, p, src.t_tuples[k])))
+                for k, xi in enumerate(src.xis)), self.order)
         return out
-
-    def _pi(self, j: tuple, d: tuple[int, ...], p: int) -> Mat:
-        src, tgt, slot = self._drop(j, d, p)
-        actions = self.module.edge_actions
-        return _assemble(tgt, src, (
-            (tgt.index_of(xi[:slot] + xi[slot + 1:]), k,
-             actions.get((self.R[xi[slot]].name, p, src.t_tuples[k])))
-            for k, xi in enumerate(src.xis)), self.order)
-
-    def sink_map(self, t: tuple, q: int) -> Mat:
-        """B_{t,q} = [rho(r, q, t[q <- tail r])]_{r in R} into V_t: pi_q at level (q,), uncached.
-
-        Any pi_q(j, D) is block diagonal over the assignments xi' of D - q,
-        with the block B_{t(j, xi'),q} at xi'.
-        """
-        return self._pi(t, (q,), q)
 
     def mu(self, j: tuple, d: tuple[int, ...], p: int) -> Mat:
         """mu_{j,p} into level D: apply the reverse edge in position p, signed."""

@@ -11,10 +11,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wreathq import io as wio
+from wreathq import cubes, io as wio
 from wreathq.cli import main
 from wreathq.modules import MAX_N, build_induced_zero_e
-from wreathq.reflection import SinkCalculus
 from wreathq.symmetric import YoungDiagram
 
 from conftest import HALF, make_params
@@ -164,13 +163,14 @@ def test_cohomology_refuses_a_module_breaking_relation_ii(files, capsys, tmp_pat
     _, qp, _ = files
     mp = tmp_path / "noncommuting.json"
     mp.write_text(json.dumps(NONCOMMUTING_MODULE))
-    # a failed report never takes the mapping-cone route
-    sinks = []
-    sink_map = SinkCalculus.sink_map
-    monkeypatch.setattr(SinkCalculus, "sink_map", lambda *a: sinks.append(a) or sink_map(*a))
+    # a failed report never takes the mapping-cone route: the cubes of (0, 1) and (1, 0)
+    # are ranked through their complexes, one differential each, before (1, 1) raises
+    ranks = []
+    rank_mod_p = cubes.rank_mod_p
+    monkeypatch.setattr(cubes, "rank_mod_p", lambda d: ranks.append(d) or rank_mod_p(d))
     code, out, err = run(capsys, "cohomology", "--quiver", qp, "--module", str(mp),
                          "--vertex", "1")
-    assert code == 2 and out == "" and sinks == []
+    assert code == 2 and out == "" and len(ranks) == 2
     assert err.splitlines() == ["error: cube square at () with 1, 2 does not commute"]
 
 

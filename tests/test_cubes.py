@@ -670,12 +670,10 @@ def test_generic_kronecker_cubes_never_reach_the_fallback(kronecker_f0v, order, 
     pis = _counting(monkeypatch, SinkCalculus, "pi")
     assembled = _counting(monkeypatch, cubes, "complex_from_cube")
     ranked = _counting(monkeypatch, cubes, "cohomology")
-    sinks = _counting(monkeypatch, SinkCalculus, "sink_map")
+    ranks = _counting(monkeypatch, cubes, "rank_mod_p")
     assert module_cohomology(f, "0") == expected
-    assert (pis, assembled, ranked) == ([], [], [])
-    # one sink map per S_n-orbit of (t, q), t_q = "0": the sorted candidate tuples with a "0"
-    orbits = {tuple(sorted(j)) for j in expected if "0" in j}
-    assert len(sinks) == len({tuple(sorted(a[1])) for a in sinks}) == len(orbits) == 4
+    # relation (i) and genericity certify every cube: no block map and no rank
+    assert (pis, assembled, ranked, ranks) == ([], [], [], [])
 
 
 def test_the_n5_column_needs_no_fallback(monkeypatch):
@@ -688,29 +686,29 @@ def test_the_n5_column_needs_no_fallback(monkeypatch):
     assert coh == expected and _totals(coh) == (1, 0, 0, 0, 0, 0)
 
 
-def test_non_generic_kronecker_sends_eleven_cubes_to_the_fallback(monkeypatch):
-    # nu = lambda_0 = 1/2: the 11 declined cubes carry the higher classes
+def test_non_generic_kronecker_sends_every_cube_to_the_fallback(monkeypatch):
+    # nu = lambda_0 = 1/2: no certificate, so all 15 cubes with nonempty Delta are ranked
     f = _kronecker_f0v(4, [2, 2], HALF)
+    assert verify_relations(f).passed and not is_generic(f.params, "0")
     expected = _full_path(f, "0")
     assembled = _counting(monkeypatch, cubes, "complex_from_cube")
     coh = module_cohomology(f, "0")
-    assert len(assembled) == 11
+    assert len(assembled) == 15
     assert coh == expected and _totals(coh) == (2, 79, 79, 0, 0)
 
 
 def test_a2_word_cubes_are_declined_by_their_euler_totals(monkeypatch):
-    # every cube of the A2-hat word carries H^0, so no sink map is ever ranked
+    # every cube of the A2-hat word carries H^0, so the cone route declines it
     for module, letter in _a2_word_modules():
         euler = dict(euler_characteristic(module, letter).per_tuple)
         calc = SinkCalculus(module, letter)
         nonempty = [j for j in candidate_tuples(calc) if calc.delta(j)]
         assert nonempty and all(euler[j] for j in nonempty)
         with pytest.MonkeyPatch.context() as patch:
-            sinks = _counting(patch, SinkCalculus, "sink_map")
             ranks = _counting(patch, cubes, "rank_mod_p")
             assembled = _counting(patch, cubes, "complex_from_cube")
             coh = module_cohomology(module, letter)
-        assert sinks == [] and len(assembled) == len(nonempty)
+        assert len(assembled) == len(nonempty)
         # the fallback's own ranks: one per differential of each assembled complex
         assert len(ranks) == sum(len(cube.delta) for cube, in assembled)
         assert coh == _full_path(module, letter)
@@ -728,65 +726,60 @@ def test_pi_q_ranks_are_the_sums_of_the_sink_map_ranks(corpus, kronecker_f0v):
                         if q not in level:
                             continue
                         below = tuple(p for p in level if p != q)
-                        blocks = [rank_mod_p(calc.sink_map(t, q))
+                        blocks = [rank_mod_p(calc.pi(t, (q,), q))
                                   for t in calc.space(j, below).t_tuples]
                         assert rank_mod_p(calc.pi(j, level, q)) == sum(blocks), (vertex, j, level)
                         checked += 1
     assert checked > 400
 
 
-def test_a_singular_sink_map_sends_its_cubes_to_the_fallback(kronecker_f0v, monkeypatch):
-    # the sink maps of one S_n-orbit of (t, q), the tuples with three "0"s, made
-    # singular: conjugate maps are singular together, and the cone ranks one per orbit
-    orbit = ("0", "0", "0", "1")
-    sink_map = SinkCalculus.sink_map
+def _surjective_sink_maps(module, vertex):
+    """(surjective, total) over the sink maps B_{t,q} = pi_q(t, (q,)), V_t != 0, t_q = vertex."""
+    calc = SinkCalculus(module, vertex)
+    sinks = [calc.pi(t, (q,), q) for t in module.support for q in calc.delta(t)]
+    return sum(rank_mod_p(b) == b.rows for b in sinks), len(sinks)
 
-    def mutant(calc, t, q):
-        real = sink_map(calc, t, q)
-        return Mat.zeros(real.rows, real.cols, real.order) if tuple(sorted(t)) == orbit else real
 
-    calc = SinkCalculus(kronecker_f0v, "0")
-    expected_fallback = []
-    for j in candidate_tuples(calc):
-        delta = calc.delta(j)
-        reached = [t for _, level in cubes._levels(delta[1:]) for t in calc.space(j, level).t_tuples]
-        if delta and any(tuple(sorted(t)) == orbit for t in reached):
-            assert all(sink_map(calc, t, delta[0]).rows == sink_map(calc, t, delta[0]).cols > 0
-                       for t in reached if tuple(sorted(t)) == orbit)
-            expected_fallback.append(j)
-    # the cubes with at least three positions at "0"
-    assert len(expected_fallback) == 5
-    expected = _full_path(kronecker_f0v, "0")
-    monkeypatch.setattr(SinkCalculus, "sink_map", mutant)
+def test_relation_i_makes_every_sink_map_surjective_at_generic_parameters(kronecker_f0v):
+    # B_{t,q} after the signed reverse edges is lambda_i + nu (a Jucys-Murphy element),
+    # invertible when is_generic holds; the non-generic F_0V shows the hypothesis is needed
+    (a2_before_letter_3, letter), = _a2_word_modules()[2:]
+    inputs = [(kronecker_f0v, "0", (32, 32)), (_kronecker_z3(), "0", (32, 32)),
+              (_kronecker_f0v(5, [1] * 5, Fraction(2, 7)), "0", (80, 80)),
+              (a2_before_letter_3, letter, (27, 27)),
+              (_kronecker_f0v(4, [2, 2], HALF), "0", (4, 32))]
+    for module, vertex, counts in inputs:
+        assert verify_relations(module).passed
+        assert bool(is_generic(module.params, vertex)) == (counts[0] == counts[1])
+        assert _surjective_sink_maps(module, vertex) == counts
+
+
+def test_a_failed_relation_ii_report_never_takes_the_cone_route(ahat1, kronecker_f0v,
+                                                                monkeypatch):
+    # every cube with nonempty Delta is assembled, and the last one raises: the only
+    # ranks are the fallback's, one per differential of the complexes built before it
     assembled = _counting(monkeypatch, cubes, "complex_from_cube")
-    assert module_cohomology(kronecker_f0v, "0") == expected
-    cubes_of = module_cube(kronecker_f0v, "0")
-    assert [a[0] for a in assembled] == [cubes_of[j] for j in expected_fallback]
-
-
-def test_the_cone_ranks_one_sink_map_per_orbit(corpus, kronecker_f0v):
-    # kronecker F_0V: 15 (t, q) reached in 4 S_n-orbits, and no fallback rank
-    for module in (kronecker_f0v, _kronecker_z3()):
-        with pytest.MonkeyPatch.context() as patch:
-            sinks = _counting(patch, SinkCalculus, "sink_map")
-            ranks = _counting(patch, cubes, "rank_mod_p")
-            module_cohomology(module, "0")
-        assert [a[1:] for a in sinks] == [(("0",) * k + ("1",) * (4 - k), 1) for k in (1, 2, 3, 4)]
-        assert len(ranks) == 4
-    # elsewhere, at most one sink map of each orbit is ever built
-    for _, module in corpus:
-        for vertex in module.params.quiver.vertices:
-            with pytest.MonkeyPatch.context() as patch:
-                sinks = _counting(patch, SinkCalculus, "sink_map")
-                module_cohomology(module, vertex)
-            assert len(sinks) == len({tuple(sorted(t)) for _, t, _ in sinks}), vertex
-
-
-def test_a_failed_relation_ii_report_never_takes_the_cone_route(ahat1, monkeypatch):
-    sinks = _counting(monkeypatch, SinkCalculus, "sink_map")
+    ranks = _counting(monkeypatch, cubes, "rank_mod_p")
     with pytest.raises(FormatError, match=r"^cube square at \(\) with 1, 2 does not commute$"):
         module_cohomology(_noncommuting_module(ahat1), "1")
-    assert sinks == []
+    assert [c.delta for c, in assembled] == [(2,), (1,), (1, 2)]
+    assert len(ranks) == 2 and all(c.certificate is None for c, in assembled)
+    # a failed relation (i) alone withdraws the certificate too: lambda_0 = 3/5 breaks it
+    # at every position at "0", and every cube is checked square by square and ranked
+    p = kronecker_f0v.params
+    lam = {v: p.weight[v] for v in p.quiver.vertices}
+    lam["0"] = Scalar.rational(Fraction(3, 5), p.order)
+    shifted = WreathModule(Params(p.quiver, p.n, Weight(lam, p.order), p.nu),
+                           kronecker_f0v.support, kronecker_f0v.edge_actions,
+                           kronecker_f0v.sn_actions)
+    report = verify_relations(shifted)
+    assert not report.structural and len(report.failures) == 32
+    assert {f.relation for f in report.failures} == {"i"}
+    expected = _full_path(shifted, "0")
+    assembled.clear()
+    coh = module_cohomology(shifted, "0")
+    assert len(assembled) == 15 and all(c.certificate is None for c, in assembled)
+    assert coh == expected and _totals(coh) == (2, 0, 0, 0, 0)
 
 
 _RECTANGLES = {1: ([1],), 2: ([2], [1, 1]), 3: ([3], [1, 1, 1])}
@@ -813,3 +806,5 @@ def test_cone_route_equals_the_full_ranks_on_random_generic_modules(data):
     for vertex in quiver.vertices:
         if is_generic(module.params, vertex):
             assert module_cohomology(module, vertex) == _full_path(module, vertex), vertex
+            surjective, total = _surjective_sink_maps(module, vertex)
+            assert surjective == total, vertex

@@ -126,6 +126,32 @@ def test_the_guard_sees_a_stray_scalar_parse(tmp_path):
         ["probe.py:5: parse_scalar", "probe.py:6: parse_scalar"]
 
 
+# -- one rank route ----------------------------------------------------------------
+
+def _stray_ranks(files: list) -> list[str]:
+    """Calls of ``rank`` or ``rank_mod_p`` anywhere but in ``cubes.cohomology``."""
+    return [line for path in files for callee in ("rank", "rank_mod_p")
+            for line in _stray_calls(path, callee, "cohomology" if path.name == "cubes.py" else "")]
+
+
+def test_only_cubes_cohomology_takes_a_rank():
+    # relation (i) and genericity certify the acyclic module cubes: no second rank route
+    files = sorted(PACKAGE.glob("*.py"))
+    assert files
+    assert _stray_ranks(files) == []
+
+
+def test_the_guard_sees_a_stray_rank(tmp_path):
+    cubes_probe = tmp_path / "cubes.py"
+    cubes_probe.write_text("def cohomology(d):\n    return rank_mod_p(d) or rank(d)\n"
+                           "def _cone_acyclic(b):\n    return rank_mod_p(b) == b.rows\n")
+    other = tmp_path / "reflection.py"
+    other.write_text("from . import linalg\n"
+                     "def cohomology(d):\n    return linalg.rank(d)\n")
+    assert _stray_ranks([cubes_probe, other]) == \
+        ["cubes.py:4: rank_mod_p", "reflection.py:3: rank"]
+
+
 # -- one evaluator of the verifier's identities -------------------------------------
 
 # the verifier's checks and the helpers that evaluate their terms; every matrix
